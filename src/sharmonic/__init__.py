@@ -10,7 +10,6 @@ certified C^2 approximations of arbitrary smooth targets on [-1, 1].
 Everything is deterministic: no randomness, reproducible artifacts.
 """
 
-from ._kernels import BACKEND, HAS_NUMBA
 from .approximate import (ApproxReport, BuildInfo, ChebPoly, GroupInfo,
                           Target, approximate, build_sharmonic, cheb_fit,
                           default_nodes, interior_points, target_from_spec)
@@ -33,9 +32,9 @@ from .fraclap import (FracLapDetail, FracParams, GridFunction, QuadConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxReport", "ApproximationError", "BACKEND", "BuildInfo", "ChebPoly",
+    "ApproxReport", "ApproximationError", "BuildInfo", "ChebPoly",
     "ConditioningError", "ConfigError", "DomainError", "EvaluationError",
-    "FracLapDetail", "FracParams", "GridFunction", "GroupInfo", "HAS_NUMBA",
+    "FracLapDetail", "FracParams", "GridFunction", "GroupInfo",
     "HarnackWitness", "LogisticWitness", "MatchInfo", "OffsetCombo",
     "QuadConfig", "SHBlock", "SHCombo", "SharmonicError", "Target",
     "TaylorSeries", "approximate", "block_derivative_at_zero", "block_eval",

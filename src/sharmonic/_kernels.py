@@ -1,10 +1,4 @@
-"""Hot numerical kernels with optional JIT compilation.
-
-Two implementations of every kernel are provided: an explicit-loop version
-compiled with numba when available, and a vectorized numpy fallback.  The
-environment variable ``SHARMONIC_PURE_NUMPY=1`` forces the fallback even
-when numba is installed; this is also the escape hatch on platforms where
-JIT compilation is unavailable.
+"""Hot numerical kernels, vectorized with numpy.
 
 All kernels operate on plain float64 arrays.  Extended-precision paths
 live elsewhere and never call into this module.
@@ -12,183 +6,40 @@ live elsewhere and never call into this module.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCE_NUMPY = os.environ.get("SHARMONIC_PURE_NUMPY", "").strip() in {"1", "true", "yes"}
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit, prange
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
+from numpy.polynomial import polynomial as P
 
 
-# ---------------------------------------------------------------------------
-# pure numpy implementations
+def _truncated_powers(ts: np.ndarray, rs: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
+    """(rs[k]*x + ts[k])_+^p for every block k and point; 0 on the dead side.
 
-
-def _combo_values_np(ts: np.ndarray, cs: np.ndarray, rs: np.ndarray, s: float,
-                     x: np.ndarray) -> np.ndarray:
-    """Sum of truncated power blocks c_k * (r_k x + t_k)_+^s at each x."""
+    The power is only taken where the argument is positive, so a point on
+    a kink with p < 0 gives 0 instead of a division by zero.
+    """
     arg = rs[:, None] * x[None, :] + ts[:, None]
-    pos = arg > 0.0
-    out = np.where(pos, np.abs(arg) ** s, 0.0)
-    return (cs[:, None] * out).sum(axis=0)
-
-
-def _combo_derivatives_np(ts: np.ndarray, cs: np.ndarray, rs: np.ndarray, s: float,
-                          x: np.ndarray, order: int) -> np.ndarray:
-    """Order-th derivative of the block sum; zero on the dead side of a kink."""
-    fall = 1.0
-    for l in range(order):
-        fall *= s - l
-    arg = rs[:, None] * x[None, :] + ts[:, None]
-    pos = arg > 0.0
-    out = np.where(pos, np.abs(arg) ** (s - order), 0.0)
-    coef = cs * rs**order * fall
-    return (coef[:, None] * out).sum(axis=0)
-
-
-def _power_series_eval_np(exps: np.ndarray, coefs: np.ndarray, x: np.ndarray,
-                          order: int) -> np.ndarray:
-    """Derivative of order `order` of sum_i coefs[i] * x**exps[i] (integer exponents)."""
-    out = np.zeros_like(x)
-    for e, b in zip(exps, coefs):
-        e = int(e)
-        if e < order:
-            continue
-        fall = 1.0
-        for l in range(order):
-            fall *= e - l
-        p = e - order
-        if p == 0:
-            out += b * fall
-        else:
-            out += b * fall * x**p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAS_NUMBA:
-    # the parallel loops run over independent output points with a fixed
-    # inner summation order, so results are bit-identical for any thread
-    # count or schedule
-
-    @njit(cache=True, parallel=True)
-    def _combo_values_nb(ts, cs, rs, s, x):  # pragma: no cover - compiled
-        n = x.shape[0]
-        m = ts.shape[0]
-        out = np.zeros(n)
-        for i in prange(n):
-            acc = 0.0
-            for k in range(m):
-                arg = rs[k] * x[i] + ts[k]
-                if arg > 0.0:
-                    acc += cs[k] * arg**s
-            out[i] = acc
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _combo_derivatives_nb(ts, cs, rs, s, x, order):  # pragma: no cover
-        fall = 1.0
-        for l in range(order):
-            fall *= s - l
-        n = x.shape[0]
-        m = ts.shape[0]
-        coef = np.empty(m)
-        for k in range(m):
-            coef[k] = cs[k] * rs[k] ** order * fall
-        out = np.zeros(n)
-        for i in prange(n):
-            acc = 0.0
-            for k in range(m):
-                arg = rs[k] * x[i] + ts[k]
-                if arg > 0.0:
-                    acc += coef[k] * arg ** (s - order)
-            out[i] = acc
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _power_series_eval_nb(exps, coefs, x, order):  # pragma: no cover
-        n = x.shape[0]
-        m = exps.shape[0]
-        falls = np.empty(m)
-        powers = np.empty(m, dtype=np.int64)
-        for k in range(m):
-            fall = 1.0
-            for l in range(order):
-                fall *= exps[k] - l
-            falls[k] = coefs[k] * fall
-            powers[k] = exps[k] - order
-        out = np.zeros(n)
-        for i in prange(n):
-            acc = 0.0
-            for k in range(m):
-                if exps[k] < order:
-                    continue
-                p = powers[k]
-                if p == 0:
-                    acc += falls[k]
-                else:
-                    acc += falls[k] * x[i] ** p
-            out[i] = acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if HAS_NUMBA:
-    combo_values_impl = _combo_values_nb
-    combo_derivatives_impl = _combo_derivatives_nb
-    power_series_eval_impl = _power_series_eval_nb
-    BACKEND = "numba"
-else:
-    combo_values_impl = _combo_values_np
-    combo_derivatives_impl = _combo_derivatives_np
-    power_series_eval_impl = _power_series_eval_np
-    BACKEND = "numpy"
+    return np.power(arg, p, out=np.zeros_like(arg), where=arg > 0.0)
 
 
 def combo_values(ts, cs, rs, s, x):
     """Evaluate sum_k cs[k] * (rs[k]*x + ts[k])_+^s on an array of points."""
-    return combo_values_impl(np.ascontiguousarray(ts, dtype=np.float64),
-                             np.ascontiguousarray(cs, dtype=np.float64),
-                             np.ascontiguousarray(rs, dtype=np.float64),
-                             float(s),
-                             np.ascontiguousarray(x, dtype=np.float64))
+    ts, cs, rs, x = (np.asarray(a, dtype=np.float64) for a in (ts, cs, rs, x))
+    return (cs[:, None] * _truncated_powers(ts, rs, x, float(s))).sum(axis=0)
 
 
 def combo_derivatives(ts, cs, rs, s, x, order):
     """Evaluate the order-th derivative of the block sum on an array of points."""
-    return combo_derivatives_impl(np.ascontiguousarray(ts, dtype=np.float64),
-                                  np.ascontiguousarray(cs, dtype=np.float64),
-                                  np.ascontiguousarray(rs, dtype=np.float64),
-                                  float(s),
-                                  np.ascontiguousarray(x, dtype=np.float64),
-                                  int(order))
+    ts, cs, rs, x = (np.asarray(a, dtype=np.float64) for a in (ts, cs, rs, x))
+    fall = 1.0
+    for l in range(order):
+        fall *= s - l
+    coef = cs * rs**order * fall
+    return (coef[:, None] * _truncated_powers(ts, rs, x, float(s) - order)).sum(axis=0)
 
 
 def power_series_eval(exps, coefs, x, order):
-    """Evaluate the order-th derivative of a sparse integer-exponent power series."""
-    return power_series_eval_impl(np.ascontiguousarray(exps, dtype=np.int64),
-                                  np.ascontiguousarray(coefs, dtype=np.float64),
-                                  np.ascontiguousarray(x, dtype=np.float64),
-                                  int(order))
-
-
-def reference_implementations():
-    """Expose the numpy fallbacks regardless of backend, for parity tests."""
-    return {
-        "combo_values": _combo_values_np,
-        "combo_derivatives": _combo_derivatives_np,
-        "power_series_eval": _power_series_eval_np,
-    }
+    """Evaluate the order-th derivative of a sparse integer-exponent power
+    series by Horner's rule on its dense coefficient vector."""
+    exps = np.asarray(exps, dtype=np.int64)
+    dense = np.zeros(int(exps.max()) + 1 if exps.size else 1)
+    np.add.at(dense, exps, np.asarray(coefs, dtype=np.float64))
+    return P.polyval(np.asarray(x, dtype=np.float64), P.polyder(dense, int(order)))

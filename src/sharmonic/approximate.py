@@ -209,7 +209,6 @@ class GroupInfo:
     coefficient: float
     scale: float
     condition: float
-    readback_residual: float
     halvings: int
 
 
@@ -282,8 +281,7 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
         matched[j] = group
         infos[j] = GroupInfo(
             degree=j, coefficient=cj, scale=group.blocks[0].r,
-            condition=base.match_info.condition,
-            readback_residual=base.match_info.residual, halvings=0)
+            condition=base.match_info.condition, halvings=0)
 
     grid = np.linspace(-1.0, 1.0, _DEFECT_GRID)
     halvings = {j: 0 for j in matched}
@@ -312,7 +310,6 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
         GroupInfo(degree=j, coefficient=infos[j].coefficient,
                   scale=matched[j].blocks[0].r,
                   condition=infos[j].condition,
-                  readback_residual=infos[j].readback_residual,
                   halvings=halvings[j])
         for j in sorted(matched))
     info = BuildInfo(matching_order=big_n, nodes=tuple(float(t) for t in nodes),

@@ -5,6 +5,13 @@ the half line where its argument is positive the block solves the 1D
 fractional Laplace equation of order s, which makes linear combinations of
 blocks the building material for every construction in this package.
 
+Matching the derivatives of a combination at the origin is, after scaling
+rows and columns, a Vandermonde system in the reciprocal offsets 1/t_k.
+Offsets and exponents are floats, hence exact dyadic rationals, so the
+system is solved exactly in rational arithmetic with one cached inverse
+per node tuple; extended precision enters only where a coefficient is
+rounded for storage.
+
 Combinations produced by the derivative-matching pipeline carry extended
 precision coefficients and an attached power series representation: the
 raw block coefficients grow so large that summing them in float64 loses
@@ -15,19 +22,23 @@ the only float64-safe way to evaluate such combinations.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 import numpy as np
 from mpmath import mpf, workdps
+from mpmath.libmp import from_rational, round_nearest
 
 from . import _kernels
 from .errors import ConditioningError, DomainError
 
 _EPS64 = 2.0**-52
+_TAIL_TERMS = 11  # series exponents kept past the matching order
 
 
 def falling_factorial(s: float, order: int) -> float:
@@ -127,7 +138,6 @@ class TaylorSeries:
 class MatchInfo:
     """Diagnostics attached to the output of solve_derivative_match."""
 
-    residual: float
     condition: float
     dps: int
     exact_coefficients: bool
@@ -287,26 +297,6 @@ def combo_scale(combo: SHCombo, alpha: float) -> SHCombo:
 # derivative matching
 
 
-def match_matrix(nodes: Sequence[float], s: float, n_orders: int) -> np.ndarray:
-    """Float64 matrix M[i, k] = s*(s-1)*...*(s-i+1) * t_k**(s-i)."""
-    t = np.asarray(nodes, dtype=float)
-    M = np.empty((n_orders, t.size))
-    for i in range(n_orders):
-        M[i] = falling_factorial(s, i) * t ** (s - i)
-    return M
-
-
-def scaled_match_matrix(nodes: Sequence[float], s: float, n_orders: int) -> np.ndarray:
-    """Row and column scaled matching matrix; equals the Vandermonde matrix
-    with entries (1/t_k)**i."""
-    t = np.asarray(nodes, dtype=float)
-    M = match_matrix(nodes, s, n_orders)
-    for i in range(n_orders):
-        M[i] /= falling_factorial(s, i)
-    M /= t[None, :] ** s
-    return M
-
-
 def _condition_estimate(nodes: np.ndarray, n_orders: int) -> float:
     V = np.vander(1.0 / nodes, n_orders, increasing=True).T
     try:
@@ -318,20 +308,80 @@ def _condition_estimate(nodes: np.ndarray, n_orders: int) -> float:
     return cond
 
 
-def _solve_mp(nodes: np.ndarray, s: float, d: Sequence[float], dps: int):
+@functools.lru_cache(maxsize=64)
+def _vandermonde_inverse(nodes: tuple[float, ...]):
+    """Exact inverse of V[i][k] = (1/t_k)^i and its continuation past order n.
+
+    With x_k = 1/t_k and P(x) = prod_k (x - x_k), row k of the inverse holds
+    the monomial coefficients of the Lagrange polynomial P(x) / ((x - x_k)
+    P'(x_k)), one synthetic division each: O(n^2) rational operations.  Row
+    i - n of the continuation holds the coefficients of x^i mod P, so that
+    sum_k y_k x_k^i = sum_l cont[i - n][l] (V y)_l for the tail exponents.
+    """
+    xs = [1 / Fraction(t) for t in nodes]
+    n = len(xs)
+    master = [Fraction(1)]
+    for xm in xs:
+        nxt = [Fraction(0)] + master
+        for i, c in enumerate(master):
+            nxt[i] -= xm * c
+        master = nxt
+    inverse = []
+    for xk in xs:
+        quot = [Fraction(0)] * n
+        quot[n - 1] = master[n]
+        for i in range(n - 1, 0, -1):
+            quot[i - 1] = master[i] + xk * quot[i]
+        den = math.prod((xk - xm for xm in xs if xm != xk), start=Fraction(1))
+        inverse.append(tuple(c / den for c in quot))
+    cont = [tuple(-c for c in master[:n])]
+    for _ in range(1, _TAIL_TERMS):
+        prev = cont[-1]
+        cont.append(tuple((prev[l - 1] if l else 0) - prev[n - 1] * master[l]
+                          for l in range(n)))
+    return tuple(inverse), tuple(cont)
+
+
+def _exact_match(spec_values: Sequence[float], nodes: np.ndarray, s: float):
+    """Exact y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = d_i / fall(s, i),
+    and the moments sum_k y_k t_k^-i for the _TAIL_TERMS exponents i >= n."""
+    inverse, cont = _vandermonde_inverse(tuple(float(tk) for tk in nodes))
+    sf = Fraction(s)
+    rhs = []
+    fall = Fraction(1)
+    for i, d in enumerate(spec_values):
+        if d:
+            rhs.append((i, Fraction(d) / fall))
+        fall *= sf - i
+    y = [sum((row[i] * b for i, b in rhs), Fraction(0)) for row in inverse]
+    moments = [sum((row[i] * b for i, b in rhs), Fraction(0)) for row in cont]
+    return y, moments
+
+
+def _tail_series(moments: list[Fraction], s: float, n: int, r: float, j: int):
+    """Tail exponents n, n+1, ... and the coefficients
+    binom(s, i) r^(i-j) sum_k y_k t_k^-i of x^i, each rounded once to float
+    from its exact value; zero coefficients are dropped."""
+    sf, rf = Fraction(s), Fraction(r)
+    binom = math.prod((sf - l for l in range(n)), start=Fraction(1)) / math.factorial(n)
+    exps, coefs = [], []
+    for i, m in enumerate(moments, start=n):
+        cf = float(binom * rf ** (i - j) * m)
+        if cf != 0.0:
+            exps.append(i)
+            coefs.append(cf)
+        binom = binom * (sf - i) / (i + 1)
+    return tuple(exps), tuple(coefs)
+
+
+def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, r: float,
+                        j: int, dps: int) -> list[mpf]:
+    """Coefficients y_k t_k^-s r^-j at dps digits; y_k is rounded only once."""
     with workdps(dps):
-        sm = mpf(s)
-        n = len(d)
-        M = mpmath.matrix(n, n)
-        for i in range(n):
-            fall = _falling_factorial_mp(sm, i)
-            for k in range(n):
-                M[i, k] = fall * mpf(float(nodes[k])) ** (sm - i)
-        rhs = mpmath.matrix([mpf(float(v)) for v in d])
-        a = mpmath.lu_solve(M, rhs)
-        res = M * a - rhs
-        max_res = max(abs(res[i]) for i in range(n))
-        return [a[i] for i in range(n)], float(max_res)
+        factor = mpf(r) ** -j
+        return [mpf(from_rational(yk.numerator, yk.denominator, mpmath.mp.prec,
+                                  round_nearest)) * mpf(float(tk)) ** -mpf(s) * factor
+                for yk, tk in zip(y, t)]
 
 
 def solve_derivative_match(spec: DerivSpec, nodes: Sequence[float], s: float,
@@ -339,10 +389,14 @@ def solve_derivative_match(spec: DerivSpec, nodes: Sequence[float], s: float,
     """Combination of unit-scale blocks whose derivatives at 0 match spec.
 
     Solves the square system sum_k a_k * d^i/dx^i (x + t_k)^s |_{x=0} = d_i
-    for i = 0..J with J+1 distinct positive nodes.  The system is solved in
-    adaptive extended precision because its condition number grows
-    geometrically with J; coefficients are downgraded to float64 only when
-    that provably keeps the read-back residual below 1e-10 * (1 + max|d|).
+    for i = 0..J with J+1 distinct positive nodes.  With y_k = t_k^s a_k
+    the system is the Vandermonde system sum_k (1/t_k)^i y_k = d_i /
+    fall(s, i), which is solved exactly in rational arithmetic (floats are
+    dyadic rationals) through a cached inverse per node tuple.  Each
+    coefficient a_k = y_k t_k^-s then costs one extended precision power,
+    taken with 25 digits beyond the cancellation the read-back suffers.
+    Coefficients are downgraded to float64 only when that provably keeps
+    the read-back residual below 1e-10 * (1 + max|d|).
     """
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
@@ -357,54 +411,26 @@ def solve_derivative_match(spec: DerivSpec, nodes: Sequence[float], s: float,
         raise DomainError("matching nodes must be distinct")
 
     n = t.size
-    cond = _condition_estimate(t, n)
+    y, moments = _exact_match(spec.values, t, s)
     scale = 1.0 + max(abs(v) for v in spec.values)
-    dps = 35 + int(1.5 * max(0.0, np.log10(cond)))
-    coeffs, residual = _solve_mp(t, s, spec.values, dps)
-    if residual > 1e-12 * scale:
-        dps *= 2
-        coeffs, residual = _solve_mp(t, s, spec.values, dps)
-        if residual > 1e-10 * scale:
-            raise ConditioningError(
-                f"derivative matching system too ill conditioned: read-back residual "
-                f"{residual:.3e} at {dps} significant digits (condition estimate "
-                f"{cond:.3e})")
-
-    # decide whether float64 coefficients preserve the read-back guarantee
-    with workdps(dps):
-        sm = mpf(s)
-        row_noise = mpf(0)
-        for i in range(n):
-            fall = abs(_falling_factorial_mp(sm, i))
-            row = sum(abs(coeffs[k]) * fall * mpf(float(t[k])) ** (sm - i)
-                      for k in range(n))
-            row_noise = max(row_noise, row)
-        float_noise = float(row_noise) * _EPS64 * 4
-    exact = float_noise > 1e-10 * scale
-
-    if exact:
-        blocks = tuple(SHBlock(float(tk), ck, 1.0) for tk, ck in zip(t, coeffs))
-    else:
-        blocks = tuple(SHBlock(float(tk), float(ck), 1.0) for tk, ck in zip(t, coeffs))
+    # largest sum of |terms| in one read-back row: the cancellation it suffers
+    y_abs = np.array([abs(float(yk)) for yk in y])
+    row_mass = max(abs(falling_factorial(s, i)) * float(np.sum(y_abs * t ** -float(i)))
+                   for i in range(n))
+    dps = 25 + math.ceil(math.log10(1.0 + row_mass / scale))
+    exact = row_mass * _EPS64 * 4 > 1e-10 * scale
+    coeffs = _block_coefficients(y, t, s, 1.0, 0, dps)
+    if not exact:
+        coeffs = [float(ck) for ck in coeffs]
+    blocks = tuple(SHBlock(float(tk), ck, 1.0) for tk, ck in zip(t, coeffs))
 
     # attached series: matched Taylor part plus the first correction exponents
     poly_exps = tuple(range(n))
     poly_coefs = tuple(spec.values[i] / math.factorial(i) for i in range(n))
-    tail_exps = []
-    tail_coefs = []
-    with workdps(dps):
-        sm = mpf(s)
-        for i in range(n, n + 10):
-            Mi = sum(coeffs[k] * mpf(float(t[k])) ** (sm - i) for k in range(n))
-            coef = mpmath.binomial(sm, i) * Mi
-            cf = float(coef)
-            if cf != 0.0 and np.isfinite(cf):
-                tail_exps.append(i)
-                tail_coefs.append(cf)
+    tail_exps, tail_coefs = _tail_series(moments, s, n, 1.0, 0)
     radius = 0.5 * float(np.min(t))
-    series = (TaylorSeries(poly_exps, poly_coefs, tuple(tail_exps), tuple(tail_coefs),
-                           radius),)
-    info = MatchInfo(residual=residual, condition=cond, dps=dps,
+    series = (TaylorSeries(poly_exps, poly_coefs, tail_exps, tail_coefs, radius),)
+    info = MatchInfo(condition=_condition_estimate(t, n), dps=dps,
                      exact_coefficients=exact, spec_values=spec.values)
     return SHCombo(s, blocks, interval, series, info)
 
@@ -430,52 +456,35 @@ def assemble_scaled_group(spec_values: Sequence[float], nodes: Sequence[float],
                           interval: tuple[float, float], eps: float) -> SHCombo:
     """Matched group under the substitution x -> r x, faithful to c_j x^j.
 
-    The stored block coefficients are a_k r^-j, and reading the function
-    back off the blocks amplifies their rounding by r^-j, so the matching
-    system is solved with enough digits that the amplified noise stays far
-    below eps.  float64 coefficient storage is never sufficient here; the
-    blocks always carry extended precision values.
+    The matching system is solved exactly (see solve_derivative_match), so
+    the only rounding is in the stored block coefficients y_k t_k^-s r^-j.
+    Reading the function back off the blocks amplifies that rounding by
+    about the coefficient mass times r^-j, so the coefficients carry enough
+    digits that the amplified noise stays far below eps.  float64 storage
+    is never sufficient here; the blocks always carry extended precision
+    values.  big_n must be the matching order len(nodes) - 1.
     """
     t = np.asarray(nodes, dtype=float)
     n = t.size
     if not (0 < r <= 1.0) or not np.isfinite(r):
         raise DomainError(f"scale must lie in (0, 1], got {r}")
-    cond = _condition_estimate(t, n)
-    scale = 1.0 + max(abs(v) for v in spec_values)
-    dps = 35 + int(1.5 * max(0.0, np.log10(cond)))
-    coeffs, residual = _solve_mp(t, s, spec_values, dps)
-    if residual > 1e-10 * scale:
-        raise ConditioningError(
-            f"derivative matching system too ill conditioned: read-back residual "
-            f"{residual:.3e} at {dps} significant digits")
-    with workdps(dps):
-        mass = float(sum(abs(ck) * mpf(float(tk)) ** mpf(s)
-                         for ck, tk in zip(coeffs, t)))
+    if len(spec_values) != n or big_n != n - 1:
+        raise DomainError(
+            f"matching order {big_n} with {len(spec_values)} derivative values "
+            f"needs {big_n + 1} of each, got {n} nodes")
+    y, moments = _exact_match(spec_values, t, s)
+    mass = sum(abs(float(yk)) for yk in y)
     amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
            + math.log10(1.0 / eps) + 8.0)
-    dps_build = max(dps, 25 + int(amp))
-    if dps_build > dps:
-        coeffs, residual = _solve_mp(t, s, spec_values, dps_build)
+    dps = 25 + int(amp)
 
     cj = spec_values[j] / math.factorial(j)
-    with workdps(dps_build):
-        sm = mpf(s)
-        r_exact = mpf(r)
-        blocks = tuple(SHBlock(float(tk), ck * r_exact ** (-j), r)
-                       for tk, ck in zip(t, coeffs))
-        tail_exps = []
-        tail_coefs = []
-        for i in range(big_n + 1, big_n + 12):
-            Mi = sum(ck * mpf(float(tk)) ** (sm - i) for ck, tk in zip(coeffs, t))
-            coef = mpmath.binomial(sm, i) * Mi * r_exact ** (i - j)
-            cf = float(coef)
-            if cf != 0.0 and np.isfinite(cf):
-                tail_exps.append(i)
-                tail_coefs.append(cf)
+    coeffs = _block_coefficients(y, t, s, r, j, dps)
+    blocks = tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs))
+    tail_exps, tail_coefs = _tail_series(moments, s, n, r, j)
     radius = 0.5 * float(np.min(t)) / r
-    series = (TaylorSeries((j,), (cj,), tuple(tail_exps), tuple(tail_coefs),
-                           radius),)
-    info = MatchInfo(residual=residual, condition=cond, dps=dps_build,
+    series = (TaylorSeries((j,), (cj,), tail_exps, tail_coefs, radius),)
+    info = MatchInfo(condition=_condition_estimate(t, n), dps=dps,
                      exact_coefficients=True, spec_values=tuple(spec_values))
     return SHCombo(s, blocks, tuple(interval), series, info)
 

@@ -8,16 +8,12 @@ and JSON artifacts.  Timing information goes to stderr only.
 
 Exit codes: 0 success, 2 configuration error, 3 evaluation error,
 4 approximation or conditioning error.
-
-The environment variable FRACLAP_SEEDLESS is reserved: the toolkit uses
-no randomness, so the variable is read and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -476,7 +472,6 @@ _DISPATCH = {"fraclap": cmd_fraclap, "approximate": cmd_approximate,
 
 
 def main(argv: list[str] | None = None) -> int:
-    os.environ.get("FRACLAP_SEEDLESS")  # reserved; no randomness exists
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

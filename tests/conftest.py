@@ -1,12 +1,6 @@
-"""Shared test helpers: finite-difference oracles and warm-up."""
+"""Shared test helpers: finite-difference oracles."""
 
 from __future__ import annotations
-
-import numpy as np
-import pytest
-
-import sharmonic
-from sharmonic import _kernels
 
 # central difference stencils of second-order accuracy, by derivative order
 _STENCILS = {
@@ -38,16 +32,3 @@ def richardson_derivative(f, x: float, order: int, h: float = 1e-2,
         table = [(factor * table[i + 1] - table[i]) / (factor - 1.0)
                  for i in range(len(table) - 1)]
     return table[0]
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure the algorithms."""
-    x = np.linspace(-1.0, 1.0, 8)
-    _kernels.combo_values(np.array([2.0]), np.array([1.0]), np.array([1.0]), 0.5, x)
-    _kernels.combo_derivatives(np.array([2.0]), np.array([1.0]), np.array([1.0]),
-                               0.5, x, 2)
-    _kernels.power_series_eval(np.array([2, 5]), np.array([1.0, -0.5]), x, 1)
-    params = sharmonic.FracParams(0.5)
-    sharmonic.frac_laplacian(np.cos, 0.0, params)
-    yield

@@ -6,6 +6,7 @@ so a bare ``pytest -s tests/test_acceptance.py`` reads as a certificate.
 
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conftest import richardson_derivative
 
 import sharmonic as sh
 from sharmonic.approximate import target_from_spec
-from sharmonic.blocks import DerivSpec, scaled_match_matrix
+from sharmonic.blocks import DerivSpec, _vandermonde_inverse, falling_factorial
 from sharmonic.cli import main as cli_main
 from sharmonic.fraclap import FracParams
 
@@ -127,15 +128,24 @@ def test_derivative_matching_solve_and_structure():
         worst_res = max(worst_res, res)
         ok &= res <= 1e-8
 
-        scaled = scaled_match_matrix(nodes, 0.5, J + 1)
+        # after scaling row i by 1/fall(s, i) and column k by t_k^-s the
+        # system is the Vandermonde matrix in 1/t, inverted exactly
+        scaled = np.array([[sh.block_derivative_at_zero(t, i, 0.5)
+                            / falling_factorial(0.5, i) / t**0.5 for t in nodes]
+                           for i in range(J + 1)])
         vander = np.vander(1.0 / nodes, J + 1, increasing=True).T
         entry = float(np.max(np.abs(scaled - vander)))
         worst_entry = max(worst_entry, entry)
         ok &= entry <= 1e-12
+        inverse, _ = _vandermonde_inverse(tuple(float(t) for t in nodes))
+        xs = [1 / Fraction(float(t)) for t in nodes]
+        ok &= all(sum(row[i] * x**i for i in range(J + 1)) == (k == m)
+                  for k, row in enumerate(inverse) for m, x in enumerate(xs))
     _check("derivative matching solve",
            ok, f"worst read-back residual {worst_res:.2e} of scale "
                f"(limit 1e-8), worst Vandermonde entry gap {worst_entry:.2e} "
-               f"(limit 1e-12) for J in {{1,2,4,8}}")
+               f"(limit 1e-12), exact inverse times Vandermonde is the "
+               f"identity, for J in {{1,2,4,8}}")
 
 
 def test_mean_value_oracles():

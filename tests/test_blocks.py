@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,10 +82,50 @@ def test_shcombo_validation():
 
 
 def test_scaled_system_is_vandermonde():
+    # row i scaled by 1/fall(s, i), column k by t_k^-s: entries (1/t_k)^i
     nodes = np.array([2.0, 2.25, 2.5, 2.75, 3.0])
-    scaled = sh.blocks.scaled_match_matrix(nodes, 0.5, nodes.size)
-    vander = np.vander(1.0 / nodes, nodes.size, increasing=True).T
-    assert np.max(np.abs(scaled - vander)) <= 1e-12
+    for i in range(nodes.size):
+        for k, t in enumerate(nodes):
+            scaled = (sh.block_derivative_at_zero(t, i, 0.5)
+                      / sh.blocks.falling_factorial(0.5, i) / t**0.5)
+            assert scaled == pytest.approx(t**-i, rel=1e-14)
+
+
+def _values_at(coefs, xs):
+    """Exact values of sum_i coefs[i] x^i, by Horner's rule in integers."""
+    den = math.lcm(*(c.denominator for c in coefs))
+    ints = [c.numerator * (den // c.denominator) for c in reversed(coefs)]
+    out = []
+    for x in xs:
+        acc, qpow = 0, 1
+        for c in ints:
+            acc = acc * x.numerator + c * qpow
+            qpow *= x.denominator
+        out.append(Fraction(acc, den * qpow // x.denominator))
+    return out
+
+
+def _assert_exact_inverse(nodes):
+    # row k is the Lagrange polynomial of x_k = 1/t_k: the inverse times the
+    # Vandermonde matrix in 1/t is the identity, with no rounding at all
+    inverse, cont = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
+    xs = [1 / Fraction(float(t)) for t in nodes]
+    for k, row in enumerate(inverse):
+        assert _values_at(row, xs) == [int(m == k) for m in range(len(xs))]
+    # the continuation rows are x^i mod prod_k (x - x_k), equal to x^i at nodes
+    for i, row in enumerate(cont, start=len(xs)):
+        assert _values_at(row, xs) == [x**i for x in xs]
+
+
+def test_exact_inverse_of_default_nodes():
+    for order in range(31):
+        _assert_exact_inverse(sh.default_nodes(order))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8, unique=True))
+def test_exact_inverse_of_arbitrary_nodes(nodes):
+    _assert_exact_inverse(nodes)
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 8])
@@ -107,8 +148,8 @@ def test_solve_readback_wide_nodes():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6),
-    st.floats(0.1, 0.9),
+    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=31),
+    st.floats(0.05, 0.95),
 )
 def test_solve_readback_property(values, s):
     values = tuple(values)
