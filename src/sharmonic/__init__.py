@@ -13,11 +13,11 @@ Everything is deterministic: no randomness, reproducible artifacts.
 from .approximate import (ApproxReport, BuildInfo, ChebPoly, GroupInfo,
                           Target, approximate, build_sharmonic, cheb_fit,
                           default_nodes, interior_points, target_from_spec)
-from .blocks import (MatchInfo, SHBlock, SHCombo, TaylorSeries,
-                     block_derivative_at_zero, block_eval, combo_add,
-                     combo_derivative, combo_eval, combo_from_json,
-                     combo_scale, combo_to_json, readback_derivatives,
-                     rescale_for_defect, solve_derivative_match)
+from .blocks import (MatchInfo, SHBlock, SHCombo, block_derivative_at_zero,
+                     block_eval, combo_add, combo_derivative, combo_eval,
+                     combo_from_json, combo_scale, combo_to_json,
+                     readback_derivatives, rescale_for_defect,
+                     solve_derivative_match)
 from .demos import (HarnackWitness, LogisticWitness, OffsetCombo,
                     harnack_counterexample, logistic_resource_plan,
                     mean_value_table)
@@ -37,7 +37,7 @@ __all__ = [
     "FracLapDetail", "FracParams", "GridFunction", "GroupInfo",
     "HarnackWitness", "LogisticWitness", "MatchInfo", "OffsetCombo",
     "QuadConfig", "SHBlock", "SHCombo", "SharmonicError", "Target",
-    "TaylorSeries", "approximate", "block_derivative_at_zero", "block_eval",
+    "approximate", "block_derivative_at_zero", "block_eval",
     "build_sharmonic", "canonical_constant", "canonical_constant_closed_form",
     "cheb_fit", "combo_add", "combo_derivative", "combo_eval",
     "combo_from_json", "combo_residual", "combo_scale", "combo_to_json",

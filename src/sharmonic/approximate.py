@@ -3,7 +3,7 @@
 Pipeline: fit a Chebyshev interpolant whose C^2 distance to the target is
 certified against half the budget, convert it exactly to monomials, match
 each monomial's derivatives at the origin with a combination of blocks,
-then shrink the argument scale of every matched group until the group
+then shrink the argument scale of every matched group so that the group
 stays within the remaining budget of its monomial in C^2 norm.  The sum
 of the groups inherits both certificates, so the final function - a
 finite combination of exactly equation-solving blocks - lies within the
@@ -24,9 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import exact
-from .blocks import (DerivSpec, SHCombo, TaylorSeries, assemble_scaled_group,
-                     rescale_for_defect, solve_derivative_match)
+from . import _kernels, exact
+from .blocks import DerivSpec, SHCombo, rescale_for_defect, solve_derivative_match
 from .errors import ApproximationError, ConfigError, DomainError
 from .fraclap import GridFunction
 
@@ -34,7 +33,6 @@ _CERT_GRID = 4096
 _DEFECT_GRID = 2048
 _INFLATION = 1.05
 _DEGREE_FLOOR = 3
-_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,6 @@ class GroupInfo:
     coefficient: float
     scale: float
     condition: float
-    halvings: int
 
 
 @dataclass(frozen=True)
@@ -227,12 +224,21 @@ def default_nodes(order: int) -> np.ndarray:
     return 2.0 + np.arange(order + 1) / order
 
 
-def _defect_certificate(series_list: list[TaylorSeries], grid: np.ndarray) -> float:
+def _defect_certificate(groups: list[SHCombo], grid: np.ndarray) -> float:
+    """Sampled C^2 size of the summed group deviations from their monomials:
+    each group's derived series restricted to the exponents past its
+    matched orders 0..n-1."""
+    tails = []
+    for g in groups:
+        coefs = g.taylor.copy()
+        coefs[:len(g.blocks)] = 0.0
+        tails.append(coefs)
     worst = 0.0
     for order in range(3):
         total = np.zeros_like(grid)
-        for g in series_list:
-            total += np.abs(g.defect_eval(grid, order))
+        for coefs in tails:
+            total += np.abs(_kernels.power_series_eval(np.arange(coefs.size), coefs,
+                                                       grid, order))
         worst = max(worst, float(np.max(total)))
     return worst * _INFLATION
 
@@ -247,7 +253,7 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
     degree); the argument rescaling x -> r x with r = eps/(10 N^2 (1+S))
     then forces the deviation from the monomial below the per-group
     budget.  The certificate is the densely sampled sum of group defects;
-    scales are halved further if sampling ever exceeds the budget.
+    a certificate above the budget raises ApproximationError.
     """
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
@@ -271,66 +277,27 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
                          groups=(), defect_error=0.0)
         return empty, info
 
-    matched = {}
-    infos = {}
+    matched = []
+    infos = []
     for j, cj in kept:
         values = tuple(cj * math.factorial(j) if i == j else 0.0
                        for i in range(big_n + 1))
         base = solve_derivative_match(DerivSpec(values), nodes, s)
         group = rescale_for_defect(base, j, big_n, eps_half)
-        matched[j] = group
-        infos[j] = GroupInfo(
-            degree=j, coefficient=cj, scale=group.blocks[0].r,
-            condition=base.match_info.condition, halvings=0)
+        matched.append(group)
+        infos.append(GroupInfo(degree=j, coefficient=cj, scale=group.blocks[0].r,
+                               condition=base.match_info.condition))
 
-    grid = np.linspace(-1.0, 1.0, _DEFECT_GRID)
-    halvings = {j: 0 for j in matched}
-    while True:
-        cert = _defect_certificate([g.series[0] for g in matched.values()], grid)
-        if cert <= eps_half:
-            break
-        # halve the scale of the worst offender and retry
-        worst_j, worst_val = None, -1.0
-        for j, g in matched.items():
-            v = max(float(np.max(np.abs(g.series[0].defect_eval(grid, m))))
-                    for m in range(3))
-            if v > worst_val:
-                worst_j, worst_val = j, v
-        halvings[worst_j] += 1
-        if halvings[worst_j] > _MAX_HALVINGS:
-            raise ApproximationError(
-                f"defect certificate stuck at {cert:.3e} > {eps_half:.3e} after "
-                f"{_MAX_HALVINGS} scale halvings of degree {worst_j}")
-        matched[worst_j] = _halve_scale(matched[worst_j], worst_j, eps_half)
-
-    combo = None
-    for j in sorted(matched):
-        combo = matched[j] if combo is None else _merge(combo, matched[j])
-    groups = tuple(
-        GroupInfo(degree=j, coefficient=infos[j].coefficient,
-                  scale=matched[j].blocks[0].r,
-                  condition=infos[j].condition,
-                  halvings=halvings[j])
-        for j in sorted(matched))
+    cert = _defect_certificate(matched, np.linspace(-1.0, 1.0, _DEFECT_GRID))
+    if cert > eps_half:
+        raise ApproximationError(
+            f"sampled defect certificate {cert:.3e} of the degree {poly.degree} "
+            f"polynomial exceeds its budget {eps_half:.3e}; raise epsilon or "
+            f"lower --degree-cap")
+    combo = SHCombo(s, tuple(b for g in matched for b in g.blocks), (-1.0, 1.0))
     info = BuildInfo(matching_order=big_n, nodes=tuple(float(t) for t in nodes),
-                     groups=groups, defect_error=cert)
+                     groups=tuple(infos), defect_error=cert)
     return combo, info
-
-
-def _merge(a: SHCombo, b: SHCombo) -> SHCombo:
-    return SHCombo(a.s, a.blocks + b.blocks, a.interval, a.series + b.series)
-
-
-def _halve_scale(group: SHCombo, j: int, eps_half: float) -> SHCombo:
-    """Halve the argument scale of a matched group, preserving its monomial."""
-    r_new = group.blocks[0].r * 0.5
-    if r_new == 0.0:
-        raise ApproximationError("matched group scale underflows float64")
-    spec_values = group.match_info.spec_values
-    nodes = tuple(b.t for b in group.blocks)
-    return assemble_scaled_group(spec_values, nodes, group.s, j,
-                                 len(spec_values) - 1, r_new, group.interval,
-                                 eps_half)
 
 
 # ---------------------------------------------------------------------------

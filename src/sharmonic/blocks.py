@@ -13,11 +13,12 @@ per node tuple; extended precision enters only where a coefficient is
 rounded for storage.
 
 Combinations produced by the derivative-matching pipeline carry extended
-precision coefficients and an attached power series representation: the
-raw block coefficients grow so large that summing them in float64 loses
-all significant digits inside the working interval.  The series
-representation stores the same function in a cancellation-free form and is
-the only float64-safe way to evaluate such combinations.
+precision coefficients: the raw block coefficients grow so large that
+summing them in float64 loses all significant digits inside the working
+interval.  The blocks are the only stored form.  Their power series at the
+origin, a cancellation-free form of the same function, is derived from
+them in extended precision when first needed and cached; it is the
+float64-safe way to evaluate such combinations near the origin.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import mpmath
 import numpy as np
-from mpmath import mpf, workdps
+from mpmath import mpf, workdps, workprec
 from mpmath.libmp import from_rational, round_nearest
 
 from . import _kernels
@@ -39,6 +40,7 @@ from .errors import ConditioningError, DomainError
 
 _EPS64 = 2.0**-52
 _TAIL_TERMS = 11  # series exponents kept past the matching order
+_GUARD_BITS = 64  # working bits past the longest stored mantissa
 
 
 def falling_factorial(s: float, order: int) -> float:
@@ -108,33 +110,6 @@ class SHBlock:
 
 
 @dataclass(frozen=True)
-class TaylorSeries:
-    """Cancellation-free power series for one matched group of blocks.
-
-    Represents poly + tail where poly carries the exactly matched Taylor
-    coefficients and tail the provably small correction exponents above
-    the matching order.  Valid for |x| < radius.
-    """
-
-    poly_exps: tuple[int, ...]
-    poly_coefs: tuple[float, ...]
-    tail_exps: tuple[int, ...]
-    tail_coefs: tuple[float, ...]
-    radius: float
-
-    def eval(self, x: np.ndarray, order: int) -> np.ndarray:
-        exps = np.array(self.poly_exps + self.tail_exps, dtype=np.int64)
-        coefs = np.array(self.poly_coefs + self.tail_coefs, dtype=np.float64)
-        return _kernels.power_series_eval(exps, coefs, x, order)
-
-    def defect_eval(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Only the tail part: the deviation from the matched polynomial."""
-        exps = np.array(self.tail_exps, dtype=np.int64)
-        coefs = np.array(self.tail_coefs, dtype=np.float64)
-        return _kernels.power_series_eval(exps, coefs, x, order)
-
-
-@dataclass(frozen=True)
 class MatchInfo:
     """Diagnostics attached to the output of solve_derivative_match."""
 
@@ -174,7 +149,6 @@ class SHCombo:
     s: float
     blocks: tuple[SHBlock, ...]
     interval: tuple[float, float] = (-1.0, 1.0)
-    series: tuple[TaylorSeries, ...] = ()
     match_info: MatchInfo | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -186,7 +160,6 @@ class SHCombo:
         if not (a < b) or not (np.isfinite(a) and np.isfinite(b)):
             raise DomainError(f"invalid interval {self.interval}")
         object.__setattr__(self, "interval", (float(a), float(b)))
-        object.__setattr__(self, "series", tuple(self.series))
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -195,6 +168,25 @@ class SHCombo:
     @property
     def has_mp_coefficients(self) -> bool:
         return any(isinstance(b.c, mpf) for b in self.blocks)
+
+    @property
+    def radius(self) -> float:
+        """Smallest 0.5 * t / r over the blocks: the power series is used
+        only for |x| below it."""
+        return min((0.5 * b.t / b.r for b in self.blocks), default=math.inf)
+
+    @functools.cached_property
+    def taylor(self) -> np.ndarray:
+        """Power series coefficients at the origin, summed over the groups
+        of blocks sharing one scale r (see _group_taylor)."""
+        groups = {}
+        for b in self.blocks:
+            groups.setdefault(b.r, []).append(b)
+        parts = [_group_taylor(self.s, tuple(g)) for g in groups.values()]
+        out = np.zeros(max((p.size for p in parts), default=0))
+        for p in parts:
+            out[:p.size] += p
+        return out
 
     def float_arrays(self):
         """(t, c, r) float64 arrays; raises if coefficients need extended precision."""
@@ -208,6 +200,33 @@ class SHCombo:
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+
+def _mantissa_bits(blocks: Sequence[SHBlock]) -> int:
+    """Longest stored coefficient mantissa in bits; 53 for float64."""
+    return max((b.c._mpf_[3] if isinstance(b.c, mpf) else 53 for b in blocks), default=53)
+
+
+@functools.lru_cache(maxsize=256)
+def _group_taylor(s: float, blocks: tuple[SHBlock, ...]) -> np.ndarray:
+    """Coefficients of x^0 .. x^(n - 1 + _TAIL_TERMS) for n blocks sharing
+    one scale r: binom(s, i) r^i sum_k c_k t_k^(s-i), each computed at the
+    precision of the longest stored mantissa plus guard bits and rounded
+    once to float64.  Past the n matched orders the coefficients are the
+    group's deviation from its target polynomial."""
+    n = len(blocks)
+    with workprec(_mantissa_bits(blocks) + _GUARD_BITS):
+        sm, r = mpf(s), mpf(blocks[0].r)
+        terms = [mpf(b.c) * mpf(b.t) ** sm for b in blocks]  # c_k t_k^(s-i) at i = 0
+        inv_t = [1 / mpf(b.t) for b in blocks]
+        binom_r = mpf(1)  # binom(s, i) r^i
+        out = np.empty(n + _TAIL_TERMS)
+        for i in range(out.size):
+            out[i] = float(binom_r * mpmath.fsum(terms))
+            terms = [term * q for term, q in zip(terms, inv_t)]
+            binom_r *= (sm - i) * r / (i + 1)
+    out.flags.writeable = False  # shared by every combination holding the group
+    return out
 
 
 def _mp_scale_digits(combo: SHCombo, xmax: float) -> int:
@@ -243,20 +262,20 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
     Orders 0..2 are certified on the working interval; higher orders are
     computed with the same formulas but without accuracy guarantees near
     the matching scale.  At a kink the one-sided dead value 0 is used.
+    A combination with extended precision coefficients goes through its
+    derived power series when every |x| is below its radius, and through
+    the per-point mpmath sum otherwise.
     """
     if order < 0:
         raise DomainError(f"derivative order must be nonnegative, got {order}")
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if combo.series:
-        radius = min(g.radius for g in combo.series)
-        if np.all(np.abs(xs) < radius):
-            out = np.zeros_like(xs)
-            for g in combo.series:
-                out += g.eval(xs, order)
-            return float(out[0]) if scalar else out
     if combo.has_mp_coefficients:
-        out = _combo_eval_mp(combo, xs, order)
+        if np.all(np.abs(xs) < combo.radius):
+            coefs = combo.taylor
+            out = _kernels.power_series_eval(np.arange(coefs.size), coefs, xs, order)
+        else:
+            out = _combo_eval_mp(combo, xs, order)
     else:
         ts, cs, rs = combo.float_arrays()
         if order == 0:
@@ -277,20 +296,17 @@ def combo_add(a: SHCombo, b: SHCombo) -> SHCombo:
         raise DomainError(f"cannot add combinations with different exponents {a.s} and {b.s}")
     if a.interval != b.interval:
         raise DomainError("cannot add combinations with different working intervals")
-    series = a.series + b.series if a.series and b.series else ()
-    return SHCombo(a.s, a.blocks + b.blocks, a.interval, series)
+    return SHCombo(a.s, a.blocks + b.blocks, a.interval)
 
 
 def combo_scale(combo: SHCombo, alpha: float) -> SHCombo:
-    """Pointwise scaling by a float factor."""
+    """Pointwise scaling by a float factor; extended precision coefficients
+    are multiplied exactly, so the derived series keeps all their digits."""
     if not np.isfinite(alpha):
         raise DomainError("scale factor must be finite")
-    blocks = tuple(replace(b, c=b.c * alpha) for b in combo.blocks)
-    series = tuple(
-        TaylorSeries(g.poly_exps, tuple(c * alpha for c in g.poly_coefs),
-                     g.tail_exps, tuple(c * alpha for c in g.tail_coefs), g.radius)
-        for g in combo.series)
-    return SHCombo(combo.s, blocks, combo.interval, series)
+    with workprec(_mantissa_bits(combo.blocks) + 53):
+        blocks = tuple(replace(b, c=b.c * alpha) for b in combo.blocks)
+    return SHCombo(combo.s, blocks, combo.interval)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +326,11 @@ def _condition_estimate(nodes: np.ndarray, n_orders: int) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _vandermonde_inverse(nodes: tuple[float, ...]):
-    """Exact inverse of V[i][k] = (1/t_k)^i and its continuation past order n.
+    """Exact inverse of V[i][k] = (1/t_k)^i.
 
     With x_k = 1/t_k and P(x) = prod_k (x - x_k), row k of the inverse holds
     the monomial coefficients of the Lagrange polynomial P(x) / ((x - x_k)
-    P'(x_k)), one synthetic division each: O(n^2) rational operations.  Row
-    i - n of the continuation holds the coefficients of x^i mod P, so that
-    sum_k y_k x_k^i = sum_l cont[i - n][l] (V y)_l for the tail exponents.
+    P'(x_k)), one synthetic division each: O(n^2) rational operations.
     """
     xs = [1 / Fraction(t) for t in nodes]
     n = len(xs)
@@ -334,18 +348,12 @@ def _vandermonde_inverse(nodes: tuple[float, ...]):
             quot[i - 1] = master[i] + xk * quot[i]
         den = math.prod((xk - xm for xm in xs if xm != xk), start=Fraction(1))
         inverse.append(tuple(c / den for c in quot))
-    cont = [tuple(-c for c in master[:n])]
-    for _ in range(1, _TAIL_TERMS):
-        prev = cont[-1]
-        cont.append(tuple((prev[l - 1] if l else 0) - prev[n - 1] * master[l]
-                          for l in range(n)))
-    return tuple(inverse), tuple(cont)
+    return tuple(inverse)
 
 
 def _exact_match(spec_values: Sequence[float], nodes: np.ndarray, s: float):
-    """Exact y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = d_i / fall(s, i),
-    and the moments sum_k y_k t_k^-i for the _TAIL_TERMS exponents i >= n."""
-    inverse, cont = _vandermonde_inverse(tuple(float(tk) for tk in nodes))
+    """Exact y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = d_i / fall(s, i)."""
+    inverse = _vandermonde_inverse(tuple(float(tk) for tk in nodes))
     sf = Fraction(s)
     rhs = []
     fall = Fraction(1)
@@ -353,25 +361,7 @@ def _exact_match(spec_values: Sequence[float], nodes: np.ndarray, s: float):
         if d:
             rhs.append((i, Fraction(d) / fall))
         fall *= sf - i
-    y = [sum((row[i] * b for i, b in rhs), Fraction(0)) for row in inverse]
-    moments = [sum((row[i] * b for i, b in rhs), Fraction(0)) for row in cont]
-    return y, moments
-
-
-def _tail_series(moments: list[Fraction], s: float, n: int, r: float, j: int):
-    """Tail exponents n, n+1, ... and the coefficients
-    binom(s, i) r^(i-j) sum_k y_k t_k^-i of x^i, each rounded once to float
-    from its exact value; zero coefficients are dropped."""
-    sf, rf = Fraction(s), Fraction(r)
-    binom = math.prod((sf - l for l in range(n)), start=Fraction(1)) / math.factorial(n)
-    exps, coefs = [], []
-    for i, m in enumerate(moments, start=n):
-        cf = float(binom * rf ** (i - j) * m)
-        if cf != 0.0:
-            exps.append(i)
-            coefs.append(cf)
-        binom = binom * (sf - i) / (i + 1)
-    return tuple(exps), tuple(coefs)
+    return [sum((row[i] * b for i, b in rhs), Fraction(0)) for row in inverse]
 
 
 def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, r: float,
@@ -411,7 +401,7 @@ def solve_derivative_match(spec: DerivSpec, nodes: Sequence[float], s: float,
         raise DomainError("matching nodes must be distinct")
 
     n = t.size
-    y, moments = _exact_match(spec.values, t, s)
+    y = _exact_match(spec.values, t, s)
     scale = 1.0 + max(abs(v) for v in spec.values)
     # largest sum of |terms| in one read-back row: the cancellation it suffers
     y_abs = np.array([abs(float(yk)) for yk in y])
@@ -423,36 +413,23 @@ def solve_derivative_match(spec: DerivSpec, nodes: Sequence[float], s: float,
     if not exact:
         coeffs = [float(ck) for ck in coeffs]
     blocks = tuple(SHBlock(float(tk), ck, 1.0) for tk, ck in zip(t, coeffs))
-
-    # attached series: matched Taylor part plus the first correction exponents
-    poly_exps = tuple(range(n))
-    poly_coefs = tuple(spec.values[i] / math.factorial(i) for i in range(n))
-    tail_exps, tail_coefs = _tail_series(moments, s, n, 1.0, 0)
-    radius = 0.5 * float(np.min(t))
-    series = (TaylorSeries(poly_exps, poly_coefs, tail_exps, tail_coefs, radius),)
     info = MatchInfo(condition=_condition_estimate(t, n), dps=dps,
                      exact_coefficients=exact, spec_values=spec.values)
-    return SHCombo(s, blocks, interval, series, info)
+    return SHCombo(s, blocks, interval, match_info=info)
 
 
 def readback_derivatives(combo: SHCombo, n_orders: int) -> np.ndarray:
-    """Derivatives at 0 of a unit-scale matched combination, computed from
-    the closed form in the precision the coefficients carry."""
-    dps = (combo.match_info.dps if combo.match_info is not None else 40)
-    out = np.empty(n_orders)
-    with workdps(dps):
-        sm = mpf(combo.s)
-        for i in range(n_orders):
-            fall = _falling_factorial_mp(sm, i)
-            acc = mpf(0)
-            for b in combo.blocks:
-                acc += mpf(b.c) * mpf(b.r) ** i * fall * mpf(b.t) ** (sm - i)
-            out[i] = float(acc)
-    return out
+    """Derivatives at 0 of a combination: i! times the coefficient of x^i
+    of its derived power series."""
+    coefs = combo.taylor
+    if n_orders > coefs.size:
+        raise DomainError(f"the derived series of {len(combo.blocks)} blocks has "
+                          f"{coefs.size} coefficients, {n_orders} requested")
+    return np.array([math.factorial(i) * coefs[i] for i in range(n_orders)])
 
 
 def assemble_scaled_group(spec_values: Sequence[float], nodes: Sequence[float],
-                          s: float, j: int, big_n: int, r: float,
+                          s: float, j: int, r: float,
                           interval: tuple[float, float], eps: float) -> SHCombo:
     """Matched group under the substitution x -> r x, faithful to c_j x^j.
 
@@ -462,31 +439,26 @@ def assemble_scaled_group(spec_values: Sequence[float], nodes: Sequence[float],
     about the coefficient mass times r^-j, so the coefficients carry enough
     digits that the amplified noise stays far below eps.  float64 storage
     is never sufficient here; the blocks always carry extended precision
-    values.  big_n must be the matching order len(nodes) - 1.
+    values.  The matching order is len(nodes) - 1.
     """
     t = np.asarray(nodes, dtype=float)
     n = t.size
     if not (0 < r <= 1.0) or not np.isfinite(r):
         raise DomainError(f"scale must lie in (0, 1], got {r}")
-    if len(spec_values) != n or big_n != n - 1:
+    if len(spec_values) != n:
         raise DomainError(
-            f"matching order {big_n} with {len(spec_values)} derivative values "
-            f"needs {big_n + 1} of each, got {n} nodes")
-    y, moments = _exact_match(spec_values, t, s)
+            f"{len(spec_values)} derivative values need as many nodes, got {n}")
+    y = _exact_match(spec_values, t, s)
     mass = sum(abs(float(yk)) for yk in y)
     amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
            + math.log10(1.0 / eps) + 8.0)
     dps = 25 + int(amp)
 
-    cj = spec_values[j] / math.factorial(j)
     coeffs = _block_coefficients(y, t, s, r, j, dps)
     blocks = tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs))
-    tail_exps, tail_coefs = _tail_series(moments, s, n, r, j)
-    radius = 0.5 * float(np.min(t)) / r
-    series = (TaylorSeries((j,), (cj,), tail_exps, tail_coefs, radius),)
     info = MatchInfo(condition=_condition_estimate(t, n), dps=dps,
                      exact_coefficients=True, spec_values=tuple(spec_values))
-    return SHCombo(s, blocks, tuple(interval), series, info)
+    return SHCombo(s, blocks, tuple(interval), match_info=info)
 
 
 def rescale_for_defect(combo: SHCombo, j: int, big_n: int, eps: float) -> SHCombo:
@@ -521,7 +493,7 @@ def rescale_for_defect(combo: SHCombo, j: int, big_n: int, eps: float) -> SHComb
             f"defect scale underflows float64 for degree {j}: bound S={float(S):.3e}")
     nodes = tuple(b.t for b in combo.blocks)
     return assemble_scaled_group(combo.match_info.spec_values, nodes, combo.s,
-                                 j, big_n, r, combo.interval, eps)
+                                 j, r, combo.interval, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +519,8 @@ def combo_to_json(combo: SHCombo) -> str:
 
     Block coefficients carrying extended precision are written with all of
     their digits; standard floats use their shortest round-trip form.  The
-    series representation is intentionally not serialized: it can be
-    rebuilt, and the schema stays a plain list of blocks.
+    schema is a plain list of blocks: the power series is derived from the
+    blocks of the loaded combination when it is first evaluated.
     """
     lines = ["{"]
     lines.append(f'  "s": {repr(float(combo.s))},')

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: ``fraclap`` (batch operator evaluation on a grid),
-``approximate`` (build a certified approximant and emit report + trace),
+``approximate`` (build a certified approximant and emit its report),
 and ``demo`` (harnack | logistic | meanvalue reproductions).  All outputs
 are deterministic: identical configurations produce byte-identical CSV
 and JSON artifacts.  Timing information goes to stderr only.
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact
-from .approximate import approximate, interior_points, target_from_spec
+from .approximate import approximate, target_from_spec
 from .blocks import SHBlock, SHCombo, combo_eval, combo_to_json
 from .demos import (harnack_counterexample, logistic_resource_plan,
                     mean_value_table)

@@ -4,12 +4,10 @@ Every check here states the quantity it certifies and the measured margin,
 so a bare ``pytest -s tests/test_acceptance.py`` reads as a certificate.
 """
 
-import json
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from conftest import richardson_derivative
 
 import sharmonic as sh
@@ -137,7 +135,7 @@ def test_derivative_matching_solve_and_structure():
         entry = float(np.max(np.abs(scaled - vander)))
         worst_entry = max(worst_entry, entry)
         ok &= entry <= 1e-12
-        inverse, _ = _vandermonde_inverse(tuple(float(t) for t in nodes))
+        inverse = _vandermonde_inverse(tuple(float(t) for t in nodes))
         xs = [1 / Fraction(float(t)) for t in nodes]
         ok &= all(sum(row[i] * x**i for i in range(J + 1)) == (k == m)
                   for k, row in enumerate(inverse) for m, x in enumerate(xs))

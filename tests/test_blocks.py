@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
 
 import sharmonic as sh
-from sharmonic.blocks import DerivSpec, assemble_scaled_group
-from sharmonic.errors import ConditioningError, DomainError
+from sharmonic import _kernels
+from sharmonic.blocks import DerivSpec, _combo_eval_mp, assemble_scaled_group
+from sharmonic.errors import DomainError
 
 from conftest import richardson_derivative
 
@@ -108,13 +109,10 @@ def _values_at(coefs, xs):
 def _assert_exact_inverse(nodes):
     # row k is the Lagrange polynomial of x_k = 1/t_k: the inverse times the
     # Vandermonde matrix in 1/t is the identity, with no rounding at all
-    inverse, cont = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
+    inverse = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
     xs = [1 / Fraction(float(t)) for t in nodes]
     for k, row in enumerate(inverse):
         assert _values_at(row, xs) == [int(m == k) for m in range(len(xs))]
-    # the continuation rows are x^i mod prod_k (x - x_k), equal to x^i at nodes
-    for i, row in enumerate(cont, start=len(xs)):
-        assert _values_at(row, xs) == [x**i for x in xs]
 
 
 def test_exact_inverse_of_default_nodes():
@@ -173,15 +171,15 @@ def test_solve_validation():
 
 
 def test_series_matches_function_derivatives():
+    # the series derived from the blocks against the per-point block sum
     values = (1.0, -0.5, 2.0)
     combo = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(2), 0.5)
-    series = combo.series[0]
-    stripped = sh.SHCombo(combo.s, combo.blocks)  # forces the raw block sum
-    f = lambda z: float(sh.combo_eval(stripped, float(z)))
-    for x in (0.05, -0.2, 0.4):
-        assert series.eval(np.array([x]), 0)[0] == pytest.approx(f(x), rel=1e-6)
-        want = richardson_derivative(f, x, 1, h=5e-3)
-        assert series.eval(np.array([x]), 1)[0] == pytest.approx(want, rel=1e-5)
+    coefs = combo.taylor
+    xs = np.array([0.05, -0.2, 0.4])
+    for order in range(3):
+        got = _kernels.power_series_eval(np.arange(coefs.size), coefs, xs, order)
+        want = _combo_eval_mp(combo, xs, order)
+        assert np.allclose(got, want, rtol=1e-6 * 10**order, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +187,15 @@ def test_series_matches_function_derivatives():
 
 
 def test_rescaled_group_blocks_match_series():
-    # the stored blocks must reproduce the monomial without the series
+    # the series path must agree with the per-point sum over the blocks
     values = (0.0, 0.0, 2.0, 0.0)
     base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(3), 0.5)
     group = sh.rescale_for_defect(base, 2, 3, 1.0 / 32.0)
     assert group.has_mp_coefficients
     xs = np.linspace(-1.0, 1.0, 21)
+    assert np.all(np.abs(xs) < group.radius)
     via_series = sh.combo_eval(group, xs)
-    stripped = sh.SHCombo(group.s, group.blocks, group.interval)
-    via_blocks = sh.combo_eval(stripped, xs)
+    via_blocks = _combo_eval_mp(group, xs, 0)
     assert np.max(np.abs(via_series - via_blocks)) <= 1e-12
     assert np.max(np.abs(via_series - xs**2)) <= 1.0 / 32.0
 
@@ -231,10 +229,10 @@ def test_rescale_validation():
 
 def test_assemble_scaled_group_scale_validation():
     with pytest.raises(DomainError):
-        assemble_scaled_group((0.0, 1.0), (2.0, 2.5), 0.5, 1, 1, 0.0,
+        assemble_scaled_group((0.0, 1.0), (2.0, 2.5), 0.5, 1, 0.0,
                               (-1.0, 1.0), 0.1)
     with pytest.raises(DomainError):
-        assemble_scaled_group((0.0, 1.0), (2.0, 2.5), 0.5, 1, 1, 2.0,
+        assemble_scaled_group((0.0, 1.0), (2.0, 2.5), 0.5, 1, 2.0,
                               (-1.0, 1.0), 0.1)
 
 
@@ -252,6 +250,12 @@ def test_combo_add_and_scale():
     d = sh.combo_scale(a, -2.0)
     assert np.allclose(sh.combo_eval(d, xs), -2.0 * sh.combo_eval(a, xs),
                        rtol=1e-14)
+    # extended precision coefficients keep every digit the derived series needs
+    base = sh.solve_derivative_match(DerivSpec((0.0, 0.0, 2.0, 0.0)), sh.default_nodes(3), 0.5)
+    group = sh.rescale_for_defect(base, 2, 3, 1.0 / 32.0)
+    e = sh.combo_scale(group, -3.0)
+    assert np.allclose(sh.combo_eval(e, xs), -3.0 * sh.combo_eval(group, xs),
+                       rtol=1e-14, atol=1e-14)
 
 
 def test_combo_add_rejects_mismatch():
@@ -292,6 +296,26 @@ def test_json_roundtrip_extended_precision():
     direct = sh.combo_eval(group, xs)
     revived = sh.combo_eval(back, xs)
     assert np.max(np.abs(direct - revived)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.05, 0.95), st.integers(1, 8), st.data(), st.floats(1e-8, 0.1),
+       st.floats(0.1, 10.0))
+def test_loaded_group_matches_memory(s, big_n, data, eps, cj):
+    # a loaded artifact carries only blocks; its derived series must
+    # reproduce the in-memory group without the per-point mp path
+    j = data.draw(st.integers(0, big_n))
+    values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
+    base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(big_n), s)
+    group = sh.rescale_for_defect(base, j, big_n, eps)
+    back = sh.combo_from_json(sh.combo_to_json(group))
+    xs = np.linspace(-0.99, 0.99, 101)
+    with mock.patch.object(sh.blocks, "_combo_eval_mp",
+                           side_effect=AssertionError("per-point path inside the radius")):
+        for order in range(3):
+            want = sh.combo_derivative(group, xs, order)
+            got = sh.combo_derivative(back, xs, order)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
 def test_json_malformed():

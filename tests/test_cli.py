@@ -1,5 +1,6 @@
 """Command line interface: artifacts, exit codes, configuration handling."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -120,6 +121,18 @@ def test_approximate_writes_report_trace_and_readable_combo(tmp_path):
     got = sh.combo_eval(combo, xs)
     want = np.array([row[2] for row in rows])
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_defect_certificate_over_budget_exits_4(capsys, monkeypatch):
+    # the sampled block-stage certificate stays far below its budget on every
+    # shipped target, so an over-budget value is injected to reach the refusal
+    monkeypatch.setattr(importlib.import_module("sharmonic.approximate"),
+                        "_defect_certificate", lambda groups, grid: 1.0)
+    rc = main(["approximate", "--target", "sin", "--epsilon", "0.1"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "defect certificate 1.000e+00" in err and "budget 5.000e-02" in err
+    assert "raise epsilon or lower --degree-cap" in err
 
 
 def test_approximate_impossible_budget_exits_4_with_diagnostic(tmp_path, capsys):
