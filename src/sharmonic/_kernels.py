@@ -36,10 +36,10 @@ def combo_derivatives(ts, cs, rs, s, x, order):
     return (coef[:, None] * _truncated_powers(ts, rs, x, float(s) - order)).sum(axis=0)
 
 
-def power_series_eval(exps, coefs, x, order):
-    """Evaluate the order-th derivative of a sparse integer-exponent power
-    series by Horner's rule on its dense coefficient vector."""
-    exps = np.asarray(exps, dtype=np.int64)
-    dense = np.zeros(int(exps.max()) + 1 if exps.size else 1)
-    np.add.at(dense, exps, np.asarray(coefs, dtype=np.float64))
-    return P.polyval(np.asarray(x, dtype=np.float64), P.polyder(dense, int(order)))
+def power_series_eval(coefs, x, order):
+    """Evaluate the order-th derivative of the power series sum_i coefs[i] x^i
+    by Horner's rule."""
+    coefs = np.asarray(coefs, dtype=np.float64)
+    if coefs.size == 0:
+        coefs = np.zeros(1)
+    return P.polyval(np.asarray(x, dtype=np.float64), P.polyder(coefs, int(order)))

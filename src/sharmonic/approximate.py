@@ -226,19 +226,15 @@ def default_nodes(order: int) -> np.ndarray:
 
 def _defect_certificate(groups: list[SHCombo], grid: np.ndarray) -> float:
     """Sampled C^2 size of the summed group deviations from their monomials:
-    each group's derived series restricted to the exponents past its
-    matched orders 0..n-1."""
-    tails = []
-    for g in groups:
-        coefs = g.taylor.copy()
-        coefs[:len(g.blocks)] = 0.0
-        tails.append(coefs)
+    each group's derived series past its matched orders (SHCombo.taylor_tail),
+    plus the bound on the terms that series omits."""
+    xmax = float(np.max(np.abs(grid)))
     worst = 0.0
     for order in range(3):
         total = np.zeros_like(grid)
-        for coefs in tails:
-            total += np.abs(_kernels.power_series_eval(np.arange(coefs.size), coefs,
-                                                       grid, order))
+        for g in groups:
+            total += (np.abs(_kernels.power_series_eval(g.taylor_tail, grid, order))
+                      + g.series_error(xmax, order))
         worst = max(worst, float(np.max(total)))
     return worst * _INFLATION
 
@@ -283,7 +279,7 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
         values = tuple(cj * math.factorial(j) if i == j else 0.0
                        for i in range(big_n + 1))
         base = solve_derivative_match(DerivSpec(values), nodes, s)
-        group = rescale_for_defect(base, j, big_n, eps_half)
+        group = rescale_for_defect(base, j, eps_half)
         matched.append(group)
         infos.append(GroupInfo(degree=j, coefficient=cj, scale=group.blocks[0].r,
                                condition=base.match_info.condition))

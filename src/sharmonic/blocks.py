@@ -18,7 +18,8 @@ summing them in float64 loses all significant digits inside the working
 interval.  The blocks are the only stored form.  Their power series at the
 origin, a cancellation-free form of the same function, is derived from
 them in extended precision when first needed and cached; it is the
-float64-safe way to evaluate such combinations near the origin.
+float64-safe way to evaluate such combinations near the origin, used
+wherever a bound on the terms it omits lies below its float64 rounding.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Sequence
 
 import mpmath
 import numpy as np
+from numpy.polynomial import polynomial as P
 from mpmath import mpf, workdps, workprec
 from mpmath.libmp import from_rational, round_nearest
 
@@ -169,24 +171,77 @@ class SHCombo:
     def has_mp_coefficients(self) -> bool:
         return any(isinstance(b.c, mpf) for b in self.blocks)
 
-    @property
+    @functools.cached_property
     def radius(self) -> float:
         """Smallest 0.5 * t / r over the blocks: the power series is used
         only for |x| below it."""
         return min((0.5 * b.t / b.r for b in self.blocks), default=math.inf)
 
     @functools.cached_property
-    def taylor(self) -> np.ndarray:
-        """Power series coefficients at the origin, summed over the groups
-        of blocks sharing one scale r (see _group_taylor)."""
+    def groups(self) -> tuple[tuple[SHBlock, ...], ...]:
+        """The blocks grouped by scale r, in order of first appearance."""
         groups = {}
         for b in self.blocks:
             groups.setdefault(b.r, []).append(b)
-        parts = [_group_taylor(self.s, tuple(g)) for g in groups.values()]
-        out = np.zeros(max((p.size for p in parts), default=0))
-        for p in parts:
-            out[:p.size] += p
+        return tuple(tuple(g) for g in groups.values())
+
+    def _summed_series(self, skip_matched: bool) -> np.ndarray:
+        out = np.zeros(max((len(g) + _TAIL_TERMS for g in self.groups), default=0))
+        for g in self.groups:
+            coefs = _group_taylor(self.s, g, len(g) + _TAIL_TERMS)[0]
+            start = len(g) if skip_matched else 0
+            out[start:coefs.size] += coefs[start:]
         return out
+
+    @functools.cached_property
+    def taylor(self) -> np.ndarray:
+        """Power series coefficients at the origin, summed over the groups
+        (see _group_taylor)."""
+        return self._summed_series(skip_matched=False)
+
+    @functools.cached_property
+    def taylor_tail(self) -> np.ndarray:
+        """The derived series with the orders 0..n-1 of each group of n
+        blocks zeroed: for matched groups, their summed deviation from the
+        monomials they reproduce."""
+        return self._summed_series(skip_matched=True)
+
+    @functools.cached_property
+    def _remainder_data(self) -> tuple[tuple[int, float, float], ...]:
+        """(m, log10(|binom(s, m)| W), r / t_min) per group; see series_error."""
+        out = []
+        for g in self.groups:
+            m = len(g) + _TAIL_TERMS
+            binom = abs(math.prod((self.s - i) / (i + 1) for i in range(m)))
+            out.append((m, _group_taylor(self.s, g, m)[1] + math.log10(binom),
+                        g[0].r / min(b.t for b in g)))
+        return tuple(out)
+
+    def series_error(self, xmax: float, order: int) -> float:
+        """Bound on the terms i >= m = n + _TAIL_TERMS, omitted by the
+        derived series of each group of n blocks, of the order-th derivative
+        for |x| <= xmax.
+
+        With W = sum_k |c_k| t_k^s and p = r / t_min, term i of a group is
+        at most |binom(s, i)| (i)_order W p^order q^(i-order), q = p xmax;
+        from i = m on consecutive terms shrink at least by rho q, rho =
+        max(1, (m - s) / (m + 1 - order)), so the tail is at most the
+        first term over 1 - rho q.
+        """
+        total = 0.0
+        for m, log_lead, p in self._remainder_data:
+            q = p * xmax
+            if order >= m:
+                return math.inf
+            if q == 0.0 or log_lead == -math.inf:
+                continue
+            rho_q = max(1.0, (m - self.s) / (m + 1 - order)) * q
+            if rho_q >= 1.0:
+                return math.inf
+            log_bound = (log_lead + math.log10(math.perm(m, order)) + order * math.log10(p)
+                         + (m - order) * math.log10(q) - math.log10(1.0 - rho_q))
+            total += 10.0 ** log_bound if log_bound < 300.0 else math.inf
+        return total
 
     def float_arrays(self):
         """(t, c, r) float64 arrays; raises if coefficients need extended precision."""
@@ -208,25 +263,28 @@ def _mantissa_bits(blocks: Sequence[SHBlock]) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _group_taylor(s: float, blocks: tuple[SHBlock, ...]) -> np.ndarray:
-    """Coefficients of x^0 .. x^(n - 1 + _TAIL_TERMS) for n blocks sharing
-    one scale r: binom(s, i) r^i sum_k c_k t_k^(s-i), each computed at the
-    precision of the longest stored mantissa plus guard bits and rounded
-    once to float64.  Past the n matched orders the coefficients are the
-    group's deviation from its target polynomial."""
-    n = len(blocks)
+def _group_taylor(s: float, blocks: tuple[SHBlock, ...],
+                  n_terms: int) -> tuple[np.ndarray, float]:
+    """Coefficients of x^0 .. x^(n_terms - 1) for blocks sharing one scale
+    r, binom(s, i) r^i sum_k c_k t_k^(s-i), and log10 of the mass
+    sum_k |c_k| t_k^s.  Each coefficient is computed at the precision of
+    the longest stored mantissa plus guard bits and rounded once to
+    float64.  For n matched blocks the coefficients past the n matched
+    orders are the group's deviation from its target polynomial."""
     with workprec(_mantissa_bits(blocks) + _GUARD_BITS):
         sm, r = mpf(s), mpf(blocks[0].r)
         terms = [mpf(b.c) * mpf(b.t) ** sm for b in blocks]  # c_k t_k^(s-i) at i = 0
+        mass = mpmath.fsum(abs(term) for term in terms)
         inv_t = [1 / mpf(b.t) for b in blocks]
         binom_r = mpf(1)  # binom(s, i) r^i
-        out = np.empty(n + _TAIL_TERMS)
-        for i in range(out.size):
+        out = np.empty(n_terms)
+        for i in range(n_terms):
             out[i] = float(binom_r * mpmath.fsum(terms))
             terms = [term * q for term, q in zip(terms, inv_t)]
             binom_r *= (sm - i) * r / (i + 1)
+        log_mass = float(mpmath.log10(mass)) if mass else -math.inf
     out.flags.writeable = False  # shared by every combination holding the group
-    return out
+    return out, log_mass
 
 
 def _mp_scale_digits(combo: SHCombo, xmax: float) -> int:
@@ -263,17 +321,21 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
     computed with the same formulas but without accuracy guarantees near
     the matching scale.  At a kink the one-sided dead value 0 is used.
     A combination with extended precision coefficients goes through its
-    derived power series when every |x| is below its radius, and through
-    the per-point mpmath sum otherwise.
+    derived power series when every |x| is below its radius and the bound
+    on the omitted terms is below the float64 rounding of the series
+    itself, and through the per-point mpmath sum otherwise.
     """
     if order < 0:
         raise DomainError(f"derivative order must be nonnegative, got {order}")
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if combo.has_mp_coefficients:
-        if np.all(np.abs(xs) < combo.radius):
-            coefs = combo.taylor
-            out = _kernels.power_series_eval(np.arange(coefs.size), coefs, xs, order)
+        xmax = float(np.max(np.abs(xs), initial=0.0))
+        coefs = combo.taylor
+        # the float64 rounding scale of the series: eps times its absolute sum
+        noise = _EPS64 * P.polyval(xmax, P.polyder(np.abs(coefs), order))
+        if xmax < combo.radius and combo.series_error(xmax, order) <= noise:
+            out = _kernels.power_series_eval(coefs, xs, order)
         else:
             out = _combo_eval_mp(combo, xs, order)
     else:
@@ -419,12 +481,11 @@ def solve_derivative_match(spec: DerivSpec, nodes: Sequence[float], s: float,
 
 
 def readback_derivatives(combo: SHCombo, n_orders: int) -> np.ndarray:
-    """Derivatives at 0 of a combination: i! times the coefficient of x^i
-    of its derived power series."""
-    coefs = combo.taylor
-    if n_orders > coefs.size:
-        raise DomainError(f"the derived series of {len(combo.blocks)} blocks has "
-                          f"{coefs.size} coefficients, {n_orders} requested")
+    """Derivatives of orders 0..n_orders-1 at 0 of a combination: i! times
+    the coefficient of x^i of its derived power series."""
+    coefs = np.zeros(n_orders)
+    for g in combo.groups:
+        coefs += _group_taylor(combo.s, g, max(n_orders, len(g) + _TAIL_TERMS))[0][:n_orders]
     return np.array([math.factorial(i) * coefs[i] for i in range(n_orders)])
 
 
@@ -461,16 +522,18 @@ def assemble_scaled_group(spec_values: Sequence[float], nodes: Sequence[float],
     return SHCombo(s, blocks, tuple(interval), match_info=info)
 
 
-def rescale_for_defect(combo: SHCombo, j: int, big_n: int, eps: float) -> SHCombo:
+def rescale_for_defect(combo: SHCombo, j: int, eps: float) -> SHCombo:
     """Shrink the argument scale so the matched group stays eps-close to its
     target monomial in C^2 norm.
 
-    Applies x -> r*x with r = eps / (10 * N^2 * (1 + S)) where S bounds the
-    (N+1)-th derivative of the unscaled combination on [-1, 1], and divides
-    by r^j so the j-th Taylor coefficient is preserved.
+    The matching order N is len(combo.blocks) - 1.  Applies x -> r*x with
+    r = eps / (10 * N^2 * (1 + S)) where S bounds the (N+1)-th derivative
+    of the unscaled combination on [-1, 1], and divides by r^j so the j-th
+    Taylor coefficient is preserved.
     """
     if combo.match_info is None:
         raise DomainError("rescale requires a combination built by solve_derivative_match")
+    big_n = len(combo.blocks) - 1
     if not (0 <= j <= big_n):
         raise DomainError(f"monomial degree {j} outside matching order {big_n}")
     if eps <= 0:

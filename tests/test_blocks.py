@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 import sharmonic as sh
 from sharmonic import _kernels
@@ -177,9 +178,46 @@ def test_series_matches_function_derivatives():
     coefs = combo.taylor
     xs = np.array([0.05, -0.2, 0.4])
     for order in range(3):
-        got = _kernels.power_series_eval(np.arange(coefs.size), coefs, xs, order)
+        got = _kernels.power_series_eval(coefs, xs, order)
         want = _combo_eval_mp(combo, xs, order)
         assert np.allclose(got, want, rtol=1e-6 * 10**order, atol=0.0)
+
+
+def _sqrt_shift(x, order):
+    # order-th derivative of (x + 2)^(1/2)
+    return math.prod(0.5 - l for l in range(order)) * (x + 2.0) ** (0.5 - order)
+
+
+def test_unmatched_mp_combo_is_exact_to_the_radius():
+    # a single block has no cancellation to exploit: near the radius its
+    # series converges too slowly, and the per-point path must take over
+    combo = sh.SHCombo(0.5, (sh.SHBlock(2.0, mpf(1)),))
+    xs = np.array([-0.99, -0.5, 0.0, 0.3, 0.9, 0.99])
+    for order in range(3):
+        for x in xs:
+            want = _sqrt_shift(x, order)
+            assert sh.combo_derivative(combo, x, order) == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert np.allclose(sh.combo_derivative(combo, xs, order), _sqrt_shift(xs, order),
+                           rtol=1e-15, atol=1e-15)
+
+
+def test_pipeline_group_plus_float_block_is_exact():
+    base = sh.solve_derivative_match(DerivSpec((0.0, 0.0, 2.0, 0.0)), sh.default_nodes(3), 0.5)
+    group = sh.rescale_for_defect(base, 2, 1.0 / 32.0)
+    extra = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
+    total = sh.combo_add(group, extra)
+    xs = np.linspace(-0.99, 0.99, 23)
+    for order in range(3):
+        want = sh.combo_derivative(group, xs, order) + sh.combo_derivative(extra, xs, order)
+        got = sh.combo_derivative(total, xs, order)
+        assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+
+
+def test_readback_past_the_series_length():
+    combo = sh.SHCombo(0.5, (sh.SHBlock(2.0, mpf(1)),))
+    got = sh.readback_derivatives(combo, 20)
+    want = [sh.block_derivative_at_zero(2.0, i, 0.5) for i in range(20)]
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +228,7 @@ def test_rescaled_group_blocks_match_series():
     # the series path must agree with the per-point sum over the blocks
     values = (0.0, 0.0, 2.0, 0.0)
     base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(3), 0.5)
-    group = sh.rescale_for_defect(base, 2, 3, 1.0 / 32.0)
+    group = sh.rescale_for_defect(base, 2, 1.0 / 32.0)
     assert group.has_mp_coefficients
     xs = np.linspace(-1.0, 1.0, 21)
     assert np.all(np.abs(xs) < group.radius)
@@ -204,7 +242,7 @@ def test_rescaled_group_defect_small_in_c2():
     values = (0.0, 0.0, 0.0, 6.0)
     eps = 0.01
     base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(3), 0.3)
-    group = sh.rescale_for_defect(base, 3, 3, eps)
+    group = sh.rescale_for_defect(base, 3, eps)
     xs = np.linspace(-1.0, 1.0, 201)
     for order in range(3):
         got = sh.combo_derivative(group, xs, order)
@@ -215,16 +253,17 @@ def test_rescaled_group_defect_small_in_c2():
 
 def test_rescale_validation():
     base = sh.solve_derivative_match(DerivSpec((1.0, 0.0)), np.array([2.0, 2.5]), 0.5)
+    # the matching order is len(blocks) - 1 = 1, so degree 2 is outside it
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(base, 3, 1, 0.1)
+        sh.rescale_for_defect(base, 2, 0.1)
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(base, 0, 1, -0.1)
+        sh.rescale_for_defect(base, 0, -0.1)
     plain = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(plain, 0, 0, 0.1)
+        sh.rescale_for_defect(plain, 0, 0.1)
     low = sh.solve_derivative_match(DerivSpec((1.0, 0.0)), np.array([0.5, 2.5]), 0.5)
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(low, 0, 1, 0.1)
+        sh.rescale_for_defect(low, 0, 0.1)
 
 
 def test_assemble_scaled_group_scale_validation():
@@ -252,7 +291,7 @@ def test_combo_add_and_scale():
                        rtol=1e-14)
     # extended precision coefficients keep every digit the derived series needs
     base = sh.solve_derivative_match(DerivSpec((0.0, 0.0, 2.0, 0.0)), sh.default_nodes(3), 0.5)
-    group = sh.rescale_for_defect(base, 2, 3, 1.0 / 32.0)
+    group = sh.rescale_for_defect(base, 2, 1.0 / 32.0)
     e = sh.combo_scale(group, -3.0)
     assert np.allclose(sh.combo_eval(e, xs), -3.0 * sh.combo_eval(group, xs),
                        rtol=1e-14, atol=1e-14)
@@ -289,7 +328,7 @@ def test_json_roundtrip_float_combo():
 def test_json_roundtrip_extended_precision():
     values = (0.0, 0.0, 2.0, 0.0)
     base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(3), 0.5)
-    group = sh.rescale_for_defect(base, 2, 3, 1.0 / 16.0)
+    group = sh.rescale_for_defect(base, 2, 1.0 / 16.0)
     back = sh.combo_from_json(sh.combo_to_json(group))
     assert back.has_mp_coefficients
     xs = np.linspace(-0.9, 0.9, 11)
@@ -307,7 +346,7 @@ def test_loaded_group_matches_memory(s, big_n, data, eps, cj):
     j = data.draw(st.integers(0, big_n))
     values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
     base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(big_n), s)
-    group = sh.rescale_for_defect(base, j, big_n, eps)
+    group = sh.rescale_for_defect(base, j, eps)
     back = sh.combo_from_json(sh.combo_to_json(group))
     xs = np.linspace(-0.99, 0.99, 101)
     with mock.patch.object(sh.blocks, "_combo_eval_mp",
