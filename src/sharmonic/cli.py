@@ -276,16 +276,16 @@ def cmd_approximate(cfg: RunConfig) -> int:
             })
         raise
 
-    xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
-    tvals = np.asarray(target.f(xs), dtype=float)
-    vvals = combo_eval(combo, xs)
-    if combo.blocks:
-        res = exact.combo_residual(combo, xs)
-    else:
-        res = np.zeros_like(xs)
-    rows = [[float(a), float(b), float(c), float(b - c), float(d)]
-            for a, b, c, d in zip(xs, tvals, vvals, res)]
     if cfg.out_csv:
+        xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
+        tvals = np.asarray(target.f(xs), dtype=float)
+        vvals = combo_eval(combo, xs)
+        if combo.blocks:
+            res = exact.combo_residual(combo, xs)
+        else:
+            res = np.zeros_like(xs)
+        rows = [[float(a), float(b), float(c), float(b - c), float(d)]
+                for a, b, c, d in zip(xs, tvals, vvals, res)]
         _write_csv(cfg.out_csv, ["x", "target", "v_eps", "diff", "residual"], rows)
     if cfg.out_json:
         _write_report_with_combo(cfg.out_json, report.to_dict(), combo)
@@ -331,14 +331,14 @@ def _demo_logistic(cfg: RunConfig) -> int:
     sigma = target_from_spec(cfg.sigma if cfg.sigma is not None else "const:1")
     mu = target_from_spec(cfg.mu if cfg.mu is not None else "const:1")
     w = logistic_resource_plan(sigma, mu, eps, cfg.s)
-    xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
-    uvals = combo_eval(w.u, xs)
-    svals = np.asarray(sigma.f(xs), dtype=float)
-    sevals = np.asarray(w.sigma_eps(xs), dtype=float)
-    res = exact.combo_residual(w.u, xs) if w.u.blocks else np.zeros_like(xs)
-    rows = [[float(a), float(b), float(c), float(d), float(e)]
-            for a, b, c, d, e in zip(xs, uvals, svals, sevals, res)]
     if cfg.out_csv:
+        xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
+        uvals = combo_eval(w.u, xs)
+        svals = np.asarray(sigma.f(xs), dtype=float)
+        sevals = np.asarray(w.sigma_eps(xs), dtype=float)
+        res = exact.combo_residual(w.u, xs) if w.u.blocks else np.zeros_like(xs)
+        rows = [[float(a), float(b), float(c), float(d), float(e)]
+                for a, b, c, d, e in zip(xs, uvals, svals, sevals, res)]
         _write_csv(cfg.out_csv, ["x", "u", "sigma", "sigma_eps", "residual"], rows)
     payload = {
         "command": "demo logistic", "s": w.s, "epsilon": w.epsilon,

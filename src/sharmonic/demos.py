@@ -25,9 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import exact
-from .approximate import (ApproxReport, Target, approximate, interior_points,
-                          target_from_spec)
+from .approximate import ApproxReport, Target, approximate, target_from_spec
 from .blocks import SHCombo, combo_derivative, combo_eval
 from .errors import ConfigError
 from .fraclap import mean_value_ball, mean_value_sphere
@@ -245,13 +243,11 @@ def logistic_resource_plan(sigma: Target, mu: Target, eps: float,
     plan = mu_vals[0] * u0
     feasibility = float(np.min(plan - sigma_eps(grid)))
     reaction = float(np.max(np.abs((sigma_eps(grid) - plan) * u0)))
-    xs = interior_points(combo.interval, 21)
-    residual = float(np.max(exact.combo_residual(combo, xs)))
 
     return LogisticWitness(
         u=combo, s=s, epsilon=eps, epsilon_inner=eps_inner, mu_norm=mu_norm,
         sigma_eps=sigma_eps, sigma_error=sigma_error,
-        feasibility_margin=feasibility, residual_equation=residual,
+        feasibility_margin=feasibility, residual_equation=report.max_residual,
         residual_reaction=reaction, report=report)
 
 

@@ -11,15 +11,16 @@ to xi^(p-2s) * Phi(p, s) with the canonical constant
 
 Phi depends only on the exponents, so one arbitrary-precision evaluation
 serves every block, every offset, and every evaluation point.  For p = s
-the constant vanishes identically; computing it honestly (series plus
-tanh-sinh quadrature, never assuming the cancellation) and propagating
-|Phi| through the reduction turns the machinery into a certified residual
-bound for block combinations whose raw coefficients are far too large for
-direct quadrature in any fixed precision.
+the constant vanishes identically; computing it honestly (convergent
+series with proved tail bounds, never assuming the cancellation) and
+propagating |Phi| through the reduction turns the machinery into a
+certified residual bound for block combinations whose raw coefficients
+are far too large for direct quadrature in any fixed precision.
 
-The computation is a genuine numerical evaluation of the integral: zones
-with an endpoint singularity are integrated term by term from convergent
-series expansions, the remaining smooth zones by tanh-sinh quadrature.
+The computation is a genuine numerical evaluation of the integral: every
+zone is summed term by term from a convergent series whose terms follow
+a recurrence, and the returned error is the sum of the proved tail bounds
+plus a rounding allowance.
 """
 
 from __future__ import annotations
@@ -32,13 +33,21 @@ from .blocks import SHCombo
 from .errors import DomainError
 
 _phi_cache: dict[tuple[float, float, int], tuple[mpf, mpf]] = {}
+_MAX_TERMS = 100000
+
+
+def _guard(k: int) -> None:
+    if k > _MAX_TERMS:
+        raise ArithmeticError("series for the canonical constant failed to converge")
 
 
 def canonical_constant(p: float, s: float, dps: int) -> tuple[mpf, mpf]:
     """(value, error bound) for Phi(p, s) at dps significant digits.
 
     Requires 0 < p < 2s and 0 < s < 1 so the integral converges at both
-    ends.  Results are cached per (p, s, dps).
+    ends.  Every zone is a series summed until its proved tail bound falls
+    below 10^-(dps+10); the error bound is the sum of those tail bounds
+    plus a rounding allowance.  Results are cached per (p, s, dps).
     """
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
@@ -53,45 +62,85 @@ def canonical_constant(p: float, s: float, dps: int) -> tuple[mpf, mpf]:
         sm = mpf(s)
         tol = mpf(10) ** (-dps - 10)
         half = mpf(1) / 2
+        # int_2^inf and int_{1/2}^2 of 2 w^(-1-2s), in closed form
+        parts = [4 ** -sm / sm, (4 ** sm - 4 ** -sm) / sm]
+        tails = []
 
         # zone [0, 1/2]: 2 - (1+w)^p - (1-w)^p = -2 sum_{m>=1} binom(p, 2m) w^(2m);
-        # the kernel singularity integrates in closed form term by term
-        zone_a = mpf(0)
-        m = 1
+        # the kernel singularity integrates in closed form term by term.  Since
+        # |binom(p, k+1) / binom(p, k)| <= 1 for k >= 1, terms shrink by 1/4 and
+        # the tail is at most a third of the last term
+        b, h, m = pm * (pm - 1) / 2, half ** (2 - 2 * sm), 1
         while True:
-            term = 2 * mpmath.binomial(pm, 2 * m) * half ** (2 * m - 2 * sm) / (2 * m - 2 * sm)
-            zone_a -= term
-            if abs(term) < tol and m > 4:
+            term = -2 * b * h / (2 * m - 2 * sm)
+            parts.append(term)
+            if abs(term) < 3 * tol:
+                tails.append(abs(term) / 3)
                 break
+            b *= (pm - 2 * m) * (pm - 2 * m - 1) / ((2 * m + 1) * (2 * m + 2))
+            h /= 4
             m += 1
-            if m > 100000:
-                raise ArithmeticError("inner series failed to converge")
+            _guard(m)
 
-        # zones [1/2, 1] and [1, 2]: smooth integrand (one-sided power at w=1
-        # is continuous), tanh-sinh quadrature with reported error estimate
-        def f_both(w):
-            return (2 - (1 + w) ** pm - (1 - w) ** pm) * w ** (-1 - 2 * sm)
-
-        def f_plus(w):
-            return (2 - (1 + w) ** pm) * w ** (-1 - 2 * sm)
-
-        zone_b, err_b = mpmath.quad(f_both, [half, mpf(1)], error=True)
-        zone_c, err_c = mpmath.quad(f_plus, [mpf(1), mpf(2)], error=True)
-
-        # zone [2, inf): (1+w)^p = w^p (1 + 1/w)^p expanded in 1/w <= 1/2
-        zone_d = 2 * mpf(2) ** (-2 * sm) / (2 * sm)
-        q = 0
+        # zone [2, inf): (1+w)^p = sum_q binom(p, q) w^(p-q) with 1/w <= 1/2;
+        # from q = 1 on terms shrink by 1/2, so the tail is at most the last term
+        b, h, q = mpf(1), 2 ** (pm - 2 * sm), 0
         while True:
-            term = mpmath.binomial(pm, q) * mpf(2) ** (pm - q - 2 * sm) / (q + 2 * sm - pm)
-            zone_d -= term
-            if abs(term) < tol and q > 4:
+            term = -b * h / (q + 2 * sm - pm)
+            parts.append(term)
+            if q >= 1 and abs(term) < tol:
+                tails.append(abs(term))
                 break
+            b *= (pm - q) / (q + 1)
+            h /= 2
             q += 1
-            if q > 100000:
-                raise ArithmeticError("outer series failed to converge")
+            _guard(q)
 
-        value = zone_a + zone_b + zone_c + zone_d
-        err = abs(err_b) + abs(err_c) + 4 * tol
+        # zones [1/2, 1] and [1, 2] less the closed form above.  The singular
+        # part int_0^{1/2} u^p (1-u)^(-1-2s) du (u = 1 - w) from the binomial
+        # series of (1-u)^(-1-2s): successive terms shrink by at most
+        # rho = (1+2s+k) / (2(k+1)), which falls with k, so the tail after term
+        # k is at most term * rho / (1 - rho)
+        c, h, k = mpf(1), half ** (pm + 1), 0
+        while True:
+            term = c * h / (pm + k + 1)
+            parts.append(-term)
+            rho = (1 + 2 * sm + k) / (2 * k + 2)
+            if k >= 1 and term * rho < tol * (1 - rho):
+                tails.append(term * rho / (1 - rho))
+                break
+            c *= 2 * rho
+            h /= 2
+            k += 1
+            _guard(k)
+
+        # and int_{1/2}^1 (1+w)^p w^a dw for a = -1-2s and, after w -> 1/w on
+        # [1, 2], a = 2s-1-p.  With u = 1 - w it is 2^p int_0^{1/2} g(u) du for
+        # g = (1-u/2)^p (1-u)^a, whose Taylor coefficients satisfy
+        # 2(k+1) g_{k+1} = (3k-p-2a) g_k + (p+a+1-k) g_{k-1}.  On |u| = 7/8,
+        # |g| <= M = (23/16)^p max(8^-a, (15/8)^a), so |g_k| <= M (8/7)^k (Cauchy)
+        # and the tail after term k is at most 2^p 7M (4/7)^(k+1) / (6(k+2))
+        ratio = mpf(4) / 7
+        for a in (-1 - 2 * sm, 2 * sm - 1 - pm):
+            alpha, beta = pm + 2 * a, pm + a + 1
+            bound = 7 * 2 ** pm * (mpf(23) / 16) ** pm * max(8 ** -a, (mpf(15) / 8) ** a) / 6
+            g0, g1, h, k = mpf(0), mpf(1), 2 ** (pm - 1), 0
+            while True:
+                parts.append(-g1 * h / (k + 1))
+                bound *= ratio
+                if bound < tol * (k + 2):
+                    tails.append(bound / (k + 2))
+                    break
+                g0, g1 = g1, ((3 * k - alpha) * g1 + (beta - k) * g0) / (2 * k + 2)
+                h /= 2
+                k += 1
+                _guard(k)
+
+        value = mpmath.fsum(parts)
+        # fsum rounds once (it drops only terms 2*prec bits below the sum);
+        # each term is off by a few rounding units per recurrence step
+        err = mpmath.fsum(tails) \
+            + 4 * len(parts) * mpmath.mp.eps * mpmath.fsum(parts, absolute=True)
 
     _phi_cache[key] = (value, err)
     return value, err
@@ -129,49 +178,37 @@ def power_block_reference(t: float, p: float, s: float, x: float, dps: int = 40)
         return float(phi * (mpf(x) + mpf(t)) ** (mpf(p) - 2 * mpf(s)))
 
 
-def _amplification_digits(combo: SHCombo, xs: np.ndarray) -> int:
-    """Decimal digits of the worst cancellation mass sum |c_k| r_k^s xi_k^-s."""
-    xmin = float(np.min(xs))
-    with workdps(40):
-        sm = mpf(combo.s)
-        total = mpf(0)
-        for b in combo.blocks:
-            xi = mpf(xmin) + mpf(b.t) / mpf(b.r)
-            if xi <= 0:
-                raise DomainError(
-                    f"point {xmin} is outside the smooth region (kink at {b.kink})")
-            total += abs(mpf(b.c)) * mpf(b.r) ** sm * xi ** (-sm)
-        if total <= 1:
-            return 0
-        return int(mpmath.ceil(mpmath.log10(total)))
-
-
 def combo_residual(combo: SHCombo, xs, dps: int | None = None) -> np.ndarray:
     """Absolute value of the defining integral of a block combination.
 
-    Evaluated by the exact per-block reduction at a precision chosen from
-    the combination's cancellation mass, so the result is meaningful even
-    when the raw coefficients overflow any fixed-precision cancellation.
-    Each returned value bounds |(-Delta)^s v(x)| as evaluated with the
-    honestly computed canonical constant.
+    Each value is |Phi(s, s)| plus its error bound, times the cancellation
+    mass sum_k |c_k| r_k^s (x + t_k/r_k)^-s.  The mass is a sum of positive
+    terms, so it is evaluated at a fixed 30 digits; Phi is evaluated at a
+    precision chosen from the largest mass, so the result is meaningful
+    even when the raw coefficients overflow any fixed-precision
+    cancellation.  Each returned value bounds |(-Delta)^s v(x)|.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    amp = _amplification_digits(combo, xs)
-    if dps is None:
-        dps = 25 + amp
-        dps = ((dps + 19) // 20) * 20  # quantize for cache reuse
-    phi, phi_err = canonical_constant(combo.s, combo.s, dps)
-    phi_bound = abs(phi) + abs(phi_err)
-    out = np.empty(xs.shape)
-    with workdps(dps + 15):
+    with workdps(30):
         sm = mpf(combo.s)
-        for i, x in enumerate(xs):
-            acc = mpf(0)
-            for b in combo.blocks:
-                xi = mpf(float(x)) + mpf(b.t) / mpf(b.r)
+        neg = -sm
+        consts = [(abs(mpf(b.c)) * mpf(b.r) ** sm, mpf(b.t) / mpf(b.r), b.kink)
+                  for b in combo.blocks]
+        masses = []
+        for x in xs:
+            xm, acc = mpf(float(x)), mpf(0)
+            for weight, offset, kink in consts:
+                xi = xm + offset
                 if xi <= 0:
                     raise DomainError(
-                        f"point {x} is outside the smooth region (kink at {b.kink})")
-                acc += abs(mpf(b.c)) * mpf(b.r) ** sm * xi ** (-sm)
-            out[i] = float(phi_bound * acc)
-    return out
+                        f"point {x} is outside the smooth region (kink at {kink})")
+                acc += weight * xi ** neg
+            masses.append(acc)
+        worst = max(masses, default=mpf(0))
+    if dps is None:
+        amp = int(mpmath.ceil(mpmath.log10(worst))) if worst > 1 else 0
+        dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
+    phi, phi_err = canonical_constant(combo.s, combo.s, dps)
+    phi_bound = abs(phi) + abs(phi_err)
+    with workdps(30):
+        return np.array([float(phi_bound * m) for m in masses])

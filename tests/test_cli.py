@@ -295,6 +295,22 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, monkeypatch):
     assert pairs[0][1] == pairs[1][1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["approximate", "--target", "sin", "--epsilon", "0.01"],
+    ["demo", "logistic", "--sigma", "exp"],
+])
+def test_json_artifact_does_not_depend_on_csv(tmp_path, argv):
+    # the CSV grid is computed only when asked for, and feeds nothing else
+    csv_path = tmp_path / "grid.csv"
+    blobs = []
+    for tag, extra in (("plain", []), ("csv", ["--out-csv", str(csv_path)])):
+        json_path = tmp_path / f"{tag}.json"
+        assert main(argv + ["--grid", "11", "--out-json", str(json_path)] + extra) == 0
+        blobs.append(json_path.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert len(_read_csv(csv_path)[1]) == 11
+
+
 def test_fraclap_byte_identical_across_runs(tmp_path):
     blobs = []
     for tag in ("one", "two"):

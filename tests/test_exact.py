@@ -3,9 +3,12 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
 import sharmonic as sh
+from sharmonic import exact
 from sharmonic.errors import DomainError
 
 
@@ -70,6 +73,40 @@ def test_closed_form_reports_gamma_poles():
     # 2s - p a nonpositive integer: Gamma(2s - p) pole
     with pytest.raises(DomainError):
         sh.canonical_constant_closed_form(1.5, 0.75)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.02, 0.98), st.floats(0.01, 0.99), st.integers(20, 120))
+def test_canonical_constant_error_bound_is_honest(s, frac, dps):
+    # s near 0 and 1 included; p = frac * 2s stays inside (0, 2s)
+    p = 2 * s * frac
+    value, err = sh.canonical_constant(p, s, dps)
+    assert err < mpf(10) ** -dps
+    zero, zero_err = sh.canonical_constant(s, s, dps)
+    assert abs(zero) <= zero_err
+    try:
+        closed = sh.canonical_constant_closed_form(p, s, dps + 40)
+    except DomainError:
+        return  # Gamma pole of the closed form, not of Phi
+    assert abs(value - closed) <= err
+
+
+def test_canonical_constant_never_calls_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_constant must sum series, not integrate")
+
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    monkeypatch.setattr(exact, "_phi_cache", {})
+    for p, s in [(0.3, 0.45), (0.5, 0.5), (0.03, 0.02), (1.9, 0.98)]:
+        value, err = sh.canonical_constant(p, s, dps=60)
+        assert err < 1e-60
+
+
+def test_canonical_constant_series_stop_at_their_term_cap(monkeypatch):
+    monkeypatch.setattr(exact, "_MAX_TERMS", 20)
+    monkeypatch.setattr(exact, "_phi_cache", {})
+    with pytest.raises(ArithmeticError):
+        sh.canonical_constant(0.3, 0.45, dps=40)
 
 
 def test_canonical_constant_is_cached():
@@ -189,3 +226,22 @@ def test_combo_residual_handles_huge_coefficients():
     expected_mass = 1e120 * (1e-6) ** 0.5 * (2.0 / 1e-6) ** -0.5
     phi, err = sh.canonical_constant(0.5, 0.5, dps=160)
     assert res[0] == pytest.approx(float((abs(phi) + err) * expected_mass), rel=1e-6)
+
+
+def test_combo_residual_mass_at_fixed_precision_matches_60_digits():
+    # a pipeline combo: 169 blocks with mp coefficients far past float range
+    combo, _ = sh.approximate(sh.target_from_spec("exp"), 1e-8, 0.5)
+    assert len(combo.blocks) == 169
+    xs = sh.interior_points(combo.interval, 21)
+    got = sh.combo_residual(combo, xs, dps=340)
+    phi, err = sh.canonical_constant(0.5, 0.5, dps=340)
+    with workdps(60):
+        bound = abs(phi) + err
+        sm = mpf(0.5)
+        for i, x in enumerate(xs):
+            acc = mpf(0)
+            for b in combo.blocks:
+                xi = mpf(x) + mpf(b.t) / mpf(b.r)
+                acc += abs(mpf(b.c)) * mpf(b.r) ** sm * xi ** (-sm)
+            want = float(bound * acc)
+            assert abs(got[i] - want) <= 1e-15 * want
