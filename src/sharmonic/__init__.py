@@ -13,7 +13,7 @@ Everything is deterministic: no randomness, reproducible artifacts.
 from .approximate import (ApproxReport, BuildInfo, ChebPoly, GroupInfo,
                           Target, approximate, build_sharmonic, cheb_fit,
                           default_nodes, interior_points, target_from_spec)
-from .blocks import (MatchInfo, SHBlock, SHCombo, block_derivative_at_zero,
+from .blocks import (SHBlock, SHCombo, block_derivative_at_zero,
                      block_eval, combo_add, combo_derivative, combo_eval,
                      combo_from_json, combo_scale, combo_to_json,
                      readback_derivatives, rescale_for_defect,
@@ -21,8 +21,8 @@ from .blocks import (MatchInfo, SHBlock, SHCombo, block_derivative_at_zero,
 from .demos import (HarnackWitness, LogisticWitness, OffsetCombo,
                     harnack_counterexample, logistic_resource_plan,
                     mean_value_table)
-from .errors import (ApproximationError, ConditioningError, ConfigError,
-                     DomainError, EvaluationError, SharmonicError)
+from .errors import (ApproximationError, ConfigError, DomainError,
+                     EvaluationError, SharmonicError)
 from .exact import (canonical_constant, canonical_constant_closed_form,
                     combo_residual, power_block_reference)
 from .fraclap import (FracLapDetail, FracParams, GridFunction, QuadConfig,
@@ -33,9 +33,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxReport", "ApproximationError", "BuildInfo", "ChebPoly",
-    "ConditioningError", "ConfigError", "DomainError", "EvaluationError",
+    "ConfigError", "DomainError", "EvaluationError",
     "FracLapDetail", "FracParams", "GridFunction", "GroupInfo",
-    "HarnackWitness", "LogisticWitness", "MatchInfo", "OffsetCombo",
+    "HarnackWitness", "LogisticWitness", "OffsetCombo",
     "QuadConfig", "SHBlock", "SHCombo", "SharmonicError", "Target",
     "approximate", "block_derivative_at_zero", "block_eval",
     "build_sharmonic", "canonical_constant", "canonical_constant_closed_form",

@@ -9,8 +9,10 @@ of the groups inherits both certificates, so the final function - a
 finite combination of exactly equation-solving blocks - lies within the
 requested C^2 distance of the target on the working interval.
 
-All norms are certified by dense sampling with a fixed inflation factor;
-every reported epsilon is the certified (inflated) value, never the
+The polynomial stage takes an arbitrary callable, so its C^2 error is
+certified by dense sampling with a fixed inflation factor.  The block
+stage's defect is a proved bound read off each group's derived power
+series.  Every reported epsilon is the certified value, never the
 mathematical ideal.
 """
 
@@ -24,13 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels, exact
-from .blocks import DerivSpec, SHCombo, rescale_for_defect, solve_derivative_match
+from . import exact
+from .blocks import SHCombo, rescale_for_defect
 from .errors import ApproximationError, ConfigError, DomainError
 from .fraclap import GridFunction
 
 _CERT_GRID = 4096
-_DEFECT_GRID = 2048
+_STORAGE_NOISE = 1e-32  # per order and unit tolerance; see _defect_certificate
 _INFLATION = 1.05
 _DEGREE_FLOOR = 3
 
@@ -206,7 +208,6 @@ class GroupInfo:
     degree: int
     coefficient: float
     scale: float
-    condition: float
 
 
 @dataclass(frozen=True)
@@ -224,19 +225,33 @@ def default_nodes(order: int) -> np.ndarray:
     return 2.0 + np.arange(order + 1) / order
 
 
-def _defect_certificate(groups: list[SHCombo], grid: np.ndarray) -> float:
-    """Sampled C^2 size of the summed group deviations from their monomials:
-    each group's derived series past its matched orders (SHCombo.taylor_tail),
-    plus the bound on the terms that series omits."""
-    xmax = float(np.max(np.abs(grid)))
+def _defect_certificate(groups: list[SHCombo], eps: float) -> float:
+    """Proved C^2 bound on [-1, 1] of the summed deviations of groups built
+    by rescale_for_defect(..., eps) from the monomials they match.
+
+    A group deviates by its series past the matched orders, sum_i b_i x^i
+    (SHCombo.taylor_tail), whose m-th derivative is at most sum_i |b_i|
+    i!/(i-m)! on |x| <= 1, plus the omitted terms, at most series_error(1,
+    m).  Added per group: 1e-32 eps sum_i r^i i!/(i-m)! for the storage
+    noise (rounding the stored coefficients moves every order i, matched
+    ones included, by at most 1e-32 eps r^i as nodes exceed 1, see
+    assemble_scaled_group; the b_i are computed 64 bits past those
+    digits), and 2^-1000 for b_i and series_error values lost to float64
+    underflow.  The factor 1 + 1e-9 covers float64 rounding: of each b_i
+    (2^-53 relative), of the sum of fewer than 2^12 nonnegative terms
+    (2^-53 per addition), and of series_error's logarithms (below 1e-11).
+    """
     worst = 0.0
-    for order in range(3):
-        total = np.zeros_like(grid)
+    for m in range(3):
+        total = 0.0
         for g in groups:
-            total += (np.abs(_kernels.power_series_eval(g.taylor_tail, grid, order))
-                      + g.series_error(xmax, order))
-        worst = max(worst, float(np.max(total)))
-    return worst * _INFLATION
+            tail = np.abs(g.taylor_tail)
+            falling = np.array([math.perm(i, m) for i in range(tail.size)], dtype=float)
+            powers = g.blocks[0].r ** np.arange(tail.size)
+            total += (float(np.sum(tail * falling)) + g.series_error(1.0, m)
+                      + _STORAGE_NOISE * eps * float(np.sum(powers * falling)) + 2.0**-1000)
+        worst = max(worst, total)
+    return worst * (1.0 + 1e-9)
 
 
 def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
@@ -248,8 +263,9 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
     at the origin match c_j j! delta_ij up to the padded order N = max(3,
     degree); the argument rescaling x -> r x with r = eps/(10 N^2 (1+S))
     then forces the deviation from the monomial below the per-group
-    budget.  The certificate is the densely sampled sum of group defects;
-    a certificate above the budget raises ApproximationError.
+    budget.  The certificate is a proved bound on the sum of group defects
+    (see _defect_certificate); a certificate above the budget raises
+    ApproximationError.
     """
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
@@ -276,18 +292,15 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
     matched = []
     infos = []
     for j, cj in kept:
-        values = tuple(cj * math.factorial(j) if i == j else 0.0
-                       for i in range(big_n + 1))
-        base = solve_derivative_match(DerivSpec(values), nodes, s)
-        group = rescale_for_defect(base, j, eps_half)
+        values = [cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1)]
+        group = rescale_for_defect(values, nodes, s, j, eps_half)
         matched.append(group)
-        infos.append(GroupInfo(degree=j, coefficient=cj, scale=group.blocks[0].r,
-                               condition=base.match_info.condition))
+        infos.append(GroupInfo(degree=j, coefficient=cj, scale=group.blocks[0].r))
 
-    cert = _defect_certificate(matched, np.linspace(-1.0, 1.0, _DEFECT_GRID))
+    cert = _defect_certificate(matched, eps_half)
     if cert > eps_half:
         raise ApproximationError(
-            f"sampled defect certificate {cert:.3e} of the degree {poly.degree} "
+            f"proved defect certificate {cert:.3e} of the degree {poly.degree} "
             f"polynomial exceeds its budget {eps_half:.3e}; raise epsilon or "
             f"lower --degree-cap")
     combo = SHCombo(s, tuple(b for g in matched for b in g.blocks), (-1.0, 1.0))
@@ -314,7 +327,6 @@ class ApproxReport:
     matching_order: int
     nodes: tuple[float, ...]
     scales: tuple[tuple[int, float], ...]
-    condition: float
     n_blocks: int
     max_residual: float
     residual_points: int
@@ -333,7 +345,6 @@ class ApproxReport:
             "matching_order": self.matching_order,
             "nodes": list(self.nodes),
             "scales": {str(j): r for j, r in self.scales},
-            "condition": self.condition,
             "n_blocks": self.n_blocks,
             "max_residual": self.max_residual,
             "residual_points": self.residual_points,
@@ -372,7 +383,6 @@ def approximate(target: Target, eps: float, s: float, degree_cap: int = 30,
         epsilon_total=eps_total, degree=poly.degree,
         matching_order=build.matching_order, nodes=build.nodes,
         scales=tuple((g.degree, g.scale) for g in build.groups),
-        condition=max((g.condition for g in build.groups), default=0.0),
         n_blocks=len(combo.blocks), max_residual=residual,
         residual_points=residual_points,
         residual_method="per-block exact reduction via the canonical constant",

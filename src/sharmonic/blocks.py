@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,7 +38,7 @@ from mpmath import mpf, workdps, workprec
 from mpmath.libmp import from_rational, round_nearest
 
 from . import _kernels
-from .errors import ConditioningError, DomainError
+from .errors import ApproximationError, DomainError
 
 _EPS64 = 2.0**-52
 _TAIL_TERMS = 11  # series exponents kept past the matching order
@@ -112,35 +112,6 @@ class SHBlock:
 
 
 @dataclass(frozen=True)
-class MatchInfo:
-    """Diagnostics attached to the output of solve_derivative_match."""
-
-    condition: float
-    dps: int
-    exact_coefficients: bool
-    spec_values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DerivSpec:
-    """Target derivative values d_0..d_J at the origin."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) == 0:
-            raise DomainError("derivative spec must contain at least one value")
-        if not all(np.isfinite(v) for v in vals):
-            raise DomainError("derivative spec values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-
-@dataclass(frozen=True)
 class SHCombo:
     """Finite combination of blocks sharing one exponent s.
 
@@ -151,7 +122,6 @@ class SHCombo:
     s: float
     blocks: tuple[SHBlock, ...]
     interval: tuple[float, float] = (-1.0, 1.0)
-    match_info: MatchInfo | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
@@ -375,17 +345,6 @@ def combo_scale(combo: SHCombo, alpha: float) -> SHCombo:
 # derivative matching
 
 
-def _condition_estimate(nodes: np.ndarray, n_orders: int) -> float:
-    V = np.vander(1.0 / nodes, n_orders, increasing=True).T
-    try:
-        cond = float(np.linalg.cond(V))
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond):
-        cond = 10.0 ** (16 + 1.6 * n_orders)
-    return cond
-
-
 @functools.lru_cache(maxsize=64)
 def _vandermonde_inverse(nodes: tuple[float, ...]):
     """Exact inverse of V[i][k] = (1/t_k)^i.
@@ -413,17 +372,32 @@ def _vandermonde_inverse(nodes: tuple[float, ...]):
     return tuple(inverse)
 
 
-def _exact_match(spec_values: Sequence[float], nodes: np.ndarray, s: float):
-    """Exact y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = d_i / fall(s, i)."""
-    inverse = _vandermonde_inverse(tuple(float(tk) for tk in nodes))
+def _exact_match(values: Sequence[float], nodes: Sequence[float], s: float):
+    """Checked nodes t and the exact y_k = t_k^s a_k solving
+    sum_k (1/t_k)^i y_k = d_i / fall(s, i) for the values d_0..d_J."""
+    if not (0.0 < s < 1.0):
+        raise DomainError(f"exponent must lie in (0, 1), got s={s}")
+    values = [float(d) for d in values]
+    if not values or not all(math.isfinite(d) for d in values):
+        raise DomainError("derivative values must be finite and at least one")
+    t = np.asarray(nodes, dtype=float)
+    if t.ndim != 1 or t.size != len(values):
+        raise DomainError(
+            f"need exactly {len(values)} nodes for {len(values)} derivative "
+            f"values, got {t.size}")
+    if np.any(t <= 0) or not np.all(np.isfinite(t)):
+        raise DomainError("matching nodes must be positive and finite")
+    if np.unique(t).size != t.size:
+        raise DomainError("matching nodes must be distinct")
+    inverse = _vandermonde_inverse(tuple(float(tk) for tk in t))
     sf = Fraction(s)
     rhs = []
     fall = Fraction(1)
-    for i, d in enumerate(spec_values):
+    for i, d in enumerate(values):
         if d:
             rhs.append((i, Fraction(d) / fall))
         fall *= sf - i
-    return [sum((row[i] * b for i, b in rhs), Fraction(0)) for row in inverse]
+    return t, [sum((row[i] * b for i, b in rhs), Fraction(0)) for row in inverse]
 
 
 def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, r: float,
@@ -436,48 +410,37 @@ def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, r: float,
                 for yk, tk in zip(y, t)]
 
 
-def solve_derivative_match(spec: DerivSpec, nodes: Sequence[float], s: float,
-                           interval: tuple[float, float] = (-1.0, 1.0)) -> SHCombo:
-    """Combination of unit-scale blocks whose derivatives at 0 match spec.
+def _unit_coefficients(values: Sequence[float], t: np.ndarray, y: list[Fraction],
+                       s: float) -> tuple[list, int]:
+    """Unit-scale coefficients a_k = y_k t_k^-s at 25 digits beyond the
+    read-back's cancellation (its largest row sum of |terms|), and those
+    digits; float64 when that provably keeps the read-back residual below
+    1e-10 * (1 + max|d|)."""
+    scale = 1.0 + max(abs(float(v)) for v in values)
+    y_abs = np.array([abs(float(yk)) for yk in y])
+    row_mass = max(abs(falling_factorial(s, i)) * float(np.sum(y_abs * t ** -float(i)))
+                   for i in range(t.size))
+    dps = 25 + math.ceil(math.log10(1.0 + row_mass / scale))
+    coeffs = _block_coefficients(y, t, s, 1.0, 0, dps)
+    if row_mass * _EPS64 * 4 <= 1e-10 * scale:
+        coeffs = [float(ck) for ck in coeffs]
+    return coeffs, dps
+
+
+def solve_derivative_match(values: Sequence[float], nodes: Sequence[float], s: float) -> SHCombo:
+    """Combination of unit-scale blocks whose derivatives at 0 are values.
 
     Solves the square system sum_k a_k * d^i/dx^i (x + t_k)^s |_{x=0} = d_i
     for i = 0..J with J+1 distinct positive nodes.  With y_k = t_k^s a_k
     the system is the Vandermonde system sum_k (1/t_k)^i y_k = d_i /
     fall(s, i), which is solved exactly in rational arithmetic (floats are
     dyadic rationals) through a cached inverse per node tuple.  Each
-    coefficient a_k = y_k t_k^-s then costs one extended precision power,
-    taken with 25 digits beyond the cancellation the read-back suffers.
-    Coefficients are downgraded to float64 only when that provably keeps
-    the read-back residual below 1e-10 * (1 + max|d|).
+    coefficient a_k = y_k t_k^-s then costs one extended precision power
+    (see _unit_coefficients for its digits and the float64 downgrade).
     """
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"exponent must lie in (0, 1), got s={s}")
-    t = np.asarray(nodes, dtype=float)
-    if t.ndim != 1 or t.size != len(spec.values):
-        raise DomainError(
-            f"need exactly {len(spec.values)} nodes for {len(spec.values)} derivative "
-            f"values, got {t.size}")
-    if np.any(t <= 0) or not np.all(np.isfinite(t)):
-        raise DomainError("matching nodes must be positive and finite")
-    if np.unique(t).size != t.size:
-        raise DomainError("matching nodes must be distinct")
-
-    n = t.size
-    y = _exact_match(spec.values, t, s)
-    scale = 1.0 + max(abs(v) for v in spec.values)
-    # largest sum of |terms| in one read-back row: the cancellation it suffers
-    y_abs = np.array([abs(float(yk)) for yk in y])
-    row_mass = max(abs(falling_factorial(s, i)) * float(np.sum(y_abs * t ** -float(i)))
-                   for i in range(n))
-    dps = 25 + math.ceil(math.log10(1.0 + row_mass / scale))
-    exact = row_mass * _EPS64 * 4 > 1e-10 * scale
-    coeffs = _block_coefficients(y, t, s, 1.0, 0, dps)
-    if not exact:
-        coeffs = [float(ck) for ck in coeffs]
-    blocks = tuple(SHBlock(float(tk), ck, 1.0) for tk, ck in zip(t, coeffs))
-    info = MatchInfo(condition=_condition_estimate(t, n), dps=dps,
-                     exact_coefficients=exact, spec_values=spec.values)
-    return SHCombo(s, blocks, interval, match_info=info)
+    t, y = _exact_match(values, nodes, s)
+    coeffs, _ = _unit_coefficients(values, t, y, s)
+    return SHCombo(s, tuple(SHBlock(float(tk), ck) for tk, ck in zip(t, coeffs)))
 
 
 def readback_derivatives(combo: SHCombo, n_orders: int) -> np.ndarray:
@@ -489,6 +452,16 @@ def readback_derivatives(combo: SHCombo, n_orders: int) -> np.ndarray:
     return np.array([math.factorial(i) * coefs[i] for i in range(n_orders)])
 
 
+def _scaled_group(t: np.ndarray, y: list[Fraction], s: float, j: int, r: float,
+                  interval: tuple[float, float], eps: float) -> SHCombo:
+    mass = sum(abs(float(yk)) for yk in y)
+    amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
+           + math.log10(1.0 / eps) + 8.0)
+    coeffs = _block_coefficients(y, t, s, r, j, 25 + int(amp))
+    return SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)),
+                   tuple(interval))
+
+
 def assemble_scaled_group(spec_values: Sequence[float], nodes: Sequence[float],
                           s: float, j: int, r: float,
                           interval: tuple[float, float], eps: float) -> SHCombo:
@@ -497,66 +470,50 @@ def assemble_scaled_group(spec_values: Sequence[float], nodes: Sequence[float],
     The matching system is solved exactly (see solve_derivative_match), so
     the only rounding is in the stored block coefficients y_k t_k^-s r^-j.
     Reading the function back off the blocks amplifies that rounding by
-    about the coefficient mass times r^-j, so the coefficients carry enough
-    digits that the amplified noise stays far below eps.  float64 storage
-    is never sufficient here; the blocks always carry extended precision
-    values.  The matching order is len(nodes) - 1.
+    about the coefficient mass sum_k |y_k| times r^-j, so the coefficients
+    carry 25 + log10((1 + mass) r^-j / eps) + 8 digits: each order i of
+    the group is then within 1e-32 eps (r / t_min)^i of its exact value.
+    float64 storage is never sufficient here; the blocks always carry
+    extended precision values.  The matching order is len(nodes) - 1.
     """
-    t = np.asarray(nodes, dtype=float)
-    n = t.size
     if not (0 < r <= 1.0) or not np.isfinite(r):
         raise DomainError(f"scale must lie in (0, 1], got {r}")
-    if len(spec_values) != n:
-        raise DomainError(
-            f"{len(spec_values)} derivative values need as many nodes, got {n}")
-    y = _exact_match(spec_values, t, s)
-    mass = sum(abs(float(yk)) for yk in y)
-    amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
-           + math.log10(1.0 / eps) + 8.0)
-    dps = 25 + int(amp)
-
-    coeffs = _block_coefficients(y, t, s, r, j, dps)
-    blocks = tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs))
-    info = MatchInfo(condition=_condition_estimate(t, n), dps=dps,
-                     exact_coefficients=True, spec_values=tuple(spec_values))
-    return SHCombo(s, blocks, tuple(interval), match_info=info)
+    t, y = _exact_match(spec_values, nodes, s)
+    return _scaled_group(t, y, s, j, r, interval, eps)
 
 
-def rescale_for_defect(combo: SHCombo, j: int, eps: float) -> SHCombo:
-    """Shrink the argument scale so the matched group stays eps-close to its
-    target monomial in C^2 norm.
+def rescale_for_defect(values: Sequence[float], nodes: Sequence[float], s: float,
+                       j: int, eps: float) -> SHCombo:
+    """Matched group for the values whose deviation from its target
+    monomial stays eps-small in C^2 norm on [-1, 1].
 
-    The matching order N is len(combo.blocks) - 1.  Applies x -> r*x with
-    r = eps / (10 * N^2 * (1 + S)) where S bounds the (N+1)-th derivative
-    of the unscaled combination on [-1, 1], and divides by r^j so the j-th
-    Taylor coefficient is preserved.
+    The matching order N is len(nodes) - 1.  The unit-scale match (see
+    solve_derivative_match) gives S, a bound on the (N+1)-th derivative of
+    the unscaled combination on [-1, 1]; the group is then assembled under
+    x -> r*x with r = eps / (10 * N^2 * (1 + S)) and divided by r^j, so the
+    j-th Taylor coefficient is preserved (see assemble_scaled_group).
     """
-    if combo.match_info is None:
-        raise DomainError("rescale requires a combination built by solve_derivative_match")
-    big_n = len(combo.blocks) - 1
-    if not (0 <= j <= big_n):
-        raise DomainError(f"monomial degree {j} outside matching order {big_n}")
-    if eps <= 0:
+    t, y = _exact_match(values, nodes, s)
+    big_n = t.size - 1
+    if not (0 <= j <= big_n) or big_n == 0:
+        raise DomainError(f"need degree 0 <= j <= N and matching order N >= 1, "
+                          f"got j={j}, N={big_n}")
+    if not (eps > 0):
         raise DomainError(f"tolerance must be positive, got {eps}")
-    t_min = min(b.t for b in combo.blocks)
-    if t_min <= 1.0:
+    if np.min(t) <= 1.0:
         raise DomainError("rescaling bound requires all nodes above 1")
-    with workdps(combo.match_info.dps):
-        sm = mpf(combo.s)
+    coeffs, dps = _unit_coefficients(values, t, y, s)
+    with workdps(dps):
+        sm = mpf(s)
         fall = abs(_falling_factorial_mp(sm, big_n + 1))
         S = mpf(0)
-        for b in combo.blocks:
-            S += abs(mpf(b.c)) * fall * (mpf(b.t) - 1) ** (sm - big_n - 1)
-        r_mp = mpf(eps) / (10 * mpf(big_n) ** 2 * (1 + S))
-        if r_mp > 1:
-            r_mp = mpf(1)
-        r = float(r_mp)
+        for tk, ck in zip(t, coeffs):
+            S += abs(mpf(ck)) * fall * (mpf(float(tk)) - 1) ** (sm - big_n - 1)
+        r = float(min(mpf(eps) / (10 * mpf(big_n) ** 2 * (1 + S)), mpf(1)))
     if r == 0.0:
-        raise ConditioningError(
+        raise ApproximationError(
             f"defect scale underflows float64 for degree {j}: bound S={float(S):.3e}")
-    nodes = tuple(b.t for b in combo.blocks)
-    return assemble_scaled_group(combo.match_info.spec_values, nodes, combo.s,
-                                 j, r, combo.interval, eps)
+    return _scaled_group(t, y, s, j, r, (-1.0, 1.0), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ are deterministic: identical configurations produce byte-identical CSV
 and JSON artifacts.  Timing information goes to stderr only.
 
 Exit codes: 0 success, 2 configuration error, 3 evaluation error,
-4 approximation or conditioning error.
+4 approximation error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EVALUATION = 3
 EXIT_APPROXIMATION = 4
-
-_FLOAT_KEYS = {"s", "epsilon", "xmin", "xmax", "x", "delta", "outer_radius",
-               "tail_growth"}
-_INT_KEYS = {"grid", "near_points", "mid_points", "degree_cap"}
-_STR_KEYS = {"target", "sigma", "mu", "method", "rhos", "out_csv", "out_json"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-
 
 @dataclass
 class RunConfig:
@@ -82,18 +75,13 @@ class RunConfig:
             raise ConfigError(f"method must be direct or pv, got {self.method!r}")
 
     def quad_config(self) -> QuadConfig:
-        kwargs = {}
-        if self.delta is not None:
-            kwargs["delta"] = self.delta
-        if self.outer_radius is not None:
-            kwargs["outer_radius"] = self.outer_radius
-        if self.near_points is not None:
-            kwargs["near_points"] = self.near_points
-        if self.mid_points is not None:
-            kwargs["mid_points"] = self.mid_points
-        if self.tail_growth is not None:
-            kwargs["tail_growth"] = self.tail_growth
-        return QuadConfig(**kwargs)
+        values = {f.name: getattr(self, f.name) for f in fields(QuadConfig)}
+        return QuadConfig(**{k: v for k, v in values.items() if v is not None})
+
+
+# option name -> value type, read off RunConfig's annotations ("float | None")
+_OPTION_TYPES = {f.name: {"float": float, "int": int, "str": str}[f.type.split(" ")[0]]
+                 for f in fields(RunConfig) if f.name not in ("command", "which")}
 
 
 def _load_config_file(path: str) -> dict:
@@ -112,7 +100,7 @@ def _load_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _OPTION_TYPES:
             raise ConfigError(f"{path}:{ln}: unknown option {key!r}")
         values[key] = value
     return values
@@ -120,13 +108,9 @@ def _load_config_file(path: str) -> dict:
 
 def _coerce(key: str, value: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
+        return _OPTION_TYPES[key](value)
     except ValueError as exc:
         raise ConfigError(f"option {key}={value!r} is not a number") from exc
-    return value
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:
@@ -280,10 +264,7 @@ def cmd_approximate(cfg: RunConfig) -> int:
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
         tvals = np.asarray(target.f(xs), dtype=float)
         vvals = combo_eval(combo, xs)
-        if combo.blocks:
-            res = exact.combo_residual(combo, xs)
-        else:
-            res = np.zeros_like(xs)
+        res = exact.combo_residual(combo, xs)  # zeros for the empty combination
         rows = [[float(a), float(b), float(c), float(b - c), float(d)]
                 for a, b, c, d in zip(xs, tvals, vvals, res)]
         _write_csv(cfg.out_csv, ["x", "target", "v_eps", "diff", "residual"], rows)
@@ -336,7 +317,7 @@ def _demo_logistic(cfg: RunConfig) -> int:
         uvals = combo_eval(w.u, xs)
         svals = np.asarray(sigma.f(xs), dtype=float)
         sevals = np.asarray(w.sigma_eps(xs), dtype=float)
-        res = exact.combo_residual(w.u, xs) if w.u.blocks else np.zeros_like(xs)
+        res = exact.combo_residual(w.u, xs)
         rows = [[float(a), float(b), float(c), float(d), float(e)]
                 for a, b, c, d, e in zip(xs, uvals, svals, sevals, res)]
         _write_csv(cfg.out_csv, ["x", "u", "sigma", "sigma_eps", "residual"], rows)
@@ -476,12 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        defaults = {f: getattr(RunConfig, f, None)
-                    for f in ("target", "sigma", "mu", "s", "epsilon", "grid",
-                              "xmin", "xmax", "x", "method", "rhos",
-                              "degree_cap", "delta", "outer_radius",
-                              "near_points", "mid_points", "tail_growth",
-                              "out_csv", "out_json")}
+        defaults = {f.name: f.default for f in fields(RunConfig) if f.name in _OPTION_TYPES}
         cfg = _resolve(args, defaults)
         code = _DISPATCH[cfg.command](cfg)
     except (ConfigError, DomainError) as exc:

@@ -32,7 +32,3 @@ class EvaluationError(SharmonicError, RuntimeError):
 class ApproximationError(SharmonicError, RuntimeError):
     """The requested approximation tolerance could not be certified."""
 
-
-class ConditioningError(ApproximationError):
-    """A linear system was too ill conditioned to solve reliably at the
-    working precision, even after refinement."""

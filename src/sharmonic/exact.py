@@ -151,17 +151,17 @@ def canonical_constant_closed_form(p: float, s: float, dps: int = 40) -> mpf:
 
         Phi = -Gamma(-2s) * [Gamma(2s-p)/Gamma(-p) + Gamma(1+p)/Gamma(1+p-2s)]
 
-    Valid away from parameter poles (in particular needs 2s not an
-    integer); used as a cross-check oracle, not by the library itself.
+    Valid away from the numerator poles (-2s or 2s-p a nonpositive integer;
+    1/Gamma vanishes at the denominator's); a cross-check oracle only.
     """
     with workdps(dps):
         pm = mpf(p)
         sm = mpf(s)
-        for pole in (-2 * sm, 2 * sm - pm, -pm, 1 + pm - 2 * sm):
+        for pole in (-2 * sm, 2 * sm - pm):
             if mpmath.isint(pole) and pole <= 0:
                 raise DomainError(f"closed form hits a Gamma pole at parameter {float(pole)}")
-        bracket = mpmath.gamma(2 * sm - pm) / mpmath.gamma(-pm) \
-            + mpmath.gamma(1 + pm) / mpmath.gamma(1 + pm - 2 * sm)
+        bracket = mpmath.gamma(2 * sm - pm) * mpmath.rgamma(-pm) \
+            + mpmath.gamma(1 + pm) * mpmath.rgamma(1 + pm - 2 * sm)
         return -mpmath.gamma(-2 * sm) * bracket
 
 

@@ -13,9 +13,9 @@ without any normalizing constant.  Three zones are treated separately:
 * mid field [delta, R]: composite Gauss-Legendre panels, log-spaced, with
   extra geometrically graded panels around every kink of the integrand.
 * far field beyond R: a two-point power-law model fitted per side at 2R
-  and 4R, validated at R, integrated in closed form and added as a signed
-  correction; the recorded tail half-width bounds what any function of
-  the declared growth could still contribute.
+  and 4R, validated at R and 8R, integrated in closed form and added as
+  a signed correction; the recorded tail half-width bounds what any
+  function of the declared growth could still contribute.
 
 A principal-value sibling evaluates the equivalent two-sided form with an
 excision limit (dyadic shrinking plus Richardson extrapolation) and a
@@ -223,9 +223,17 @@ class GridFunction:
 # input normalization
 
 
-def _as_function(u) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...], object]:
-    """Normalize the operand to (vectorized callable, kinks, combo-or-None)."""
+def _as_function(u, operator: bool = False
+                 ) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...], object]:
+    """Normalize the operand to (vectorized callable, kinks, combo-or-None).
+
+    The operator integral (operator=True) samples u far past [-1, 1]."""
     if isinstance(u, SHCombo):
+        if operator and u.has_mp_coefficients:
+            raise ConfigError(
+                "a pipeline combination (extended-precision coefficients) follows its "
+                "target far past [-1, 1], out to about t/r, so the quadrature's far "
+                "field cannot treat it; bound its residual with exact.combo_residual")
         return (lambda z: combo_derivative(u, np.asarray(z, dtype=float), 0),
                 u.kinks, u)
     if isinstance(u, GridFunction):
@@ -342,8 +350,8 @@ def _tail_model(f, x: float, ux: float, s: float, R: float,
     halfwidth = 0.0
     ghats = []
     for sgn in (+1.0, -1.0):
-        v = _checked(f, x, sgn * np.array([R, 2.0 * R, 4.0 * R]))
-        vR, v2, v4 = float(v[0]), float(v[1]), float(v[2])
+        v = _checked(f, x, sgn * np.array([R, 2.0 * R, 4.0 * R, 8.0 * R]))
+        vR, v2, v4, v8 = (float(vi) for vi in v)
         tol = 1e-14 * (abs(ux) + 1.0)
         c_est = 2.0 * max(abs(vR) / (1 + R) ** gamma,
                           abs(v2) / (1 + 2 * R) ** gamma,
@@ -363,10 +371,13 @@ def _tail_model(f, x: float, ux: float, s: float, R: float,
                     f"octave; the operator integral does not converge for "
                     f"this function")
             # the two-point exponent is a measurement only when the model
-            # also reproduces the sample at R; oscillatory functions fail
-            # this and fall back to the a priori bound instead of being
-            # mistaken for growing ones
-            validates = chain and abs(np.log2(abs(v2 / vR)) - ghat) <= 0.2
+            # also reproduces the samples at R and 8R; oscillatory functions
+            # fail this and fall back to the a priori bound instead of being
+            # mistaken for growing ones (three samples of sin can happen to
+            # fit a power law, four over three octaves do not)
+            validates = (chain and v4 * v8 > 0
+                         and abs(np.log2(abs(v2 / vR)) - ghat) <= 0.2
+                         and abs(np.log2(abs(v8 / v4)) - ghat) <= 0.2)
             if validates and ghat >= 2.0 * s - 1e-3:
                 raise ConfigError(
                     f"fitted growth {ghat:.4f} at radius {R} reaches 2s={2 * s}; "
@@ -408,7 +419,7 @@ def frac_laplacian_detailed(u, x: float, params: FracParams,
         config = QuadConfig()
     s = params.s
     gamma = config.growth(s)
-    f, kinks, combo = _as_function(u)
+    f, kinks, combo = _as_function(u, operator=True)
     x = float(x)
     scale = 1.0 + abs(x)
     ux = float(_checked(f, x, np.array([0.0]))[0])
@@ -441,7 +452,7 @@ def frac_laplacian_pv(u, x: float, params: FracParams,
         config = QuadConfig()
     s = params.s
     config.growth(s)
-    f, kinks, _ = _as_function(u)
+    f, kinks, _ = _as_function(u, operator=True)
     x = float(x)
     ux = float(_checked(f, x, np.array([0.0]))[0])
     delta = _effective_delta(config.delta, x, kinks)

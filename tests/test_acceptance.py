@@ -12,7 +12,7 @@ from conftest import richardson_derivative
 
 import sharmonic as sh
 from sharmonic.approximate import target_from_spec
-from sharmonic.blocks import DerivSpec, _vandermonde_inverse, falling_factorial
+from sharmonic.blocks import _vandermonde_inverse, falling_factorial
 from sharmonic.cli import main as cli_main
 from sharmonic.fraclap import FracParams
 
@@ -119,7 +119,7 @@ def test_derivative_matching_solve_and_structure():
     for J in (1, 2, 4, 8):
         nodes = sh.default_nodes(J)
         values = tuple(rng_values[: J + 1])
-        combo = sh.solve_derivative_match(DerivSpec(values), nodes, 0.5)
+        combo = sh.solve_derivative_match(values, nodes, 0.5)
         back = sh.readback_derivatives(combo, J + 1)
         scale = 1.0 + max(abs(v) for v in values)
         res = float(np.max(np.abs(back - np.array(values)))) / scale

@@ -1,13 +1,18 @@
 """Approximation pipeline: Chebyshev stage, block stage, full certificates."""
 
 import functools
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mpf, workdps
 
 import sharmonic as sh
-from sharmonic.approximate import ChebPoly, Target, interior_points
+from sharmonic.approximate import ChebPoly, Target, _defect_certificate, interior_points
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.fraclap import GridFunction
 
@@ -85,6 +90,44 @@ def test_cheb_poly_validation():
         ChebPoly(np.zeros(32), 0.0)  # beyond cap
     with pytest.raises(DomainError):
         ChebPoly(np.array([1.0, np.nan, 0.0, 0.0]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# block stage
+
+
+def _group_deviation_mp(group, dj: float, j: int, xs, order: int) -> float:
+    """sup over xs of |d^order/dx^order (group - dj x^j / j!)|, summed over
+    the blocks in mpmath with digits past the coefficient mass."""
+    s = group.s
+    mass = sum(abs(b.c) for b in group.blocks) * 4
+    with workdps(50 + int(mpmath.log10(mass)) + int(-math.log10(group.blocks[0].r))):
+        sm = mpf(s)
+        cj = mpf(dj) / math.factorial(j)
+        fall = mpmath.ff(sm, order)
+        worst = mpf(0)
+        for x in xs:
+            xm = mpf(float(x))
+            acc = sum(b.c * mpf(b.r) ** order * fall * (mpf(b.r) * xm + mpf(b.t)) ** (sm - order)
+                      for b in group.blocks)
+            if j >= order:
+                acc -= cj * mpmath.ff(j, order) * xm ** (j - order)
+            worst = max(worst, abs(acc))
+        return float(worst)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.05, 0.95), st.integers(1, 8), st.data(), st.floats(1e-8, 0.1),
+       st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3))
+def test_defect_certificate_bounds_sampled_deviation(s, big_n, data, eps, cj):
+    j = data.draw(st.integers(0, big_n))
+    values = [cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1)]
+    group = sh.rescale_for_defect(values, sh.default_nodes(big_n), s, j, eps)
+    cert = _defect_certificate([group], eps)
+    assert cert <= eps
+    xs = np.linspace(-1.0, 1.0, 201)
+    for order in range(3):
+        assert _group_deviation_mp(group, values[j], j, xs, order) <= cert
 
 
 # ---------------------------------------------------------------------------

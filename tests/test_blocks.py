@@ -14,7 +14,7 @@ from mpmath import mpf
 
 import sharmonic as sh
 from sharmonic import _kernels
-from sharmonic.blocks import DerivSpec, _combo_eval_mp, assemble_scaled_group
+from sharmonic.blocks import _combo_eval_mp, assemble_scaled_group
 from sharmonic.errors import DomainError
 
 from conftest import richardson_derivative
@@ -131,7 +131,7 @@ def test_exact_inverse_of_arbitrary_nodes(nodes):
 def test_solve_readback_identity(order):
     values = tuple(((-1.0) ** i) * (1.0 + i) for i in range(order + 1))
     nodes = sh.default_nodes(order)
-    combo = sh.solve_derivative_match(DerivSpec(values), nodes, 0.45)
+    combo = sh.solve_derivative_match(values, nodes, 0.45)
     got = sh.readback_derivatives(combo, order + 1)
     scale = 1.0 + max(abs(v) for v in values)
     assert np.max(np.abs(got - np.array(values))) <= 1e-8 * scale
@@ -140,7 +140,7 @@ def test_solve_readback_identity(order):
 def test_solve_readback_wide_nodes():
     values = (0.5, -1.0, 2.0, 0.25)
     nodes = np.array([2.0, 3.0, 4.0, 5.0])
-    combo = sh.solve_derivative_match(DerivSpec(values), nodes, 0.6)
+    combo = sh.solve_derivative_match(values, nodes, 0.6)
     got = sh.readback_derivatives(combo, 4)
     assert np.max(np.abs(got - np.array(values))) <= 1e-8 * 3.0
 
@@ -153,14 +153,14 @@ def test_solve_readback_wide_nodes():
 def test_solve_readback_property(values, s):
     values = tuple(values)
     nodes = sh.default_nodes(len(values) - 1)
-    combo = sh.solve_derivative_match(DerivSpec(values), nodes, s)
+    combo = sh.solve_derivative_match(values, nodes, s)
     got = sh.readback_derivatives(combo, len(values))
     scale = 1.0 + max(abs(v) for v in values)
     assert np.max(np.abs(got - np.array(values))) <= 1e-8 * scale
 
 
 def test_solve_validation():
-    spec = DerivSpec((1.0, 2.0))
+    spec = (1.0, 2.0)
     with pytest.raises(DomainError):
         sh.solve_derivative_match(spec, [2.0], 0.5)
     with pytest.raises(DomainError):
@@ -169,12 +169,19 @@ def test_solve_validation():
         sh.solve_derivative_match(spec, [2.0, 2.0], 0.5)
     with pytest.raises(DomainError):
         sh.solve_derivative_match(spec, [2.0, 2.5], 1.5)
+    # the values themselves: at least one, all finite
+    with pytest.raises(DomainError):
+        sh.solve_derivative_match((), [], 0.5)
+    with pytest.raises(DomainError):
+        sh.solve_derivative_match((1.0, float("nan")), [2.0, 2.5], 0.5)
+    with pytest.raises(DomainError):
+        assemble_scaled_group((1.0, float("inf")), (2.0, 2.5), 0.5, 0, 0.1, (-1.0, 1.0), 0.1)
 
 
 def test_series_matches_function_derivatives():
     # the series derived from the blocks against the per-point block sum
     values = (1.0, -0.5, 2.0)
-    combo = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(2), 0.5)
+    combo = sh.solve_derivative_match(values, sh.default_nodes(2), 0.5)
     coefs = combo.taylor
     xs = np.array([0.05, -0.2, 0.4])
     for order in range(3):
@@ -202,8 +209,7 @@ def test_unmatched_mp_combo_is_exact_to_the_radius():
 
 
 def test_pipeline_group_plus_float_block_is_exact():
-    base = sh.solve_derivative_match(DerivSpec((0.0, 0.0, 2.0, 0.0)), sh.default_nodes(3), 0.5)
-    group = sh.rescale_for_defect(base, 2, 1.0 / 32.0)
+    group = sh.rescale_for_defect((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
     extra = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
     total = sh.combo_add(group, extra)
     xs = np.linspace(-0.99, 0.99, 23)
@@ -227,8 +233,7 @@ def test_readback_past_the_series_length():
 def test_rescaled_group_blocks_match_series():
     # the series path must agree with the per-point sum over the blocks
     values = (0.0, 0.0, 2.0, 0.0)
-    base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(3), 0.5)
-    group = sh.rescale_for_defect(base, 2, 1.0 / 32.0)
+    group = sh.rescale_for_defect(values, sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
     assert group.has_mp_coefficients
     xs = np.linspace(-1.0, 1.0, 21)
     assert np.all(np.abs(xs) < group.radius)
@@ -241,8 +246,7 @@ def test_rescaled_group_blocks_match_series():
 def test_rescaled_group_defect_small_in_c2():
     values = (0.0, 0.0, 0.0, 6.0)
     eps = 0.01
-    base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(3), 0.3)
-    group = sh.rescale_for_defect(base, 3, eps)
+    group = sh.rescale_for_defect(values, sh.default_nodes(3), 0.3, 3, eps)
     xs = np.linspace(-1.0, 1.0, 201)
     for order in range(3):
         got = sh.combo_derivative(group, xs, order)
@@ -252,18 +256,19 @@ def test_rescaled_group_defect_small_in_c2():
 
 
 def test_rescale_validation():
-    base = sh.solve_derivative_match(DerivSpec((1.0, 0.0)), np.array([2.0, 2.5]), 0.5)
-    # the matching order is len(blocks) - 1 = 1, so degree 2 is outside it
+    values, nodes = (1.0, 0.0), np.array([2.0, 2.5])
+    # the matching order is len(nodes) - 1 = 1, so degree 2 is outside it
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(base, 2, 0.1)
+        sh.rescale_for_defect(values, nodes, 0.5, 2, 0.1)
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(base, 0, -0.1)
-    plain = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
+        sh.rescale_for_defect(values, nodes, 0.5, 0, -0.1)
+    # the scale rule divides by N^2, so N = 0 is refused, not divided by
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(plain, 0, 0.1)
-    low = sh.solve_derivative_match(DerivSpec((1.0, 0.0)), np.array([0.5, 2.5]), 0.5)
+        sh.rescale_for_defect((1.0,), [2.0], 0.5, 0, 0.1)
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(low, 0, 0.1)
+        sh.rescale_for_defect(values, np.array([0.5, 2.5]), 0.5, 0, 0.1)
+    with pytest.raises(DomainError):
+        sh.rescale_for_defect((1.0, float("nan")), nodes, 0.5, 0, 0.1)
 
 
 def test_assemble_scaled_group_scale_validation():
@@ -290,8 +295,7 @@ def test_combo_add_and_scale():
     assert np.allclose(sh.combo_eval(d, xs), -2.0 * sh.combo_eval(a, xs),
                        rtol=1e-14)
     # extended precision coefficients keep every digit the derived series needs
-    base = sh.solve_derivative_match(DerivSpec((0.0, 0.0, 2.0, 0.0)), sh.default_nodes(3), 0.5)
-    group = sh.rescale_for_defect(base, 2, 1.0 / 32.0)
+    group = sh.rescale_for_defect((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
     e = sh.combo_scale(group, -3.0)
     assert np.allclose(sh.combo_eval(e, xs), -3.0 * sh.combo_eval(group, xs),
                        rtol=1e-14, atol=1e-14)
@@ -327,8 +331,7 @@ def test_json_roundtrip_float_combo():
 
 def test_json_roundtrip_extended_precision():
     values = (0.0, 0.0, 2.0, 0.0)
-    base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(3), 0.5)
-    group = sh.rescale_for_defect(base, 2, 1.0 / 16.0)
+    group = sh.rescale_for_defect(values, sh.default_nodes(3), 0.5, 2, 1.0 / 16.0)
     back = sh.combo_from_json(sh.combo_to_json(group))
     assert back.has_mp_coefficients
     xs = np.linspace(-0.9, 0.9, 11)
@@ -345,8 +348,7 @@ def test_loaded_group_matches_memory(s, big_n, data, eps, cj):
     # reproduce the in-memory group without the per-point mp path
     j = data.draw(st.integers(0, big_n))
     values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
-    base = sh.solve_derivative_match(DerivSpec(values), sh.default_nodes(big_n), s)
-    group = sh.rescale_for_defect(base, j, eps)
+    group = sh.rescale_for_defect(values, sh.default_nodes(big_n), s, j, eps)
     back = sh.combo_from_json(sh.combo_to_json(group))
     xs = np.linspace(-0.99, 0.99, 101)
     with mock.patch.object(sh.blocks, "_combo_eval_mp",

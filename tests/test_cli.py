@@ -2,8 +2,10 @@
 
 import importlib
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,21 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     return header, rows
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("sharmonic ")]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +141,14 @@ def test_approximate_writes_report_trace_and_readable_combo(tmp_path):
 
 
 def test_defect_certificate_over_budget_exits_4(capsys, monkeypatch):
-    # the sampled block-stage certificate stays far below its budget on every
+    # the proved block-stage certificate stays far below its budget on every
     # shipped target, so an over-budget value is injected to reach the refusal
     monkeypatch.setattr(importlib.import_module("sharmonic.approximate"),
-                        "_defect_certificate", lambda groups, grid: 1.0)
+                        "_defect_certificate", lambda groups, eps: 1.0)
     rc = main(["approximate", "--target", "sin", "--epsilon", "0.1"])
     assert rc == 4
     err = capsys.readouterr().err
-    assert "defect certificate 1.000e+00" in err and "budget 5.000e-02" in err
+    assert "proved defect certificate 1.000e+00" in err and "budget 5.000e-02" in err
     assert "raise epsilon or lower --degree-cap" in err
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import sharmonic as sh
-from sharmonic.approximate import Target
 from sharmonic.errors import ConfigError
 
 

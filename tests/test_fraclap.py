@@ -244,6 +244,22 @@ def test_unbounded_growth_is_rejected():
         sh.frac_laplacian(np.exp, 0.0, FracParams(0.5), QuadConfig(outer_radius=50.0))
 
 
+@pytest.mark.parametrize("s", [0.1, 0.5])
+def test_bounded_oscillation_is_never_refused_on_a_dense_grid(s):
+    # three samples of sin at R, 2R, 4R can happen to fit a power law
+    # reaching 2s; the fit must also hold at 8R before it counts
+    for x in np.linspace(-0.99, 0.99, 2001):
+        detail = sh.frac_laplacian_detailed(np.sin, float(x), FracParams(s))
+        assert np.isfinite(detail.value)
+
+
+def test_pipeline_combination_is_refused_with_its_cause():
+    combo, _ = sh.approximate(sh.target_from_spec("x2"), 1.0 / 16.0, 0.5)
+    for route in (sh.frac_laplacian_detailed, sh.frac_laplacian_pv):
+        with pytest.raises(ConfigError, match="far past .*combo_residual"):
+            route(combo, 0.3, FracParams(0.5))
+
+
 def test_declared_growth_must_converge():
     with pytest.raises(ConfigError):
         QuadConfig(tail_growth=1.5).growth(0.5)
