@@ -3,17 +3,19 @@
 Pipeline: fit a Chebyshev interpolant whose C^2 distance to the target is
 certified against half the budget, convert it exactly to monomials, match
 each monomial's derivatives at the origin with a combination of blocks,
-then shrink the argument scale of every matched group so that the group
-stays within the remaining budget of its monomial in C^2 norm.  The sum
-of the groups inherits both certificates, so the final function - a
-finite combination of exactly equation-solving blocks - lies within the
-requested C^2 distance of the target on the working interval.
+and give every matched group the largest argument scale at which a proved
+bound on its C^2 deviation from its monomial fits the group's share of
+the remaining budget.  The sum of the groups inherits both certificates,
+so the final function - a finite combination of exactly equation-solving
+blocks - lies within the requested C^2 distance of the target on the
+working interval.
 
 The polynomial stage takes an arbitrary callable, so its C^2 error is
 certified by dense sampling with a fixed inflation factor.  The block
-stage's defect is a proved bound read off each group's derived power
-series.  Every reported epsilon is the certified value, never the
-mathematical ideal.
+stage's defect is the sum of the groups' proved bounds, which come from
+exact moments (see blocks.deviation_bound), plus the C^2 weight of the
+monomials too small to match.  Every reported epsilon is the certified
+value, never the mathematical ideal.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from typing import Callable
 import numpy as np
 
 from . import exact
-from .blocks import SHCombo, rescale_for_defect
+from .blocks import SHCombo, deviation_bound, rescale_for_defect
 from .errors import ApproximationError, ConfigError, DomainError
 from .fraclap import GridFunction
 
 _CERT_GRID = 4096
-_STORAGE_NOISE = 1e-32  # per order and unit tolerance; see _defect_certificate
 _INFLATION = 1.05
 _DEGREE_FLOOR = 3
 
@@ -225,33 +226,20 @@ def default_nodes(order: int) -> np.ndarray:
     return 2.0 + np.arange(order + 1) / order
 
 
-def _defect_certificate(groups: list[SHCombo], eps: float) -> float:
-    """Proved C^2 bound on [-1, 1] of the summed deviations of groups built
-    by rescale_for_defect(..., eps) from the monomials they match.
+def _defect_certificate(bounds: list[np.ndarray], dropped: float) -> float:
+    """Proved C^2 bound on [-1, 1] of the block stage: per order m <= 2 the
+    groups' deviation bounds B_m (see blocks.deviation_bound) summed, at
+    the worst order, plus the C^2 weight of the monomials left unmatched."""
+    return max(math.fsum(b[m] for b in bounds) for m in range(3)) + dropped
 
-    A group deviates by its series past the matched orders, sum_i b_i x^i
-    (SHCombo.taylor_tail), whose m-th derivative is at most sum_i |b_i|
-    i!/(i-m)! on |x| <= 1, plus the omitted terms, at most series_error(1,
-    m).  Added per group: 1e-32 eps sum_i r^i i!/(i-m)! for the storage
-    noise (rounding the stored coefficients moves every order i, matched
-    ones included, by at most 1e-32 eps r^i as nodes exceed 1, see
-    assemble_scaled_group; the b_i are computed 64 bits past those
-    digits), and 2^-1000 for b_i and series_error values lost to float64
-    underflow.  The factor 1 + 1e-9 covers float64 rounding: of each b_i
-    (2^-53 relative), of the sum of fewer than 2^12 nonnegative terms
-    (2^-53 per addition), and of series_error's logarithms (below 1e-11).
-    """
-    worst = 0.0
-    for m in range(3):
-        total = 0.0
-        for g in groups:
-            tail = np.abs(g.taylor_tail)
-            falling = np.array([math.perm(i, m) for i in range(tail.size)], dtype=float)
-            powers = g.blocks[0].r ** np.arange(tail.size)
-            total += (float(np.sum(tail * falling)) + g.series_error(1.0, m)
-                      + _STORAGE_NOISE * eps * float(np.sum(powers * falling)) + 2.0**-1000)
-        worst = max(worst, total)
-    return worst * (1.0 + 1e-9)
+
+def _c2_weight(mono: list[Fraction], degrees: list[int]) -> float:
+    """max over m <= 2 of sum_j |c_j| j!/(j-m)! over the given degrees j: the
+    C^2 norm on [-1, 1] of sum_j c_j x^j is at most this; computed exactly
+    and rounded up."""
+    exact = max(sum((abs(mono[j]) * math.perm(j, m) for j in degrees), Fraction(0))
+                for m in range(3))
+    return math.nextafter(float(exact), math.inf) if exact else 0.0
 
 
 def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
@@ -259,13 +247,16 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
     """Block combination within eps_half of the polynomial in certified C^2
     norm on [-1, 1].
 
-    Each monomial c_j x^j is reproduced by a combination whose derivatives
-    at the origin match c_j j! delta_ij up to the padded order N = max(3,
-    degree); the argument rescaling x -> r x with r = eps/(10 N^2 (1+S))
-    then forces the deviation from the monomial below the per-group
-    budget.  The certificate is a proved bound on the sum of group defects
-    (see _defect_certificate); a certificate above the budget raises
-    ApproximationError.
+    Each exact monomial c_j x^j of the polynomial is reproduced by a
+    combination whose derivatives at the origin match c_j j! delta_ij up to
+    the padded order N = max(3, degree), under the largest argument
+    rescaling x -> r x whose proved deviation bound fits the group's share
+    of the budget (see rescale_for_defect).  Monomials below 1e-13 max|c|
+    (conversion noise, such as the even monomials of an odd target) are
+    left out, and their C^2 weight is charged to the budget before it is
+    shared.  The certificate is the sum of the groups' proved bounds plus
+    that weight (see _defect_certificate); a certificate above the budget
+    raises ApproximationError.
     """
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
@@ -277,27 +268,27 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
         nodes = default_nodes(big_n)
     nodes = np.asarray(nodes, dtype=float)
 
-    # drop conversion-noise monomials: they contribute below roundoff
-    floats = [float(c) for c in mono]
-    scale_c = max(1.0, max(abs(c) for c in floats))
-    kept = [(j, c) for j, c in enumerate(floats) if abs(c) > 1e-13 * scale_c]
-    if not kept:
-        # identically-zero polynomial: the empty combination is exact
-        empty = SHCombo(s, (), (-1.0, 1.0))
-        info = BuildInfo(matching_order=big_n,
-                         nodes=tuple(float(t) for t in nodes),
-                         groups=(), defect_error=0.0)
-        return empty, info
+    scale_c = max(1.0, max(abs(float(c)) for c in mono))
+    kept = [j for j, c in enumerate(mono) if abs(float(c)) > 1e-13 * scale_c]
+    left = [j for j, c in enumerate(mono) if c and j not in kept]
+    dropped = _c2_weight(mono, left)
+    # the margin keeps the float sum of the shares below the budget
+    share = (eps_half - dropped) * (1.0 - 1e-12) / max(len(kept), 1)
+    if share <= 0:
+        raise ApproximationError(
+            f"unmatched monomials weigh {dropped:.3e} in C^2, above the block "
+            f"budget {eps_half:.3e}; raise epsilon")
 
-    matched = []
-    infos = []
-    for j, cj in kept:
-        values = [cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1)]
-        group = rescale_for_defect(values, nodes, s, j, eps_half)
+    matched, bounds, infos = [], [], []
+    for j in kept:
+        values = [mono[j] * math.factorial(j) if i == j else 0 for i in range(big_n + 1)]
+        group = rescale_for_defect(values, nodes, s, j, share)
+        r = group.blocks[0].r
         matched.append(group)
-        infos.append(GroupInfo(degree=j, coefficient=cj, scale=group.blocks[0].r))
+        bounds.append(deviation_bound(values, nodes, s, j, r, share))
+        infos.append(GroupInfo(degree=j, coefficient=float(mono[j]), scale=r))
 
-    cert = _defect_certificate(matched, eps_half)
+    cert = _defect_certificate(bounds, dropped)
     if cert > eps_half:
         raise ApproximationError(
             f"proved defect certificate {cert:.3e} of the degree {poly.degree} "

@@ -10,7 +10,9 @@ rows and columns, a Vandermonde system in the reciprocal offsets 1/t_k.
 Offsets and exponents are floats, hence exact dyadic rationals, so the
 system is solved exactly in rational arithmetic with one cached inverse
 per node tuple; extended precision enters only where a coefficient is
-rounded for storage.
+rounded for storage.  The exact remainders of x^i modulo the same node
+polynomial give a matched group's moments past its matched orders, from
+which its deviation is bounded and its scale r chosen in float arithmetic.
 
 Combinations produced by the derivative-matching pipeline carry extended
 precision coefficients: the raw block coefficients grow so large that
@@ -27,13 +29,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 import numpy as np
-from numpy.polynomial import polynomial as P
 from mpmath import mpf, workdps, workprec
 from mpmath.libmp import from_rational, round_nearest
 
@@ -41,20 +43,13 @@ from . import _kernels
 from .errors import ApproximationError, DomainError
 
 _EPS64 = 2.0**-52
-_TAIL_TERMS = 11  # series exponents kept past the matching order
+_SERIES_CAP = 128  # most terms a derived group series keeps
 _GUARD_BITS = 64  # working bits past the longest stored mantissa
 
 
 def falling_factorial(s: float, order: int) -> float:
     """Product s*(s-1)*...*(s-order+1); equals 1 for order 0."""
     out = 1.0
-    for l in range(order):
-        out *= s - l
-    return out
-
-
-def _falling_factorial_mp(s, order: int):
-    out = mpf(1)
     for l in range(order):
         out *= s - l
     return out
@@ -155,63 +150,26 @@ class SHCombo:
             groups.setdefault(b.r, []).append(b)
         return tuple(tuple(g) for g in groups.values())
 
-    def _summed_series(self, skip_matched: bool) -> np.ndarray:
-        out = np.zeros(max((len(g) + _TAIL_TERMS for g in self.groups), default=0))
-        for g in self.groups:
-            coefs = _group_taylor(self.s, g, len(g) + _TAIL_TERMS)[0]
-            start = len(g) if skip_matched else 0
-            out[start:coefs.size] += coefs[start:]
-        return out
+    @functools.cached_property
+    def _group_series(self) -> tuple[tuple[np.ndarray, float, float], ...]:
+        """(coefficients, log10(|binom(s, m)| W), r / t_min) of each group's
+        derived series of m terms (see _group_taylor)."""
+        return tuple(_group_taylor(self.s, g) + (g[0].r / min(b.t for b in g),)
+                     for g in self.groups)
 
     @functools.cached_property
     def taylor(self) -> np.ndarray:
-        """Power series coefficients at the origin, summed over the groups
-        (see _group_taylor)."""
-        return self._summed_series(skip_matched=False)
-
-    @functools.cached_property
-    def taylor_tail(self) -> np.ndarray:
-        """The derived series with the orders 0..n-1 of each group of n
-        blocks zeroed: for matched groups, their summed deviation from the
-        monomials they reproduce."""
-        return self._summed_series(skip_matched=True)
-
-    @functools.cached_property
-    def _remainder_data(self) -> tuple[tuple[int, float, float], ...]:
-        """(m, log10(|binom(s, m)| W), r / t_min) per group; see series_error."""
-        out = []
-        for g in self.groups:
-            m = len(g) + _TAIL_TERMS
-            binom = abs(math.prod((self.s - i) / (i + 1) for i in range(m)))
-            out.append((m, _group_taylor(self.s, g, m)[1] + math.log10(binom),
-                        g[0].r / min(b.t for b in g)))
-        return tuple(out)
+        """Power series coefficients at the origin, summed over the groups."""
+        out = np.zeros(max((c.size for c, _, _ in self._group_series), default=0))
+        for coefs, _, _ in self._group_series:
+            out[:coefs.size] += coefs
+        return out
 
     def series_error(self, xmax: float, order: int) -> float:
-        """Bound on the terms i >= m = n + _TAIL_TERMS, omitted by the
-        derived series of each group of n blocks, of the order-th derivative
-        for |x| <= xmax.
-
-        With W = sum_k |c_k| t_k^s and p = r / t_min, term i of a group is
-        at most |binom(s, i)| (i)_order W p^order q^(i-order), q = p xmax;
-        from i = m on consecutive terms shrink at least by rho q, rho =
-        max(1, (m - s) / (m + 1 - order)), so the tail is at most the
-        first term over 1 - rho q.
-        """
-        total = 0.0
-        for m, log_lead, p in self._remainder_data:
-            q = p * xmax
-            if order >= m:
-                return math.inf
-            if q == 0.0 or log_lead == -math.inf:
-                continue
-            rho_q = max(1.0, (m - self.s) / (m + 1 - order)) * q
-            if rho_q >= 1.0:
-                return math.inf
-            log_bound = (log_lead + math.log10(math.perm(m, order)) + order * math.log10(p)
-                         + (m - order) * math.log10(q) - math.log10(1.0 - rho_q))
-            total += 10.0 ** log_bound if log_bound < 300.0 else math.inf
-        return total
+        """Bound on the terms omitted by the derived series of each group,
+        of the order-th derivative for |x| <= xmax (see _omitted_bound)."""
+        return sum(_omitted_bound(self.s, c.size, log_lead, p, xmax, order)
+                   for c, log_lead, p in self._group_series)
 
     def float_arrays(self):
         """(t, c, r) float64 arrays; raises if coefficients need extended precision."""
@@ -232,29 +190,63 @@ def _mantissa_bits(blocks: Sequence[SHBlock]) -> int:
     return max((b.c._mpf_[3] if isinstance(b.c, mpf) else 53 for b in blocks), default=53)
 
 
+def _omitted_bound(s: float, m: int, log_lead: float, p: float, xmax: float,
+                   order: int) -> float:
+    """Bound on the terms i >= m of the order-th derivative of a group's
+    series for |x| <= xmax, with log_lead = log10(|binom(s, m)| W).
+
+    With W = sum_k |c_k| t_k^s and p = r / t_min, term i is at most
+    |binom(s, i)| (i)_order W p^order q^(i-order), q = p xmax; from i = m on
+    consecutive terms shrink at least by rho q, rho = max(1, (m - s) / (m +
+    1 - order)), so the tail is at most the first term over 1 - rho q.
+    """
+    q = p * xmax
+    if order >= m:
+        return math.inf
+    if q == 0.0 or log_lead == -math.inf:
+        return 0.0
+    rho_q = max(1.0, (m - s) / (m + 1 - order)) * q
+    if rho_q >= 1.0:
+        return math.inf
+    log_bound = (log_lead + math.log10(math.perm(m, order)) + order * math.log10(p)
+                 + (m - order) * math.log10(q) - math.log10(1.0 - rho_q))
+    return 10.0 ** log_bound if log_bound < 300.0 else math.inf
+
+
 @functools.lru_cache(maxsize=256)
 def _group_taylor(s: float, blocks: tuple[SHBlock, ...],
-                  n_terms: int) -> tuple[np.ndarray, float]:
-    """Coefficients of x^0 .. x^(n_terms - 1) for blocks sharing one scale
-    r, binom(s, i) r^i sum_k c_k t_k^(s-i), and log10 of the mass
-    sum_k |c_k| t_k^s.  Each coefficient is computed at the precision of
+                  min_terms: int = 0) -> tuple[np.ndarray, float]:
+    """Coefficients of x^0 .. x^(m - 1) for blocks sharing one scale r,
+    binom(s, i) r^i sum_k c_k t_k^(s-i), and log10(|binom(s, m)| W) with W
+    = sum_k |c_k| t_k^s.  Each coefficient is computed at the precision of
     the longest stored mantissa plus guard bits and rounded once to
-    float64.  For n matched blocks the coefficients past the n matched
-    orders are the group's deviation from its target polynomial."""
+    float64.  The series stops at the first m >= min_terms at which, for
+    each order 0..2, the bound on the omitted terms at |x| = 1 (see
+    _omitted_bound) lies below 2^-52 times that order's own absolute series
+    sum_i |c_i| i!/(i-order)!, or at _SERIES_CAP terms."""
+    p = blocks[0].r / min(b.t for b in blocks)
     with workprec(_mantissa_bits(blocks) + _GUARD_BITS):
         sm, r = mpf(s), mpf(blocks[0].r)
         terms = [mpf(b.c) * mpf(b.t) ** sm for b in blocks]  # c_k t_k^(s-i) at i = 0
         mass = mpmath.fsum(abs(term) for term in terms)
+        log_lead = float(mpmath.log10(mass)) if mass else -math.inf  # at m = 0
         inv_t = [1 / mpf(b.t) for b in blocks]
         binom_r = mpf(1)  # binom(s, i) r^i
-        out = np.empty(n_terms)
-        for i in range(n_terms):
-            out[i] = float(binom_r * mpmath.fsum(terms))
+        coefs, abs_series = [], [0.0, 0.0, 0.0]
+        for i in range(_SERIES_CAP):
+            coefs.append(float(binom_r * mpmath.fsum(terms)))
+            for order in range(3):
+                abs_series[order] += abs(coefs[i]) * math.perm(i, order)
             terms = [term * q for term, q in zip(terms, inv_t)]
             binom_r *= (sm - i) * r / (i + 1)
-        log_mass = float(mpmath.log10(mass)) if mass else -math.inf
+            log_lead += math.log10(abs(s - i) / (i + 1))
+            if i + 1 >= min_terms and all(
+                    _omitted_bound(s, i + 1, log_lead, p, 1.0, order)
+                    <= _EPS64 * abs_series[order] for order in range(3)):
+                break
+    out = np.array(coefs)
     out.flags.writeable = False  # shared by every combination holding the group
-    return out, log_mass
+    return out, log_lead
 
 
 def _mp_scale_digits(combo: SHCombo, xmax: float) -> int:
@@ -272,7 +264,7 @@ def _combo_eval_mp(combo: SHCombo, xs: np.ndarray, order: int) -> np.ndarray:
     out = np.empty(xs.shape)
     with workdps(28 + digits):
         s = mpf(combo.s)
-        fall = _falling_factorial_mp(s, order)
+        fall = mpmath.ff(s, order)
         for i, x in enumerate(xs):
             acc = mpf(0)
             xm = mpf(float(x))
@@ -303,7 +295,11 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
         xmax = float(np.max(np.abs(xs), initial=0.0))
         coefs = combo.taylor
         # the float64 rounding scale of the series: eps times its absolute sum
-        noise = _EPS64 * P.polyval(xmax, P.polyder(np.abs(coefs), order))
+        powers = np.arange(order, coefs.size)
+        weights = xmax ** (powers - order)
+        for l in range(order):
+            weights = weights * (powers - l)
+        noise = _EPS64 * float(np.abs(coefs[order:]) @ weights)
         if xmax < combo.radius and combo.series_error(xmax, order) <= noise:
             out = _kernels.power_series_eval(coefs, xs, order)
         else:
@@ -346,6 +342,18 @@ def combo_scale(combo: SHCombo, alpha: float) -> SHCombo:
 
 
 @functools.lru_cache(maxsize=64)
+def _master_polynomial(nodes: tuple[float, ...]) -> tuple[Fraction, ...]:
+    """Coefficients, constant term first, of P(x) = prod_k (x - 1/t_k)."""
+    master = [Fraction(1)]
+    for t in nodes:
+        nxt = [Fraction(0)] + master
+        for i, c in enumerate(master):
+            nxt[i] -= c / Fraction(t)
+        master = nxt
+    return tuple(master)
+
+
+@functools.lru_cache(maxsize=64)
 def _vandermonde_inverse(nodes: tuple[float, ...]):
     """Exact inverse of V[i][k] = (1/t_k)^i.
 
@@ -355,12 +363,7 @@ def _vandermonde_inverse(nodes: tuple[float, ...]):
     """
     xs = [1 / Fraction(t) for t in nodes]
     n = len(xs)
-    master = [Fraction(1)]
-    for xm in xs:
-        nxt = [Fraction(0)] + master
-        for i, c in enumerate(master):
-            nxt[i] -= xm * c
-        master = nxt
+    master = _master_polynomial(nodes)
     inverse = []
     for xk in xs:
         quot = [Fraction(0)] * n
@@ -372,13 +375,38 @@ def _vandermonde_inverse(nodes: tuple[float, ...]):
     return tuple(inverse)
 
 
-def _exact_match(values: Sequence[float], nodes: Sequence[float], s: float):
-    """Checked nodes t and the exact y_k = t_k^s a_k solving
-    sum_k (1/t_k)^i y_k = d_i / fall(s, i) for the values d_0..d_J."""
+@functools.lru_cache(maxsize=64)
+def _remainder_logs(nodes: tuple[float, ...]) -> np.ndarray:
+    """log10 |R_ij| (-inf where R_ij = 0) for the rows i = n .. 2n + 11,
+    n = len(nodes), where R_ij is the exact x^j coefficient of x^i mod
+    P(x), P(x) = prod_k (x - 1/t_k).
+
+    P vanishes at every x_k = 1/t_k, so x_k^i = sum_j R_ij x_k^j.  With L
+    the common denominator of P's coefficients and Q = L P, row i is V_i /
+    L^(i-n+1) for integers V_i: V_n = -(Q_0 .. Q_(n-1)), and multiplying by
+    x and reducing x^n gives V_(i+1),l = L V_i,(l-1) - V_i,(n-1) Q_l.
+    """
+    master = _master_polynomial(nodes)
+    lead = math.lcm(*(c.denominator for c in master))
+    master = [int(c * lead) for c in master]
+    n, log_lead = len(nodes), math.log10(lead)
+    row = [-c for c in master[:-1]]
+    out = np.empty((n + 12, n))
+    for e in range(out.shape[0]):
+        out[e] = [math.log10(abs(v)) - (e + 1) * log_lead if v else -math.inf for v in row]
+        top = row[-1]
+        row = [lead * v - top * c for v, c in zip([0] + row[:-1], master)]
+    out.flags.writeable = False
+    return out
+
+
+def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
+    """Checked nodes t, the exact right-hand sides b_i = d_i / fall(s, i) and
+    the exact y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = b_i for the
+    values d_0..d_J (floats or Fractions)."""
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
-    values = [float(d) for d in values]
-    if not values or not all(math.isfinite(d) for d in values):
+    if not values or not all(isinstance(d, Fraction) or math.isfinite(d) for d in values):
         raise DomainError("derivative values must be finite and at least one")
     t = np.asarray(nodes, dtype=float)
     if t.ndim != 1 or t.size != len(values):
@@ -394,10 +422,10 @@ def _exact_match(values: Sequence[float], nodes: Sequence[float], s: float):
     rhs = []
     fall = Fraction(1)
     for i, d in enumerate(values):
-        if d:
-            rhs.append((i, Fraction(d) / fall))
+        rhs.append(Fraction(d) / fall)
         fall *= sf - i
-    return t, [sum((row[i] * b for i, b in rhs), Fraction(0)) for row in inverse]
+    nonzero = [(i, b) for i, b in enumerate(rhs) if b]
+    return t, rhs, [sum((row[i] * b for i, b in nonzero), Fraction(0)) for row in inverse]
 
 
 def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, r: float,
@@ -410,12 +438,20 @@ def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, r: float,
                 for yk, tk in zip(y, t)]
 
 
-def _unit_coefficients(values: Sequence[float], t: np.ndarray, y: list[Fraction],
-                       s: float) -> tuple[list, int]:
-    """Unit-scale coefficients a_k = y_k t_k^-s at 25 digits beyond the
-    read-back's cancellation (its largest row sum of |terms|), and those
-    digits; float64 when that provably keeps the read-back residual below
-    1e-10 * (1 + max|d|)."""
+def solve_derivative_match(values: Sequence, nodes: Sequence[float], s: float) -> SHCombo:
+    """Combination of unit-scale blocks whose derivatives at 0 are values.
+
+    Solves the square system sum_k a_k * d^i/dx^i (x + t_k)^s |_{x=0} = d_i
+    for i = 0..J with J+1 distinct positive nodes.  With y_k = t_k^s a_k
+    the system is the Vandermonde system sum_k (1/t_k)^i y_k = d_i /
+    fall(s, i), which is solved exactly in rational arithmetic (floats are
+    dyadic rationals) through a cached inverse per node tuple.  Each
+    coefficient a_k = y_k t_k^-s then costs one extended precision power,
+    at 25 digits beyond the read-back's cancellation (its largest row sum
+    of |terms|); float64 is kept when that provably holds the read-back
+    residual below 1e-10 * (1 + max|d|).
+    """
+    t, _, y = _exact_match(values, nodes, s)
     scale = 1.0 + max(abs(float(v)) for v in values)
     y_abs = np.array([abs(float(yk)) for yk in y])
     row_mass = max(abs(falling_factorial(s, i)) * float(np.sum(y_abs * t ** -float(i)))
@@ -424,22 +460,6 @@ def _unit_coefficients(values: Sequence[float], t: np.ndarray, y: list[Fraction]
     coeffs = _block_coefficients(y, t, s, 1.0, 0, dps)
     if row_mass * _EPS64 * 4 <= 1e-10 * scale:
         coeffs = [float(ck) for ck in coeffs]
-    return coeffs, dps
-
-
-def solve_derivative_match(values: Sequence[float], nodes: Sequence[float], s: float) -> SHCombo:
-    """Combination of unit-scale blocks whose derivatives at 0 are values.
-
-    Solves the square system sum_k a_k * d^i/dx^i (x + t_k)^s |_{x=0} = d_i
-    for i = 0..J with J+1 distinct positive nodes.  With y_k = t_k^s a_k
-    the system is the Vandermonde system sum_k (1/t_k)^i y_k = d_i /
-    fall(s, i), which is solved exactly in rational arithmetic (floats are
-    dyadic rationals) through a cached inverse per node tuple.  Each
-    coefficient a_k = y_k t_k^-s then costs one extended precision power
-    (see _unit_coefficients for its digits and the float64 downgrade).
-    """
-    t, y = _exact_match(values, nodes, s)
-    coeffs, _ = _unit_coefficients(values, t, y, s)
     return SHCombo(s, tuple(SHBlock(float(tk), ck) for tk, ck in zip(t, coeffs)))
 
 
@@ -448,72 +468,120 @@ def readback_derivatives(combo: SHCombo, n_orders: int) -> np.ndarray:
     the coefficient of x^i of its derived power series."""
     coefs = np.zeros(n_orders)
     for g in combo.groups:
-        coefs += _group_taylor(combo.s, g, max(n_orders, len(g) + _TAIL_TERMS))[0][:n_orders]
+        coefs += _group_taylor(combo.s, g, n_orders)[0][:n_orders]
     return np.array([math.factorial(i) * coefs[i] for i in range(n_orders)])
 
 
-def _scaled_group(t: np.ndarray, y: list[Fraction], s: float, j: int, r: float,
-                  interval: tuple[float, float], eps: float) -> SHCombo:
-    mass = sum(abs(float(yk)) for yk in y)
-    amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
-           + math.log10(1.0 / eps) + 8.0)
-    coeffs = _block_coefficients(y, t, s, r, j, 25 + int(amp))
-    return SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)),
-                   tuple(interval))
+def _monomial_model(values: Sequence, nodes: Sequence[float], s: float, j: int,
+                    eps: float):
+    """Checked nodes t, exact y_k and the function r -> (B_0, B_1, B_2)
+    bounding on [-1, 1] the m-th derivative of the deviation of the group
+    matching c_j x^j = values[j] x^j / j! at scale r from c_j x^j.
 
+    The group sum_k a_k (r x + t_k)^s, a_k = y_k t_k^-s r^-j, expands to
+    sum_i binom(s, i) r^(i-j) M_i x^i with M_i = sum_k y_k (1/t_k)^i.  The
+    matching makes M_i = b_i for i <= N, so those orders are exactly c_j
+    x^j; past N, M_i = R_ij b_j (see _remainder_logs).  With q = r / t_min
+    <= 1/16, B_m bounds sum_{i>N} |beta_i| i!/(i-m)! by three parts:
 
-def assemble_scaled_group(spec_values: Sequence[float], nodes: Sequence[float],
-                          s: float, j: int, r: float,
-                          interval: tuple[float, float], eps: float) -> SHCombo:
-    """Matched group under the substitution x -> r x, faithful to c_j x^j.
+    * rows: those terms, exactly, for i = N+1 .. 2N+13;
+    * tail: from I = 2N+14 on, |M_i| <= Y t_min^-i with Y = sum_k |y_k|,
+      and consecutive bounds |binom(s, i)| i!/(i-m)! r^-j Y q^i shrink at
+      least by rho q, rho = max(1, (I - s) / (I + 1 - m)): at most the
+      first over 1 - rho q;
+    * storage: rescale_for_defect rounds each a_k by a relative delta with
+      delta Y r^-j <= 1e-32 eps, which moves order i, matched ones
+      included, by at most |binom(s, i)| r^(i-j) t_min^-i delta Y <= 1e-32
+      eps q^i; with i!/(i-m)! that sums to 1e-32 eps m! q^m / (1-q)^(m+1).
 
-    The matching system is solved exactly (see solve_derivative_match), so
-    the only rounding is in the stored block coefficients y_k t_k^-s r^-j.
-    Reading the function back off the blocks amplifies that rounding by
-    about the coefficient mass sum_k |y_k| times r^-j, so the coefficients
-    carry 25 + log10((1 + mass) r^-j / eps) + 8 digits: each order i of
-    the group is then within 1e-32 eps (r / t_min)^i of its exact value.
-    float64 storage is never sufficient here; the blocks always carry
-    extended precision values.  The matching order is len(nodes) - 1.
+    The parts are evaluated in float64 from logarithms of the exact values:
+    exponents below 3e4 in magnitude put each term within 1e-10 relative,
+    the fewer than 2^7 additions add 2^-46, and terms that underflow lose
+    less than 2^-1000, so B_m is the sum times 1 + 1e-9, plus 2^-1000; the
+    same slack covers summing up to 31 groups' B_m.
     """
-    if not (0 < r <= 1.0) or not np.isfinite(r):
-        raise DomainError(f"scale must lie in (0, 1], got {r}")
-    t, y = _exact_match(spec_values, nodes, s)
-    return _scaled_group(t, y, s, j, r, interval, eps)
-
-
-def rescale_for_defect(values: Sequence[float], nodes: Sequence[float], s: float,
-                       j: int, eps: float) -> SHCombo:
-    """Matched group for the values whose deviation from its target
-    monomial stays eps-small in C^2 norm on [-1, 1].
-
-    The matching order N is len(nodes) - 1.  The unit-scale match (see
-    solve_derivative_match) gives S, a bound on the (N+1)-th derivative of
-    the unscaled combination on [-1, 1]; the group is then assembled under
-    x -> r*x with r = eps / (10 * N^2 * (1 + S)) and divided by r^j, so the
-    j-th Taylor coefficient is preserved (see assemble_scaled_group).
-    """
-    t, y = _exact_match(values, nodes, s)
+    t, rhs, y = _exact_match(values, nodes, s)
     big_n = t.size - 1
     if not (0 <= j <= big_n) or big_n == 0:
         raise DomainError(f"need degree 0 <= j <= N and matching order N >= 1, "
                           f"got j={j}, N={big_n}")
-    if not (eps > 0):
-        raise DomainError(f"tolerance must be positive, got {eps}")
-    if np.min(t) <= 1.0:
-        raise DomainError("rescaling bound requires all nodes above 1")
-    coeffs, dps = _unit_coefficients(values, t, y, s)
-    with workdps(dps):
-        sm = mpf(s)
-        fall = abs(_falling_factorial_mp(sm, big_n + 1))
-        S = mpf(0)
-        for tk, ck in zip(t, coeffs):
-            S += abs(mpf(ck)) * fall * (mpf(float(tk)) - 1) ** (sm - big_n - 1)
-        r = float(min(mpf(eps) / (10 * mpf(big_n) ** 2 * (1 + S)), mpf(1)))
-    if r == 0.0:
-        raise ApproximationError(
-            f"defect scale underflows float64 for degree {j}: bound S={float(S):.3e}")
-    return _scaled_group(t, y, s, j, r, (-1.0, 1.0), eps)
+    if any(b for i, b in enumerate(rhs) if i != j) or not rhs[j]:
+        raise DomainError(f"values must be one nonzero monomial of degree {j}")
+    if not (eps > 0) or not math.isfinite(eps):
+        raise DomainError(f"tolerance must be positive and finite, got {eps}")
+    log_rows = _remainder_logs(tuple(float(tk) for tk in t))[:, j]
+    powers = np.arange(big_n + 1, big_n + 1 + log_rows.size)
+    first = int(powers[-1]) + 1
+    steps = np.arange(first)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log10(np.abs(s - steps) / (steps + 1)))))
+    log_b_j = math.log10(abs(rhs[j].numerator)) - math.log10(rhs[j].denominator)
+    log_beta = log_binom[powers] + log_b_j + log_rows
+    orders = np.arange(3)
+    falling = np.array([[math.perm(i, m) for i in powers] for m in orders], dtype=float)
+    log_tail = (log_binom[first] + math.log10(sum(abs(float(yk)) for yk in y))
+                + np.log10([math.perm(first, m) for m in orders]))
+    rho = np.maximum(1.0, (first - s) / (first + 1 - orders))
+    t_min = float(np.min(t))
+
+    def bound(r: float) -> np.ndarray:
+        q, log_r = r / t_min, math.log10(r)
+        with np.errstate(over="ignore"):
+            rows = falling @ 10.0 ** (log_beta + (powers - j) * log_r)
+            tail = 10.0 ** (log_tail - j * log_r + first * math.log10(q)) / (1.0 - rho * q)
+        storage = 1e-32 * eps * np.array([1.0, q, 2.0 * q * q]) / (1.0 - q) ** (orders + 1)
+        return (rows + tail + storage) * (1.0 + 1e-9) + 2.0**-1000
+
+    return t, y, bound
+
+
+def _scale_cap(t: np.ndarray) -> float:
+    """Largest scale of a matched group: r <= 1 for a block, and r / t_min
+    <= 1/16 keeps the derived series short and its radius >= 8."""
+    return min(1.0, float(np.min(t)) / 16.0)
+
+
+def deviation_bound(values: Sequence, nodes: Sequence[float], s: float, j: int,
+                    r: float, eps: float) -> np.ndarray:
+    """Proved bounds, for m = 0, 1, 2, on the m-th derivative over [-1, 1] of
+    the deviation from its monomial of the group that rescale_for_defect
+    stores at scale r for budget eps (see _monomial_model); float
+    arithmetic past the cached exact remainder rows."""
+    t, _, bound = _monomial_model(values, nodes, s, j, eps)
+    if not (0.0 < r <= _scale_cap(t)):
+        raise DomainError(f"scale must lie in (0, min(1, t_min / 16)], got r={r}")
+    return bound(r)
+
+
+def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
+                       j: int, eps: float) -> SHCombo:
+    """Matched group for the monomial values[j] x^j / j! (all other values
+    zero) under x -> r x, divided by r^j, at the largest r in (0, min(1,
+    t_min / 16)] whose deviation_bound is at most eps at every order m <= 2.
+
+    The bound grows with r, so bisection on log r finds r within a factor
+    1.001 of the first r that misses; a budget no float64 r meets raises
+    ApproximationError.  The stored coefficients y_k t_k^-s r^-j are formed
+    by at most seven roundings at 25 + int(log10((1 + Y) r^-j / eps) + 8)
+    digits, Y = sum_k |y_k|, so their relative error delta is below 10^-digits
+    and delta Y r^-j below 1e-32 eps.  The matching order N is len(nodes) - 1.
+    """
+    t, y, bound = _monomial_model(values, nodes, s, j, eps)
+    r = _scale_cap(t)
+    if np.max(bound(r)) > eps:
+        lo, hi = sys.float_info.min, r
+        if np.max(bound(lo)) > eps:
+            raise ApproximationError(
+                f"no float64 scale meets the defect budget {eps:.3e} for degree {j}; "
+                f"raise epsilon")
+        while hi > lo * 1.001:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            lo, hi = (mid, hi) if np.max(bound(mid)) <= eps else (lo, mid)
+        r = lo
+    mass = sum(abs(float(yk)) for yk in y)
+    amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
+           + math.log10(1.0 / eps) + 8.0)
+    coeffs = _block_coefficients(y, t, s, r, j, 25 + int(amp))
+    return SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)))
 
 
 # ---------------------------------------------------------------------------

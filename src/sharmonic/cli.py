@@ -107,10 +107,12 @@ def _load_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value: str):
+    kind = _OPTION_TYPES[key]
     try:
-        return _OPTION_TYPES[key](value)
+        return kind(value)
     except ValueError as exc:
-        raise ConfigError(f"option {key}={value!r} is not a number") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"option {key}={value!r} is not {noun}") from exc
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:

@@ -2,7 +2,10 @@
 
 import functools
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -13,6 +16,7 @@ from mpmath import mpf, workdps
 
 import sharmonic as sh
 from sharmonic.approximate import ChebPoly, Target, _defect_certificate, interior_points
+from sharmonic.blocks import deviation_bound
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.fraclap import GridFunction
 
@@ -120,14 +124,65 @@ def _group_deviation_mp(group, dj: float, j: int, xs, order: int) -> float:
 @given(st.floats(0.05, 0.95), st.integers(1, 8), st.data(), st.floats(1e-8, 0.1),
        st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3))
 def test_defect_certificate_bounds_sampled_deviation(s, big_n, data, eps, cj):
+    # no stored series checks the bound: the deviation is summed from the
+    # stored blocks themselves
     j = data.draw(st.integers(0, big_n))
     values = [cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1)]
-    group = sh.rescale_for_defect(values, sh.default_nodes(big_n), s, j, eps)
-    cert = _defect_certificate([group], eps)
+    nodes = sh.default_nodes(big_n)
+    group = sh.rescale_for_defect(values, nodes, s, j, eps)
+    bound = deviation_bound(values, nodes, s, j, group.blocks[0].r, eps)
+    cert = _defect_certificate([bound], 0.0)
     assert cert <= eps
     xs = np.linspace(-1.0, 1.0, 201)
     for order in range(3):
-        assert _group_deviation_mp(group, values[j], j, xs, order) <= cert
+        assert _group_deviation_mp(group, values[j], j, xs, order) <= bound[order]
+
+
+def test_dropped_monomial_is_charged_to_the_certificate():
+    # 1 + x^2/2 + 1e-14 x^3: the cubic falls below the 1e-13 cut and is
+    # left unmatched, so only the certificate can account for it
+    coef = np.polynomial.chebyshev.poly2cheb([1.0, 0.0, 0.5, 1e-14])
+    poly = ChebPoly(coef, 0.0)
+    mono = poly.monomial_fractions()
+    combo, info = sh.build_sharmonic(poly, 0.5, 1e-3)
+    assert [g.degree for g in info.groups] == [0, 2]
+    assert info.defect_error <= 1e-3
+    xs = np.linspace(-1.0, 1.0, 201)
+    with workdps(60):
+        worst = 0.0
+        for order in range(3):
+            for x in xs:
+                xm = mpf(float(x))
+                exact = sum(mpf(c.numerator) / c.denominator * mpmath.ff(j, order)
+                            * xm ** (j - order) for j, c in enumerate(mono) if j >= order)
+                got = sum(b.c * mpf(b.r) ** order * mpmath.ff(mpf(combo.s), order)
+                          * (mpf(b.r) * xm + mpf(b.t)) ** (mpf(combo.s) - order)
+                          for b in combo.blocks)
+                worst = max(worst, float(abs(got - exact)))
+    assert worst <= info.defect_error
+    # a polynomial whose every monomial is cut: its weight is all that is left
+    combo, info = sh.build_sharmonic(ChebPoly(np.array([0.0, 0.0, 0.0, 2e-14]), 0.0), 0.5, 1e-3)
+    assert combo.blocks == ()
+    # 2e-14 T_3 = 8e-14 x^3 - 6e-14 x weighs 3 * 2 * 8e-14 at order 2
+    assert info.defect_error >= 4.8e-13
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("spec,eps", [("x2", 1.0 / 16.0), ("sin", 1e-6), ("exp", 1e-8),
+                                      ("const:1", 1e-6)])
+def test_loaded_pipeline_combo_matches_memory(spec, eps, s):
+    combo, report = _approx(spec, eps, s)
+    if spec == "exp":
+        # its low monomials all take the capped scale and share one derived series
+        assert len(combo.groups) < len(report.scales)
+    back = sh.combo_from_json(sh.combo_to_json(combo))
+    xs = np.linspace(-1.0, 1.0, 101)
+    with mock.patch.object(sh.blocks, "_combo_eval_mp",
+                           side_effect=AssertionError("per-point path on [-1, 1]")):
+        for order in range(3):
+            want = sh.combo_derivative(combo, xs, order)
+            got = sh.combo_derivative(back, xs, order)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +242,19 @@ def test_report_dict_is_deterministic_and_complete():
     assert all(isinstance(k, str) for k in d["scales"])
     assert d["residual_method"]
     assert report.elapsed_seconds >= 0.0
+
+
+def test_readme_library_example_values():
+    # the README's Python block runs as written, and each "here ~value"
+    # comment matches what its line evaluates to
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    claims = re.findall(r"^(\S[^#\n]*?)\s*#[^\n]*here ~(\S+)$", block, re.M)
+    assert len(claims) == 2
+    for expr, value in claims:
+        assert eval(expr, namespace) == pytest.approx(float(value), rel=0.05), expr
 
 
 def test_approximate_validation():

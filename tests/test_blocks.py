@@ -14,7 +14,7 @@ from mpmath import mpf
 
 import sharmonic as sh
 from sharmonic import _kernels
-from sharmonic.blocks import _combo_eval_mp, assemble_scaled_group
+from sharmonic.blocks import _combo_eval_mp, deviation_bound
 from sharmonic.errors import DomainError
 
 from conftest import richardson_derivative
@@ -175,7 +175,7 @@ def test_solve_validation():
     with pytest.raises(DomainError):
         sh.solve_derivative_match((1.0, float("nan")), [2.0, 2.5], 0.5)
     with pytest.raises(DomainError):
-        assemble_scaled_group((1.0, float("inf")), (2.0, 2.5), 0.5, 0, 0.1, (-1.0, 1.0), 0.1)
+        sh.rescale_for_defect((1.0, float("inf")), (2.0, 2.5), 0.5, 0, 0.1)
 
 
 def test_series_matches_function_derivatives():
@@ -262,22 +262,44 @@ def test_rescale_validation():
         sh.rescale_for_defect(values, nodes, 0.5, 2, 0.1)
     with pytest.raises(DomainError):
         sh.rescale_for_defect(values, nodes, 0.5, 0, -0.1)
-    # the scale rule divides by N^2, so N = 0 is refused, not divided by
+    # the deviation bound needs a remainder past order N >= 1
     with pytest.raises(DomainError):
         sh.rescale_for_defect((1.0,), [2.0], 0.5, 0, 0.1)
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(values, np.array([0.5, 2.5]), 0.5, 0, 0.1)
-    with pytest.raises(DomainError):
         sh.rescale_for_defect((1.0, float("nan")), nodes, 0.5, 0, 0.1)
+    # one monomial: values vanish at every order but j, and not at j
+    with pytest.raises(DomainError):
+        sh.rescale_for_defect((1.0, 1.0), nodes, 0.5, 0, 0.1)
+    with pytest.raises(DomainError):
+        sh.rescale_for_defect((0.0, 1.0), nodes, 0.5, 0, 0.1)
+    with pytest.raises(DomainError):
+        deviation_bound(values, nodes, 0.5, 0, 0.2, 0.1)  # above t_min / 16
+    # nodes in (0, 1] are accepted: the cap r <= t_min / 16 follows them
+    group = sh.rescale_for_defect(values, np.array([0.5, 0.75]), 0.5, 0, 0.1)
+    assert group.blocks[0].r <= 0.5 / 16
+    xs = np.linspace(-1.0, 1.0, 41)
+    for order in range(3):
+        want = 1.0 if order == 0 else 0.0
+        assert np.max(np.abs(sh.combo_derivative(group, xs, order) - want)) <= 0.1
 
 
-def test_assemble_scaled_group_scale_validation():
-    with pytest.raises(DomainError):
-        assemble_scaled_group((0.0, 1.0), (2.0, 2.5), 0.5, 1, 0.0,
-                              (-1.0, 1.0), 0.1)
-    with pytest.raises(DomainError):
-        assemble_scaled_group((0.0, 1.0), (2.0, 2.5), 0.5, 1, 2.0,
-                              (-1.0, 1.0), 0.1)
+def test_unreachable_budget_is_an_approximation_error():
+    # no float64 scale brings the storage allowance under a budget near 1e-300
+    with pytest.raises(sh.ApproximationError, match="no float64 scale"):
+        sh.rescale_for_defect((1.0, 0.0), (2.0, 2.5), 0.5, 0, 1e-305)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 0.95), st.integers(1, 8), st.data(), st.floats(1e-8, 0.1),
+       st.floats(0.1, 10.0))
+def test_chosen_scale_is_the_largest(s, big_n, data, eps, cj):
+    j = data.draw(st.integers(0, big_n))
+    values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
+    nodes = sh.default_nodes(big_n)
+    r = sh.rescale_for_defect(values, nodes, s, j, eps).blocks[0].r
+    assert np.max(deviation_bound(values, nodes, s, j, r, eps)) <= eps
+    cap = float(np.min(nodes)) / 16.0
+    assert r == cap or np.max(deviation_bound(values, nodes, s, j, min(1.05 * r, cap), eps)) > eps
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_defect_certificate_over_budget_exits_4(capsys, monkeypatch):
     # the proved block-stage certificate stays far below its budget on every
     # shipped target, so an over-budget value is injected to reach the refusal
     monkeypatch.setattr(importlib.import_module("sharmonic.approximate"),
-                        "_defect_certificate", lambda groups, eps: 1.0)
+                        "_defect_certificate", lambda bounds, dropped: 1.0)
     rc = main(["approximate", "--target", "sin", "--epsilon", "0.1"])
     assert rc == 4
     err = capsys.readouterr().err
@@ -291,6 +291,14 @@ def test_config_file_non_numeric_value_exits_2(tmp_path, capsys):
     rc = main(["fraclap", "--target", "sin", "--config", str(cfg)])
     assert rc == 2
     assert "not a number" in capsys.readouterr().err
+
+
+def test_config_file_non_integer_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("grid=1e3\n")
+    rc = main(["approximate", "--target", "x2", "--config", str(cfg)])
+    assert rc == 2
+    assert "option grid='1e3' is not an integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
