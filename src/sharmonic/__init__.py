@@ -12,7 +12,7 @@ Everything is deterministic: no randomness, reproducible artifacts.
 
 from .approximate import (ApproxReport, BuildInfo, ChebPoly, GroupInfo,
                           Target, approximate, build_sharmonic, cheb_fit,
-                          default_nodes, interior_points, target_from_spec)
+                          default_nodes, target_from_spec)
 from .blocks import (SHBlock, SHCombo, block_derivative_at_zero,
                      block_eval, combo_add, combo_derivative, combo_eval,
                      combo_from_json, combo_scale, combo_to_json,
@@ -42,9 +42,8 @@ __all__ = [
     "cheb_fit", "combo_add", "combo_derivative", "combo_eval",
     "combo_from_json", "combo_residual", "combo_scale", "combo_to_json",
     "default_nodes", "frac_laplacian", "frac_laplacian_detailed",
-    "frac_laplacian_pv", "harnack_counterexample", "interior_points",
-    "logistic_resource_plan", "mean_value_ball", "mean_value_sphere",
-    "mean_value_table", "power_block_reference", "readback_derivatives",
-    "rescale_for_defect", "solve_derivative_match", "target_from_spec",
-    "__version__",
+    "frac_laplacian_pv", "harnack_counterexample", "logistic_resource_plan",
+    "mean_value_ball", "mean_value_sphere", "mean_value_table",
+    "power_block_reference", "readback_derivatives", "rescale_for_defect",
+    "solve_derivative_match", "target_from_spec", "__version__",
 ]

@@ -15,7 +15,9 @@ certified by dense sampling with a fixed inflation factor.  The block
 stage's defect is the sum of the groups' proved bounds, which come from
 exact moments (see blocks.deviation_bound), plus the C^2 weight of the
 monomials too small to match.  Every reported epsilon is the certified
-value, never the mathematical ideal.
+value, never the mathematical ideal.  The residual bound is one
+exact.combo_residual at the interval's left end, where its decreasing
+cancellation mass is largest.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import exact
-from .blocks import SHCombo, deviation_bound, rescale_for_defect
+from .blocks import SHCombo, rescale_for_defect
 from .errors import ApproximationError, ConfigError, DomainError
 from .fraclap import GridFunction
 
@@ -242,21 +244,20 @@ def _c2_weight(mono: list[Fraction], degrees: list[int]) -> float:
     return math.nextafter(float(exact), math.inf) if exact else 0.0
 
 
-def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
-                    nodes: np.ndarray | None = None) -> tuple[SHCombo, BuildInfo]:
+def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo, BuildInfo]:
     """Block combination within eps_half of the polynomial in certified C^2
     norm on [-1, 1].
 
     Each exact monomial c_j x^j of the polynomial is reproduced by a
     combination whose derivatives at the origin match c_j j! delta_ij up to
-    the padded order N = max(3, degree), under the largest argument
-    rescaling x -> r x whose proved deviation bound fits the group's share
-    of the budget (see rescale_for_defect).  Monomials below 1e-13 max|c|
-    (conversion noise, such as the even monomials of an odd target) are
-    left out, and their C^2 weight is charged to the budget before it is
-    shared.  The certificate is the sum of the groups' proved bounds plus
-    that weight (see _defect_certificate); a certificate above the budget
-    raises ApproximationError.
+    the padded order N = max(3, degree) at default_nodes(N), under the
+    largest argument rescaling x -> r x whose proved deviation bound fits
+    the group's share of the budget (see rescale_for_defect).  Monomials
+    below 1e-13 max|c| (conversion noise, such as the even monomials of an
+    odd target) are left out, and their C^2 weight is charged to the budget
+    before it is shared.  The certificate is the sum of the groups' proved
+    bounds plus that weight (see _defect_certificate); a certificate above
+    the budget raises ApproximationError.
     """
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
@@ -264,9 +265,7 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
     mono = poly.monomial_fractions()
     big_n = max(poly.degree, _DEGREE_FLOOR)
-    if nodes is None:
-        nodes = default_nodes(big_n)
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = default_nodes(big_n)
 
     scale_c = max(1.0, max(abs(float(c)) for c in mono))
     kept = [j for j, c in enumerate(mono) if abs(float(c)) > 1e-13 * scale_c]
@@ -282,10 +281,10 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float,
     matched, bounds, infos = [], [], []
     for j in kept:
         values = [mono[j] * math.factorial(j) if i == j else 0 for i in range(big_n + 1)]
-        group = rescale_for_defect(values, nodes, s, j, share)
+        group, bound = rescale_for_defect(values, nodes, s, j, share)
         r = group.blocks[0].r
         matched.append(group)
-        bounds.append(deviation_bound(values, nodes, s, j, r, share))
+        bounds.append(bound)
         infos.append(GroupInfo(degree=j, coefficient=float(mono[j]), scale=r))
 
     cert = _defect_certificate(bounds, dropped)
@@ -320,7 +319,6 @@ class ApproxReport:
     scales: tuple[tuple[int, float], ...]
     n_blocks: int
     max_residual: float
-    residual_points: int
     residual_method: str
     elapsed_seconds: float
 
@@ -338,24 +336,20 @@ class ApproxReport:
             "scales": {str(j): r for j, r in self.scales},
             "n_blocks": self.n_blocks,
             "max_residual": self.max_residual,
-            "residual_points": self.residual_points,
             "residual_method": self.residual_method,
         }
         return d
 
 
-def interior_points(interval: tuple[float, float], n: int) -> np.ndarray:
-    """n equally spaced points strictly inside the interval."""
-    return np.linspace(interval[0], interval[1], n + 2)[1:-1]
-
-
-def approximate(target: Target, eps: float, s: float, degree_cap: int = 30,
-                residual_points: int = 21) -> tuple[SHCombo, ApproxReport]:
+def approximate(target: Target, eps: float, s: float,
+                degree_cap: int = 30) -> tuple[SHCombo, ApproxReport]:
     """Block combination within certified C^2 distance eps of the target.
 
     The budget is split evenly between the polynomial stage and the block
     stage; epsilon_total reports the sum of both certificates and never
-    exceeds eps on success.
+    exceeds eps on success.  max_residual is combo_residual at the
+    interval's left end, which bounds the operator residual at every point
+    of the interval.
     """
     t0 = time.perf_counter()
     if eps <= 0 or not np.isfinite(eps):
@@ -366,8 +360,7 @@ def approximate(target: Target, eps: float, s: float, degree_cap: int = 30,
     if eps_total > eps:
         raise ApproximationError(
             f"certified total {eps_total:.3e} exceeds requested {eps:.3e}")
-    xs = interior_points(combo.interval, residual_points)
-    residual = float(np.max(exact.combo_residual(combo, xs)))
+    residual = float(exact.combo_residual(combo, combo.interval[0])[0])
     report = ApproxReport(
         target=target.name, s=s, epsilon_requested=float(eps),
         epsilon_poly=poly.fit_error, epsilon_defect=build.defect_error,
@@ -375,7 +368,6 @@ def approximate(target: Target, eps: float, s: float, degree_cap: int = 30,
         matching_order=build.matching_order, nodes=build.nodes,
         scales=tuple((g.degree, g.scale) for g in build.groups),
         n_blocks=len(combo.blocks), max_residual=residual,
-        residual_points=residual_points,
-        residual_method="per-block exact reduction via the canonical constant",
+        residual_method="per-block exact reduction via the canonical constant at the left end",
         elapsed_seconds=time.perf_counter() - t0)
     return combo, report

@@ -221,7 +221,7 @@ def _group_taylor(s: float, blocks: tuple[SHBlock, ...],
     = sum_k |c_k| t_k^s.  Each coefficient is computed at the precision of
     the longest stored mantissa plus guard bits and rounded once to
     float64.  The series stops at the first m >= min_terms at which, for
-    each order 0..2, the bound on the omitted terms at |x| = 1 (see
+    each order 0..4, the bound on the omitted terms at |x| = 1 (see
     _omitted_bound) lies below 2^-52 times that order's own absolute series
     sum_i |c_i| i!/(i-order)!, or at _SERIES_CAP terms."""
     p = blocks[0].r / min(b.t for b in blocks)
@@ -232,17 +232,17 @@ def _group_taylor(s: float, blocks: tuple[SHBlock, ...],
         log_lead = float(mpmath.log10(mass)) if mass else -math.inf  # at m = 0
         inv_t = [1 / mpf(b.t) for b in blocks]
         binom_r = mpf(1)  # binom(s, i) r^i
-        coefs, abs_series = [], [0.0, 0.0, 0.0]
+        coefs, abs_series = [], [0.0] * 5
         for i in range(_SERIES_CAP):
             coefs.append(float(binom_r * mpmath.fsum(terms)))
-            for order in range(3):
+            for order in range(5):
                 abs_series[order] += abs(coefs[i]) * math.perm(i, order)
             terms = [term * q for term, q in zip(terms, inv_t)]
             binom_r *= (sm - i) * r / (i + 1)
             log_lead += math.log10(abs(s - i) / (i + 1))
             if i + 1 >= min_terms and all(
                     _omitted_bound(s, i + 1, log_lead, p, 1.0, order)
-                    <= _EPS64 * abs_series[order] for order in range(3)):
+                    <= _EPS64 * abs_series[order] for order in range(5)):
                 break
     out = np.array(coefs)
     out.flags.writeable = False  # shared by every combination holding the group
@@ -553,10 +553,11 @@ def deviation_bound(values: Sequence, nodes: Sequence[float], s: float, j: int,
 
 
 def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
-                       j: int, eps: float) -> SHCombo:
+                       j: int, eps: float) -> tuple[SHCombo, np.ndarray]:
     """Matched group for the monomial values[j] x^j / j! (all other values
     zero) under x -> r x, divided by r^j, at the largest r in (0, min(1,
-    t_min / 16)] whose deviation_bound is at most eps at every order m <= 2.
+    t_min / 16)] whose deviation_bound is at most eps at every order m <= 2,
+    and that bound (B_0, B_1, B_2) at the chosen r.
 
     The bound grows with r, so bisection on log r finds r within a factor
     1.001 of the first r that misses; a budget no float64 r meets raises
@@ -581,7 +582,8 @@ def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
     amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
            + math.log10(1.0 / eps) + 8.0)
     coeffs = _block_coefficients(y, t, s, r, j, 25 + int(amp))
-    return SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)))
+    group = SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)))
+    return group, bound(r)
 
 
 # ---------------------------------------------------------------------------

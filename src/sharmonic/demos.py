@@ -31,6 +31,7 @@ from .errors import ConfigError
 from .fraclap import mean_value_ball, mean_value_sphere
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_HARNACK_SAMPLES = 4096  # fresh interior points the witness is checked on
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,7 @@ def _negative_site(combo: SHCombo, iota: float) -> tuple[float, float] | None:
     return best
 
 
-def harnack_counterexample(s: float, eps: float = 1.0 / 16.0,
-                           samples: int = 4096) -> HarnackWitness:
+def harnack_counterexample(s: float, eps: float = 1.0 / 16.0) -> HarnackWitness:
     """Nonnegative solution on the unit ball with interior infimum zero.
 
     Approximates x^2 within eps in C^2 on (-1, 1), then subtracts the
@@ -147,7 +147,7 @@ def harnack_counterexample(s: float, eps: float = 1.0 / 16.0,
     iota = vmin - 1e-12
 
     u = OffsetCombo(combo, iota)
-    fresh = np.linspace(-1.0, 1.0, samples + 2)[1:-1]
+    fresh = np.linspace(-1.0, 1.0, _HARNACK_SAMPLES + 2)[1:-1]
     uvals = combo_eval(combo, fresh) - iota
     inner = np.abs(fresh) <= 0.5
     outer = ~inner

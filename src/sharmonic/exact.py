@@ -25,6 +25,8 @@ plus a rounding allowance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import mpmath
 from mpmath import mpf, workdps
@@ -182,11 +184,13 @@ def combo_residual(combo: SHCombo, xs, dps: int | None = None) -> np.ndarray:
     """Absolute value of the defining integral of a block combination.
 
     Each value is |Phi(s, s)| plus its error bound, times the cancellation
-    mass sum_k |c_k| r_k^s (x + t_k/r_k)^-s.  The mass is a sum of positive
-    terms, so it is evaluated at a fixed 30 digits; Phi is evaluated at a
-    precision chosen from the largest mass, so the result is meaningful
-    even when the raw coefficients overflow any fixed-precision
-    cancellation.  Each returned value bounds |(-Delta)^s v(x)|.
+    mass sum_k |c_k| r_k^s (x + t_k/r_k)^-s, evaluated at 30 digits and
+    rounded up to float.  Every term of the mass is positive and decreasing
+    in x, so a value at a point bounds every point to its right in the
+    smooth region.  Phi is evaluated at a precision chosen from the largest
+    mass, so the result is meaningful even when the raw coefficients
+    overflow any fixed-precision cancellation.  Each returned value bounds
+    |(-Delta)^s v(x)|.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     with workdps(30):
@@ -209,6 +213,9 @@ def combo_residual(combo: SHCombo, xs, dps: int | None = None) -> np.ndarray:
         amp = int(mpmath.ceil(mpmath.log10(worst))) if worst > 1 else 0
         dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)
-    phi_bound = abs(phi) + abs(phi_err)
     with workdps(30):
-        return np.array([float(phi_bound * m) for m in masses])
+        # 10^-25 covers the 30-digit roundings here for fewer than 10^4 blocks
+        bounds = [(abs(phi) + abs(phi_err)) * (1 + mpf(10) ** -25) * m for m in masses]
+    # float() rounds toward zero (subnormals to nearest): step up where it fell below
+    return np.array([math.nextafter(float(b), math.inf) if float(b) < b else float(b)
+                     for b in bounds])

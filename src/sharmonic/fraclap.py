@@ -451,7 +451,7 @@ def frac_laplacian_pv(u, x: float, params: FracParams,
     if config is None:
         config = QuadConfig()
     s = params.s
-    config.growth(s)
+    gamma = config.growth(s)
     f, kinks, _ = _as_function(u, operator=True)
     x = float(x)
     ux = float(_checked(f, x, np.array([0.0]))[0])
@@ -477,7 +477,6 @@ def frac_laplacian_pv(u, x: float, params: FracParams,
 
     mid = _mid_field(f, x, ux, s, delta, config.outer_radius, config.mid_points,
                      kinks, _GAUSS12, depth=26, offset=7)
-    gamma = config.growth(s)
     tail, _, _ = _tail_model(f, x, ux, s, config.outer_radius, gamma)
     return near + mid + tail
 

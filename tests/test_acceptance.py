@@ -74,7 +74,7 @@ def test_quadratic_budget_and_standard_targets():
 
 
 def test_harnack_witness_numbers():
-    w = sh.harnack_counterexample(0.5, eps=1.0 / 16.0, samples=4096)
+    w = sh.harnack_counterexample(0.5, eps=1.0 / 16.0)
     sup_ball = max(w.sup_inner, w.sup_outer_complement)
     conditions = {
         "v(0) <= 1/16": w.value_origin <= 1.0 / 16.0,

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
 import sharmonic as sh
-from sharmonic.approximate import ChebPoly, Target, _defect_certificate, interior_points
-from sharmonic.blocks import deviation_bound
+from sharmonic.approximate import ChebPoly, Target, _defect_certificate
+from sharmonic.blocks import _combo_eval_mp, deviation_bound
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.fraclap import GridFunction
 
@@ -129,8 +129,8 @@ def test_defect_certificate_bounds_sampled_deviation(s, big_n, data, eps, cj):
     j = data.draw(st.integers(0, big_n))
     values = [cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1)]
     nodes = sh.default_nodes(big_n)
-    group = sh.rescale_for_defect(values, nodes, s, j, eps)
-    bound = deviation_bound(values, nodes, s, j, group.blocks[0].r, eps)
+    group, bound = sh.rescale_for_defect(values, nodes, s, j, eps)
+    assert np.array_equal(bound, deviation_bound(values, nodes, s, j, group.blocks[0].r, eps))
     cert = _defect_certificate([bound], 0.0)
     assert cert <= eps
     xs = np.linspace(-1.0, 1.0, 201)
@@ -177,12 +177,26 @@ def test_loaded_pipeline_combo_matches_memory(spec, eps, s):
         assert len(combo.groups) < len(report.scales)
     back = sh.combo_from_json(sh.combo_to_json(combo))
     xs = np.linspace(-1.0, 1.0, 101)
+    # at orders 3 and 4 the per-point sum, taken before the patch, is the reference
+    per_point = {order: _combo_eval_mp(combo, xs, order) for order in (3, 4)}
     with mock.patch.object(sh.blocks, "_combo_eval_mp",
                            side_effect=AssertionError("per-point path on [-1, 1]")):
-        for order in range(3):
+        for order in range(5):
             want = sh.combo_derivative(combo, xs, order)
             got = sh.combo_derivative(back, xs, order)
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+            if order in per_point:
+                ref = per_point[order]
+                assert np.all(np.abs(want - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("spec,eps", [("x2", 1.0 / 16.0), ("sin", 1e-6), ("exp", 1e-8)])
+def test_max_residual_bounds_the_whole_interval(spec, eps, s):
+    # one evaluation at the left end certifies every point of [-1, 1]
+    combo, report = _approx(spec, eps, s)
+    xs = np.linspace(-1.0, 1.0, 2001)
+    assert report.max_residual >= np.max(sh.combo_residual(combo, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +319,3 @@ def test_target_from_grid_checks_derivative_consistency():
     bad = GridFunction(-1.0, 1.0, np.sin(xs), 5.0 * np.cos(xs))
     with pytest.raises(ConfigError, match="deriv1"):
         Target.from_grid(bad)
-
-
-def test_interior_points_stay_strictly_inside():
-    pts = interior_points((-1.0, 1.0), 21)
-    assert pts.size == 21
-    assert pts[0] > -1.0 and pts[-1] < 1.0
-    assert np.all(np.diff(pts) > 0)

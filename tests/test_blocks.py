@@ -196,20 +196,31 @@ def _sqrt_shift(x, order):
 
 
 def test_unmatched_mp_combo_is_exact_to_the_radius():
-    # a single block has no cancellation to exploit: near the radius its
-    # series converges too slowly, and the per-point path must take over
+    # a single block has no cancellation to exploit, yet its derived series
+    # keeps its omitted terms below its float64 rounding up to |x| = 0.99;
+    # past the radius 0.5 t / r = 1 only the per-point sum applies
     combo = sh.SHCombo(0.5, (sh.SHBlock(2.0, mpf(1)),))
     xs = np.array([-0.99, -0.5, 0.0, 0.3, 0.9, 0.99])
-    for order in range(3):
-        for x in xs:
-            want = _sqrt_shift(x, order)
-            assert sh.combo_derivative(combo, x, order) == pytest.approx(want, rel=1e-15, abs=1e-15)
-        assert np.allclose(sh.combo_derivative(combo, xs, order), _sqrt_shift(xs, order),
-                           rtol=1e-15, atol=1e-15)
+    with mock.patch.object(sh.blocks, "_combo_eval_mp",
+                           side_effect=AssertionError("per-point path inside the radius")):
+        for order in range(3):
+            for x in xs:
+                want = _sqrt_shift(x, order)
+                assert sh.combo_derivative(combo, x, order) == pytest.approx(
+                    want, rel=1e-15, abs=1e-15)
+            assert np.allclose(sh.combo_derivative(combo, xs, order), _sqrt_shift(xs, order),
+                               rtol=1e-15, atol=1e-15)
+    with mock.patch.object(_kernels, "power_series_eval",
+                           side_effect=AssertionError("series path past the radius")), \
+            mock.patch.object(sh.blocks, "_combo_eval_mp", wraps=_combo_eval_mp) as per_point:
+        for order in range(3):
+            assert sh.combo_derivative(combo, 1.5, order) == pytest.approx(
+                _sqrt_shift(1.5, order), rel=1e-15)
+    assert per_point.call_count == 3
 
 
 def test_pipeline_group_plus_float_block_is_exact():
-    group = sh.rescale_for_defect((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
+    group, _ = sh.rescale_for_defect((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
     extra = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
     total = sh.combo_add(group, extra)
     xs = np.linspace(-0.99, 0.99, 23)
@@ -233,7 +244,7 @@ def test_readback_past_the_series_length():
 def test_rescaled_group_blocks_match_series():
     # the series path must agree with the per-point sum over the blocks
     values = (0.0, 0.0, 2.0, 0.0)
-    group = sh.rescale_for_defect(values, sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
+    group, _ = sh.rescale_for_defect(values, sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
     assert group.has_mp_coefficients
     xs = np.linspace(-1.0, 1.0, 21)
     assert np.all(np.abs(xs) < group.radius)
@@ -246,7 +257,7 @@ def test_rescaled_group_blocks_match_series():
 def test_rescaled_group_defect_small_in_c2():
     values = (0.0, 0.0, 0.0, 6.0)
     eps = 0.01
-    group = sh.rescale_for_defect(values, sh.default_nodes(3), 0.3, 3, eps)
+    group, _ = sh.rescale_for_defect(values, sh.default_nodes(3), 0.3, 3, eps)
     xs = np.linspace(-1.0, 1.0, 201)
     for order in range(3):
         got = sh.combo_derivative(group, xs, order)
@@ -275,7 +286,7 @@ def test_rescale_validation():
     with pytest.raises(DomainError):
         deviation_bound(values, nodes, 0.5, 0, 0.2, 0.1)  # above t_min / 16
     # nodes in (0, 1] are accepted: the cap r <= t_min / 16 follows them
-    group = sh.rescale_for_defect(values, np.array([0.5, 0.75]), 0.5, 0, 0.1)
+    group, _ = sh.rescale_for_defect(values, np.array([0.5, 0.75]), 0.5, 0, 0.1)
     assert group.blocks[0].r <= 0.5 / 16
     xs = np.linspace(-1.0, 1.0, 41)
     for order in range(3):
@@ -296,7 +307,7 @@ def test_chosen_scale_is_the_largest(s, big_n, data, eps, cj):
     j = data.draw(st.integers(0, big_n))
     values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
     nodes = sh.default_nodes(big_n)
-    r = sh.rescale_for_defect(values, nodes, s, j, eps).blocks[0].r
+    r = sh.rescale_for_defect(values, nodes, s, j, eps)[0].blocks[0].r
     assert np.max(deviation_bound(values, nodes, s, j, r, eps)) <= eps
     cap = float(np.min(nodes)) / 16.0
     assert r == cap or np.max(deviation_bound(values, nodes, s, j, min(1.05 * r, cap), eps)) > eps
@@ -317,7 +328,7 @@ def test_combo_add_and_scale():
     assert np.allclose(sh.combo_eval(d, xs), -2.0 * sh.combo_eval(a, xs),
                        rtol=1e-14)
     # extended precision coefficients keep every digit the derived series needs
-    group = sh.rescale_for_defect((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
+    group, _ = sh.rescale_for_defect((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
     e = sh.combo_scale(group, -3.0)
     assert np.allclose(sh.combo_eval(e, xs), -3.0 * sh.combo_eval(group, xs),
                        rtol=1e-14, atol=1e-14)
@@ -353,7 +364,7 @@ def test_json_roundtrip_float_combo():
 
 def test_json_roundtrip_extended_precision():
     values = (0.0, 0.0, 2.0, 0.0)
-    group = sh.rescale_for_defect(values, sh.default_nodes(3), 0.5, 2, 1.0 / 16.0)
+    group, _ = sh.rescale_for_defect(values, sh.default_nodes(3), 0.5, 2, 1.0 / 16.0)
     back = sh.combo_from_json(sh.combo_to_json(group))
     assert back.has_mp_coefficients
     xs = np.linspace(-0.9, 0.9, 11)
@@ -370,7 +381,7 @@ def test_loaded_group_matches_memory(s, big_n, data, eps, cj):
     # reproduce the in-memory group without the per-point mp path
     j = data.draw(st.integers(0, big_n))
     values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
-    group = sh.rescale_for_defect(values, sh.default_nodes(big_n), s, j, eps)
+    group, _ = sh.rescale_for_defect(values, sh.default_nodes(big_n), s, j, eps)
     back = sh.combo_from_json(sh.combo_to_json(group))
     xs = np.linspace(-0.99, 0.99, 101)
     with mock.patch.object(sh.blocks, "_combo_eval_mp",

@@ -200,6 +200,35 @@ def test_combo_residual_matches_hand_reduction():
             assert got[i] == pytest.approx(float(bound * acc), rel=1e-13)
 
 
+_FLOAT_BLOCKS = st.lists(
+    st.builds(sh.SHBlock, t=st.floats(1.5, 4.0), c=st.floats(-10.0, 10.0),
+              r=st.floats(0.0, 1.0, exclude_min=True)),
+    min_size=1, max_size=6)
+_POINTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 0.95), _FLOAT_BLOCKS, _POINTS)
+def test_combo_residual_is_nonincreasing_in_x(s, blocks, xs):
+    # every term of the cancellation mass decreases in x, which is what
+    # lets approximate certify [-1, 1] from its left end alone
+    res = sh.combo_residual(sh.SHCombo(s, tuple(blocks)), np.sort(xs))
+    assert np.all(np.diff(res) <= 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 0.95), _FLOAT_BLOCKS, _POINTS)
+def test_combo_residual_is_never_below_the_exact_product(s, blocks, xs):
+    got = sh.combo_residual(sh.SHCombo(s, tuple(blocks)), xs, dps=40)
+    phi, err = sh.canonical_constant(s, s, dps=40)
+    with workdps(60):
+        bound, sm = abs(phi) + abs(err), mpf(s)
+        for x, value in zip(xs, got):
+            mass = mpmath.fsum(abs(mpf(b.c)) * mpf(b.r) ** sm
+                               * (mpf(x) + mpf(b.t) / mpf(b.r)) ** -sm for b in blocks)
+            assert mpf(value) >= bound * mass
+
+
 def test_combo_residual_single_block_is_certifiably_tiny():
     # one block is exactly annihilated; the residual bound inherits the
     # certified smallness of the canonical constant
@@ -245,7 +274,7 @@ def test_combo_residual_mass_at_fixed_precision_matches_60_digits():
     # a pipeline combo: 169 blocks with mp coefficients far past float range
     combo, _ = sh.approximate(sh.target_from_spec("exp"), 1e-8, 0.5)
     assert len(combo.blocks) == 169
-    xs = sh.interior_points(combo.interval, 21)
+    xs = np.linspace(-1.0, 1.0, 23)[1:-1]
     got = sh.combo_residual(combo, xs, dps=340)
     phi, err = sh.canonical_constant(0.5, 0.5, dps=340)
     with workdps(60):

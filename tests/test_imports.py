@@ -1,4 +1,5 @@
-"""Source hygiene: every import in the package and its tests is used."""
+"""Source hygiene: every import in the package and its tests is used, and
+every private module-level helper of the package is read by the package."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +40,42 @@ def test_no_unused_imports(path):
 def test_scan_sees_unused_and_exempts_reexports():
     source = "import os\nfrom json import dumps, loads\n__all__ = ['loads']\nos.sep\n"
     assert unused_imports(source) == ["dumps (line 2)"]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level private functions and constants (one leading underscore)
+    that no source reads, by name or as a module attribute; tests do not
+    count as readers."""
+    defined, read = {}, set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.setdefault(name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name} (line {line})" for name, line in sorted(defined.items())
+            if name not in read]
+
+
+def test_no_unread_private_helpers():
+    assert unread_private_names([path.read_text() for path in SOURCES]) == []
+
+
+def test_helper_scan_sees_unread_names_across_modules():
+    first = ("_USED = 1\n_DEAD = 2\ndef _helper():\n    return _USED\n"
+             "def _orphan():\n    pass\ndef _remote():\n    pass\ndef public():\n"
+             "    return _helper()\n")
+    second = "import first\nfirst._remote()\n"
+    assert unread_private_names([first, second]) == ["_DEAD (line 2)", "_orphan (line 5)"]
