@@ -415,7 +415,7 @@ def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
             f"values, got {t.size}")
     if np.any(t <= 0) or not np.all(np.isfinite(t)):
         raise DomainError("matching nodes must be positive and finite")
-    if np.unique(t).size != t.size:
+    if len(set(t.tolist())) != t.size:  # np.unique would import numpy.ma
         raise DomainError("matching nodes must be distinct")
     inverse = _vandermonde_inverse(tuple(float(tk) for tk in t))
     sf = Fraction(s)

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -359,3 +360,15 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     assert "max|result|=0" in proc.stdout
     assert "elapsed:" in proc.stderr
+
+
+def test_approximate_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs 10-30 ms to import, and np.unique would load it
+    code = ("import sys\nfrom sharmonic.cli import main\n"
+            f"rc = main(['approximate', '--target', 'x2', '--epsilon', '0.0625', "
+            f"'--out-json', {str(tmp_path / 'x2.json')!r}])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(sh.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr

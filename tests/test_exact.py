@@ -104,6 +104,28 @@ def test_canonical_constant_error_bound_is_honest(s, frac, dps):
     assert abs(value - closed) <= err
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.02, 0.98), st.integers(20, 340))
+def test_canonical_constant_bound_is_tight_at_p_equal_s(s, dps):
+    # five tails below 10^-(dps+10) each, plus the running rounding bounds
+    # at dps + 15 digits, stay below 10^-(dps+9)
+    value, err = sh.canonical_constant(s, s, dps)
+    assert abs(value) <= err <= mpf(10) ** -(dps + 9)
+
+
+@pytest.mark.parametrize("p,s,dps", [(0.3, 0.45, 40), (0.8, 0.55, 80), (1.9, 0.98, 30),
+                                     (0.03, 0.02, 60)])
+def test_canonical_constant_covers_its_rounding_at_few_guard_digits(monkeypatch, p, s, dps):
+    # at 11 guard digits the rounding outweighs the tails (together below
+    # 10^-(dps+9)), so only the running bound can cover the error
+    monkeypatch.setattr(exact, "_GUARD_DIGITS", 11)
+    monkeypatch.setattr(exact, "_phi_cache", {})
+    value, err = sh.canonical_constant(p, s, dps)
+    assert err > mpf(10) ** -(dps + 9)
+    closed = sh.canonical_constant_closed_form(p, s, dps + 40)
+    assert abs(value - closed) <= err
+
+
 def test_canonical_constant_never_calls_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("canonical_constant must sum series, not integrate")
@@ -287,3 +309,21 @@ def test_combo_residual_mass_at_fixed_precision_matches_60_digits():
                 acc += abs(mpf(b.c)) * mpf(b.r) ** sm * xi ** (-sm)
             want = float(bound * acc)
             assert abs(got[i] - want) <= 1e-15 * want
+
+
+def test_combo_residual_slack_grows_past_ten_thousand_blocks():
+    # the 30-digit mass takes a few roundings per block, so its slack scales
+    # with the block count once that passes 10^4
+    rng = np.random.default_rng(7)
+    blocks = tuple(sh.SHBlock(float(t), float(c), float(r)) for t, c, r in zip(
+        rng.uniform(1.5, 4.0, 10050), rng.uniform(-10.0, 10.0, 10050),
+        rng.uniform(1e-3, 1.0, 10050)))
+    xs = [-1.0, 0.5]
+    got = sh.combo_residual(sh.SHCombo(0.5, blocks), xs, dps=40)
+    phi, err = sh.canonical_constant(0.5, 0.5, dps=40)
+    with workdps(60):
+        bound, sm = abs(phi) + abs(err), mpf(0.5)
+        for x, value in zip(xs, got):
+            want = bound * mpmath.fsum(abs(mpf(b.c)) * mpf(b.r) ** sm
+                                       * (mpf(x) + mpf(b.t) / mpf(b.r)) ** -sm for b in blocks)
+            assert want <= mpf(value) <= want * (1 + mpf(10) ** -15)
