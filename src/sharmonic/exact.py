@@ -226,6 +226,13 @@ def power_block_reference(t: float, p: float, s: float, x: float, dps: int = 40)
         return float(phi * (mpf(x) + mpf(t)) ** (mpf(p) - 2 * mpf(s)))
 
 
+def _mass_slack(n_blocks: int) -> mpf:
+    """Relative slack on a 30-digit mass of n_blocks blocks (call it at 30
+    digits): 10^-25 covers the roundings for up to 10^4 blocks, and it
+    grows with the block count past that."""
+    return mpf(10) ** -25 * max(1, n_blocks / 10 ** 4)
+
+
 def combo_residual(combo: SHCombo, xs, dps: int | None = None) -> np.ndarray:
     """Absolute value of the defining integral of a block combination.
 
@@ -260,8 +267,7 @@ def combo_residual(combo: SHCombo, xs, dps: int | None = None) -> np.ndarray:
         dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)
     with workdps(30):
-        # 10^-25 covers the 30-digit roundings here for up to 10^4 blocks
-        slack = mpf(10) ** -25 * max(1, len(combo.blocks) / 10 ** 4)
+        slack = _mass_slack(len(combo.blocks))
         bounds = [(abs(phi) + abs(phi_err)) * (1 + slack) * m for m in masses]
     # float() rounds toward zero (subnormals to nearest): step up where it fell below
     return np.array([math.nextafter(float(b), math.inf) if float(b) < b else float(b)

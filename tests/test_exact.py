@@ -314,16 +314,23 @@ def test_combo_residual_mass_at_fixed_precision_matches_60_digits():
 def test_combo_residual_slack_grows_past_ten_thousand_blocks():
     # the 30-digit mass takes a few roundings per block, so its slack scales
     # with the block count once that passes 10^4
+    with workdps(30):
+        assert exact._mass_slack(1) == exact._mass_slack(10 ** 4) == mpf(10) ** -25
+        assert exact._mass_slack(10050) == mpf(10) ** -25 * (10050 / 10 ** 4)
+        assert exact._mass_slack(10 ** 6) == mpf(10) ** -23
+
+
+def test_combo_residual_covers_the_mass_of_ten_thousand_float_blocks():
+    # a smoke test past 10^4 blocks: random roundings stay far below the
+    # worst case the slack covers, so this holds without the scaling too
     rng = np.random.default_rng(7)
     blocks = tuple(sh.SHBlock(float(t), float(c), float(r)) for t, c, r in zip(
         rng.uniform(1.5, 4.0, 10050), rng.uniform(-10.0, 10.0, 10050),
         rng.uniform(1e-3, 1.0, 10050)))
-    xs = [-1.0, 0.5]
-    got = sh.combo_residual(sh.SHCombo(0.5, blocks), xs, dps=40)
+    (got,) = sh.combo_residual(sh.SHCombo(0.5, blocks), [-1.0], dps=40)
     phi, err = sh.canonical_constant(0.5, 0.5, dps=40)
     with workdps(60):
-        bound, sm = abs(phi) + abs(err), mpf(0.5)
-        for x, value in zip(xs, got):
-            want = bound * mpmath.fsum(abs(mpf(b.c)) * mpf(b.r) ** sm
-                                       * (mpf(x) + mpf(b.t) / mpf(b.r)) ** -sm for b in blocks)
-            assert want <= mpf(value) <= want * (1 + mpf(10) ** -15)
+        sm = mpf(0.5)
+        want = (abs(phi) + abs(err)) * mpmath.fsum(
+            abs(mpf(b.c)) * mpf(b.r) ** sm * (mpf(b.t) / mpf(b.r) - 1) ** -sm for b in blocks)
+        assert want <= mpf(got) <= want * (1 + mpf(10) ** -15)

@@ -3,7 +3,7 @@ each CLI run of the benchmark mix goes after import.
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_phi.py --parent PATH [--runs 5] [--out BENCH_phi.json]
+    python3 tools/bench_phi.py --parent PATH [--out BENCH_phi.json]
 
 PATH is a second checkout to compare against (for example the parent
 commit, made with ``git clone`` or ``git archive``).  Every figure is
@@ -11,12 +11,14 @@ measured for both trees, alternating between them, each run in a fresh
 interpreter with ``PYTHONPATH`` set to the tree's ``src``:
 
 * ``phi_cold_ms``: one call of ``canonical_constant(s, s, dps)`` right
-  after import, the fastest of ``--runs`` processes;
+  after import, the fastest of RUNS processes;
 * ``cli_after_import_ms``: ``sharmonic.cli.main`` on each distinct
-  invocation of the cli-tight mix (``pipebench/workloads.py``), split into
-  Phi, the lazy ``numpy.ma`` import (from ``-X importtime``), the
-  ``build_sharmonic`` stage without that import, the residual without
-  Phi, and the rest; the run with the smallest total is kept.
+  invocation of the cli-tight mix (``pipebench/workloads.py``), run under
+  the tree's ``pipebench/traced_cli.py`` and split, from its span
+  snapshot, into Phi, the lazy ``numpy.ma`` import (from ``-X
+  importtime``), the ``build_sharmonic`` stage without that import, the
+  residual's self time, and the rest; the run with the smallest total of
+  RUNS is kept.  The tracer's own spans add a little to every figure.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 S_VALUES = (0.1, 0.5, 0.9)
 DPS_VALUES = (40, 80, 120, 340)
+RUNS = 5
 
 PHI_CHILD = """
 import sys, time
@@ -43,47 +46,11 @@ exact.canonical_constant(float(sys.argv[1]), float(sys.argv[1]), int(sys.argv[2]
 print((time.perf_counter() - start) * 1e3)
 """
 
-# Self times of the hooked stages: a stage's time less that of hooked
-# stages it calls (Phi runs inside the residual).
-CLI_CHILD = """
-import json, sys, time
-import sharmonic.cli as cli
-exact, approx = sys.modules["sharmonic.exact"], sys.modules["sharmonic.approximate"]
-spent = {"phi": 0.0, "build": 0.0, "residual": 0.0}
-stack = []
-
-def hook(module, name, key):
-    fn = getattr(module, name)
-
-    def timed(*args, **kwargs):
-        stack.append(0.0)
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            elapsed = time.perf_counter() - start
-            spent[key] += elapsed - stack.pop()
-            if stack:
-                stack[-1] += elapsed
-    setattr(module, name, timed)
-
-hook(exact, "canonical_constant", "phi")
-hook(exact, "combo_residual", "residual")
-hook(approx, "build_sharmonic", "build")
-start = time.perf_counter()
-code = cli.main(sys.argv[2:])
-spent["total"] = time.perf_counter() - start
-spent["exit"] = code
-with open(sys.argv[1], "w") as fh:
-    json.dump(spent, fh)
-"""
-
-
-def run_child(tree: Path, code: str, args: list[str], importtime: bool = False):
+def run_child(tree: Path, cmd: list[str], importtime: bool = False):
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    cmd = [sys.executable] + (["-X", "importtime"] if importtime else []) + ["-c", code]
-    proc = subprocess.run(cmd + args, env=env, capture_output=True, text=True,
-                          check=True, cwd=tree)
+    cmd = [sys.executable] + (["-X", "importtime"] if importtime else []) + cmd
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True,
+                          cwd=tree)
     return proc.stdout, proc.stderr
 
 
@@ -99,16 +66,18 @@ def numpy_ma_ms(stderr: str) -> float:
 
 def cli_split(tree: Path, args: tuple[str, ...]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "split.json"
-        _, err = run_child(tree, CLI_CHILD,
-                           [str(out), *args, "--out-json", str(Path(tmp) / "a.json")],
+        out = Path(tmp) / "trace.json"
+        _, err = run_child(tree, [str(tree / "pipebench" / "traced_cli.py"), str(out),
+                                  *args, "--out-json", str(Path(tmp) / "a.json")],
                            importtime=True)
-        spent = json.loads(out.read_text())
-    if spent["exit"] != 0:
-        raise SystemExit(f"bench_phi: {' '.join(args)} exited {spent['exit']} in {tree}")
+        spans = json.loads(out.read_text())["trace"]["stats"]["timed"]
+    # [calls, inclusive s, self s] per span; Phi runs inside the residual
+    inclusive = {name: spans.get(name, (0, 0.0, 0.0))[1] * 1e3 for name in
+                 ("cli.main", "exact.canonical_constant", "approximate.build_sharmonic")}
     ma = numpy_ma_ms(err)
-    split = {"total": spent["total"] * 1e3, "phi": spent["phi"] * 1e3, "numpy_ma": ma,
-             "build": spent["build"] * 1e3 - ma, "residual": spent["residual"] * 1e3}
+    split = {"total": inclusive["cli.main"], "phi": inclusive["exact.canonical_constant"],
+             "numpy_ma": ma, "build": inclusive["approximate.build_sharmonic"] - ma,
+             "residual": spans.get("exact.combo_residual", (0, 0.0, 0.0))[2] * 1e3}
     split["other"] = split["total"] - sum(split[k] for k in
                                           ("phi", "numpy_ma", "build", "residual"))
     return {k: round(v, 2) for k, v in split.items()}
@@ -125,7 +94,6 @@ def revision(tree: Path) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
-    ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_phi.json")
     opts = ap.parse_args()
     trees = {"parent": opts.parent.resolve(), "change": ROOT}
@@ -136,9 +104,9 @@ def main() -> None:
     for s in S_VALUES:
         for dps in DPS_VALUES:
             best = {name: float("inf") for name in trees}
-            for _ in range(opts.runs):
+            for _ in range(RUNS):
                 for name, tree in trees.items():
-                    out, _ = run_child(tree, PHI_CHILD, [str(s), str(dps)])
+                    out, _ = run_child(tree, ["-c", PHI_CHILD, str(s), str(dps)])
                     best[name] = min(best[name], float(out))
             row = {"s": s, "dps": dps, **{f"{k}_ms": round(v, 2) for k, v in best.items()}}
             row["speedup"] = round(best["parent"] / best["change"], 1)
@@ -148,7 +116,7 @@ def main() -> None:
     cli = []
     for args in dict.fromkeys(CLI_MIX):
         row = {"args": " ".join(args), **dict.fromkeys(trees)}
-        for _ in range(opts.runs):
+        for _ in range(RUNS):
             for name, tree in trees.items():
                 split = cli_split(tree, args)
                 if row[name] is None or split["total"] < row[name]["total"]:
@@ -157,8 +125,7 @@ def main() -> None:
         print(json.dumps(row), flush=True)
 
     result = {
-        "command": "python3 tools/bench_phi.py --parent PATH "
-                   f"--runs {opts.runs}",
+        "command": "python3 tools/bench_phi.py --parent PATH",
         "host": {"cores": os.cpu_count(), "numba": importlib.util.find_spec("numba") is not None,
                  "python": platform.python_version(), "machine": platform.machine()},
         "trees": {name: revision(tree) for name, tree in trees.items()},
