@@ -10,8 +10,8 @@ certified C^2 approximations of arbitrary smooth targets on [-1, 1].
 Everything is deterministic: no randomness, reproducible artifacts.
 """
 
-from .approximate import (ApproxReport, BuildInfo, ChebPoly, GroupInfo,
-                          Target, approximate, build_sharmonic, cheb_fit,
+from .approximate import (ApproxReport, BuildInfo, ChebPoly, Target,
+                          approximate, build_sharmonic, cheb_fit,
                           default_nodes, target_from_spec)
 from .blocks import (SHBlock, SHCombo, block_derivative_at_zero,
                      block_eval, combo_add, combo_derivative, combo_eval,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxReport", "ApproximationError", "BuildInfo", "ChebPoly",
     "ConfigError", "DomainError", "EvaluationError",
-    "FracLapDetail", "FracParams", "GridFunction", "GroupInfo",
+    "FracLapDetail", "FracParams", "GridFunction",
     "HarnackWitness", "LogisticWitness", "OffsetCombo",
     "QuadConfig", "SHBlock", "SHCombo", "SharmonicError", "Target",
     "approximate", "block_derivative_at_zero", "block_eval",

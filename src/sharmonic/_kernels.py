@@ -20,14 +20,8 @@ def _truncated_powers(ts: np.ndarray, rs: np.ndarray, x: np.ndarray, p: float) -
     return np.power(arg, p, out=np.zeros_like(arg), where=arg > 0.0)
 
 
-def combo_values(ts, cs, rs, s, x):
-    """Evaluate sum_k cs[k] * (rs[k]*x + ts[k])_+^s on an array of points."""
-    ts, cs, rs, x = (np.asarray(a, dtype=np.float64) for a in (ts, cs, rs, x))
-    return (cs[:, None] * _truncated_powers(ts, rs, x, float(s))).sum(axis=0)
-
-
 def combo_derivatives(ts, cs, rs, s, x, order):
-    """Evaluate the order-th derivative of the block sum on an array of points."""
+    """Order-th derivative of sum_k cs[k] * (rs[k]*x + ts[k])_+^s on an array of points."""
     ts, cs, rs, x = (np.asarray(a, dtype=np.float64) for a in (ts, cs, rs, x))
     fall = 1.0
     for l in range(order):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -165,18 +165,6 @@ class ChebPoly:
         return out
 
 
-def _cheb_interpolate(f: Callable, degree: int) -> np.ndarray:
-    return np.polynomial.chebyshev.chebinterpolate(
-        lambda z: np.asarray(f(np.asarray(z, dtype=float)), dtype=float), degree)
-
-
-def _certify_c2(diff_funcs, grid: np.ndarray) -> float:
-    worst = 0.0
-    for fn in diff_funcs:
-        worst = max(worst, float(np.max(np.abs(fn(grid)))))
-    return worst * _INFLATION
-
-
 def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
     """Lowest-degree Chebyshev interpolant within eps_half of the target in
     certified C^2 norm; raises when the degree cap is insufficient."""
@@ -187,11 +175,12 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
     best = np.inf
     for degree in range(_DEGREE_FLOOR, degree_cap + 1):
-        coef = _cheb_interpolate(target.f, degree)
+        coef = np.polynomial.chebyshev.chebinterpolate(
+            lambda z: np.asarray(target.f(np.asarray(z, dtype=float)), dtype=float), degree)
         poly = ChebPoly(coef, 0.0)
-        cert = _certify_c2(
-            [lambda z, m=m: target.derivative(m)(z) - poly.eval(z, m) for m in range(3)],
-            grid)
+        cert = _INFLATION * max(
+            float(np.max(np.abs(target.derivative(m)(grid) - poly.eval(grid, m))))
+            for m in range(3))
         best = min(best, cert)
         if cert <= eps_half:
             return ChebPoly(coef, cert)
@@ -205,19 +194,10 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
 
 
 @dataclass(frozen=True)
-class GroupInfo:
-    """Diagnostics for one matched monomial group."""
-
-    degree: int
-    coefficient: float
-    scale: float
-
-
-@dataclass(frozen=True)
 class BuildInfo:
     matching_order: int
     nodes: tuple[float, ...]
-    groups: tuple[GroupInfo, ...]
+    scales: tuple[tuple[int, float], ...]  # (degree, scale r) of each matched group
     defect_error: float
 
 
@@ -278,14 +258,13 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo,
             f"unmatched monomials weigh {dropped:.3e} in C^2, above the block "
             f"budget {eps_half:.3e}; raise epsilon")
 
-    matched, bounds, infos = [], [], []
+    matched, bounds, scales = [], [], []
     for j in kept:
         values = [mono[j] * math.factorial(j) if i == j else 0 for i in range(big_n + 1)]
         group, bound = rescale_for_defect(values, nodes, s, j, share)
-        r = group.blocks[0].r
         matched.append(group)
         bounds.append(bound)
-        infos.append(GroupInfo(degree=j, coefficient=float(mono[j]), scale=r))
+        scales.append((j, group.blocks[0].r))
 
     cert = _defect_certificate(bounds, dropped)
     if cert > eps_half:
@@ -295,7 +274,7 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo,
             f"lower --degree-cap")
     combo = SHCombo(s, tuple(b for g in matched for b in g.blocks), (-1.0, 1.0))
     info = BuildInfo(matching_order=big_n, nodes=tuple(float(t) for t in nodes),
-                     groups=tuple(infos), defect_error=cert)
+                     scales=tuple(scales), defect_error=cert)
     return combo, info
 
 
@@ -323,21 +302,9 @@ class ApproxReport:
     elapsed_seconds: float
 
     def to_dict(self) -> dict:
-        d = {
-            "target": self.target,
-            "s": self.s,
-            "epsilon_requested": self.epsilon_requested,
-            "epsilon_poly": self.epsilon_poly,
-            "epsilon_defect": self.epsilon_defect,
-            "epsilon_total": self.epsilon_total,
-            "degree": self.degree,
-            "matching_order": self.matching_order,
-            "nodes": list(self.nodes),
-            "scales": {str(j): r for j, r in self.scales},
-            "n_blocks": self.n_blocks,
-            "max_residual": self.max_residual,
-            "residual_method": self.residual_method,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed_seconds"}
+        d["nodes"] = list(self.nodes)
+        d["scales"] = {str(j): r for j, r in self.scales}
         return d
 
 
@@ -366,7 +333,7 @@ def approximate(target: Target, eps: float, s: float,
         epsilon_poly=poly.fit_error, epsilon_defect=build.defect_error,
         epsilon_total=eps_total, degree=poly.degree,
         matching_order=build.matching_order, nodes=build.nodes,
-        scales=tuple((g.degree, g.scale) for g in build.groups),
+        scales=build.scales,
         n_blocks=len(combo.blocks), max_residual=residual,
         residual_method="per-block exact reduction via the canonical constant at the left end",
         elapsed_seconds=time.perf_counter() - t0)

@@ -70,8 +70,8 @@ def block_derivative_at_zero(t: float, j: int, s: float) -> float:
 def block_eval(block: "SHBlock", x, s: float):
     """Evaluate a single block at scalar or array x."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _kernels.combo_values(np.array([block.t]), np.array([float(block.c)]),
-                                np.array([block.r]), s, xs)
+    out = _kernels.combo_derivatives(np.array([block.t]), np.array([float(block.c)]),
+                                     np.array([block.r]), s, xs, 0)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -249,18 +249,13 @@ def _group_taylor(s: float, blocks: tuple[SHBlock, ...],
     return out, log_lead
 
 
-def _mp_scale_digits(combo: SHCombo, xmax: float) -> int:
+def _combo_eval_mp(combo: SHCombo, xs: np.ndarray, order: int) -> np.ndarray:
+    xmax = float(np.max(np.abs(xs))) if xs.size else 1.0
     with workdps(30):
         tot = mpf(0)
         for b in combo.blocks:
             tot += abs(mpf(b.c)) * (mpf(b.t) + mpf(b.r) * xmax) ** mpf(combo.s)
-        if tot <= 1:
-            return 0
-        return int(mpmath.ceil(mpmath.log10(tot)))
-
-
-def _combo_eval_mp(combo: SHCombo, xs: np.ndarray, order: int) -> np.ndarray:
-    digits = _mp_scale_digits(combo, float(np.max(np.abs(xs))) if xs.size else 1.0)
+        digits = int(mpmath.ceil(mpmath.log10(tot))) if tot > 1 else 0
     out = np.empty(xs.shape)
     with workdps(28 + digits):
         s = mpf(combo.s)
@@ -306,10 +301,7 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
             out = _combo_eval_mp(combo, xs, order)
     else:
         ts, cs, rs = combo.float_arrays()
-        if order == 0:
-            out = _kernels.combo_values(ts, cs, rs, combo.s, xs)
-        else:
-            out = _kernels.combo_derivatives(ts, cs, rs, combo.s, xs, order)
+        out = _kernels.combo_derivatives(ts, cs, rs, combo.s, xs, order)
     return float(out[0]) if scalar else out
 
 
@@ -486,9 +478,8 @@ def _monomial_model(values: Sequence, nodes: Sequence[float], s: float, j: int,
 
     * rows: those terms, exactly, for i = N+1 .. 2N+13;
     * tail: from I = 2N+14 on, |M_i| <= Y t_min^-i with Y = sum_k |y_k|,
-      and consecutive bounds |binom(s, i)| i!/(i-m)! r^-j Y q^i shrink at
-      least by rho q, rho = max(1, (I - s) / (I + 1 - m)): at most the
-      first over 1 - rho q;
+      so those terms are what _omitted_bound bounds for m = I, W = Y r^-j,
+      p = q and xmax = 1;
     * storage: rescale_for_defect rounds each a_k by a relative delta with
       delta Y r^-j <= 1e-32 eps, which moves order i, matched ones
       included, by at most |binom(s, i)| r^(i-j) t_min^-i delta Y <= 1e-32
@@ -518,16 +509,15 @@ def _monomial_model(values: Sequence, nodes: Sequence[float], s: float, j: int,
     log_beta = log_binom[powers] + log_b_j + log_rows
     orders = np.arange(3)
     falling = np.array([[math.perm(i, m) for i in powers] for m in orders], dtype=float)
-    log_tail = (log_binom[first] + math.log10(sum(abs(float(yk)) for yk in y))
-                + np.log10([math.perm(first, m) for m in orders]))
-    rho = np.maximum(1.0, (first - s) / (first + 1 - orders))
+    log_lead = float(log_binom[first]) + math.log10(sum(abs(float(yk)) for yk in y))
     t_min = float(np.min(t))
 
     def bound(r: float) -> np.ndarray:
         q, log_r = r / t_min, math.log10(r)
         with np.errstate(over="ignore"):
             rows = falling @ 10.0 ** (log_beta + (powers - j) * log_r)
-            tail = 10.0 ** (log_tail - j * log_r + first * math.log10(q)) / (1.0 - rho * q)
+        tail = np.array([_omitted_bound(s, first, log_lead - j * log_r, q, 1.0, m)
+                         for m in range(3)])
         storage = 1e-32 * eps * np.array([1.0, q, 2.0 * q * q]) / (1.0 - q) ** (orders + 1)
         return (rows + tail + storage) * (1.0 + 1e-9) + 2.0**-1000
 

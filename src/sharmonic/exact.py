@@ -233,38 +233,39 @@ def _mass_slack(n_blocks: int) -> mpf:
     return mpf(10) ** -25 * max(1, n_blocks / 10 ** 4)
 
 
-def combo_residual(combo: SHCombo, xs, dps: int | None = None) -> np.ndarray:
+def combo_residual(combo: SHCombo, xs) -> np.ndarray:
     """Absolute value of the defining integral of a block combination.
 
     Each value is |Phi(s, s)| plus its error bound, times the cancellation
-    mass sum_k |c_k| r_k^s (x + t_k/r_k)^-s, evaluated at 30 digits and
-    rounded up to float.  Every term of the mass is positive and decreasing
-    in x, so a value at a point bounds every point to its right in the
-    smooth region.  Phi is evaluated at a precision chosen from the largest
-    mass, so the result is meaningful even when the raw coefficients
-    overflow any fixed-precision cancellation.  Each returned value bounds
-    |(-Delta)^s v(x)|.
+    mass sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s, evaluated at 30 digits and
+    rounded up to float.  r_k x + t_k is formed exactly, so no rounding is
+    amplified next to a kink; a term takes five roundings, three of them
+    once per block, and one addition, which _mass_slack covers.  Every term
+    of the mass is positive and decreasing in x, so a value at a point
+    bounds every point to its right in the smooth region.  Phi is evaluated
+    at a precision chosen from the largest mass, so the result is
+    meaningful even when the raw coefficients overflow any fixed-precision
+    cancellation.  Each returned value bounds |(-Delta)^s v(x)|.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     with workdps(30):
         sm = mpf(combo.s)
         neg = -sm
-        consts = [(abs(mpf(b.c)) * mpf(b.r) ** sm, mpf(b.t) / mpf(b.r), b.kink)
+        consts = [(abs(mpf(b.c)) * mpf(b.r) ** (2 * sm), mpf(b.r), mpf(b.t), b.kink)
                   for b in combo.blocks]
         masses = []
         for x in xs:
             xm, acc = mpf(float(x)), mpf(0)
-            for weight, offset, kink in consts:
-                xi = xm + offset
-                if xi <= 0:
+            for weight, r, t, kink in consts:
+                arg = mpmath.fadd(mpmath.fmul(r, xm, exact=True), t, exact=True)
+                if arg <= 0:
                     raise DomainError(
                         f"point {x} is outside the smooth region (kink at {kink})")
-                acc += weight * xi ** neg
+                acc += weight * arg ** neg
             masses.append(acc)
         worst = max(masses, default=mpf(0))
-    if dps is None:
-        amp = int(mpmath.ceil(mpmath.log10(worst))) if worst > 1 else 0
-        dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
+    amp = int(mpmath.ceil(mpmath.log10(worst))) if worst > 1 else 0
+    dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)
     with workdps(30):
         slack = _mass_slack(len(combo.blocks))

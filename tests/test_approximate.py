@@ -145,7 +145,7 @@ def test_dropped_monomial_is_charged_to_the_certificate():
     poly = ChebPoly(coef, 0.0)
     mono = poly.monomial_fractions()
     combo, info = sh.build_sharmonic(poly, 0.5, 1e-3)
-    assert [g.degree for g in info.groups] == [0, 2]
+    assert [j for j, _ in info.scales] == [0, 2]
     assert info.defect_error <= 1e-3
     xs = np.linspace(-1.0, 1.0, 201)
     with workdps(60):

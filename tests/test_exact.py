@@ -1,5 +1,7 @@
 """Certified canonical-constant evaluation and exact residual bounds."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -203,6 +205,23 @@ def test_power_block_reference_outside_smooth_region():
 # residual bounds for block combinations
 
 
+def _residual_with_phi(combo, xs):
+    """combo_residual(combo, xs) and the (Phi, error) it used, recorded at
+    the precision it chose."""
+    used = []
+    original = exact.canonical_constant
+
+    def record(p, s, dps):
+        used.append(original(p, s, dps))
+        return used[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "canonical_constant", record)
+        got = sh.combo_residual(combo, xs)
+    ((phi, err),) = used
+    return got, phi, err
+
+
 def test_combo_residual_matches_hand_reduction():
     s = 0.5
     combo = sh.SHCombo(
@@ -210,8 +229,7 @@ def test_combo_residual_matches_hand_reduction():
         (sh.SHBlock(2.0, 3.0, 1.0), sh.SHBlock(1.5, -4.0, 0.5)),
     )
     xs = np.array([0.0, 0.7])
-    got = sh.combo_residual(combo, xs, dps=40)
-    phi, err = sh.canonical_constant(s, s, dps=40)
+    got, phi, err = _residual_with_phi(combo, xs)
     bound = abs(phi) + abs(err)
     with workdps(50):
         for i, x in enumerate(xs):
@@ -229,6 +247,20 @@ _FLOAT_BLOCKS = st.lists(
 _POINTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20)
 
 
+@st.composite
+def _blocks_and_points_by_the_kink(draw):
+    """Float blocks, points in [-1, 1], and a few points one to four ulps
+    right of the blocks' rightmost kink, where the mass is largest."""
+    blocks = draw(_FLOAT_BLOCKS)
+    xs = draw(_POINTS)
+    for ulps in draw(st.lists(st.integers(1, 4), max_size=3)):
+        x = max(b.kink for b in blocks)
+        for _ in range(ulps):
+            x = math.nextafter(x, math.inf)
+        xs.append(x)
+    return blocks, xs
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 0.95), _FLOAT_BLOCKS, _POINTS)
 def test_combo_residual_is_nonincreasing_in_x(s, blocks, xs):
@@ -239,16 +271,28 @@ def test_combo_residual_is_nonincreasing_in_x(s, blocks, xs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(0.05, 0.95), _FLOAT_BLOCKS, _POINTS)
-def test_combo_residual_is_never_below_the_exact_product(s, blocks, xs):
-    got = sh.combo_residual(sh.SHCombo(s, tuple(blocks)), xs, dps=40)
-    phi, err = sh.canonical_constant(s, s, dps=40)
+@given(st.floats(0.05, 0.95), _blocks_and_points_by_the_kink())
+def test_combo_residual_is_never_below_the_exact_product(s, blocks_and_points):
+    blocks, xs = blocks_and_points
+    got, phi, err = _residual_with_phi(sh.SHCombo(s, tuple(blocks)), xs)
     with workdps(60):
         bound, sm = abs(phi) + abs(err), mpf(s)
         for x, value in zip(xs, got):
             mass = mpmath.fsum(abs(mpf(b.c)) * mpf(b.r) ** sm
                                * (mpf(x) + mpf(b.t) / mpf(b.r)) ** -sm for b in blocks)
             assert mpf(value) >= bound * mass
+
+
+@pytest.mark.parametrize("t, r", [(1.0, 7e-6), (2.0, 3e-7)])
+def test_combo_residual_holds_at_the_float_next_to_a_kink(t, r):
+    # rounding the offset t/r would be amplified by (t/r) / (x + t/r) here,
+    # past the slack; the exactly formed r x + t is not
+    block = sh.SHBlock(t, 1.0, r)
+    x = math.nextafter(block.kink, math.inf)
+    (got,), phi, err = _residual_with_phi(sh.SHCombo(0.5, (block,)), [x])
+    with workdps(80):
+        want = (abs(phi) + abs(err)) * mpf(r) ** mpf(0.5) * (mpf(x) + mpf(t) / mpf(r)) ** -mpf(0.5)
+        assert mpf(got) >= want
 
 
 def test_combo_residual_single_block_is_certifiably_tiny():
@@ -297,8 +341,7 @@ def test_combo_residual_mass_at_fixed_precision_matches_60_digits():
     combo, _ = sh.approximate(sh.target_from_spec("exp"), 1e-8, 0.5)
     assert len(combo.blocks) == 169
     xs = np.linspace(-1.0, 1.0, 23)[1:-1]
-    got = sh.combo_residual(combo, xs, dps=340)
-    phi, err = sh.canonical_constant(0.5, 0.5, dps=340)
+    got, phi, err = _residual_with_phi(combo, xs)
     with workdps(60):
         bound = abs(phi) + err
         sm = mpf(0.5)
@@ -327,8 +370,7 @@ def test_combo_residual_covers_the_mass_of_ten_thousand_float_blocks():
     blocks = tuple(sh.SHBlock(float(t), float(c), float(r)) for t, c, r in zip(
         rng.uniform(1.5, 4.0, 10050), rng.uniform(-10.0, 10.0, 10050),
         rng.uniform(1e-3, 1.0, 10050)))
-    (got,) = sh.combo_residual(sh.SHCombo(0.5, blocks), [-1.0], dps=40)
-    phi, err = sh.canonical_constant(0.5, 0.5, dps=40)
+    (got,), phi, err = _residual_with_phi(sh.SHCombo(0.5, blocks), [-1.0])
     with workdps(60):
         sm = mpf(0.5)
         want = (abs(phi) + abs(err)) * mpmath.fsum(

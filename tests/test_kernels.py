@@ -37,20 +37,16 @@ def _loop_power_series(exps, coefs, x, order):
     return out
 
 
-def test_combo_values_matches_reference():
-    ts, cs, rs, x = _workload()
-    got = _kernels.combo_values(ts, cs, rs, 0.5, x)
-    want = _loop_derivatives(ts, cs, rs, 0.5, x, 0)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-
-
 def test_combo_derivatives_matches_reference():
     ts, cs, rs, x = _workload()
-    for order in range(4):
-        got = _kernels.combo_derivatives(ts, cs, rs, 0.35, x, order)
-        want = _loop_derivatives(ts, cs, rs, 0.35, x, order)
-        scale = 1.0 + np.max(np.abs(want))
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    for s in (0.35, 0.5):
+        assert np.allclose(_kernels.combo_derivatives(ts, cs, rs, s, x, 0),
+                           _loop_derivatives(ts, cs, rs, s, x, 0), rtol=1e-12, atol=1e-14)
+        for order in range(4):
+            got = _kernels.combo_derivatives(ts, cs, rs, s, x, order)
+            want = _loop_derivatives(ts, cs, rs, s, x, order)
+            scale = 1.0 + np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_power_series_eval_matches_reference_and_horner():
@@ -74,7 +70,7 @@ def test_blocks_are_zero_on_dead_side():
     cs = np.array([5.0])
     rs = np.array([1.0])
     x = np.array([-3.0, -1.0, -1.0000001])
-    out = _kernels.combo_values(ts, cs, rs, 0.5, x)
+    out = _kernels.combo_derivatives(ts, cs, rs, 0.5, x, 0)
     assert np.all(out == 0.0)
     der = _kernels.combo_derivatives(ts, cs, rs, 0.5, x, 1)
     assert np.all(der == 0.0)

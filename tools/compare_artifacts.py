@@ -1,0 +1,133 @@
+"""Check that a fixed grid of CLI runs writes the same artifacts in this tree
+as in another checkout.
+
+Usage, from the root of a checkout:
+
+    python3 tools/compare_artifacts.py --parent PATH
+
+PATH is a second checkout (for example the parent commit, made with ``git
+clone`` or ``git archive``).  Every case of CASES runs once per tree, each
+in a fresh interpreter with ``PYTHONPATH`` set to the tree's ``src``,
+writing ``--out-json`` and ``--out-csv``.  For each case the script prints
+whether both artifacts are byte-identical; where one differs it prints the
+first differing JSON key or CSV column and the largest relative difference
+over all values.  It exits 1 if any case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from bench_phi import run_child  # noqa: E402
+
+CASES = tuple(
+    ("approximate", "--target", target, "--epsilon", eps, "--s", s)
+    for target, eps in (("x2", "0.0625"), ("sin", "1e-6"), ("exp", "1e-8"))
+    for s in ("0.1", "0.5", "0.9")
+) + (
+    ("approximate", "--target", "sin", "--epsilon", "1e-4", "--s", "0.05"),
+    ("approximate", "--target", "sin", "--epsilon", "1e-4", "--s", "0.95"),
+    ("demo", "harnack", "--s", "0.5"),
+    ("demo", "harnack", "--s", "0.3"),
+    ("demo", "logistic", "--sigma", "sin", "--mu", "exp"),
+    ("demo", "logistic"),
+    ("fraclap", "--target", "sin"),
+    ("fraclap", "--target", "block:t=1"),
+)
+
+
+def _relative(a: str, b: str) -> float:
+    """Relative difference of two numbers written as text, exact up to the
+    final rounding; inf when either is not a finite number."""
+    try:
+        x, y = Fraction(a), Fraction(b)
+    except (TypeError, ValueError):
+        return float("inf")
+    return float(abs(x - y) / max(abs(x), abs(y))) if x != y else 0.0
+
+
+def _json_leaves(text: str):
+    """(key path, value as text) of every leaf of a JSON document, in order."""
+    return _leaves(json.loads(text, parse_float=str, parse_int=str))
+
+
+def _leaves(node, path: str = ""):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _csv_cells(text: str):
+    """(column name, value as text) of every cell, row by row."""
+    rows = list(csv.reader(text.splitlines()))
+    for row in rows[1:]:
+        yield from zip(rows[0], row)
+
+
+def _first_difference(ours, theirs) -> tuple[str | None, float]:
+    """First differing key and the largest relative difference of two leaf
+    sequences; a key present on one side only counts as inf."""
+    ours, theirs = list(ours), list(theirs)
+    keys, other = [k for k, _ in ours], [k for k, _ in theirs]
+    if keys != other:
+        i = next((i for i, (a, b) in enumerate(zip(keys, other)) if a != b),
+                 min(len(keys), len(other)))
+        return (keys[i] if i < len(keys) else other[i]), float("inf")
+    first, worst = None, 0.0
+    for (key, a), (_, b) in zip(ours, theirs):
+        if a != b:
+            first = first or key
+            worst = max(worst, _relative(a, b))
+    return first, worst
+
+
+def compare(args: tuple[str, ...], trees: dict[str, Path]) -> str | None:
+    """None when both artifacts of the case are identical, else a summary."""
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, tree in trees.items():
+            out = Path(tmp) / name
+            run_child(tree, ["-m", "sharmonic", *args, "--out-json", f"{out}.json",
+                             "--out-csv", f"{out}.csv"])
+            texts[name] = (Path(f"{out}.json").read_text(), Path(f"{out}.csv").read_text())
+    (json_a, csv_a), (json_b, csv_b) = texts.values()
+    notes = []
+    if json_a != json_b:
+        key, worst = _first_difference(_json_leaves(json_a), _json_leaves(json_b))
+        notes.append(f"JSON key {key}, largest relative difference {worst:.3e}")
+    if csv_a != csv_b:
+        column, worst = _first_difference(_csv_cells(csv_a), _csv_cells(csv_b))
+        notes.append(f"CSV column {column}, largest relative difference {worst:.3e}")
+    return "; ".join(notes) or None
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    opts = ap.parse_args()
+    trees = {"change": ROOT, "parent": opts.parent.resolve()}
+    differing = 0
+    for args in CASES:
+        summary = compare(args, trees)
+        differing += summary is not None
+        print(f"{'identical' if summary is None else 'DIFFERS':9}  {' '.join(args)}"
+              + (f": {summary}" if summary else ""), flush=True)
+    print(f"{len(CASES) - differing} of {len(CASES)} cases identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
