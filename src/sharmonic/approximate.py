@@ -167,20 +167,29 @@ class ChebPoly:
 
 def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
     """Lowest-degree Chebyshev interpolant within eps_half of the target in
-    certified C^2 norm; raises when the degree cap is insufficient."""
+    certified C^2 norm; raises when the degree cap is insufficient.
+
+    The target and its two derivatives are sampled on the certification
+    grid once, before the degree search; a sample that is not finite
+    raises DomainError."""
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
     if degree_cap > 30:
         raise ConfigError(f"degree cap {degree_cap} exceeds the supported maximum 30")
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
+    samples = [target.derivative(m)(grid) for m in range(3)]
+    for m, values in enumerate(samples):
+        # max() below would skip a NaN and certify the finite orders alone
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"target {target.name!r}: derivative of order {m} is "
+                              f"not finite on the certification grid")
     best = np.inf
     for degree in range(_DEGREE_FLOOR, degree_cap + 1):
         coef = np.polynomial.chebyshev.chebinterpolate(
             lambda z: np.asarray(target.f(np.asarray(z, dtype=float)), dtype=float), degree)
         poly = ChebPoly(coef, 0.0)
         cert = _INFLATION * max(
-            float(np.max(np.abs(target.derivative(m)(grid) - poly.eval(grid, m))))
-            for m in range(3))
+            float(np.max(np.abs(samples[m] - poly.eval(grid, m)))) for m in range(3))
         best = min(best, cert)
         if cert <= eps_half:
             return ChebPoly(coef, cert)

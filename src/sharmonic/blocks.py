@@ -420,13 +420,20 @@ def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
     return t, rhs, [sum((row[i] * b for i, b in nonzero), Fraction(0)) for row in inverse]
 
 
+@functools.lru_cache(maxsize=4096)
+def _inverse_power(t: float, s: float, dps: int) -> mpf:
+    """t^-s rounded at dps digits, whatever the caller's precision."""
+    with workdps(dps):
+        return mpf(t) ** -mpf(s)
+
+
 def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, r: float,
                         j: int, dps: int) -> list[mpf]:
     """Coefficients y_k t_k^-s r^-j at dps digits; y_k is rounded only once."""
     with workdps(dps):
         factor = mpf(r) ** -j
         return [mpf(from_rational(yk.numerator, yk.denominator, mpmath.mp.prec,
-                                  round_nearest)) * mpf(float(tk)) ** -mpf(s) * factor
+                                  round_nearest)) * _inverse_power(float(tk), s, dps) * factor
                 for yk, tk in zip(y, t)]
 
 

@@ -240,18 +240,20 @@ def combo_residual(combo: SHCombo, xs) -> np.ndarray:
     mass sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s, evaluated at 30 digits and
     rounded up to float.  r_k x + t_k is formed exactly, so no rounding is
     amplified next to a kink; a term takes five roundings, three of them
-    once per block, and one addition, which _mass_slack covers.  Every term
-    of the mass is positive and decreasing in x, so a value at a point
-    bounds every point to its right in the smooth region.  Phi is evaluated
-    at a precision chosen from the largest mass, so the result is
-    meaningful even when the raw coefficients overflow any fixed-precision
-    cancellation.  Each returned value bounds |(-Delta)^s v(x)|.
+    once per block (r_k^(2s) once per group of equal r), and one addition,
+    which _mass_slack covers.  Every term of the mass is positive and
+    decreasing in x, so a value at a point bounds every point to its right
+    in the smooth region.  Phi is evaluated at a precision chosen from the
+    largest mass, so the result is meaningful even when the raw
+    coefficients overflow any fixed-precision cancellation.  Each returned
+    value bounds |(-Delta)^s v(x)|.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     with workdps(30):
         sm = mpf(combo.s)
         neg = -sm
-        consts = [(abs(mpf(b.c)) * mpf(b.r) ** (2 * sm), mpf(b.r), mpf(b.t), b.kink)
+        scaling = {g[0].r: mpf(g[0].r) ** (2 * sm) for g in combo.groups}
+        consts = [(abs(mpf(b.c)) * scaling[b.r], mpf(b.r), mpf(b.t), b.kink)
                   for b in combo.blocks]
         masses = []
         for x in xs:

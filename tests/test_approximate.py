@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
 import sharmonic as sh
-from sharmonic.approximate import ChebPoly, Target, _defect_certificate
+from sharmonic.approximate import _CERT_GRID, ChebPoly, Target, _defect_certificate
 from sharmonic.blocks import _combo_eval_mp, deviation_bound
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.fraclap import GridFunction
@@ -69,6 +69,40 @@ def test_cheb_fit_validation():
         sh.cheb_fit(target, np.inf)
     with pytest.raises(ConfigError):
         sh.cheb_fit(target, 0.01, degree_cap=40)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_cheb_fit_refuses_a_nonfinite_derivative(order):
+    # max() over the orders would skip the NaN and certify the others alone
+    derivs = [np.sin, np.cos, lambda z: -np.sin(z)]
+    derivs[order] = lambda z: np.full_like(np.asarray(z, dtype=float), np.nan)
+    target = Target(f"nan{order}", *derivs)
+    with pytest.raises(DomainError, match=rf"'nan{order}'.*order {order}"):
+        sh.cheb_fit(target, 1e-6)
+
+
+class _CountingSamples:
+    """A target callable that counts its calls on the certification grid."""
+
+    def __init__(self, f):
+        self.f, self.grid_calls, self.other_calls = f, 0, 0
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=float)
+        if np.array_equal(z, np.linspace(-1.0, 1.0, _CERT_GRID)):
+            self.grid_calls += 1
+        else:
+            self.other_calls += 1
+        return self.f(z)
+
+
+def test_cheb_fit_samples_the_grid_once():
+    f, f1, f2 = (_CountingSamples(g) for g in (np.sin, np.cos, lambda z: -np.sin(z)))
+    poly = sh.cheb_fit(Target("counted", f, f1, f2), 1e-6)
+    assert poly.degree > 3  # several degrees were tried
+    assert (f.grid_calls, f1.grid_calls, f2.grid_calls) == (1, 1, 1)
+    # f is also sampled at each degree's Chebyshev nodes; its derivatives never
+    assert f1.other_calls == f2.other_calls == 0
 
 
 def test_monomial_conversion_is_exact():

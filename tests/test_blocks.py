@@ -6,14 +6,16 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mpf, workdps
+from mpmath.libmp import from_rational, round_nearest
 
 import sharmonic as sh
-from sharmonic import _kernels
+from sharmonic import _kernels, blocks
 from sharmonic.blocks import _combo_eval_mp, deviation_bound
 from sharmonic.errors import DomainError
 
@@ -292,6 +294,33 @@ def test_rescale_validation():
     for order in range(3):
         want = 1.0 if order == 0 else 0.0
         assert np.max(np.abs(sh.combo_derivative(group, xs, order) - want)) <= 0.1
+
+
+def test_storage_allowance_is_kept_where_the_exact_rows_underflow():
+    # at r = 1e-300 the exact rows and the tail underflow to 0, so B_0 is
+    # the allowance for the roundings of the stored coefficients alone
+    eps = 1e-3
+    got = deviation_bound((0.0, 1.0, 0.0, 0.0), sh.default_nodes(3), 0.5, 1, 1e-300, eps)
+    assert got[0] >= 1e-32 * eps
+
+
+@pytest.mark.parametrize("s, dps", [(0.5, 30), (0.3, 61), (0.9, 120), (0.05, 340)])
+def test_block_coefficients_equal_the_uncached_expression(s, dps):
+    y = [Fraction(3, 7), Fraction(-5, 11), Fraction(2**70 + 1, 3**40)]
+    t = sh.default_nodes(2) + 1.0 / 7.0
+    r, j = 2.0**-20 / 3.0, 2
+    with workdps(dps):
+        want = [mpf(from_rational(yk.numerator, yk.denominator, mpmath.mp.prec, round_nearest))
+                * mpf(float(tk)) ** -mpf(s) * mpf(r) ** -j for yk, tk in zip(y, t)]
+    blocks._inverse_power.cache_clear()
+    # the powers are cached under a low ambient precision and read back
+    # under a high one
+    with workdps(15):
+        for tk in t:
+            blocks._inverse_power(float(tk), s, dps)
+    with workdps(500):
+        assert blocks._block_coefficients(y, t, s, r, j, dps) == want
+    assert blocks._inverse_power.cache_info().hits == len(t)
 
 
 def test_unreachable_budget_is_an_approximation_error():

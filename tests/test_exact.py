@@ -295,6 +295,37 @@ def test_combo_residual_holds_at_the_float_next_to_a_kink(t, r):
         assert mpf(got) >= want
 
 
+def _residual_per_block(combo, xs):
+    """combo_residual with r_k^(2s) raised once per block: the same roundings
+    in the same order."""
+    with workdps(30):
+        sm = mpf(combo.s)
+        masses = [mpmath.mpf(0)] * len(xs)
+        for i, x in enumerate(xs):
+            for b in combo.blocks:
+                arg = mpmath.fadd(mpmath.fmul(mpf(b.r), mpf(float(x)), exact=True),
+                                  mpf(b.t), exact=True)
+                masses[i] += abs(mpf(b.c)) * mpf(b.r) ** (2 * sm) * arg ** -sm
+        worst = max(masses)
+    amp = int(mpmath.ceil(mpmath.log10(worst))) if worst > 1 else 0
+    phi, phi_err = sh.canonical_constant(combo.s, combo.s, ((25 + amp + 19) // 20) * 20)
+    with workdps(30):
+        bounds = [(abs(phi) + abs(phi_err)) * (1 + exact._mass_slack(len(combo.blocks))) * m
+                  for m in masses]
+    return [math.nextafter(float(b), math.inf) if float(b) < b else float(b) for b in bounds]
+
+
+def test_combo_residual_raises_each_scale_once_with_the_same_digits():
+    xs = [-1.0, -0.25, 0.0, 0.8]
+    pipeline, _ = sh.approximate(sh.target_from_spec("sin"), 1e-4, 0.3)
+    hand = sh.SHCombo(0.7, tuple(sh.SHBlock(t, c, r) for t, c, r in (
+        (2.0, 1.5, 0.1), (2.5, -3.0, 1.0 / 3.0), (3.0, 0.25, 0.1), (2.25, 7.0, 1.0 / 3.0),
+        (4.0, -1e30, 2.0**-40))))
+    for combo in (pipeline, hand):
+        assert len(combo.groups) >= 2
+        assert list(sh.combo_residual(combo, xs)) == _residual_per_block(combo, xs)
+
+
 def test_combo_residual_single_block_is_certifiably_tiny():
     # one block is exactly annihilated; the residual bound inherits the
     # certified smallness of the canonical constant

@@ -83,6 +83,11 @@ def cli_split(tree: Path, args: tuple[str, ...]) -> dict:
     return {k: round(v, 2) for k, v in split.items()}
 
 
+def host() -> dict:
+    return {"cores": os.cpu_count(), "numba": importlib.util.find_spec("numba") is not None,
+            "python": platform.python_version(), "machine": platform.machine()}
+
+
 def revision(tree: Path) -> str:
     head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
                           capture_output=True, text=True).stdout.strip()
@@ -126,8 +131,7 @@ def main() -> None:
 
     result = {
         "command": "python3 tools/bench_phi.py --parent PATH",
-        "host": {"cores": os.cpu_count(), "numba": importlib.util.find_spec("numba") is not None,
-                 "python": platform.python_version(), "machine": platform.machine()},
+        "host": host(),
         "trees": {name: revision(tree) for name, tree in trees.items()},
         "phi_cold_ms": phi,
         "cli_after_import_ms": cli,

@@ -1,0 +1,156 @@
+"""Where the time of one library-sweep ``approximate`` call goes, stage by
+stage, in this tree and in another checkout.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_sweep.py --parent PATH [--out BENCH_sweep.json]
+
+PATH is a second checkout to compare against (for example the parent
+commit, made with ``git clone`` or ``git archive``).  Each of RUNS fresh
+interpreters per tree, parent and change alternating, runs the
+library-sweep warm-up of ``pipebench/workloads.py`` and then ``approximate``
+on the first TARGETS seed-1 library-sweep targets, with timers wrapped
+around these stages:
+
+* ``cheb_fit``: the Chebyshev stage;
+* ``exact_match``: ``blocks._exact_match``, the exact solve of each group;
+* ``model``: the rest of ``blocks._monomial_model`` (remainder rows and the
+  bound's set-up);
+* ``bound``: every call of the deviation bound ``_monomial_model`` returns,
+  most of them from the bisection on log r;
+* ``block_coefficients``: ``blocks._block_coefficients``;
+* ``combo_residual``: ``exact.combo_residual``, Phi included;
+* ``other``: the rest of ``approximate``.
+
+Each figure is ms per call, per eps level, from the run with the smallest
+total; the timers add about a microsecond per wrapped call.  Every run also
+hashes ``combo_to_json`` and ``report.to_dict()`` of every call, so the file
+records whether both trees produce the same output.  Last, the script runs
+``tools/compare_artifacts.py``'s CLI grid against PATH and records its
+result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from bench_phi import RUNS, host, revision, run_child  # noqa: E402
+from compare_artifacts import CASES, compare  # noqa: E402
+
+TARGETS = 60
+
+SWEEP_CHILD = """
+import hashlib, importlib, json, sys, time
+sys.path.insert(0, "pipebench")
+from workloads import SWEEP_EPS, SWEEP_S, LibrarySweep, Record
+from sharmonic import blocks, exact
+approximate = importlib.import_module("sharmonic.approximate")
+
+spent = {}
+
+def timed(name, fn):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
+    return wrapper
+
+def monomial_model(*args, **kwargs):
+    t, y, bound = model(*args, **kwargs)
+    return t, y, timed("bound", bound)
+
+model = timed("model", blocks._monomial_model)
+blocks._monomial_model = monomial_model
+blocks._exact_match = timed("exact_match", blocks._exact_match)
+blocks._block_coefficients = timed("block_coefficients", blocks._block_coefficients)
+approximate.cheb_fit = timed("cheb_fit", approximate.cheb_fit)
+exact.combo_residual = timed("combo_residual", exact.combo_residual)
+
+sweep = LibrarySweep(1)
+sweep.setup(Record())
+levels = {eps: {"calls": 0, "total": 0.0} for eps in SWEEP_EPS}
+digest = hashlib.sha256()
+ops = sweep.operations()
+for _ in range(int(sys.argv[1])):
+    target, eps = next(ops)
+    spent.clear()
+    start = time.perf_counter()
+    combo, report = approximate.approximate(target, eps, SWEEP_S)
+    spent["total"] = time.perf_counter() - start
+    digest.update(blocks.combo_to_json(combo).encode())
+    digest.update(json.dumps(report.to_dict()).encode())
+    level = levels[eps]
+    level["calls"] += 1
+    for name, seconds in spent.items():
+        level[name] = level.get(name, 0.0) + seconds
+print(json.dumps({"levels": {f"{eps:g}": level for eps, level in levels.items()},
+                  "sha256": digest.hexdigest()}))
+"""
+
+STAGES = ("cheb_fit", "exact_match", "model", "bound", "block_coefficients",
+          "combo_residual")
+
+
+def sweep_split(tree: Path) -> dict:
+    """ms per call of each stage per eps level, the mean total over all
+    calls, and the output hash, from one fresh interpreter."""
+    out, _ = run_child(tree, ["-c", SWEEP_CHILD, str(TARGETS)])
+    raw = json.loads(out)
+    levels = {}
+    for eps, level in raw["levels"].items():
+        per_call = {name: level.get(name, 0.0) * 1e3 / level["calls"]
+                    for name in ("total", *STAGES)}
+        # _exact_match runs inside _monomial_model
+        per_call["model"] -= per_call["exact_match"]
+        per_call["other"] = per_call["total"] - sum(per_call[k] for k in STAGES)
+        levels[eps] = {k: round(v, 3) for k, v in per_call.items()}
+    mean = sum(level["total"] for level in raw["levels"].values()) * 1e3 / TARGETS
+    return {"mean_total": round(mean, 3), "levels": levels, "sha256": raw["sha256"]}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_sweep.json")
+    opts = ap.parse_args()
+    trees = {"parent": opts.parent.resolve(), "change": ROOT}
+
+    best, hashes = dict.fromkeys(trees), {name: set() for name in trees}
+    for _ in range(RUNS):
+        for name, tree in trees.items():
+            split = sweep_split(tree)
+            hashes[name].add(split.pop("sha256"))
+            if best[name] is None or split["mean_total"] < best[name]["mean_total"]:
+                best[name] = split
+            print(name, json.dumps(split), flush=True)
+
+    differing = []
+    for args in CASES:
+        if compare(args, {"change": ROOT, "parent": trees["parent"]}) is not None:
+            differing.append(" ".join(args))
+    print(f"compare_artifacts: {len(CASES) - len(differing)} of {len(CASES)} identical",
+          flush=True)
+
+    result = {
+        "command": "python3 tools/bench_sweep.py --parent PATH",
+        "host": host(),
+        "trees": {name: revision(tree) for name, tree in trees.items()},
+        "targets": TARGETS,
+        "runs": RUNS,
+        "sweep_ms_per_call": best,
+        "outputs_identical": len(hashes["parent"] | hashes["change"]) == 1,
+        "compare_artifacts": {"cases": len(CASES), "identical": len(CASES) - len(differing),
+                              "differing": differing},
+    }
+    opts.out.write_text(json.dumps(result, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
