@@ -411,12 +411,17 @@ def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
         raise DomainError("matching nodes must be distinct")
     inverse = _vandermonde_inverse(tuple(float(tk) for tk in t))
     sf = Fraction(s)
+    last = max((i for i, d in enumerate(values) if d), default=0)
     rhs = []
     fall = Fraction(1)
     for i, d in enumerate(values):
-        rhs.append(Fraction(d) / fall)
-        fall *= sf - i
+        rhs.append(Fraction(d) / fall if d else Fraction(0))
+        if i < last:
+            fall *= sf - i
     nonzero = [(i, b) for i, b in enumerate(rhs) if b]
+    if len(nonzero) == 1:
+        (i0, b0), = nonzero
+        return t, rhs, [row[i0] * b0 for row in inverse]
     return t, rhs, [sum((row[i] * b for i, b in nonzero), Fraction(0)) for row in inverse]
 
 
@@ -549,6 +554,61 @@ def deviation_bound(values: Sequence, nodes: Sequence[float], s: float, j: int,
     return bound(r)
 
 
+def _bisect_scale(cap: float, passes) -> tuple[float, float]:
+    """The scale bisection: on log r from sys.float_info.min to cap, with
+    mid = sqrt(lo) sqrt(hi) kept as lo where passes(mid), until hi <= 1.001
+    lo; the final (lo, hi)."""
+    lo, hi = sys.float_info.min, cap
+    while hi > lo * 1.001:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo, hi
+
+
+def _scale_bracket(worst, cap: float, top: float, eps: float,
+                   slope: int) -> tuple[float, float]:
+    """A pass point a, worst(a) <= eps (1 - 1e-9), and a fail point b,
+    worst(b) > eps (1 + 1e-9) or b = cap, of worst(r) = max_m B_m(r) from
+    at most six rounds of probes, given worst(cap) = top > eps; a = 0.0
+    when no pass point turns up.
+
+    log B is convex and nondecreasing in log r, with slope at least slope
+    = N + 1 - j where the exact rows dominate.  Until a pass point is found,
+    a round probes one step of that slope down from b to the budget.  Then
+    the estimate is the secant in log-log through the two probes nearest the
+    budget: while the last probe is more than 10% off the budget the round
+    probes the estimate, after that both ends of the bisection's final
+    bracket around it (_bisect_scale), which leave the replay nothing to
+    call when they hold the crossing.
+    """
+    log_eps = math.log(eps)
+    a, b, log_b = 0.0, cap, math.log(top)
+    logs = {log_b: math.log(cap)}  # log worst(r) -> log r of each probe
+    last = log_b
+    for _ in range(6):
+        if a == 0.0:
+            c = math.log(b) - (log_b - log_eps) / slope
+        else:
+            (l0, x0), (l1, x1) = sorted(logs.items(), key=lambda p: abs(p[0] - log_eps))[:2]
+            c = x0 + (log_eps - l0) * (x1 - x0) / (l1 - l0)
+        c = min(max(math.exp(min(c, 0.0)), a * 1.0001), b * 0.9999)
+        near = a and abs(last - log_eps) < 0.1
+        probed = False
+        for x in _bisect_scale(cap, lambda mid: mid <= c) if near else (c,):
+            if not max(a, sys.float_info.min) < x < b:
+                continue  # known, from an earlier probe
+            value, probed = worst(x), True
+            if value <= eps * (1.0 - 1e-9):
+                a = x
+            elif value > eps * (1.0 + 1e-9):
+                b, log_b = x, math.log(value)
+            last = math.log(value)
+            logs[last] = math.log(x)
+        if not probed:
+            break
+    return a, b
+
+
 def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
                        j: int, eps: float) -> tuple[SHCombo, np.ndarray]:
     """Matched group for the monomial values[j] x^j / j! (all other values
@@ -556,31 +616,50 @@ def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
     t_min / 16)] whose deviation_bound is at most eps at every order m <= 2,
     and that bound (B_0, B_1, B_2) at the chosen r.
 
-    The bound grows with r, so bisection on log r finds r within a factor
-    1.001 of the first r that misses; a budget no float64 r meets raises
-    ApproximationError.  The stored coefficients y_k t_k^-s r^-j are formed
-    by at most seven roundings at 25 + int(log10((1 + Y) r^-j / eps) + 8)
-    digits, Y = sum_k |y_k|, so their relative error delta is below 10^-digits
-    and delta Y r^-j below 1e-32 eps.  The matching order N is len(nodes) - 1.
+    r is the cap when the cap meets the budget.  Otherwise r is defined by
+    the bisection on log r from sys.float_info.min to the cap that keeps
+    each mid whose max_m B_m is at most eps as its lower end, until the
+    bracket is within a factor 1.001 (_bisect_scale): r is its final lower
+    end, and a budget that sys.float_info.min misses raises
+    ApproximationError.  The bisection is replayed without the calls whose
+    outcome is known.  Every part of the bound is a positive sum of
+    nondecreasing powers of r, so a verified pass point a and fail point b
+    (_scale_bracket) decide every mid at or below a (pass) and at or above
+    b (fail); only a mid strictly inside (a, b) calls the bound.  The
+    margins 1 -+ 1e-9 of a and b absorb the rounding of the float64
+    evaluation, far above its ulps.  Where no pass point turns up (budgets
+    near 1e-300, where the storage allowance and not the exact rows decide)
+    sys.float_info.min is checked and every mid below b calls the bound.
+    The bound at r is the one the search or the replay computed there, or
+    else one more call.
+
+    The stored coefficients y_k t_k^-s r^-j are formed by at most seven
+    roundings at 25 + int(log10((1 + Y) r^-j / eps) + 8) digits, Y = sum_k
+    |y_k|, so their relative error delta is below 10^-digits and delta Y
+    r^-j below 1e-32 eps.  The matching order N is len(nodes) - 1.
     """
     t, y, bound = _monomial_model(values, nodes, s, j, eps)
+    seen = {}  # r -> bound(r)
+
+    def worst(r: float) -> float:
+        seen[r] = bound(r)
+        return float(np.max(seen[r]))
+
     r = _scale_cap(t)
-    if np.max(bound(r)) > eps:
-        lo, hi = sys.float_info.min, r
-        if np.max(bound(lo)) > eps:
+    top = worst(r)
+    if top > eps:
+        a, b = _scale_bracket(worst, r, top, eps, len(t) - j)
+        if a == 0.0 and worst(sys.float_info.min) > eps:
             raise ApproximationError(
                 f"no float64 scale meets the defect budget {eps:.3e} for degree {j}; "
                 f"raise epsilon")
-        while hi > lo * 1.001:
-            mid = math.sqrt(lo) * math.sqrt(hi)
-            lo, hi = (mid, hi) if np.max(bound(mid)) <= eps else (lo, mid)
-        r = lo
+        r, _ = _bisect_scale(r, lambda mid: mid <= a or (mid < b and worst(mid) <= eps))
     mass = sum(abs(float(yk)) for yk in y)
     amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
            + math.log10(1.0 / eps) + 8.0)
     coeffs = _block_coefficients(y, t, s, r, j, 25 + int(amp))
     group = SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)))
-    return group, bound(r)
+    return group, seen[r] if r in seen else bound(r)
 
 
 # ---------------------------------------------------------------------------

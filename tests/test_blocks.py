@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -159,6 +160,43 @@ def test_solve_readback_property(values, s):
     got = sh.readback_derivatives(combo, len(values))
     scale = 1.0 + max(abs(v) for v in values)
     assert np.max(np.abs(got - np.array(values))) <= 1e-8 * scale
+
+
+def _exact_match_reference(values, nodes, s):
+    """The right-hand sides and y of blocks._exact_match as first written:
+    every value divided by its falling factorial, zeros included, and y
+    summed from Fraction(0)."""
+    inverse = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
+    sf = Fraction(s)
+    rhs = []
+    fall = Fraction(1)
+    for i, d in enumerate(values):
+        rhs.append(Fraction(d) / fall)
+        fall *= sf - i
+    nonzero = [(i, b) for i, b in enumerate(rhs) if b]
+    return rhs, [sum((row[i] * b for i, b in nonzero), Fraction(0)) for row in inverse]
+
+
+_nonzero_values = st.one_of(
+    st.floats(-1e3, 1e3).filter(lambda v: v != 0.0),
+    st.fractions(-1000, 1000, max_denominator=10**6).filter(lambda v: v != 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data(), st.floats(0.05, 0.95),
+       st.sampled_from([0, 0.0, Fraction(0)]))
+def test_exact_match_equals_the_reference(big_n, data, s, zero):
+    # one nonzero (the pipeline's monomials) or several; zeros of every type
+    positions = data.draw(st.one_of(
+        st.integers(0, big_n).map(lambda i: {i}),
+        st.sets(st.integers(0, big_n), min_size=2, max_size=big_n + 1)))
+    values = [data.draw(_nonzero_values) if i in positions else zero
+              for i in range(big_n + 1)]
+    nodes = sh.default_nodes(big_n)
+    _, rhs, y = sh.blocks._exact_match(values, nodes, s)
+    want_rhs, want_y = _exact_match_reference(values, nodes, s)
+    assert rhs == want_rhs and y == want_y
+    assert all(type(v) is Fraction for v in rhs + y)
 
 
 def test_solve_validation():
@@ -340,6 +378,75 @@ def test_chosen_scale_is_the_largest(s, big_n, data, eps, cj):
     assert np.max(deviation_bound(values, nodes, s, j, r, eps)) <= eps
     cap = float(np.min(nodes)) / 16.0
     assert r == cap or np.max(deviation_bound(values, nodes, s, j, min(1.05 * r, cap), eps)) > eps
+
+
+def _bisection_scale(values, nodes, s, j, eps):
+    """The scale of rescale_for_defect as first written: bisection on log r
+    from sys.float_info.min to the cap, calling the bound at every mid."""
+    t, _, bound = blocks._monomial_model(values, nodes, s, j, eps)
+    r = float(np.min(t)) / 16.0
+    if np.max(bound(r)) > eps:
+        lo, hi = sys.float_info.min, r
+        if np.max(bound(lo)) > eps:
+            raise sh.ApproximationError("no float64 scale meets the defect budget")
+        while hi > lo * 1.001:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            lo, hi = (mid, hi) if np.max(bound(mid)) <= eps else (lo, mid)
+        r = lo
+    return r
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.02, 0.98), st.integers(1, 20), st.data(),
+       st.one_of(st.floats(-300.0, -1.0), st.floats(-302.0, -300.0)),
+       st.floats(0.1, 10.0), st.booleans())
+def test_replayed_scale_is_the_bisection_scale(s, big_n, data, log_eps, cj, negative):
+    # budgets from about 1e-300.3 to 1e-301.5 are where no probe passes and
+    # the storage allowance decides (the fallback); below, no scale meets
+    # the budget
+    j = data.draw(st.integers(0, big_n))
+    eps = 10.0**log_eps
+    cj = -cj if negative else cj
+    values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
+    nodes = sh.default_nodes(big_n)
+    try:
+        want = _bisection_scale(values, nodes, s, j, eps)
+    except sh.ApproximationError:
+        with pytest.raises(sh.ApproximationError, match="no float64 scale"):
+            sh.rescale_for_defect(values, nodes, s, j, eps)
+        return
+    group, bound = sh.rescale_for_defect(values, nodes, s, j, eps)
+    assert group.blocks[0].r == want
+    assert np.array_equal(bound, deviation_bound(values, nodes, s, j, want, eps))
+
+
+def test_bound_calls_per_group():
+    calls = []
+    model = blocks._monomial_model
+
+    def counting_model(*args):
+        t, y, bound = model(*args)
+
+        def counted(r):
+            calls.append(r)
+            return bound(r)
+        return t, y, counted
+
+    capped = 0
+    with mock.patch.object(blocks, "_monomial_model", counting_model):
+        for big_n in (3, 10, 20):
+            nodes = sh.default_nodes(big_n)
+            for j in range(big_n + 1):
+                values = tuple(math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
+                for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+                    calls.clear()
+                    r = sh.rescale_for_defect(values, nodes, 0.5, j, eps)[0].blocks[0].r
+                    if r == float(np.min(nodes)) / 16.0:
+                        capped += 1
+                        assert len(calls) == 1
+                    else:
+                        assert len(calls) <= 10, (big_n, j, eps, len(calls))
+    assert capped > 0
 
 
 # ---------------------------------------------------------------------------

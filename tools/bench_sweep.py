@@ -17,13 +17,16 @@ around these stages:
 * ``model``: the rest of ``blocks._monomial_model`` (remainder rows and the
   bound's set-up);
 * ``bound``: every call of the deviation bound ``_monomial_model`` returns,
-  most of them from the bisection on log r;
+  from ``rescale_for_defect``'s search for a bracket of its scale, its
+  replay of the bisection on log r, and the bound at the chosen scale;
 * ``block_coefficients``: ``blocks._block_coefficients``;
 * ``combo_residual``: ``exact.combo_residual``, Phi included;
 * ``other``: the rest of ``approximate``.
 
 Each figure is ms per call, per eps level, from the run with the smallest
-total; the timers add about a microsecond per wrapped call.  Every run also
+total; the timers add about a microsecond per wrapped call.  Beside them,
+``bound_calls`` counts the bound's calls per ``approximate`` call, and the
+top-level ``bound_calls`` of each tree their total over the TARGETS calls.  Every run also
 hashes ``combo_to_json`` and ``report.to_dict()`` of every call, so the file
 records whether both trees produce the same output.  Last, the script runs
 ``tools/compare_artifacts.py``'s CLI grid against PATH and records its
@@ -51,7 +54,7 @@ from workloads import SWEEP_EPS, SWEEP_S, LibrarySweep, Record
 from sharmonic import blocks, exact
 approximate = importlib.import_module("sharmonic.approximate")
 
-spent = {}
+spent, counts = {}, {}
 
 def timed(name, fn):
     def wrapper(*args, **kwargs):
@@ -60,6 +63,7 @@ def timed(name, fn):
             return fn(*args, **kwargs)
         finally:
             spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
+            counts[name] = counts.get(name, 0) + 1
     return wrapper
 
 def monomial_model(*args, **kwargs):
@@ -81,6 +85,7 @@ ops = sweep.operations()
 for _ in range(int(sys.argv[1])):
     target, eps = next(ops)
     spent.clear()
+    counts.clear()
     start = time.perf_counter()
     combo, report = approximate.approximate(target, eps, SWEEP_S)
     spent["total"] = time.perf_counter() - start
@@ -88,6 +93,7 @@ for _ in range(int(sys.argv[1])):
     digest.update(json.dumps(report.to_dict()).encode())
     level = levels[eps]
     level["calls"] += 1
+    level["bound_calls"] = level.get("bound_calls", 0) + counts.get("bound", 0)
     for name, seconds in spent.items():
         level[name] = level.get(name, 0.0) + seconds
 print(json.dumps({"levels": {f"{eps:g}": level for eps, level in levels.items()},
@@ -99,8 +105,9 @@ STAGES = ("cheb_fit", "exact_match", "model", "bound", "block_coefficients",
 
 
 def sweep_split(tree: Path) -> dict:
-    """ms per call of each stage per eps level, the mean total over all
-    calls, and the output hash, from one fresh interpreter."""
+    """ms and bound calls per call of each stage per eps level, the mean
+    total and the bound calls over all calls, and the output hash, from one
+    fresh interpreter."""
     out, _ = run_child(tree, ["-c", SWEEP_CHILD, str(TARGETS)])
     raw = json.loads(out)
     levels = {}
@@ -110,9 +117,12 @@ def sweep_split(tree: Path) -> dict:
         # _exact_match runs inside _monomial_model
         per_call["model"] -= per_call["exact_match"]
         per_call["other"] = per_call["total"] - sum(per_call[k] for k in STAGES)
+        per_call["bound_calls"] = level.get("bound_calls", 0) / level["calls"]
         levels[eps] = {k: round(v, 3) for k, v in per_call.items()}
     mean = sum(level["total"] for level in raw["levels"].values()) * 1e3 / TARGETS
-    return {"mean_total": round(mean, 3), "levels": levels, "sha256": raw["sha256"]}
+    bound_calls = sum(level.get("bound_calls", 0) for level in raw["levels"].values())
+    return {"mean_total": round(mean, 3), "bound_calls": bound_calls, "levels": levels,
+            "sha256": raw["sha256"]}
 
 
 def main() -> None:
