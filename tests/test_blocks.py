@@ -163,7 +163,7 @@ def test_solve_readback_property(values, s):
 
 
 def _exact_match_reference(values, nodes, s):
-    """The right-hand sides and y of blocks._exact_match as first written:
+    """The right-hand sides and y of blocks._exact_match, written plainly:
     every value divided by its falling factorial, zeros included, and y
     summed from Fraction(0)."""
     inverse = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
@@ -381,7 +381,7 @@ def test_chosen_scale_is_the_largest(s, big_n, data, eps, cj):
 
 
 def _bisection_scale(values, nodes, s, j, eps):
-    """The scale of rescale_for_defect as first written: bisection on log r
+    """The scale of rescale_for_defect, written plainly: bisection on log r
     from sys.float_info.min to the cap, calling the bound at every mid."""
     t, _, bound = blocks._monomial_model(values, nodes, s, j, eps)
     r = float(np.min(t)) / 16.0
