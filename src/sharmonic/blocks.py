@@ -99,6 +99,8 @@ class SHBlock:
             object.__setattr__(self, "c", float(self.c))
         elif not isinstance(self.c, mpf):
             raise DomainError(f"block coefficient must be float or mpf, got {type(self.c)}")
+        elif not mpmath.isfinite(self.c):
+            raise DomainError("block coefficient must be finite")
 
     @property
     def kink(self) -> float:
@@ -709,10 +711,10 @@ def combo_from_json(text: str) -> SHCombo:
     Accepts either a bare combination object or a report artifact that
     stores the combination under a "combo" key.
     """
-    raw = json.loads(text, parse_float=str, parse_int=str)
-    if isinstance(raw, dict) and "blocks" not in raw and "combo" in raw:
-        raw = raw["combo"]
     try:
+        raw = json.loads(text, parse_float=str, parse_int=str)
+        if isinstance(raw, dict) and "blocks" not in raw and "combo" in raw:
+            raw = raw["combo"]
         s = float(raw["s"])
         interval = tuple(float(v) for v in raw["interval"])
         blocks = []
@@ -728,6 +730,6 @@ def combo_from_json(text: str) -> SHCombo:
             else:
                 c = float(cstr)
             blocks.append(SHBlock(t, c, r))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise DomainError(f"malformed combination JSON: {exc}") from exc
     return SHCombo(s, tuple(blocks), interval)

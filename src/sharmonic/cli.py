@@ -28,8 +28,8 @@ from .demos import (harnack_counterexample, logistic_resource_plan,
                     mean_value_table)
 from .errors import (ApproximationError, ConfigError, DomainError,
                      EvaluationError)
-from .fraclap import (FracParams, GridFunction, QuadConfig,
-                      frac_laplacian_detailed, frac_laplacian_pv)
+from .fraclap import (FracParams, QuadConfig, frac_laplacian_detailed,
+                      frac_laplacian_pv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,7 +177,8 @@ def _write_report_with_combo(path: str, report_obj: dict, combo: SHCombo) -> Non
 
 
 def _fraclap_operand(spec: str, s: float):
-    """Operand for the quadrature engine; allows blocks on top of targets."""
+    """Operand for the quadrature engine: a block:t=<t> spec, or any target
+    spec that target_from_spec reads (csv:<path> included)."""
     spec = spec.strip()
     if spec.startswith("block:"):
         body = spec.split(":", 1)[1]
@@ -190,12 +191,6 @@ def _fraclap_operand(spec: str, s: float):
         if not (t > 0) or not np.isfinite(t):
             raise ConfigError(f"block offset must be positive and finite, got {t}")
         return SHCombo(s, (SHBlock(t, 1.0),)), f"block:t={t}"
-    if spec.startswith("csv:"):
-        path = spec.split(":", 1)[1]
-        try:
-            return GridFunction.from_csv(path), spec
-        except OSError as exc:
-            raise ConfigError(f"cannot read CSV target {path!r}: {exc}") from exc
     target = target_from_spec(spec)
     return target.f, target.name
 
@@ -210,8 +205,6 @@ def cmd_fraclap(cfg: RunConfig) -> int:
 
     if isinstance(operand, SHCombo):
         uvals = combo_eval(operand, xs)
-    elif isinstance(operand, GridFunction):
-        uvals = operand.as_function()(xs)
     else:
         uvals = np.asarray(operand(xs), dtype=float)
 
@@ -279,27 +272,23 @@ def cmd_approximate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _witness_payload(w, command: str, **extra) -> dict:
+    """A witness's number fields, with the command and the keys it lacks."""
+    own = {f.name: getattr(w, f.name) for f in fields(w)
+           if f.name not in ("u", "sigma_eps", "report")}
+    return {"command": command, **own, **extra}
+
+
 def _demo_harnack(cfg: RunConfig) -> int:
     eps = cfg.epsilon if cfg.epsilon is not None else 0.0625
     w = harnack_counterexample(cfg.s, eps)
-    xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
-    uvals = combo_eval(w.u.combo, xs) - w.iota
     if cfg.out_csv:
+        xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
         _write_csv(cfg.out_csv, ["x", "u"],
-                   [[float(a), float(b)] for a, b in zip(xs, uvals)])
-    payload = {
-        "command": "demo harnack", "s": w.s, "epsilon": w.epsilon,
-        "iota": w.iota, "argmin": w.argmin,
-        "inf_inner": w.inf_inner, "sup_inner": w.sup_inner,
-        "inf_outer": w.inf_outer,
-        "sup_outer_complement": w.sup_outer_complement,
-        "nonneg_margin": w.nonneg_margin,
-        "value_origin": w.value_origin, "boundary_level": w.boundary_level,
-        "negative_site": list(w.negative_site) if w.negative_site else None,
-        "max_residual": w.report.max_residual,
-        "harnack_ratio": (w.sup_inner / w.inf_inner
-                          if w.inf_inner > 0 else None),
-    }
+                   [[float(a), float(b)] for a, b in zip(xs, w.u(xs))])
+    payload = _witness_payload(
+        w, "demo harnack", max_residual=w.report.max_residual,
+        harnack_ratio=w.sup_inner / w.inf_inner if w.inf_inner > 0 else None)
     if cfg.out_json:
         _write_report_with_combo(cfg.out_json, payload, w.u.combo)
     print(f"demo harnack s={_fmt(w.s)} inf_inner={_fmt(w.inf_inner)} "
@@ -323,15 +312,7 @@ def _demo_logistic(cfg: RunConfig) -> int:
         rows = [[float(a), float(b), float(c), float(d), float(e)]
                 for a, b, c, d, e in zip(xs, uvals, svals, sevals, res)]
         _write_csv(cfg.out_csv, ["x", "u", "sigma", "sigma_eps", "residual"], rows)
-    payload = {
-        "command": "demo logistic", "s": w.s, "epsilon": w.epsilon,
-        "epsilon_inner": w.epsilon_inner, "mu_norm": w.mu_norm,
-        "sigma": sigma.name, "mu": mu.name,
-        "sigma_error": w.sigma_error,
-        "feasibility_margin": w.feasibility_margin,
-        "residual_equation": w.residual_equation,
-        "residual_reaction": w.residual_reaction,
-    }
+    payload = _witness_payload(w, "demo logistic", sigma=sigma.name, mu=mu.name)
     if cfg.out_json:
         _write_report_with_combo(cfg.out_json, payload, w.u)
     print(f"demo logistic sigma={sigma.name} mu={mu.name} s={_fmt(w.s)} "

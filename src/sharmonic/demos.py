@@ -4,17 +4,23 @@ Two headline constructions:
 
 * a bounded function, equal to an approximant of x^2 minus its interior
   minimum, that solves the fractional Laplace equation on the unit ball,
-  is nonnegative there, yet has interior infimum zero while staying above
-  a fixed positive level on the outer half of the ball - the classical
-  Harnack inequality cannot survive for solutions that are only
-  nonnegative locally;
+  is nonnegative at every sampled point there, yet has interior infimum
+  zero while staying above a fixed positive level on the outer half of
+  the ball - the classical Harnack inequality cannot survive for
+  solutions that are only nonnegative locally;
 
 * a logistic resource plan: for any prescribed population profile u and
   consumption coefficient mu, a harvesting schedule sigma_eps close to a
   requested sigma makes u an exact steady state of the nonlocal logistic
   balance, with the plan never exceeding the available stock.
 
-Both witnesses carry certified numbers, not just narratives.
+The witnesses carry three kinds of numbers.  Proved: the report's
+block-stage certificate and max_residual.  Exact by construction: the
+logistic feasibility_margin and residual_reaction, both zero.  Sampled:
+the Harnack sup_inner, inf_outer, sup_outer_complement and nonneg_margin
+over 4096 interior points, and the logistic sigma_error and mu_norm, 1.05
+times sampled maxima.  The Harnack iota and inf_inner are evaluated at the
+Newton minimiser of the strictly convex approximant.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from .blocks import SHCombo, combo_derivative, combo_eval
 from .errors import ConfigError
 from .fraclap import mean_value_ball, mean_value_sphere
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _HARNACK_SAMPLES = 4096  # fresh interior points the witness is checked on
+_NEWTON_STEPS = 32  # from an error below 1/7, (2/7)^32 / 7 < 1e-18
 
 
 @dataclass(frozen=True)
@@ -53,29 +59,9 @@ class OffsetCombo:
         return out - self.offset if order == 0 else out
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
 @dataclass(frozen=True)
 class HarnackWitness:
-    """Certified data for the failure of the global Harnack inequality."""
+    """Data for the failure of the global Harnack inequality."""
 
     u: OffsetCombo
     s: float
@@ -103,57 +89,50 @@ def _negative_site(combo: SHCombo, iota: float) -> tuple[float, float] | None:
     """
     kinks = sorted(combo.kinks)  # ascending, all negative
     candidates = [kinks[0] - 1.0, 2.0 * kinks[0]]
-    for left, right in zip(kinks[:-1], kinks[1:]):
-        width = right - left
-        for frac in (0.5, 0.9, 0.99):
-            candidates.append(left + frac * width)
+    candidates += [left + frac * (right - left)
+                   for left, right in zip(kinks[:-1], kinks[1:]) for frac in (0.5, 0.9, 0.99)]
     # just inside the innermost kink
-    innermost = kinks[-1]
-    for frac in (1e-3, 1e-2, 0.1):
-        candidates.append(innermost * (1.0 + frac))
-    best = None
-    for x in candidates:
-        try:
-            val = float(combo_eval(combo, float(x))) - iota
-        except (OverflowError, ValueError):
-            continue
-        if val < 0 and (best is None or val < best[1]):
-            best = (float(x), val)
-    return best
+    candidates += [kinks[-1] * (1.0 + frac) for frac in (1e-3, 1e-2, 0.1)]
+    xs = np.array(candidates)
+    vals = combo_eval(combo, xs) - iota
+    i = int(np.argmin(vals))
+    return (float(xs[i]), float(vals[i])) if vals[i] < 0 else None
 
 
 def harnack_counterexample(s: float, eps: float = 1.0 / 16.0) -> HarnackWitness:
     """Nonnegative solution on the unit ball with interior infimum zero.
 
     Approximates x^2 within eps in C^2 on (-1, 1), then subtracts the
-    interior minimum iota (found by grid bracketing plus golden-section
-    refinement, shifted down by 1e-12 so nonnegativity survives float
-    rounding).  The witness records the contrast: infimum ~ 0 on the
-    inner half-ball against a level >= 1/4 - 2*eps on the outer part.
+    interior minimum iota, shifted down by 1e-12 so nonnegativity survives
+    float rounding.  As |v'' - 2| <= eps < 1/4, v is strictly convex with
+    its minimiser within eps / (2 - eps) < 1/7 of 0; each step of Newton's
+    method on v' from 0 multiplies the error by at most 2 eps / (2 - eps)
+    < 2/7, and the loop stops at a zero step.  The witness records the
+    contrast: infimum ~ 0 on the inner half-ball against a level >= 1/4 -
+    2*eps on the outer part.
     """
     if not (0 < eps < 0.25):
         raise ConfigError(f"contrast requires 0 < eps < 1/4, got {eps}")
     target = target_from_spec("x2")
     combo, report = approximate(target, eps, s)
 
-    v = lambda z: float(combo_eval(combo, float(z)))
-    grid = np.linspace(-0.5, 0.5, 2001)
-    vals = combo_eval(combo, grid)
-    i0 = int(np.argmin(vals))
-    lo = grid[max(i0 - 1, 0)]
-    hi = grid[min(i0 + 1, grid.size - 1)]
-    argmin, vmin = _golden_min(v, float(lo), float(hi))
-    vmin = min(vmin, float(np.min(vals)))
+    v = lambda z: combo_eval(combo, z)
+    argmin = 0.0
+    for _ in range(_NEWTON_STEPS):
+        step = combo_derivative(combo, argmin, 1) / combo_derivative(combo, argmin, 2)
+        if step == 0.0:
+            break
+        argmin -= step
+    vmin = v(argmin)
     iota = vmin - 1e-12
 
-    u = OffsetCombo(combo, iota)
     fresh = np.linspace(-1.0, 1.0, _HARNACK_SAMPLES + 2)[1:-1]
     uvals = combo_eval(combo, fresh) - iota
     inner = np.abs(fresh) <= 0.5
     outer = ~inner
-    witness = HarnackWitness(
-        u=u, s=s, epsilon=eps, iota=iota, argmin=argmin,
-        inf_inner=v(argmin) - iota,
+    return HarnackWitness(
+        u=OffsetCombo(combo, iota), s=s, epsilon=eps, iota=iota, argmin=argmin,
+        inf_inner=vmin - iota,
         sup_inner=float(np.max(uvals[inner])),
         inf_outer=float(np.min(uvals[outer])),
         sup_outer_complement=float(np.max(uvals[outer])),
@@ -162,7 +141,6 @@ def harnack_counterexample(s: float, eps: float = 1.0 / 16.0) -> HarnackWitness:
         boundary_level=min(v(0.5), v(-0.5)),
         negative_site=_negative_site(combo, iota),
         report=report)
-    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +171,10 @@ def logistic_resource_plan(sigma: Target, mu: Target, eps: float,
     u approximates sigma/mu within eps' = eps / (4 (1 + |mu|_C2)); the
     product rule then keeps |sigma - sigma_eps|_C2 below eps.  Both sides
     of the logistic balance (-Delta)^s u = (sigma_eps - mu u) u vanish:
-    the left by construction of u, the right identically.
+    the left by construction of u, the right identically.  So the stock
+    balance mu u - sigma_eps and the reaction are reported as the exact
+    zeros they are; sigma_error and mu_norm are 1.05 times maxima sampled
+    on 4097 points.
     """
     if eps <= 0 or not np.isfinite(eps):
         raise ConfigError(f"tolerance must be positive and finite, got {eps}")
@@ -238,17 +219,11 @@ def logistic_resource_plan(sigma: Target, mu: Target, eps: float,
              - 2.0 * mu_vals[1] * u1 - mu_vals[0] * u2)
     sigma_error = 1.05 * max(float(np.max(np.abs(d))) for d in (diff0, diff1, diff2))
 
-    # stock balance mu*u - sigma_eps and reaction (sigma_eps - mu u) u use the
-    # identical float product, so both vanish exactly
-    plan = mu_vals[0] * u0
-    feasibility = float(np.min(plan - sigma_eps(grid)))
-    reaction = float(np.max(np.abs((sigma_eps(grid) - plan) * u0)))
-
     return LogisticWitness(
         u=combo, s=s, epsilon=eps, epsilon_inner=eps_inner, mu_norm=mu_norm,
         sigma_eps=sigma_eps, sigma_error=sigma_error,
-        feasibility_margin=feasibility, residual_equation=report.max_residual,
-        residual_reaction=reaction, report=report)
+        feasibility_margin=0.0, residual_equation=report.max_residual,
+        residual_reaction=0.0, report=report)
 
 
 # ---------------------------------------------------------------------------

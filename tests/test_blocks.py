@@ -533,3 +533,19 @@ def test_json_malformed():
         sh.combo_from_json('{"s": 0.5}')
     with pytest.raises(DomainError):
         sh.combo_from_json('{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1}]}')
+    for text in ('{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1, "c": "abc", "r": 1}]}',
+                 '{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": "x", "c": 1, "r": 1}]}',
+                 '{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1, "c": 1, "r": "y"}]}',
+                 '{"s": "half", "interval": [-1, 1], "blocks": []}',
+                 '{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1, "c": NaN, "r": 1}]}',
+                 'not json', ''):
+        with pytest.raises(DomainError, match="malformed combination JSON"):
+            sh.combo_from_json(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_block_rejects_nonfinite_mp_coefficient(value):
+    # a non-finite mpf would evaluate to nan and serialize as JSON that
+    # json.loads cannot read back
+    with pytest.raises(DomainError, match="finite"):
+        sh.SHBlock(2.0, mpf(value))

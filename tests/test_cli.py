@@ -92,6 +92,17 @@ def test_fraclap_missing_csv_exits_2_and_names_path(capsys):
     assert "no/such/grid.csv" in capsys.readouterr().err
 
 
+def test_fraclap_csv_with_inconsistent_deriv1_exits_2(tmp_path, capsys):
+    # a CSV operand is read as the same target approximate reads, so a
+    # deriv1 column that disagrees with the values is refused here too
+    xs = np.linspace(-2.0, 2.0, 401)
+    path = tmp_path / "bad.csv"
+    sh.GridFunction(-2.0, 2.0, np.exp(-xs**2), 5.0 * np.cos(xs)).to_csv(path)
+    rc = main(["fraclap", "--target", f"csv:{path}", "--grid", "3"])
+    assert rc == 2
+    assert "deriv1" in capsys.readouterr().err
+
+
 def test_fraclap_rejects_growing_target(capsys):
     rc = main(["fraclap", "--target", "x2", "--grid", "2"])
     assert rc == 2
@@ -200,6 +211,26 @@ def test_demo_harnack_artifacts(tmp_path):
     assert report["harnack_ratio"] is None or report["harnack_ratio"] >= 1e10
     assert report["negative_site"] is None or report["negative_site"][1] < 0.0
     assert payload["combo"]["blocks"]
+
+
+def test_demo_json_report_keys(tmp_path):
+    # the reports are built from the witness fields; pin their key sets
+    expected = {
+        "harnack": {"command", "s", "epsilon", "iota", "argmin", "inf_inner",
+                    "sup_inner", "inf_outer", "sup_outer_complement",
+                    "nonneg_margin", "value_origin", "boundary_level",
+                    "negative_site", "max_residual", "harnack_ratio"},
+        "logistic": {"command", "s", "epsilon", "epsilon_inner", "mu_norm",
+                     "sigma", "mu", "sigma_error", "feasibility_margin",
+                     "residual_equation", "residual_reaction"},
+    }
+    for which, keys in expected.items():
+        json_path = tmp_path / f"{which}.json"
+        assert main(["demo", which, "--out-json", str(json_path)]) == 0
+        payload = json.loads(json_path.read_text())
+        assert set(payload) == {"combo", "report"}
+        assert set(payload["report"]) == keys
+        assert payload["report"]["command"] == f"demo {which}"
 
 
 def test_demo_logistic_artifacts(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sharmonic as sh
 from sharmonic.errors import ConfigError
@@ -62,6 +64,18 @@ def test_harnack_witness_goes_negative_outside(harnack_half):
     assert abs(x) > 1.0
     got = float(sh.combo_eval(harnack_half.u.combo, x)) - harnack_half.iota
     assert got == val
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(0.02, 0.24))
+def test_harnack_argmin_is_the_grid_minimum(s, eps):
+    # the Newton minimiser of the strictly convex approximant is at or
+    # below every point of a dense grid of the inner half-ball
+    w = sh.harnack_counterexample(s, eps)
+    vmin = sh.combo_eval(w.u.combo, w.argmin)
+    grid = sh.combo_eval(w.u.combo, np.linspace(-0.5, 0.5, 2001))
+    assert np.all(vmin <= grid)
+    assert w.inf_inner == vmin - w.iota
 
 
 def test_harnack_other_operator_order():

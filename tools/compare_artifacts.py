@@ -9,9 +9,10 @@ PATH is a second checkout (for example the parent commit, made with ``git
 clone`` or ``git archive``).  Every case of CASES runs once per tree, each
 in a fresh interpreter with ``PYTHONPATH`` set to the tree's ``src``,
 writing ``--out-json`` and ``--out-csv``.  For each case the script prints
-whether both artifacts are byte-identical; where one differs it prints the
-first differing JSON key or CSV column and the largest relative difference
-over all values.  It exits 1 if any case differs.
+whether both artifacts are byte-identical; where one differs it prints every
+differing JSON key and CSV column with its largest relative difference (inf
+for a key or column present in one tree only).  It exits 1 if any case
+differs.
 """
 
 from __future__ import annotations
@@ -77,21 +78,22 @@ def _csv_cells(text: str):
         yield from zip(rows[0], row)
 
 
-def _first_difference(ours, theirs) -> tuple[str | None, float]:
-    """First differing key and the largest relative difference of two leaf
-    sequences; a key present on one side only counts as inf."""
-    ours, theirs = list(ours), list(theirs)
-    keys, other = [k for k, _ in ours], [k for k, _ in theirs]
-    if keys != other:
-        i = next((i for i, (a, b) in enumerate(zip(keys, other)) if a != b),
-                 min(len(keys), len(other)))
-        return (keys[i] if i < len(keys) else other[i]), float("inf")
-    first, worst = None, 0.0
-    for (key, a), (_, b) in zip(ours, theirs):
-        if a != b:
-            first = first or key
-            worst = max(worst, _relative(a, b))
-    return first, worst
+def _differences(ours, theirs) -> dict[str, float]:
+    """Largest relative difference of each key whose values differ between
+    two (key, value) sequences, in order of first appearance; a key present
+    on one side only, or with a different number of values, counts as inf."""
+    sides = ({}, {})
+    for side, items in zip(sides, (ours, theirs)):
+        for key, value in items:
+            side.setdefault(key, []).append(value)
+    out = {}
+    for key in {**sides[0], **sides[1]}:
+        a, b = sides[0].get(key), sides[1].get(key)
+        if a is None or b is None or len(a) != len(b):
+            out[key] = float("inf")
+        elif a != b:
+            out[key] = max(_relative(x, y) for x, y in zip(a, b))
+    return out
 
 
 def compare(args: tuple[str, ...], trees: dict[str, Path]) -> str | None:
@@ -105,12 +107,11 @@ def compare(args: tuple[str, ...], trees: dict[str, Path]) -> str | None:
             texts[name] = (Path(f"{out}.json").read_text(), Path(f"{out}.csv").read_text())
     (json_a, csv_a), (json_b, csv_b) = texts.values()
     notes = []
-    if json_a != json_b:
-        key, worst = _first_difference(_json_leaves(json_a), _json_leaves(json_b))
-        notes.append(f"JSON key {key}, largest relative difference {worst:.3e}")
-    if csv_a != csv_b:
-        column, worst = _first_difference(_csv_cells(csv_a), _csv_cells(csv_b))
-        notes.append(f"CSV column {column}, largest relative difference {worst:.3e}")
+    for kind, diffs in (("JSON key", _differences(_json_leaves(json_a), _json_leaves(json_b))),
+                        ("CSV column", _differences(_csv_cells(csv_a), _csv_cells(csv_b)))):
+        notes += [f"{kind} {key} {worst:.3e}" for key, worst in diffs.items()]
+    if not notes and (json_a, csv_a) != (json_b, csv_b):
+        notes.append("same values, different text")
     return "; ".join(notes) or None
 
 
