@@ -26,6 +26,7 @@ rounding, carried beside each recurrence.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -226,52 +227,263 @@ def power_block_reference(t: float, p: float, s: float, x: float, dps: int = 40)
         return float(phi * (mpf(x) + mpf(t)) ** (mpf(p) - 2 * mpf(s)))
 
 
-def _mass_slack(n_blocks: int) -> mpf:
-    """Relative slack on a 30-digit mass of n_blocks blocks (call it at 30
-    digits): 10^-25 covers the roundings for up to 10^4 blocks, and it
-    grows with the block count past that."""
-    return mpf(10) ** -25 * max(1, n_blocks / 10 ** 4)
+# ---------------------------------------------------------------------------
+# the cancellation mass in float64
+
+_U = 2.0**-53  # unit roundoff
+_LOG2E = 1.4426950408889634  # the float nearest 1/ln 2
+_LN2 = 0.6931471805599453  # the float nearest ln 2
+_ATANH = tuple(1.0 / (2 * k + 1) for k in range(15))  # atanh(u) / u in powers of u^2
+_EXP2 = tuple(itertools.accumulate(range(1, 16), lambda c, k: c * _LN2 / k,
+                                   initial=1.0))  # 2^f in powers of f
+_CLAMP = 2.0**1000  # largest |r x| / 2^e(t) formed
+_FLOOR = 2.0**-1000  # smallest term kept, relative to a point's largest
+_ZERO_EXP = -(1 << 40)  # binary exponent given to a zero coefficient
+_CHUNK = 1 << 16  # blocks x points per pass
+
+
+def _mass_slack(n_blocks: int) -> float:
+    """delta(n): the float64 mass of n blocks, times 1 + delta, is at least
+    the exact mass and at most 1 + 2 delta times it.
+
+    With u = 2^-53, each term |c_k| 2^z, z = s (2 log2 r_k - log2 a_k) for
+    a_k = r_k x + t_k, is within a factor 1 +- 8000u of its exact value:
+
+    * |c_k|: its mantissa rounded up to 53 bits, a factor in [1, 1 + 2u];
+    * a_k: the float nearest it (see _scaled_argument), so log2 a_k moves
+      by at most 1.45u;
+    * log2 of a float (see _log2): the atanh series through u^28 leaves
+      1.6u, its coefficients, the quotient and the Horner steps 35u, all
+      relative to log2 y < 1; the integer exponent is then added in float,
+      with |log2 a| < 2^11 and |log2 r| < 2^11, each within 1024u;
+    * z: the difference and the product by s, with |z| < 2^13, add 4096u
+      each, so z is within 11386u and 2^z within ln 2 * 11386u = 7893u;
+    * 2^f for f in [0, 1) (see _exp2): truncating after f^15 leaves 1.3u,
+      the coefficients 39u and the Horner steps 31u;
+    * the mantissa product: u.
+
+    Pairwise summation over ceil(log2 n) levels adds 1.01u per level, and
+    raising terms below 2^-1000 of a point's largest adds less than u.
+    The bound |Phi| + err is rounded up (at most 2u), and the product with
+    the mass and with the float 1 + delta, rounded up, add 4u.  So for up
+    to 2^14 blocks (14 levels) the result is within 8020u = 8.9e-13 of its
+    exact value before the factor 1 + delta, and delta = 2e-12 both covers
+    that and keeps the product below 1 + 2 delta; past 2^14 blocks delta
+    grows by 2u per level.  The upper side holds for |r_k x| < 2^999 t_k;
+    past that a_k is taken as 2^1000 t_k, an upper bound.
+    """
+    return 2e-12 + max(0, (max(n_blocks, 1) - 1).bit_length() - 14) * 2 * _U
+
+
+def _mantissa_up(v) -> tuple[float, int]:
+    """(m, e) with m 2^e >= |v| by at most a factor 1 + 2^-52, m a float in
+    [0.5, 1]; exact for floats, (0.0, 0) for zero."""
+    if isinstance(v, float):
+        return math.frexp(abs(v))
+    _, man, exp, bits = v._mpf_
+    if bits > 53:
+        man, cut = int(man), bits - 53
+        man, exp = (man >> cut) + ((man >> cut) << cut != man), exp + cut
+    m, e = math.frexp(float(man))
+    return m, e + exp
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of floats |a| < 1 into two halves of 26 bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: s = fl(a + b) and the exact a + b - s."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _horner(coefs: tuple[float, ...], w: np.ndarray) -> np.ndarray:
+    acc = np.full(w.shape, coefs[-1])
+    for c in coefs[-2::-1]:
+        acc *= w
+        acc += c
+    return acc
+
+
+def _log2(h: np.ndarray, e0) -> np.ndarray:
+    """log2(h 2^e0) for floats h > 0 and integers e0, nondecreasing in h.
+
+    h = y 2^(e-1) with y in [1, 2), and log2 y = (2 / ln 2) atanh(u) for
+    u = (y - 1)/(y + 1) in [0, 1/3), from the series of atanh(u) / u in u^2
+    through u^28.  Every step is nondecreasing in y: fl(y + 1) moves by one
+    place where y moves by one, which leaves u nondecreasing, and Horner's
+    rule with positive coefficients at u^2 >= 0 is.  log2 1 = 0 exactly and
+    min(., 1) carry that across binades.
+    """
+    m, e = np.frexp(h)
+    y = m + m
+    u = (y - 1.0) / (y + 1.0)
+    acc = _horner(_ATANH, u * u)
+    acc *= u
+    acc *= 2.0 * _LOG2E
+    np.minimum(acc, 1.0, out=acc)
+    return (e - 1 + e0) + acc
+
+
+def _exp2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, n), q in [1, 2] and n integer, with q 2^n = 2^z, nondecreasing in
+    z: 2^f for f = z - floor(z) in [0, 1) from its Taylor series through
+    f^15, positive coefficients at f >= 0; q(0) = 1 and min(., 2) carry
+    that across integers."""
+    n = np.floor(z)
+    q = _horner(_EXP2, z - n)
+    np.minimum(q, 2.0, out=q)
+    return q, n.astype(np.int64)
+
+
+def _scaled_argument(mr, rh, rl, shift0, mt, xs) -> np.ndarray:
+    """The float nearest (r_k x + t_k) / 2^e_k, t_k = mt_k 2^e_k, for each
+    block k (rows) and point x (columns), with r_k x / 2^e_k clamped to at
+    most 2^1000.  r_k = mr_k 2^(er_k), rh_k + rl_k = mr_k (_split) and
+    shift0_k = er_k - e_k.
+
+    Dekker's TwoProduct of the mantissas is exact, and scaling it by 2^shift
+    is exact unless r_k x / 2^e_k is below 2^-969, where mt_k alone is the
+    nearest float.  TwoSum with mt_k gives the argument exactly as s1 + c +
+    d with c = fl(e + es) (Ogita, Rump and Oishi 2005); |d| is at most half
+    a unit in the last place of c, so fl(s1 + c) is the nearest float to the
+    argument unless s1 + c is a tie, where d decides.
+    """
+    mx, ex = np.frexp(xs)
+    xh, xl = _split(mx)
+    p = mr[:, None] * mx
+    e = rh[:, None] * xh - p
+    e += rh[:, None] * xl
+    e += rl[:, None] * xh
+    e += rl[:, None] * xl
+    shift = shift0[:, None] + ex
+    if shift.max(initial=0) > 990:
+        np.minimum(shift, 1010, out=shift)
+        p, e = np.ldexp(p, shift), np.ldexp(e, shift)
+        over = (p > _CLAMP) | ((p == _CLAMP) & (e > 0))
+        under = (p < -_CLAMP) | ((p == -_CLAMP) & (e < 0))
+        p[over], p[under] = _CLAMP, -_CLAMP
+        e[over | under] = 0.0
+    else:
+        p, e = np.ldexp(p, shift), np.ldexp(e, shift)
+    s1, es = _two_sum(p, mt[:, None])
+    c, d = _two_sum(e, es)
+    hi, f = _two_sum(s1, c)
+    step = np.nextafter(hi, np.copysign(np.inf, f)) - hi
+    tie = (f + f == step) & (f * d > 0)
+    hi[tie] += step[tie]
+    return hi
+
+
+def _pairwise_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of the rows of v, each column in the same order: row k plus row
+    k + half, halving until one row is left (v is overwritten)."""
+    rows = v.shape[0]
+    while rows > 1:
+        half = rows // 2
+        v[:half] += v[half:2 * half]
+        if rows % 2:
+            v[half] = v[rows - 1]
+        rows = half + rows % 2
+    return v[0]
+
+
+def _mass(combo: SHCombo, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, N) with S 2^N the float64 cancellation mass at each point, S a
+    float and N an integer: within 1 +- 8000u of sum_k |c_k| r_k^(2s)
+    (r_k x + t_k)^-s for up to 2^14 blocks (see _mass_slack), S = 0 when
+    every coefficient is zero.  Each value is nonincreasing in x and does
+    not depend on the other points.  Raises DomainError at or past a kink.
+    """
+    blocks = combo.blocks
+    cm, ce = (np.array(v) for v in zip(*(_mantissa_up(b.c) for b in blocks)))
+    ce = np.where(cm > 0, ce, _ZERO_EXP)
+    mt, et = np.frexp(np.array([b.t for b in blocks]))
+    mr, er = np.frexp(np.array([b.r for b in blocks]))
+    rh, rl = _split(mr)
+    twice_log_r = 2.0 * _log2(mr, er)
+    shift0 = er.astype(np.int64) - et
+    S, N = np.zeros(xs.size), np.zeros(xs.size, dtype=np.int64)
+    step = max(1, _CHUNK // len(blocks))
+    for lo in range(0, xs.size, step):
+        x = xs[lo:lo + step]
+        hi = _scaled_argument(mr, rh, rl, shift0, mt, x)
+        inside = hi > 0
+        if not inside.all():
+            j = int(np.argmin(inside.all(axis=0)))
+            k = int(np.argmin(inside[:, j]))
+            raise DomainError(f"point {x[j]} is outside the smooth region "
+                              f"(kink at {blocks[k].kink})")
+        z = twice_log_r[:, None] - _log2(hi, et[:, None])
+        z *= combo.s
+        q, n = _exp2(z)
+        q *= cm[:, None]
+        n += ce[:, None]
+        top = n.max(axis=0)
+        n -= top
+        np.maximum(n, -1020, out=n)
+        v = np.ldexp(q, n)
+        np.maximum(v, _FLOOR, out=v)
+        S[lo:lo + step], N[lo:lo + step] = _pairwise_sum(v), top
+    if not cm.any():
+        S[:] = 0.0
+    return S, N
+
+
+def _ceil_log10(m: float, n: int) -> int:
+    """ceil(log10(m 2^n)) for a float m > 0, exactly."""
+    value = Fraction(m) * Fraction(2) ** n
+    k = math.ceil(math.log10(m) + n * math.log10(2.0))
+    while Fraction(10) ** k < value:
+        k += 1
+    while Fraction(10) ** (k - 1) >= value:
+        k -= 1
+    return k
 
 
 def combo_residual(combo: SHCombo, xs) -> np.ndarray:
     """Absolute value of the defining integral of a block combination.
 
-    Each value is |Phi(s, s)| plus its error bound, times the cancellation
-    mass sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s, evaluated at 30 digits and
-    rounded up to float.  r_k x + t_k is formed exactly, so no rounding is
-    amplified next to a kink; a term takes five roundings, three of them
-    once per block (r_k^(2s) once per group of equal r), and one addition,
-    which _mass_slack covers.  Every term of the mass is positive and
-    decreasing in x, so a value at a point bounds every point to its right
-    in the smooth region.  Phi is evaluated at a precision chosen from the
-    largest mass, so the result is meaningful even when the raw
-    coefficients overflow any fixed-precision cancellation.  Each returned
-    value bounds |(-Delta)^s v(x)|.
+    Each value is |Phi(s, s)| plus its error bound, rounded up, times the
+    cancellation mass sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s, times 1 +
+    delta (_mass_slack), rounded up to float.  The mass is summed in float64
+    over all blocks and points at once (_mass): each |c_k| enters as its
+    mantissa and binary exponent, so coefficients past the float64 range
+    neither overflow nor lose digits, and r_k x + t_k is formed as its
+    nearest float, so no rounding is amplified next to a kink.  The result
+    is at least the exact product and at most 1 + 2 delta times it.
+
+    Every term of the mass is positive and decreasing in x, and every
+    rounded step preserves that order, so a value at a point bounds every
+    point to its right in the smooth region, and each point's value does
+    not depend on the array it is evaluated in.  Phi is evaluated at a
+    precision chosen from the largest mass, so the result is meaningful
+    even when the raw coefficients overflow any fixed-precision
+    cancellation.  Each returned value bounds |(-Delta)^s v(x)|.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    with workdps(30):
-        sm = mpf(combo.s)
-        neg = -sm
-        scaling = {g[0].r: mpf(g[0].r) ** (2 * sm) for g in combo.groups}
-        consts = [(abs(mpf(b.c)) * scaling[b.r], mpf(b.r), mpf(b.t), b.kink)
-                  for b in combo.blocks]
-        masses = []
-        for x in xs:
-            xm, acc = mpf(float(x)), mpf(0)
-            for weight, r, t, kink in consts:
-                arg = mpmath.fadd(mpmath.fmul(r, xm, exact=True), t, exact=True)
-                if arg <= 0:
-                    raise DomainError(
-                        f"point {x} is outside the smooth region (kink at {kink})")
-                acc += weight * arg ** neg
-            masses.append(acc)
-        worst = max(masses, default=mpf(0))
-    amp = int(mpmath.ceil(mpmath.log10(worst))) if worst > 1 else 0
+    if not np.all(np.isfinite(xs)):
+        raise DomainError(f"points must be finite, got {xs[~np.isfinite(xs)][0]}")
+    if combo.blocks:
+        S, N = _mass(combo, xs)
+    else:
+        S, N = np.zeros(xs.size), np.zeros(xs.size, dtype=np.int64)
+    amp = 0
+    if S.any():
+        j = int(np.argmax(np.ldexp(S, N - N.max())))
+        if Fraction(S[j]) * Fraction(2) ** int(N[j]) > 1:
+            amp = _ceil_log10(float(S[j]), int(N[j]))
     dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)
-    with workdps(30):
-        slack = _mass_slack(len(combo.blocks))
-        bounds = [(abs(phi) + abs(phi_err)) * (1 + slack) * m for m in masses]
-    # float() rounds toward zero (subnormals to nearest): step up where it fell below
-    return np.array([math.nextafter(float(b), math.inf) if float(b) < b else float(b)
-                     for b in bounds])
+    bm, be = _mantissa_up(mpmath.fadd(abs(phi), abs(phi_err), prec=64, rounding="u"))
+    inflation = math.nextafter(1.0 + _mass_slack(len(combo.blocks)), math.inf)
+    out = np.ldexp(bm * S * inflation, N + be)
+    # ldexp rounds to nearest below 2^-1022: step up there
+    low = (out < 2.0**-1022) & (S > 0)
+    out[low] = np.nextafter(out[low], np.inf)
+    return out

@@ -25,6 +25,7 @@ different panel layout, giving a genuinely independent cross-check.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,9 +36,11 @@ import numpy as np
 from .blocks import SHCombo, combo_derivative
 from .errors import ConfigError, DomainError, EvaluationError
 
-_GAUSS8 = np.polynomial.legendre.leggauss(8)
-_GAUSS12 = np.polynomial.legendre.leggauss(12)
-_GAUSS64 = np.polynomial.legendre.leggauss(64)
+
+@functools.cache
+def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
@@ -426,7 +429,7 @@ def frac_laplacian_detailed(u, x: float, params: FracParams,
     delta = _effective_delta(config.delta, x, kinks)
     near = _near_field(f, x, ux, s, delta, config.near_points, combo, scale)
     mid = _mid_field(f, x, ux, s, delta, config.outer_radius, config.mid_points,
-                     kinks, _GAUSS8, depth=30, offset=6)
+                     kinks, _gauss(8), depth=30, offset=6)
     tail, halfwidth, ghats = _tail_model(f, x, ux, s, config.outer_radius, gamma)
     return FracLapDetail(value=near + mid + tail, tail_halfwidth=halfwidth,
                          near=near, mid=mid, tail=tail, delta_used=delta,
@@ -463,7 +466,7 @@ def frac_laplacian_pv(u, x: float, params: FracParams,
     partial = [0.0]
     for k in range(K):
         bounds = np.array([rhos[k + 1], rhos[k]])
-        nodes, wts = _panel_nodes(bounds, _GAUSS12)
+        nodes, wts = _panel_nodes(bounds, _gauss(12))
         d2 = _second_difference(f, x, nodes, ux)
         piece = float(np.sum(wts * d2 * nodes ** (-1.0 - 2.0 * s)))
         partial.append(partial[-1] + piece)
@@ -476,7 +479,7 @@ def frac_laplacian_pv(u, x: float, params: FracParams,
     near = float(np.linalg.solve(A, rhs)[0])
 
     mid = _mid_field(f, x, ux, s, delta, config.outer_radius, config.mid_points,
-                     kinks, _GAUSS12, depth=26, offset=7)
+                     kinks, _gauss(12), depth=26, offset=7)
     tail, _, _ = _tail_model(f, x, ux, s, config.outer_radius, gamma)
     return near + mid + tail
 
@@ -492,7 +495,7 @@ def mean_value_ball(u, x: float, rho: float) -> float:
     f, _, _ = _as_function(u)
     x = float(x)
     ux = float(_checked(f, x, np.array([0.0]))[0])
-    gx, gw = _GAUSS64
+    gx, gw = _gauss(64)
     vals = _checked(f, x, rho * gx)
     avg = 0.5 * float(np.sum(gw * vals))
     return 6.0 * (ux - avg) / rho**2

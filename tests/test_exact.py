@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf, workdps
+from mpmath import mpf, workdps, workprec
 
 import sharmonic as sh
 from sharmonic import exact
@@ -222,6 +222,27 @@ def _residual_with_phi(combo, xs):
     return got, phi, err
 
 
+def _exact_products(combo, xs, phi, err, dps=80):
+    """(|Phi| + err) times the cancellation mass at each x, at dps digits,
+    with each r_k x + t_k formed exactly."""
+    with workdps(dps):
+        bound, sm = abs(phi) + abs(err), mpf(combo.s)
+        return [bound * mpmath.fsum(
+            abs(mpf(b.c)) * mpf(b.r) ** (2 * sm) * mpmath.fadd(
+                mpmath.fmul(mpf(b.r), mpf(float(x)), exact=True), mpf(b.t), exact=True) ** -sm
+            for b in combo.blocks) for x in xs]
+
+
+def _assert_within_slack(combo, got, wants):
+    """exact <= got <= exact (1 + 2 delta) at each point; below 2^-1022 the
+    result is rounded up to the subnormal grid, so it may sit one subnormal
+    step above that."""
+    delta = mpf(exact._mass_slack(len(combo.blocks)))
+    with workdps(80):
+        for value, want in zip(got, wants):
+            assert want <= mpf(value) <= want * (1 + 2 * delta) + mpf(2) ** -1073
+
+
 def test_combo_residual_matches_hand_reduction():
     s = 0.5
     combo = sh.SHCombo(
@@ -230,14 +251,15 @@ def test_combo_residual_matches_hand_reduction():
     )
     xs = np.array([0.0, 0.7])
     got, phi, err = _residual_with_phi(combo, xs)
-    bound = abs(phi) + abs(err)
-    with workdps(50):
-        for i, x in enumerate(xs):
+    with workdps(60):
+        wants = []
+        for x in xs:
             acc = mpf(0)
             for b in combo.blocks:
                 xi = mpf(x) + mpf(b.t) / mpf(b.r)
                 acc += abs(mpf(b.c)) * mpf(b.r) ** mpf(s) * xi ** (-mpf(s))
-            assert got[i] == pytest.approx(float(bound * acc), rel=1e-13)
+            wants.append((abs(phi) + abs(err)) * acc)
+    _assert_within_slack(combo, got, wants)
 
 
 _FLOAT_BLOCKS = st.lists(
@@ -295,26 +317,6 @@ def test_combo_residual_holds_at_the_float_next_to_a_kink(t, r):
         assert mpf(got) >= want
 
 
-def _residual_per_block(combo, xs):
-    """combo_residual with r_k^(2s) raised once per block: the same roundings
-    in the same order."""
-    with workdps(30):
-        sm = mpf(combo.s)
-        masses = [mpmath.mpf(0)] * len(xs)
-        for i, x in enumerate(xs):
-            for b in combo.blocks:
-                arg = mpmath.fadd(mpmath.fmul(mpf(b.r), mpf(float(x)), exact=True),
-                                  mpf(b.t), exact=True)
-                masses[i] += abs(mpf(b.c)) * mpf(b.r) ** (2 * sm) * arg ** -sm
-        worst = max(masses)
-    amp = int(mpmath.ceil(mpmath.log10(worst))) if worst > 1 else 0
-    phi, phi_err = sh.canonical_constant(combo.s, combo.s, ((25 + amp + 19) // 20) * 20)
-    with workdps(30):
-        bounds = [(abs(phi) + abs(phi_err)) * (1 + exact._mass_slack(len(combo.blocks))) * m
-                  for m in masses]
-    return [math.nextafter(float(b), math.inf) if float(b) < b else float(b) for b in bounds]
-
-
 def test_combo_residual_raises_each_scale_once_with_the_same_digits():
     xs = [-1.0, -0.25, 0.0, 0.8]
     pipeline, _ = sh.approximate(sh.target_from_spec("sin"), 1e-4, 0.3)
@@ -323,7 +325,8 @@ def test_combo_residual_raises_each_scale_once_with_the_same_digits():
         (4.0, -1e30, 2.0**-40))))
     for combo in (pipeline, hand):
         assert len(combo.groups) >= 2
-        assert list(sh.combo_residual(combo, xs)) == _residual_per_block(combo, xs)
+        got, phi, err = _residual_with_phi(combo, xs)
+        _assert_within_slack(combo, got, _exact_products(combo, xs, phi, err))
 
 
 def test_combo_residual_single_block_is_certifiably_tiny():
@@ -374,36 +377,82 @@ def test_combo_residual_mass_at_fixed_precision_matches_60_digits():
     xs = np.linspace(-1.0, 1.0, 23)[1:-1]
     got, phi, err = _residual_with_phi(combo, xs)
     with workdps(60):
-        bound = abs(phi) + err
         sm = mpf(0.5)
-        for i, x in enumerate(xs):
+        wants = []
+        for x in xs:
             acc = mpf(0)
             for b in combo.blocks:
                 xi = mpf(x) + mpf(b.t) / mpf(b.r)
                 acc += abs(mpf(b.c)) * mpf(b.r) ** sm * xi ** (-sm)
-            want = float(bound * acc)
-            assert abs(got[i] - want) <= 1e-15 * want
+            wants.append((abs(phi) + abs(err)) * acc)
+    _assert_within_slack(combo, got, wants)
 
 
 def test_combo_residual_slack_grows_past_ten_thousand_blocks():
-    # the 30-digit mass takes a few roundings per block, so its slack scales
-    # with the block count once that passes 10^4
-    with workdps(30):
-        assert exact._mass_slack(1) == exact._mass_slack(10 ** 4) == mpf(10) ** -25
-        assert exact._mass_slack(10050) == mpf(10) ** -25 * (10050 / 10 ** 4)
-        assert exact._mass_slack(10 ** 6) == mpf(10) ** -23
+    # pairwise summation takes one rounding per level: 2e-12 covers the
+    # terms and up to 14 levels (2^14 > 10^4 blocks), and each level past
+    # that adds 2u
+    assert exact._mass_slack(1) == exact._mass_slack(10 ** 4) == exact._mass_slack(2 ** 14) \
+        == 2e-12
+    assert exact._mass_slack(2 ** 14 + 1) == 2e-12 + 2.0**-52
+    assert exact._mass_slack(10 ** 6) == 2e-12 + 6 * 2.0**-52
+    assert exact._mass_slack(2 ** 40) < 1e-9
 
 
 def test_combo_residual_covers_the_mass_of_ten_thousand_float_blocks():
-    # a smoke test past 10^4 blocks: random roundings stay far below the
-    # worst case the slack covers, so this holds without the scaling too
+    # past 10^4 blocks the pairwise sum takes 14 levels
     rng = np.random.default_rng(7)
     blocks = tuple(sh.SHBlock(float(t), float(c), float(r)) for t, c, r in zip(
         rng.uniform(1.5, 4.0, 10050), rng.uniform(-10.0, 10.0, 10050),
         rng.uniform(1e-3, 1.0, 10050)))
-    (got,), phi, err = _residual_with_phi(sh.SHCombo(0.5, blocks), [-1.0])
-    with workdps(60):
-        sm = mpf(0.5)
-        want = (abs(phi) + abs(err)) * mpmath.fsum(
-            abs(mpf(b.c)) * mpf(b.r) ** sm * (mpf(b.t) / mpf(b.r) - 1) ** -sm for b in blocks)
-        assert want <= mpf(got) <= want * (1 + mpf(10) ** -15)
+    combo = sh.SHCombo(0.5, blocks)
+    got, phi, err = _residual_with_phi(combo, [-1.0])
+    _assert_within_slack(combo, got, _exact_products(combo, [-1.0], phi, err, dps=60))
+
+
+def _coefficient(mantissa: float, exponent: int):
+    """A float, or an mpf of 200 bits mantissa * 10^exponent."""
+    if exponent == 0:
+        return mantissa
+    with workprec(200):
+        return mpf(mantissa) * mpf(10) ** exponent + mpf(mantissa) / 3
+
+
+_WIDE_BLOCKS = st.lists(
+    st.builds(sh.SHBlock, t=st.floats(1.5, 4.0),
+              c=st.builds(_coefficient, st.floats(-10.0, 10.0),
+                          st.one_of(st.just(0), st.integers(-400, 400))),
+              r=st.floats(0.0, 1.0, exclude_min=True)),
+    min_size=1, max_size=6)
+
+
+@st.composite
+def _wide_combos_on_dense_grids(draw):
+    """s in [0.02, 0.98]; float and mpf coefficients with |c| from 1e-400 to
+    1e400; a dense sorted grid on [-1, 1] and points one to four ulps right
+    of the rightmost kink."""
+    blocks = draw(_WIDE_BLOCKS)
+    xs = list(np.linspace(-1.0, 1.0, draw(st.integers(2, 400))))
+    for ulps in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        x = max(b.kink for b in blocks)
+        for _ in range(ulps):
+            x = math.nextafter(x, math.inf)
+        xs.append(x)
+    return sh.SHCombo(draw(st.floats(0.02, 0.98)), tuple(blocks)), np.sort(xs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_wide_combos_on_dense_grids())
+def test_combo_residual_is_within_twice_the_slack_of_80_digits(combo_and_points):
+    combo, xs = combo_and_points
+    got, phi, err = _residual_with_phi(combo, xs)
+    picks = sorted({0, 1, 2, xs.size // 2, xs.size - 1})
+    _assert_within_slack(combo, got[picks], _exact_products(combo, xs[picks], phi, err))
+    assert np.all(np.diff(got) <= 0.0)
+    # a point's value does not depend on the array it is evaluated in
+    (first,), _, _ = _residual_with_phi(combo, xs[0])
+    assert first == got[0]
+    masses = exact._mass(combo, xs)
+    for i in picks:
+        alone = exact._mass(combo, xs[i:i + 1])
+        assert (alone[0][0], alone[1][0]) == (masses[0][i], masses[1][i])

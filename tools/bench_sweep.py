@@ -24,11 +24,18 @@ around these stages:
 * ``other``: the rest of ``approximate``.
 
 Each figure is ms per call, per eps level, from the run with the smallest
-total; the timers add about a microsecond per wrapped call.  Beside them,
-``bound_calls`` counts the bound's calls per ``approximate`` call, and the
-top-level ``bound_calls`` of each tree their total over the TARGETS calls.  Every run also
-hashes ``combo_to_json`` and ``report.to_dict()`` of every call, so the file
-records whether both trees produce the same output.  Last, the script runs
+total; the timers add about a microsecond per wrapped call.  Like pipebench,
+every call is timed together with ``workloads.reference_ms`` just before and
+after it, and its stage times are scaled to a host on which that reference
+computation takes ``REFERENCE_NOMINAL_MS``: ``levels`` holds the scaled
+figures and ``raw_levels`` the measured ones.  Beside them, ``bound_calls``
+counts the bound's calls per ``approximate`` call, and the top-level
+``bound_calls`` of each tree their total over the TARGETS calls.  Every run
+also hashes ``combo_to_json`` and ``report.to_dict()`` of every call, so the
+file records whether both trees produce the same output, and, untimed,
+compares each ``max_residual`` with (|Phi| + err) times the cancellation
+mass at x = -1 summed at 80 digits: ``residual_excess`` is the smallest and
+largest max_residual / product - 1 over the calls.  Last, the script runs
 ``tools/compare_artifacts.py``'s CLI grid against PATH and records its
 result.
 """
@@ -45,12 +52,17 @@ sys.path.insert(0, str(ROOT / "tools"))
 from bench_phi import RUNS, host, revision, run_child  # noqa: E402
 from compare_artifacts import CASES, compare  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "pipebench"))
+from workloads import REFERENCE_NOMINAL_MS  # noqa: E402
+
 TARGETS = 60
 
 SWEEP_CHILD = """
 import hashlib, importlib, json, sys, time
 sys.path.insert(0, "pipebench")
-from workloads import SWEEP_EPS, SWEEP_S, LibrarySweep, Record
+import mpmath
+from mpmath import mpf
+from workloads import REFERENCE_NOMINAL_MS, SWEEP_EPS, SWEEP_S, LibrarySweep, Record, reference_ms
 from sharmonic import blocks, exact
 approximate = importlib.import_module("sharmonic.approximate")
 
@@ -70,18 +82,39 @@ def monomial_model(*args, **kwargs):
     t, y, bound = model(*args, **kwargs)
     return t, y, timed("bound", bound)
 
+def residual_excess(combo, value):
+    # max_residual / ((|Phi| + err) * mass at x = -1, at 80 digits) - 1
+    used = []
+    def record(p, s, dps):
+        used.append(phi(p, s, dps))
+        return used[-1]
+    exact.canonical_constant = record
+    try:
+        residual(combo, combo.interval[0])
+    finally:
+        exact.canonical_constant = phi
+    (value_phi, err), = used
+    with mpmath.workdps(80):
+        sm, x = mpf(combo.s), mpf(combo.interval[0])
+        mass = mpmath.fsum(abs(mpf(b.c)) * mpf(b.r) ** (2 * sm)
+                           * (mpf(b.r) * x + mpf(b.t)) ** -sm for b in combo.blocks)
+        return float(mpf(value) / ((abs(value_phi) + abs(err)) * mass) - 1)
+
 model = timed("model", blocks._monomial_model)
 blocks._monomial_model = monomial_model
 blocks._exact_match = timed("exact_match", blocks._exact_match)
 blocks._block_coefficients = timed("block_coefficients", blocks._block_coefficients)
 approximate.cheb_fit = timed("cheb_fit", approximate.cheb_fit)
-exact.combo_residual = timed("combo_residual", exact.combo_residual)
+phi, residual = exact.canonical_constant, exact.combo_residual
+exact.combo_residual = timed("combo_residual", residual)
 
 sweep = LibrarySweep(1)
 sweep.setup(Record())
-levels = {eps: {"calls": 0, "total": 0.0} for eps in SWEEP_EPS}
+levels = {eps: {"calls": 0, "raw": {}, "scaled": {}} for eps in SWEEP_EPS}
 digest = hashlib.sha256()
+excess = []
 ops = sweep.operations()
+before = reference_ms()
 for _ in range(int(sys.argv[1])):
     target, eps = next(ops)
     spent.clear()
@@ -89,14 +122,20 @@ for _ in range(int(sys.argv[1])):
     start = time.perf_counter()
     combo, report = approximate.approximate(target, eps, SWEEP_S)
     spent["total"] = time.perf_counter() - start
+    after = reference_ms()
+    factor, before = REFERENCE_NOMINAL_MS / (0.5 * (before + after)), after
     digest.update(blocks.combo_to_json(combo).encode())
     digest.update(json.dumps(report.to_dict()).encode())
+    excess.append(residual_excess(combo, report.max_residual))
     level = levels[eps]
     level["calls"] += 1
     level["bound_calls"] = level.get("bound_calls", 0) + counts.get("bound", 0)
     for name, seconds in spent.items():
-        level[name] = level.get(name, 0.0) + seconds
+        level["raw"][name] = level["raw"].get(name, 0.0) + seconds
+        level["scaled"][name] = level["scaled"].get(name, 0.0) + seconds * factor
+    before = reference_ms()
 print(json.dumps({"levels": {f"{eps:g}": level for eps, level in levels.items()},
+                  "residual_excess": [min(excess), max(excess)],
                   "sha256": digest.hexdigest()}))
 """
 
@@ -104,25 +143,36 @@ STAGES = ("cheb_fit", "exact_match", "model", "bound", "block_coefficients",
           "combo_residual")
 
 
+def _per_call(level: dict, spent: dict) -> dict:
+    """ms per call of each stage, other included."""
+    per_call = {name: spent.get(name, 0.0) * 1e3 / level["calls"]
+                for name in ("total", *STAGES)}
+    # _exact_match runs inside _monomial_model
+    per_call["model"] -= per_call["exact_match"]
+    per_call["other"] = per_call["total"] - sum(per_call[k] for k in STAGES)
+    return {k: round(v, 3) for k, v in per_call.items()}
+
+
 def sweep_split(tree: Path) -> dict:
-    """ms and bound calls per call of each stage per eps level, the mean
-    total and the bound calls over all calls, and the output hash, from one
-    fresh interpreter."""
+    """Scaled and raw ms per call of each stage per eps level, bound calls
+    per call, the mean scaled and raw totals, the bound calls over all
+    calls, the residual's excess over its 80-digit product and the output
+    hash, from one fresh interpreter."""
     out, _ = run_child(tree, ["-c", SWEEP_CHILD, str(TARGETS)])
     raw = json.loads(out)
-    levels = {}
+    split = {"levels": {}, "raw_levels": {}}
     for eps, level in raw["levels"].items():
-        per_call = {name: level.get(name, 0.0) * 1e3 / level["calls"]
-                    for name in ("total", *STAGES)}
-        # _exact_match runs inside _monomial_model
-        per_call["model"] -= per_call["exact_match"]
-        per_call["other"] = per_call["total"] - sum(per_call[k] for k in STAGES)
-        per_call["bound_calls"] = level.get("bound_calls", 0) / level["calls"]
-        levels[eps] = {k: round(v, 3) for k, v in per_call.items()}
-    mean = sum(level["total"] for level in raw["levels"].values()) * 1e3 / TARGETS
-    bound_calls = sum(level.get("bound_calls", 0) for level in raw["levels"].values())
-    return {"mean_total": round(mean, 3), "bound_calls": bound_calls, "levels": levels,
-            "sha256": raw["sha256"]}
+        split["levels"][eps] = _per_call(level, level["scaled"])
+        split["levels"][eps]["bound_calls"] = level.get("bound_calls", 0) / level["calls"]
+        split["raw_levels"][eps] = _per_call(level, level["raw"])
+    for key, name in (("mean_total", "scaled"), ("raw_mean_total", "raw")):
+        total = sum(level[name]["total"] for level in raw["levels"].values())
+        split[key] = round(total * 1e3 / TARGETS, 3)
+    split["bound_calls"] = sum(level.get("bound_calls", 0)
+                               for level in raw["levels"].values())
+    split["residual_excess"] = raw["residual_excess"]
+    split["sha256"] = raw["sha256"]
+    return split
 
 
 def main() -> None:
@@ -154,6 +204,7 @@ def main() -> None:
         "trees": {name: revision(tree) for name, tree in trees.items()},
         "targets": TARGETS,
         "runs": RUNS,
+        "reference_nominal_ms": REFERENCE_NOMINAL_MS,
         "sweep_ms_per_call": best,
         "outputs_identical": len(hashes["parent"] | hashes["change"]) == 1,
         "compare_artifacts": {"cases": len(CASES), "identical": len(CASES) - len(differing),

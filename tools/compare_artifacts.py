@@ -8,7 +8,10 @@ Usage, from the root of a checkout:
 PATH is a second checkout (for example the parent commit, made with ``git
 clone`` or ``git archive``).  Every case of CASES runs once per tree, each
 in a fresh interpreter with ``PYTHONPATH`` set to the tree's ``src``,
-writing ``--out-json`` and ``--out-csv``.  For each case the script prints
+writing ``--out-json`` and ``--out-csv``.  A ``csv:{grid}`` target reads
+the grid CSV fixture GRID_CSV (exp(-x^2) and its two derivatives on 401
+points of [-2, 2]), which the script writes into its temporary directory;
+both trees read the same path.  For each case the script prints
 whether both artifacts are byte-identical; where one differs it prints every
 differing JSON key and CSV column with its largest relative difference (inf
 for a key or column present in one tree only).  It exits 1 if any case
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import tempfile
 from fractions import Fraction
@@ -42,7 +46,22 @@ CASES = tuple(
     ("demo", "logistic"),
     ("fraclap", "--target", "sin"),
     ("fraclap", "--target", "block:t=1"),
+    ("approximate", "--target", "csv:{grid}", "--epsilon", "1e-2", "--s", "0.5"),
+    ("fraclap", "--target", "csv:{grid}"),
 )
+
+
+def _grid_csv() -> str:
+    """x, value, deriv1, deriv2 of exp(-x^2) on 401 uniform points of [-2, 2]."""
+    rows = ["x,value,deriv1,deriv2"]
+    for i in range(401):
+        x = -2.0 + 4.0 * i / 400
+        g = math.exp(-x * x)
+        rows.append(f"{x!r},{g!r},{-2.0 * x * g!r},{(4.0 * x * x - 2.0) * g!r}")
+    return "\n".join(rows) + "\n"
+
+
+GRID_CSV = _grid_csv()
 
 
 def _relative(a: str, b: str) -> float:
@@ -100,6 +119,9 @@ def compare(args: tuple[str, ...], trees: dict[str, Path]) -> str | None:
     """None when both artifacts of the case are identical, else a summary."""
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
+        grid = Path(tmp) / "grid.csv"
+        grid.write_text(GRID_CSV, encoding="ascii")
+        args = tuple(arg.replace("{grid}", str(grid)) for arg in args)
         for name, tree in trees.items():
             out = Path(tmp) / name
             run_child(tree, ["-m", "sharmonic", *args, "--out-json", f"{out}.json",
