@@ -17,7 +17,9 @@ exact moments (see blocks.deviation_bound), plus the C^2 weight of the
 monomials too small to match.  Every reported epsilon is the certified
 value, never the mathematical ideal.  The residual bound is one
 exact.combo_residual at the interval's left end, where its decreasing
-cancellation mass is largest.
+cancellation mass is largest; that mass is summed in float64 and inflated
+by a proved relative delta (exact._mass_slack), so the bound is at least
+the exact product and at most 1 + 2 delta times it.
 """
 
 from __future__ import annotations
@@ -325,7 +327,8 @@ def approximate(target: Target, eps: float, s: float,
     stage; epsilon_total reports the sum of both certificates and never
     exceeds eps on success.  max_residual is combo_residual at the
     interval's left end, which bounds the operator residual at every point
-    of the interval.
+    of the interval: |Phi(s, s)| plus its error times the float64
+    cancellation mass there, inflated by 1 + delta (exact._mass_slack).
     """
     t0 = time.perf_counter()
     if eps <= 0 or not np.isfinite(eps):

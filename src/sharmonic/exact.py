@@ -22,6 +22,13 @@ zone is summed term by term from a convergent series whose terms follow
 a recurrence, in fixed-point integers scaled by 2^W, and the returned
 error is the sum of the proved tail bounds and of integer bounds on the
 rounding, carried beside each recurrence.
+
+The cancellation mass sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s that |Phi|
+multiplies is summed in float64 over all blocks and points at once, from
+each coefficient's mantissa and binary exponent, with r_k x + t_k formed as
+its nearest float and log2 and 2^f taken from positive-coefficient series
+in basic operations only.  It carries a proved relative inflation delta
+(_mass_slack), and every rounded step keeps the mass's order in x.
 """
 
 from __future__ import annotations
@@ -230,7 +237,6 @@ def power_block_reference(t: float, p: float, s: float, x: float, dps: int = 40)
 # ---------------------------------------------------------------------------
 # the cancellation mass in float64
 
-_U = 2.0**-53  # unit roundoff
 _LOG2E = 1.4426950408889634  # the float nearest 1/ln 2
 _LN2 = 0.6931471805599453  # the float nearest ln 2
 _ATANH = tuple(1.0 / (2 * k + 1) for k in range(15))  # atanh(u) / u in powers of u^2
@@ -247,32 +253,33 @@ def _mass_slack(n_blocks: int) -> float:
     the exact mass and at most 1 + 2 delta times it.
 
     With u = 2^-53, each term |c_k| 2^z, z = s (2 log2 r_k - log2 a_k) for
-    a_k = r_k x + t_k, is within a factor 1 +- 8000u of its exact value:
+    a_k = r_k x + t_k, is within a factor 1 +- 7975u of its exact value:
 
     * |c_k|: its mantissa rounded up to 53 bits, a factor in [1, 1 + 2u];
     * a_k: the float nearest it (see _scaled_argument), so log2 a_k moves
       by at most 1.45u;
-    * log2 of a float (see _log2): the atanh series through u^28 leaves
-      1.6u, its coefficients, the quotient and the Horner steps 35u, all
-      relative to log2 y < 1; the integer exponent is then added in float,
-      with |log2 a| < 2^11 and |log2 r| < 2^11, each within 1024u;
+    * log2 of a float (see _log2): the atanh series cut after 15 terms
+      leaves 1.6u, its coefficients, the quotient and the Horner steps 35u,
+      all relative to log2 y < 1; the integer exponent is then added in
+      float, with |log2 a| < 2^11 and |log2 r| < 2^11, each within 1024u;
     * z: the difference and the product by s, with |z| < 2^13, add 4096u
       each, so z is within 11386u and 2^z within ln 2 * 11386u = 7893u;
     * 2^f for f in [0, 1) (see _exp2): truncating after f^15 leaves 1.3u,
-      the coefficients 39u and the Horner steps 31u;
+      the coefficients (3 roundings per power of ln 2 / k) 46u and the
+      Horner steps 31u;
     * the mantissa product: u.
 
     Pairwise summation over ceil(log2 n) levels adds 1.01u per level, and
     raising terms below 2^-1000 of a point's largest adds less than u.
     The bound |Phi| + err is rounded up (at most 2u), and the product with
     the mass and with the float 1 + delta, rounded up, add 4u.  So for up
-    to 2^14 blocks (14 levels) the result is within 8020u = 8.9e-13 of its
+    to 2^14 blocks (14 levels) the result is within 8000u < 8.9e-13 of its
     exact value before the factor 1 + delta, and delta = 2e-12 both covers
     that and keeps the product below 1 + 2 delta; past 2^14 blocks delta
     grows by 2u per level.  The upper side holds for |r_k x| < 2^999 t_k;
     past that a_k is taken as 2^1000 t_k, an upper bound.
     """
-    return 2e-12 + max(0, (max(n_blocks, 1) - 1).bit_length() - 14) * 2 * _U
+    return 2e-12 + max(0, (max(n_blocks, 1) - 1).bit_length() - 14) * 2.0**-52
 
 
 def _mantissa_up(v) -> tuple[float, int]:
@@ -476,8 +483,7 @@ def combo_residual(combo: SHCombo, xs) -> np.ndarray:
     amp = 0
     if S.any():
         j = int(np.argmax(np.ldexp(S, N - N.max())))
-        if Fraction(S[j]) * Fraction(2) ** int(N[j]) > 1:
-            amp = _ceil_log10(float(S[j]), int(N[j]))
+        amp = max(0, _ceil_log10(float(S[j]), int(N[j])))
     dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)
     bm, be = _mantissa_up(mpmath.fadd(abs(phi), abs(phi_err), prec=64, rounding="u"))
