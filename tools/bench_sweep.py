@@ -35,7 +35,8 @@ also hashes ``combo_to_json`` and ``report.to_dict()`` of every call, so the
 file records whether both trees produce the same output, and, untimed,
 compares each ``max_residual`` with (|Phi| + err) times the cancellation
 mass at x = -1 summed at 80 digits: ``residual_excess`` is the smallest and
-largest max_residual / product - 1 over the calls.  Last, the script runs
+largest max_residual / product - 1 over the calls, and ``phi_dps`` counts
+the calls by the precision of the Phi they used.  Last, the script runs
 ``tools/compare_artifacts.py``'s CLI grid against PATH and records its
 result.
 """
@@ -86,14 +87,15 @@ def residual_excess(combo, value):
     # max_residual / ((|Phi| + err) * mass at x = -1, at 80 digits) - 1
     used = []
     def record(p, s, dps):
-        used.append(phi(p, s, dps))
-        return used[-1]
+        used.append((dps, phi(p, s, dps)))
+        return used[-1][1]
     exact.canonical_constant = record
     try:
         residual(combo, combo.interval[0])
     finally:
         exact.canonical_constant = phi
-    (value_phi, err), = used
+    (dps, (value_phi, err)), = used
+    phi_dps[dps] = phi_dps.get(dps, 0) + 1
     with mpmath.workdps(80):
         sm, x = mpf(combo.s), mpf(combo.interval[0])
         mass = mpmath.fsum(abs(mpf(b.c)) * mpf(b.r) ** (2 * sm)
@@ -112,7 +114,7 @@ sweep = LibrarySweep(1)
 sweep.setup(Record())
 levels = {eps: {"calls": 0, "raw": {}, "scaled": {}} for eps in SWEEP_EPS}
 digest = hashlib.sha256()
-excess = []
+excess, phi_dps = [], {}
 ops = sweep.operations()
 before = reference_ms()
 for _ in range(int(sys.argv[1])):
@@ -135,7 +137,7 @@ for _ in range(int(sys.argv[1])):
         level["scaled"][name] = level["scaled"].get(name, 0.0) + seconds * factor
     before = reference_ms()
 print(json.dumps({"levels": {f"{eps:g}": level for eps, level in levels.items()},
-                  "residual_excess": [min(excess), max(excess)],
+                  "residual_excess": [min(excess), max(excess)], "phi_dps": phi_dps,
                   "sha256": digest.hexdigest()}))
 """
 
@@ -171,6 +173,7 @@ def sweep_split(tree: Path) -> dict:
     split["bound_calls"] = sum(level.get("bound_calls", 0)
                                for level in raw["levels"].values())
     split["residual_excess"] = raw["residual_excess"]
+    split["phi_dps"] = raw["phi_dps"]
     split["sha256"] = raw["sha256"]
     return split
 
