@@ -94,7 +94,7 @@ class SHBlock:
         if not (0.0 < self.r <= 1.0):
             raise DomainError(f"block scale must lie in (0, 1], got r={self.r}")
         if isinstance(self.c, (int, float)):
-            if not np.isfinite(self.c):
+            if not math.isfinite(self.c):
                 raise DomainError("block coefficient must be finite")
             object.__setattr__(self, "c", float(self.c))
         elif not isinstance(self.c, mpf):
@@ -173,13 +173,16 @@ class SHCombo:
         return sum(_omitted_bound(self.s, c.size, log_lead, p, xmax, order)
                    for c, log_lead, p in self._group_series)
 
-    def float_arrays(self):
+    @functools.cached_property
+    def float_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, c, r) float64 arrays; raises if coefficients need extended precision."""
         cs = np.array([float(b.c) for b in self.blocks])
         if not np.all(np.isfinite(cs)):
             raise DomainError("block coefficients overflow float64")
         ts = np.array([b.t for b in self.blocks])
         rs = np.array([b.r for b in self.blocks])
+        for a in (ts, cs, rs):
+            a.flags.writeable = False
         return ts, cs, rs
 
 
@@ -302,7 +305,7 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
         else:
             out = _combo_eval_mp(combo, xs, order)
     else:
-        ts, cs, rs = combo.float_arrays()
+        ts, cs, rs = combo.float_arrays
         out = _kernels.combo_derivatives(ts, cs, rs, combo.s, xs, order)
     return float(out[0]) if scalar else out
 

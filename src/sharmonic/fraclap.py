@@ -20,6 +20,12 @@ without any normalizing constant.  Three zones are treated separately:
 A principal-value sibling evaluates the equivalent two-sided form with an
 excision limit (dyadic shrinking plus Richardson extrapolation) and a
 different panel layout, giving a genuinely independent cross-check.
+
+Layouts that do not depend on x are built once per (s, QuadConfig, rule)
+and cached: the near field's abscissae, the excision rings and, for an
+operand without kinks, the mid field's nodes, weights and kernel.  A kinked
+operand's mid field is built per call, since its split points depend on x.
+Each route calls the operand twice per point: at x, then at all other nodes.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -255,74 +262,64 @@ def _as_function(u, operator: bool = False
     raise DomainError(f"cannot evaluate operand of type {type(u)}")
 
 
-def _checked(f, base_x: float, offsets: np.ndarray) -> np.ndarray:
-    vals = f(base_x + offsets) if np.ndim(offsets) else f(np.array([base_x + offsets]))
-    vals = np.asarray(vals, dtype=float)
+def _check(args: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """vals, or EvaluationError naming the first argument with a non-finite value."""
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        node = float(np.atleast_1d(base_x + offsets)[np.argmax(np.atleast_1d(bad))])
+        node = float(args[np.argmax(bad)])
         raise EvaluationError(f"non-finite function value at argument {node}", node=node)
     return vals
 
 
-def _second_difference(f, x: float, ys: np.ndarray, ux: float) -> np.ndarray:
-    up = _checked(f, x, ys)
-    um = _checked(f, x, -ys)
-    return 2.0 * ux - up - um
+def _checked(f, x: float, offsets: np.ndarray) -> np.ndarray:
+    return _check(x + offsets, np.asarray(f(x + offsets), dtype=float))
 
 
-# ---------------------------------------------------------------------------
-# shared pieces
+def _sample_zones(f, x: float, ux: float, near: np.ndarray, mid_layout, R: float):
+    """Near-field values, mid-field sum and the tail's (arguments, values) per
+    side, from one call of the operand at x + near, x +/- the mid field's
+    nodes and x +/- (R, 2R, 4R, 8R).  Non-finite values raise in the order
+    the zones are summed; _tail_model checks the tail's minus side last."""
+    nodes, wts, kern = mid_layout
+    tail = R * np.array([1.0, 2.0, 4.0, 8.0])
+    args = x + np.concatenate([near, nodes, -nodes, tail, -tail])
+    vals = np.asarray(f(args), dtype=float)
+    _check(args[:-4], vals[:-4])
+    up, um = np.split(vals[near.size:-8], 2)
+    mid = float(np.sum(wts * (2.0 * ux - up - um) * kern))
+    return vals[:near.size], mid, ((args[-8:-4], vals[-8:-4]), (args[-4:], vals[-4:]))
 
 
-def _fd_derivatives(f, x: float, combo, scale: float) -> tuple[float, float]:
-    """Second and fourth derivative at x: exact for block combinations,
-    central finite differences otherwise."""
-    if combo is not None:
-        return (float(combo_derivative(combo, x, 2)), float(combo_derivative(combo, x, 4)))
-    h2 = 6e-4 * scale
-    p = _checked(f, x, np.array([-2 * h2, -h2, 0.0, h2, 2 * h2]))
-    d2 = (-p[0] + 16 * p[1] - 30 * p[2] + 16 * p[3] - p[4]) / (12 * h2 * h2)
-    h4 = 6e-3 * scale
-    q = _checked(f, x, np.array([-2 * h4, -h4, 0.0, h4, 2 * h4]))
-    d4 = (q[0] - 4 * q[1] + 6 * q[2] - 4 * q[3] + q[4]) / h4**4
-    return d2, d4
-
-
-def _near_field(f, x: float, ux: float, s: float, delta: float, n: int,
-                combo, scale: float) -> float:
+@functools.lru_cache(maxsize=64)
+def _near_layout(s: float, delta: float, n: int) -> tuple[np.ndarray, float]:
+    """Abscissae y of the near field's midpoint rule in w = y^(2-2s), and its weight."""
     beta = 2.0 - 2.0 * s
     W = delta**beta
     w = (np.arange(n) + 0.5) * (W / n)
-    y = w ** (1.0 / beta)
-    ycut = min(1e-4 * scale, 0.25 * delta)
-    phi = np.empty(n)
-    small = y < ycut
-    if np.any(small):
-        d2, d4 = _fd_derivatives(f, x, combo, scale)
-        ys = y[small]
-        phi[small] = -d2 - d4 * ys * ys / 12.0
-    big = ~small
-    if np.any(big):
-        yb = y[big]
-        phi[big] = _second_difference(f, x, yb, ux) / (yb * yb)
-    return (W / (n * beta)) * float(phi.sum())
+    return w ** (1.0 / beta), W / (n * beta)
+
+
+@functools.lru_cache(maxsize=64)
+def _excision_rings(s: float, delta: float):
+    """The PV route's rings [rho_(k+1), rho_k], rho_k = delta / 2^k, k < 6: offsets
+    +y, -y ring by ring, weights and kernel per ring, and the Richardson matrix."""
+    K = 6
+    rhos = delta * 2.0 ** (-np.arange(K + 1))
+    nodes, wts = (a.reshape(K, -1)[::-1].copy() for a in _panel_nodes(rhos[::-1], _gauss(12)))
+    b1, b2 = 2.0 - 2.0 * s, 4.0 - 2.0 * s
+    A = np.array([[1.0, rhos[k] ** b1, rhos[k] ** b2] for k in (K, K - 1, K - 2)])
+    return np.stack((nodes, -nodes), 1).ravel(), wts, nodes ** (-1.0 - 2.0 * s), A
 
 
 def _split_points(x: float, kinks: Sequence[float], lo: float, hi: float,
-                  depth: int, offset: int) -> set[float]:
-    pts: set[float] = set()
-    for K in kinks:
-        ystar = abs(x - K)
-        if lo < ystar < hi:
-            pts.add(ystar)
-            for L in range(1, depth + 1):
-                g = ystar * 2.0 ** (-L - offset)
-                if ystar - g > lo:
-                    pts.add(ystar - g)
-                if ystar + g < hi:
-                    pts.add(ystar + g)
-    return pts
+                  depth: int, offset: int) -> np.ndarray:
+    """Each kink's distance y* = |x - K| inside (lo, hi), and y* -/+ y* 2^-(L+offset),
+    L = 1..depth, where they stay inside."""
+    ystar = np.abs(x - np.asarray(kinks, dtype=float))
+    ystar = ystar[(lo < ystar) & (ystar < hi)]
+    g = np.ldexp(ystar[:, None], -np.arange(1 + offset, depth + 1 + offset)).ravel()
+    ys = np.repeat(ystar, depth)
+    return np.concatenate([ystar, (ys - g)[ys - g > lo], (ys + g)[ys + g < hi]])
 
 
 def _panel_nodes(bounds: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
@@ -334,27 +331,28 @@ def _panel_nodes(bounds: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
-def _mid_field(f, x: float, ux: float, s: float, lo: float, hi: float,
-               n_points: int, kinks: Sequence[float], rule, depth: int,
-               offset: int) -> float:
-    panels = max(n_points // len(rule[0]), 4)
-    bounds = set(lo * (hi / lo) ** (np.arange(panels + 1) / panels))
-    bounds |= _split_points(x, kinks, lo, hi, depth, offset)
-    b = np.array(sorted(p for p in bounds if lo <= p <= hi))
-    nodes, wts = _panel_nodes(b, rule)
-    d2 = _second_difference(f, x, nodes, ux)
-    return float(np.sum(wts * d2 * nodes ** (-1.0 - 2.0 * s)))
+def _mid_layout(s: float, lo: float, hi: float, n_points: int, order: int,
+                split: np.ndarray = ()) -> tuple[np.ndarray, ...]:
+    """Nodes, weights and kernel y^(-1-2s) of Gauss panels of the given order
+    on [lo, hi]: log-spaced, with the split points as extra bounds."""
+    panels = max(n_points // order, 4)
+    b = np.concatenate([lo * (hi / lo) ** (np.arange(panels + 1) / panels), split])
+    nodes, wts = _panel_nodes(np.unique(b[(lo <= b) & (b <= hi)]), _gauss(order))
+    return nodes, wts, nodes ** (-1.0 - 2.0 * s)
 
 
-def _tail_model(f, x: float, ux: float, s: float, R: float,
+_kink_free_mid_layout = functools.lru_cache(maxsize=16)(_mid_layout)
+
+
+def _tail_model(sides, ux: float, s: float, R: float,
                 gamma: float) -> tuple[float, float, tuple[float, float]]:
-    """Signed tail correction, certified half-width, fitted growth per side."""
+    """Signed tail correction, certified half-width, fitted growth per side,
+    from the (arguments, values) at x +/- (R, 2R, 4R, 8R) of each side."""
     value = 2.0 * ux * R ** (-2.0 * s) / (2.0 * s)
     halfwidth = 0.0
     ghats = []
-    for sgn in (+1.0, -1.0):
-        v = _checked(f, x, sgn * np.array([R, 2.0 * R, 4.0 * R, 8.0 * R]))
-        vR, v2, v4, v8 = (float(vi) for vi in v)
+    for side in sides:
+        vR, v2, v4, v8 = (float(vi) for vi in _check(*side))
         tol = 1e-14 * (abs(ux) + 1.0)
         c_est = 2.0 * max(abs(vR) / (1 + R) ** gamma,
                           abs(v2) / (1 + 2 * R) ** gamma,
@@ -402,38 +400,69 @@ def _tail_model(f, x: float, ux: float, s: float, R: float,
 
 
 def _effective_delta(delta: float, x: float, kinks: Sequence[float]) -> float:
-    d = delta
-    for K in kinks:
-        gap = abs(x - K)
-        if gap == 0.0:
-            raise DomainError(f"evaluation point {x} sits exactly on a kink")
-        d = min(d, 0.5 * gap)
-    return d
+    gaps = [abs(x - K) for K in kinks]
+    if 0.0 in gaps:
+        raise DomainError(f"evaluation point {x} sits exactly on a kink")
+    return min([delta] + [0.5 * gap for gap in gaps])
 
 
 # ---------------------------------------------------------------------------
 # public operators
 
 
-def frac_laplacian_detailed(u, x: float, params: FracParams,
-                            config: QuadConfig | None = None) -> FracLapDetail:
-    """Operator value with zone decomposition and tail certificate."""
-    if config is None:
-        config = QuadConfig()
-    s = params.s
-    gamma = config.growth(s)
+def _operator(u, x: float, params: FracParams, config: QuadConfig | None,
+              pv: bool) -> FracLapDetail:
+    """Both routes; they differ in the near field and the mid field's rule."""
+    config = config or QuadConfig()
+    s, gamma = params.s, config.growth(params.s)
     f, kinks, combo = _as_function(u, operator=True)
     x = float(x)
     scale = 1.0 + abs(x)
     ux = float(_checked(f, x, np.array([0.0]))[0])
     delta = _effective_delta(config.delta, x, kinks)
-    near = _near_field(f, x, ux, s, delta, config.near_points, combo, scale)
-    mid = _mid_field(f, x, ux, s, delta, config.outer_radius, config.mid_points,
-                     kinks, _gauss(8), depth=30, offset=6)
-    tail, halfwidth, ghats = _tail_model(f, x, ux, s, config.outer_radius, gamma)
-    return FracLapDetail(value=near + mid + tail, tail_halfwidth=halfwidth,
-                         near=near, mid=mid, tail=tail, delta_used=delta,
-                         gamma_fit=ghats)
+    if pv:
+        offsets, ring_wts, ring_kern, A = _excision_rings(s, delta)
+    else:
+        y, weight = _near_layout(s, delta, config.near_points)
+        small = y < min(1e-4 * scale, 0.25 * delta)
+        yb = y[~small]
+        fd = (np.outer(scale * np.array([6e-4, 6e-3]), [-2.0, -1.0, 0.0, 1.0, 2.0]).ravel()
+              if combo is None and np.any(small) else np.empty(0))
+        offsets = np.concatenate([fd, yb, -yb])
+    # the mid field's layout depends on x only through the kinks' split points
+    R, order = config.outer_radius, 12 if pv else 8
+    split = _split_points(x, kinks, delta, R, *((26, 7) if pv else (30, 6)))
+    layout = (_mid_layout(s, delta, R, config.mid_points, order, split) if split.size
+              else _kink_free_mid_layout(s, delta, R, config.mid_points, order))
+    near_v, mid, sides = _sample_zones(f, x, ux, offsets, layout, R)
+    if pv:
+        # S_k = integral over [rho_k, delta], extrapolated to rho -> 0
+        v = near_v.reshape(-1, 2, 12)
+        pieces = ring_wts * (2.0 * ux - v[:, 0] - v[:, 1]) * ring_kern
+        S = list(itertools.accumulate((float(np.sum(p)) for p in pieces), initial=0.0))
+        near = float(np.linalg.solve(A, np.array(S[-1:-4:-1]))[0])
+    else:
+        phi = np.empty(y.size)
+        if np.any(small):
+            if combo is not None:
+                d2, d4 = (float(combo_derivative(combo, x, k)) for k in (2, 4))
+            else:
+                h2, h4, p = 6e-4 * scale, 6e-3 * scale, near_v
+                d2 = (-p[0] + 16 * p[1] - 30 * p[2] + 16 * p[3] - p[4]) / (12 * h2 * h2)
+                d4 = (p[5] - 4 * p[6] + 6 * p[7] - 4 * p[8] + p[9]) / h4**4
+            ys = y[small]
+            phi[small] = -d2 - d4 * ys * ys / 12.0
+        up, um = np.split(near_v[fd.size:], 2)
+        phi[~small] = (2.0 * ux - up - um) / (yb * yb)
+        near = weight * float(phi.sum())
+    tail, halfwidth, ghats = _tail_model(sides, ux, s, R, gamma)
+    return FracLapDetail(near + mid + tail, halfwidth, near, mid, tail, delta, ghats)
+
+
+def frac_laplacian_detailed(u, x: float, params: FracParams,
+                            config: QuadConfig | None = None) -> FracLapDetail:
+    """Operator value with zone decomposition and tail certificate."""
+    return _operator(u, x, params, config, pv=False)
 
 
 def frac_laplacian(u, x: float, params: FracParams,
@@ -451,37 +480,7 @@ def frac_laplacian_pv(u, x: float, params: FracParams,
     Richardson extrapolation in the known exponents 2-2s and 4-2s; the mid
     field uses a different panel layout and Gauss order than the sibling.
     """
-    if config is None:
-        config = QuadConfig()
-    s = params.s
-    gamma = config.growth(s)
-    f, kinks, _ = _as_function(u, operator=True)
-    x = float(x)
-    ux = float(_checked(f, x, np.array([0.0]))[0])
-    delta = _effective_delta(config.delta, x, kinks)
-
-    # excision sequence: S_k = integral over [rho_k, delta], rho_k = delta/2^k
-    K = 6
-    rhos = delta * 2.0 ** (-np.arange(K + 1))
-    partial = [0.0]
-    for k in range(K):
-        bounds = np.array([rhos[k + 1], rhos[k]])
-        nodes, wts = _panel_nodes(bounds, _gauss(12))
-        d2 = _second_difference(f, x, nodes, ux)
-        piece = float(np.sum(wts * d2 * nodes ** (-1.0 - 2.0 * s)))
-        partial.append(partial[-1] + piece)
-    S = np.array(partial)  # S[k] = int over [rho_k, delta]
-    b1, b2 = 2.0 - 2.0 * s, 4.0 - 2.0 * s
-    A = np.array([[1.0, rhos[K] ** b1, rhos[K] ** b2],
-                  [1.0, rhos[K - 1] ** b1, rhos[K - 1] ** b2],
-                  [1.0, rhos[K - 2] ** b1, rhos[K - 2] ** b2]])
-    rhs = np.array([S[K], S[K - 1], S[K - 2]])
-    near = float(np.linalg.solve(A, rhs)[0])
-
-    mid = _mid_field(f, x, ux, s, delta, config.outer_radius, config.mid_points,
-                     kinks, _gauss(12), depth=26, offset=7)
-    tail, _, _ = _tail_model(f, x, ux, s, config.outer_radius, gamma)
-    return near + mid + tail
+    return _operator(u, x, params, config, pv=True).value
 
 
 def mean_value_ball(u, x: float, rho: float) -> float:

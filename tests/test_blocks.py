@@ -549,3 +549,31 @@ def test_block_rejects_nonfinite_mp_coefficient(value):
     # json.loads cannot read back
     with pytest.raises(DomainError, match="finite"):
         sh.SHBlock(2.0, mpf(value))
+
+
+@pytest.mark.parametrize("c, stored", [
+    (1.5, 1.5), (-3, -3.0), (True, 1.0), (np.float64(-0.25), -0.25),
+    (1e308, 1e308), (mpf("1e400"), mpf("1e400"))])
+def test_block_accepts_finite_coefficients(c, stored):
+    # python and numpy floats and ints are stored as float, mpf as mpf
+    block = sh.SHBlock(2.0, c)
+    assert block.c == stored and type(block.c) is type(stored)
+
+
+@pytest.mark.parametrize("c, match", [
+    (math.inf, "finite"), (-math.inf, "finite"), (math.nan, "finite"),
+    (np.float64(np.inf), "finite"), (np.float64(np.nan), "finite"),
+    (mpf("-inf"), "finite"), (np.float32(1.0), "float or mpf"),
+    ("1.0", "float or mpf"), (Fraction(1, 2), "float or mpf")])
+def test_block_rejects_nonfinite_or_foreign_coefficients(c, match):
+    with pytest.raises(DomainError, match=match):
+        sh.SHBlock(2.0, c)
+
+
+def test_float_arrays_are_built_once_and_read_only():
+    combo = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0), sh.SHBlock(3.0, -0.5, 0.5)))
+    ts, cs, rs = combo.float_arrays
+    assert combo.float_arrays[0] is ts
+    assert ts.tolist() == [2.0, 3.0] and cs.tolist() == [1.0, -0.5] and rs.tolist() == [1.0, 0.5]
+    with pytest.raises(ValueError):
+        cs[0] = 2.0

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sharmonic as sh
+from sharmonic import fraclap
+from sharmonic.blocks import combo_derivative
+from sharmonic.cli import main
 from sharmonic.errors import ConfigError, DomainError, EvaluationError
-from sharmonic.fraclap import FracParams, GridFunction, QuadConfig
+from sharmonic.fraclap import FracLapDetail, FracParams, GridFunction, QuadConfig
 
 
 def gaussian(z):
@@ -308,3 +313,213 @@ def test_combo_and_callable_routes_agree():
         a = sh.frac_laplacian(combo, x, FracParams(s))
         b = sh.frac_laplacian(same, x, FracParams(s))
         assert b == pytest.approx(a, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# reference: both routes written zone by zone, one operand call per zone and
+# side, every layout built on each call; the tail fit is _tail_model's
+
+
+def _ref_checked(f, x, offsets):
+    vals = np.asarray(f(x + offsets), dtype=float)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        node = float((x + offsets)[np.argmax(bad)])
+        raise EvaluationError(f"non-finite function value at argument {node}", node=node)
+    return vals
+
+
+def _ref_second_difference(f, x, ys, ux):
+    up = _ref_checked(f, x, ys)
+    um = _ref_checked(f, x, -ys)
+    return 2.0 * ux - up - um
+
+
+def _ref_mid(f, x, ux, s, lo, hi, n_points, kinks, rule, depth, offset):
+    panels = max(n_points // len(rule[0]), 4)
+    bounds = set(lo * (hi / lo) ** (np.arange(panels + 1) / panels))
+    for kink in kinks:
+        ystar = abs(x - kink)
+        if lo < ystar < hi:
+            bounds.add(ystar)
+            for level in range(1, depth + 1):
+                g = ystar * 2.0 ** (-level - offset)
+                if ystar - g > lo:
+                    bounds.add(ystar - g)
+                if ystar + g < hi:
+                    bounds.add(ystar + g)
+    b = np.array(sorted(p for p in bounds if lo <= p <= hi))
+    nodes, wts = fraclap._panel_nodes(b, rule)
+    d2 = _ref_second_difference(f, x, nodes, ux)
+    return float(np.sum(wts * d2 * nodes ** (-1.0 - 2.0 * s)))
+
+
+def _ref_tail(f, x, ux, s, R, gamma):
+    sides = []
+    for sgn in (+1.0, -1.0):
+        args = x + sgn * np.array([R, 2.0 * R, 4.0 * R, 8.0 * R])
+        sides.append((args, np.asarray(f(args), dtype=float)))
+    return fraclap._tail_model(sides, ux, s, R, gamma)
+
+
+def _ref_start(u, x, params, config):
+    config = QuadConfig() if config is None else config
+    gamma = config.growth(params.s)
+    f, kinks, combo = fraclap._as_function(u, operator=True)
+    x = float(x)
+    ux = float(_ref_checked(f, x, np.array([0.0]))[0])
+    delta = fraclap._effective_delta(config.delta, x, kinks)
+    return config, gamma, f, kinks, combo, x, ux, delta
+
+
+def _detailed_reference(u, x, params, config=None):
+    config, gamma, f, kinks, combo, x, ux, delta = _ref_start(u, x, params, config)
+    s, n = params.s, config.near_points
+    scale = 1.0 + abs(x)
+    beta = 2.0 - 2.0 * s
+    W = delta**beta
+    w = (np.arange(n) + 0.5) * (W / n)
+    y = w ** (1.0 / beta)
+    phi = np.empty(n)
+    small = y < min(1e-4 * scale, 0.25 * delta)
+    if np.any(small):
+        if combo is not None:
+            d2, d4 = float(combo_derivative(combo, x, 2)), float(combo_derivative(combo, x, 4))
+        else:
+            h2 = 6e-4 * scale
+            p = _ref_checked(f, x, np.array([-2 * h2, -h2, 0.0, h2, 2 * h2]))
+            d2 = (-p[0] + 16 * p[1] - 30 * p[2] + 16 * p[3] - p[4]) / (12 * h2 * h2)
+            h4 = 6e-3 * scale
+            q = _ref_checked(f, x, np.array([-2 * h4, -h4, 0.0, h4, 2 * h4]))
+            d4 = (q[0] - 4 * q[1] + 6 * q[2] - 4 * q[3] + q[4]) / h4**4
+        ys = y[small]
+        phi[small] = -d2 - d4 * ys * ys / 12.0
+    big = ~small
+    if np.any(big):
+        yb = y[big]
+        phi[big] = _ref_second_difference(f, x, yb, ux) / (yb * yb)
+    near = (W / (n * beta)) * float(phi.sum())
+    mid = _ref_mid(f, x, ux, s, delta, config.outer_radius, config.mid_points, kinks,
+                   fraclap._gauss(8), 30, 6)
+    tail, halfwidth, ghats = _ref_tail(f, x, ux, s, config.outer_radius, gamma)
+    return FracLapDetail(near + mid + tail, halfwidth, near, mid, tail, delta, ghats)
+
+
+def _pv_reference(u, x, params, config=None):
+    config, gamma, f, kinks, _, x, ux, delta = _ref_start(u, x, params, config)
+    s, K = params.s, 6
+    rhos = delta * 2.0 ** (-np.arange(K + 1))
+    partial = [0.0]
+    for k in range(K):
+        nodes, wts = fraclap._panel_nodes(np.array([rhos[k + 1], rhos[k]]), fraclap._gauss(12))
+        d2 = _ref_second_difference(f, x, nodes, ux)
+        partial.append(partial[-1] + float(np.sum(wts * d2 * nodes ** (-1.0 - 2.0 * s))))
+    b1, b2 = 2.0 - 2.0 * s, 4.0 - 2.0 * s
+    A = np.array([[1.0, rhos[k] ** b1, rhos[k] ** b2] for k in (K, K - 1, K - 2)])
+    near = float(np.linalg.solve(A, np.array([partial[K], partial[K - 1], partial[K - 2]]))[0])
+    mid = _ref_mid(f, x, ux, s, delta, config.outer_radius, config.mid_points, kinks,
+                   fraclap._gauss(12), 26, 7)
+    tail, _, _ = _ref_tail(f, x, ux, s, config.outer_radius, gamma)
+    return near + mid + tail
+
+
+def _outcome(route, *args):
+    """repr of the result (exact for floats, signed zeros included), or the
+    error's type, message and node."""
+    try:
+        return repr(route(*args))
+    except (ConfigError, DomainError, EvaluationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "node", None)
+
+
+_ROUTES = ((sh.frac_laplacian_detailed, _detailed_reference),
+           (sh.frac_laplacian_pv, _pv_reference))
+
+
+def cosmix(z):
+    return np.cos(z) + 0.5 * np.sin(3.0 * np.asarray(z, dtype=float))
+
+
+_GRID = GridFunction(-8.0, 8.0, np.exp(-np.linspace(-8.0, 8.0, 401) ** 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(-0.99, 0.99), st.data(),
+       st.builds(QuadConfig, delta=st.floats(1e-4, 0.1), near_points=st.integers(8, 96),
+                 mid_points=st.integers(16, 3000)))
+def test_routes_equal_the_reference_bit_for_bit(s, x, data, config):
+    # float combos have their kinks at -t/r in [-1200, -1], inside the mid
+    # field, and as close to x as 0.01, where delta shrinks to half the gap
+    blocks = st.lists(st.builds(sh.SHBlock, st.floats(1.0, 60.0), st.floats(-2.0, 2.0),
+                                st.floats(0.05, 1.0)), min_size=1, max_size=3)
+    u = data.draw(st.one_of(st.sampled_from([gaussian, cosmix, np.arctan, _GRID]),
+                            blocks.map(lambda b: sh.SHCombo(s, tuple(b)))))
+    params = FracParams(s)
+    for config in (None, config):
+        for route, reference in _ROUTES:
+            want = _outcome(reference, u, x, params, config)
+            assert isinstance(want, str)
+            assert _outcome(route, u, x, params, config) == want
+
+
+def test_a_kink_near_x_equals_the_reference():
+    # x within 2 delta of a kink: the near field and the PV rings shrink
+    # with the gap, and the split points reach down to the mid field's start
+    combo = sh.SHCombo(0.4, (sh.SHBlock(1.0, 1.0), sh.SHBlock(1.5, -0.3, 0.5)))
+    for x in (-0.9999, -0.9995, -0.999, -0.99):
+        for route, reference in _ROUTES:
+            want = _outcome(reference, combo, x, FracParams(0.4), None)
+            assert isinstance(want, str)
+            assert _outcome(route, combo, x, FracParams(0.4), None) == want
+
+
+# ---------------------------------------------------------------------------
+# which error wins when several zones fail
+
+
+def test_first_non_finite_node_is_the_references():
+    def patchy(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(np.abs(z) > 50.0, np.nan, np.exp(-(z**2)))
+
+    for x in (0.0, 0.37, -0.8):
+        for route, reference in _ROUTES:
+            want = _outcome(reference, patchy, x, FracParams(0.5), None)
+            assert want[0] == "EvaluationError" and want[2] > 50.0
+            assert _outcome(route, patchy, x, FracParams(0.5), None) == want
+
+
+def test_growth_on_the_plus_tail_wins_over_nan_on_the_minus_tail():
+    # the minus side is NaN only beyond the mid field, so the plus side's
+    # growth is found first
+    def lopsided(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z < -1.5e4, np.nan, np.abs(z) ** 1.5)
+
+    for route, reference in _ROUTES:
+        want = _outcome(reference, lopsided, 0.2, FracParams(0.5), None)
+        assert want[0] == "ConfigError"
+        assert _outcome(route, lopsided, 0.2, FracParams(0.5), None) == want
+
+
+def test_a_point_on_a_kink_is_refused_on_both_routes():
+    combo = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0), sh.SHBlock(3.0, -0.5, 0.5)))
+    for x in (-2.0, -6.0):
+        for route, reference in _ROUTES:
+            want = _outcome(reference, combo, x, FracParams(0.5), None)
+            assert want[0] == "DomainError"
+            assert _outcome(route, combo, x, FracParams(0.5), None) == want
+
+
+def test_cli_exit_codes_of_refused_operands(capsys):
+    # exp overflows inside the mid field: EvaluationError, exit 3, and the
+    # message names the reference's node
+    f = sh.target_from_spec("exp").f
+    with np.errstate(over="ignore"):
+        _, message, _ = _outcome(_detailed_reference, f, -0.9, FracParams(0.5), None)
+        assert main(["fraclap", "--target", "exp", "--grid", "2"]) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+    for args in (["--target", "x2"], ["--target", "block:t=1", "--xmin", "-1.0"],
+                 ["--target", "block:t=1", "--xmin", "-1.0", "--method", "pv"]):
+        assert main(["fraclap", *args, "--grid", "2"]) == 2
+        assert "error:" in capsys.readouterr().err

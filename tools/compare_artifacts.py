@@ -46,6 +46,13 @@ CASES = tuple(
     ("demo", "logistic"),
     ("fraclap", "--target", "sin"),
     ("fraclap", "--target", "block:t=1"),
+    ("fraclap", "--target", "sin", "--method", "pv"),
+    ("fraclap", "--target", "block:t=1", "--method", "pv"),
+    # points within 1e-4..1e-2 of the kink at -1: its split points reach down
+    # to the start of the mid field, which shrinks to half the gap
+    ("fraclap", "--target", "block:t=1", "--xmin", "-0.9999", "--xmax", "-0.99", "--grid", "11"),
+    ("fraclap", "--target", "block:t=1", "--xmin", "-0.9999", "--xmax", "-0.99", "--grid", "11",
+     "--method", "pv"),
     ("approximate", "--target", "csv:{grid}", "--epsilon", "1e-2", "--s", "0.5"),
     ("fraclap", "--target", "csv:{grid}"),
 )
