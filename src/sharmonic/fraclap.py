@@ -337,7 +337,8 @@ def _mid_layout(s: float, lo: float, hi: float, n_points: int, order: int,
     on [lo, hi]: log-spaced, with the split points as extra bounds."""
     panels = max(n_points // order, 4)
     b = np.concatenate([lo * (hi / lo) ** (np.arange(panels + 1) / panels), split])
-    nodes, wts = _panel_nodes(np.unique(b[(lo <= b) & (b <= hi)]), _gauss(order))
+    b = np.sort(b[(lo <= b) & (b <= hi)])
+    nodes, wts = _panel_nodes(b[np.append(True, b[1:] != b[:-1])], _gauss(order))
     return nodes, wts, nodes ** (-1.0 - 2.0 * s)
 
 

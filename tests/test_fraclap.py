@@ -519,7 +519,8 @@ def test_cli_exit_codes_of_refused_operands(capsys):
         _, message, _ = _outcome(_detailed_reference, f, -0.9, FracParams(0.5), None)
         assert main(["fraclap", "--target", "exp", "--grid", "2"]) == 3
     assert f"error: {message}" in capsys.readouterr().err
-    for args in (["--target", "x2"], ["--target", "block:t=1", "--xmin", "-1.0"],
-                 ["--target", "block:t=1", "--xmin", "-1.0", "--method", "pv"]):
-        assert main(["fraclap", *args, "--grid", "2"]) == 2
-        assert "error:" in capsys.readouterr().err
+    # a grid point on the kink of block:t=1: DomainError, exit 2
+    for method in ("direct", "pv"):
+        assert main(["fraclap", "--target", "block:t=1", "--xmin", "-1.0", "--grid", "2",
+                     "--method", method]) == 2
+        assert "sits exactly on a kink" in capsys.readouterr().err
