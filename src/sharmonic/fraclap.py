@@ -300,7 +300,7 @@ def _near_layout(s: float, delta: float, n: int) -> tuple[np.ndarray, float]:
 
 
 @functools.lru_cache(maxsize=64)
-def _excision_rings(s: float, delta: float):
+def _excision_rings(s: float, delta: float) -> tuple[np.ndarray, ...]:
     """The PV route's rings [rho_(k+1), rho_k], rho_k = delta / 2^k, k < 6: offsets
     +y, -y ring by ring, weights and kernel per ring, and the Richardson matrix."""
     K = 6

@@ -9,18 +9,19 @@ PATH is a second checkout to compare against (for example the parent
 commit, made with ``git clone`` or ``git archive``).  Each of RUNS fresh
 interpreters per tree, parent and change alternating, runs the set-up of
 pipebench's evaluate workload (``pipebench/workloads.py``: three built
-artifacts, the 3-block float combination) at s = 0.5 and then times:
+artifacts, the 3-block float combination) at s = 0.5 and then times, in
+the order of the workload's rounds:
 
+* ``load_ms``: ``combo_from_json`` of each artifact, the mean of LOADS;
+* ``grid_eval_ms``: ``combo_derivative`` of orders 0-2 of each in-memory
+  combination on the workload's 10001-point grid, the mean of GRID_REPS;
 * ``fraclap_ms``: ms per point of ``frac_laplacian_detailed`` (direct) and
   ``frac_laplacian_pv`` (pv) for each operand the workload evaluates
   (gauss, cosmix, atan and the float combination ``combo``), over POINTS
   seeded points of [-0.99, 0.99], after one untimed call per operand and
-  route so that layouts built on first use are in place;
-* ``load_ms``: ``combo_from_json`` of each artifact, the mean of LOADS;
-* ``grid_eval_ms``: ``combo_derivative`` of orders 0-2 of each in-memory
-  combination on the workload's 10001-point grid, the mean of GRID_REPS.
+  route so that layouts built on first use are in place.
 
-The last two do not run the operator quadrature; they are controls.  Like
+The first two do not run the operator quadrature; they are controls.  Like
 pipebench, every timed block runs between two runs of
 ``workloads.reference_ms``, and its time is scaled to a host on which that
 reference computation takes ``REFERENCE_NOMINAL_MS``.  ``median_ms`` holds
@@ -51,7 +52,7 @@ from workloads import REFERENCE_NOMINAL_MS  # noqa: E402
 
 POINTS = 40
 LOADS = 20
-GRID_REPS = 5
+GRID_REPS = 10
 
 EVAL_CHILD = """
 import hashlib, json, sys, time
@@ -76,6 +77,15 @@ def scaled_ms(fn, n):
     after = reference_ms()
     return round(elapsed * REFERENCE_NOMINAL_MS / (0.5 * (before + after)), 4)
 
+load_ms, grid_eval_ms = {}, {}
+grid = np.linspace(-1.0, 1.0, EVAL_GRID)
+for spec, combo, text in evaluate.artifacts:
+    load_ms[spec] = scaled_ms(lambda: blocks.combo_from_json(text), loads)
+    digest.update(repr(blocks.combo_from_json(text).blocks).encode())
+    grid_eval_ms[spec] = scaled_ms(
+        lambda: [blocks.combo_derivative(combo, grid, k) for k in range(3)], grid_reps)
+    for k in range(3):
+        digest.update(blocks.combo_derivative(combo, grid, k).tobytes())
 xs = np.random.default_rng(0).uniform(-0.99, 0.99, points)
 operands = {**bounded_operands(), "combo": evaluate.block_operand}
 routes = {"direct": fraclap.frac_laplacian_detailed, "pv": fraclap.frac_laplacian_pv}
@@ -88,15 +98,6 @@ for name, operand in operands.items():
         fraclap_ms[f"{name}_{route}"] = scaled_ms(
             lambda: out.append(fn(operand, float(next(it)), evaluate.params)), points)
         digest.update(repr(out).encode())
-load_ms, grid_eval_ms = {}, {}
-grid = np.linspace(-1.0, 1.0, EVAL_GRID)
-for spec, combo, text in evaluate.artifacts:
-    load_ms[spec] = scaled_ms(lambda: blocks.combo_from_json(text), loads)
-    digest.update(repr(blocks.combo_from_json(text).blocks).encode())
-    grid_eval_ms[spec] = scaled_ms(
-        lambda: [blocks.combo_derivative(combo, grid, k) for k in range(3)], grid_reps)
-    for k in range(3):
-        digest.update(blocks.combo_derivative(combo, grid, k).tobytes())
 print(json.dumps({"fraclap_ms": fraclap_ms, "load_ms": load_ms,
                   "grid_eval_ms": grid_eval_ms, "sha256": digest.hexdigest()}))
 """
