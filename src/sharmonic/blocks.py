@@ -37,7 +37,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 from mpmath import mpf, workdps, workprec
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, from_rational, from_str, round_nearest
 
 from . import _kernels
 from .errors import ApproximationError, DomainError
@@ -89,7 +89,9 @@ class SHBlock:
     r: float = 1.0
 
     def __post_init__(self):
-        if not (self.t > 0) or not np.isfinite(self.t):
+        if not isinstance(self.t, (int, float, np.floating)):
+            raise DomainError(f"block offset must be a float, got {type(self.t)}")
+        if not (self.t > 0) or not math.isfinite(self.t):
             raise DomainError(f"block offset must be positive and finite, got t={self.t}")
         if not (0.0 < self.r <= 1.0):
             raise DomainError(f"block scale must lie in (0, 1], got r={self.r}")
@@ -285,7 +287,9 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
     A combination with extended precision coefficients goes through its
     derived power series when every |x| is below its radius and the bound
     on the omitted terms is below the float64 rounding of the series
-    itself, and through the per-point mpmath sum otherwise.
+    itself, and through the per-point mpmath sum otherwise.  The series
+    route is _kernels.power_series_eval: Horner's rule in place on one
+    array, or on Python floats for a single point.
     """
     if order < 0:
         raise DomainError(f"derivative order must be nonnegative, got {order}")
@@ -712,7 +716,9 @@ def combo_from_json(text: str) -> SHCombo:
     """Parse a combination, keeping extended precision coefficients intact.
 
     Accepts either a bare combination object or a report artifact that
-    stores the combination under a "combo" key.
+    stores the combination under a "combo" key.  A coefficient of more
+    than 17 significant digits is read as an mpf at 10 digits past its
+    own, rounded to nearest (mpmath.libmp.from_str, without a context).
     """
     try:
         raw = json.loads(text, parse_float=str, parse_int=str)
@@ -728,8 +734,8 @@ def combo_from_json(text: str) -> SHCombo:
             mantissa = cstr.split("e")[0].split("E")[0].replace("-", "").replace(".", "")
             mantissa = mantissa.lstrip("0")
             if len(mantissa) > 17:
-                with workdps(len(mantissa) + 10):
-                    c = mpf(cstr)
+                c = mpmath.mp.make_mpf(from_str(cstr, dps_to_prec(len(mantissa) + 10),
+                                                round_nearest))
             else:
                 c = float(cstr)
             blocks.append(SHBlock(t, c, r))

@@ -538,9 +538,57 @@ def test_json_malformed():
                  '{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1, "c": 1, "r": "y"}]}',
                  '{"s": "half", "interval": [-1, 1], "blocks": []}',
                  '{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1, "c": NaN, "r": 1}]}',
+                 '{"s": 0.5, "interval": [-1, 1], "blocks": '
+                 '[{"t": 1, "c": "123456789012345678901234567890abc", "r": 1}]}',
                  'not json', ''):
         with pytest.raises(DomainError, match="malformed combination JSON"):
             sh.combo_from_json(text)
+
+
+def _workdps_parse(cstr: str) -> mpf:
+    """The parse of a long coefficient before it called libmp directly: mpf
+    in a context of 10 digits past the significant digits of the string."""
+    mantissa = cstr.split("e")[0].split("E")[0].replace("-", "").replace(".", "")
+    with workdps(len(mantissa.lstrip("0")) + 10):
+        return mpf(cstr)
+
+
+@st.composite
+def _long_decimals(draw) -> str:
+    """JSON numbers of 18-400 significant digits, either sign, written with
+    or without leading zeros, a point and an exponent in [-400, 400]."""
+    digits = draw(st.text("0123456789", min_size=17, max_size=399))
+    digits = draw(st.sampled_from("123456789")) + digits
+    point = draw(st.integers(1, len(digits)))
+    body = digits[:point] + ("." + digits[point:] if point < len(digits) else "")
+    if draw(st.booleans()):
+        body = "0." + "0" * draw(st.integers(0, 30)) + digits
+    exponent = draw(st.none() | st.integers(-400, 400))
+    if exponent is not None:
+        body += draw(st.sampled_from(["e", "E", "e+", "E+"])) + str(exponent)
+        body = body.replace("+-", "-")
+    return draw(st.sampled_from(["", "-"])) + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_decimals(), st.integers(5, 60))
+def test_long_coefficients_parse_as_in_a_workdps_context(cstr, outer_dps):
+    text = f'{{"s": 0.5, "interval": [-1, 1], "blocks": [{{"t": 2, "c": {cstr}, "r": 1}}]}}'
+    with workdps(outer_dps):  # the caller's precision plays no part
+        got = sh.combo_from_json(text).blocks[0].c
+    assert isinstance(got, mpf)
+    assert got._mpf_ == _workdps_parse(cstr)._mpf_
+
+
+@pytest.mark.parametrize("t", [mpf(2), Fraction(3, 2)])
+def test_block_rejects_an_offset_that_is_not_a_float(t):
+    with pytest.raises(DomainError, match=f"block offset must be a float, got .*{type(t).__name__}"):
+        sh.SHBlock(t, 1.0)
+
+
+@pytest.mark.parametrize("t", [2, 2.0, np.float64(2.0), np.float32(2.0)])
+def test_block_accepts_a_real_float_offset(t):
+    assert sh.SHBlock(t, 1.0).t == 2.0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from sharmonic import _kernels
 
@@ -67,6 +71,42 @@ def test_power_series_eval_matches_reference_and_horner():
     # an empty series, and orders above its degree, are the zero function
     assert np.all(_kernels.power_series_eval([], x, 0) == 0.0)
     assert np.all(_kernels.power_series_eval(coefs, x, 10) == 0.0)
+
+
+def _points(kind: str, lo: float, hi: float, seed: int):
+    """x as the series route receives it: a Python float, a 0-d array, one
+    point or the 10001-point grid."""
+    if kind == "float":
+        return lo
+    if kind == "0-d":
+        return np.array(lo)
+    if kind == "one":
+        return np.array([lo])
+    return np.random.default_rng(seed).uniform(min(lo, hi), max(lo, hi), 10001)
+
+
+def _bits(value) -> tuple:
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e30, 1e30), max_size=40), st.integers(0, 4), st.integers(0, 3),
+       st.sampled_from(["float", "0-d", "one", "grid"]), st.floats(-2.0, 2.0),
+       st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+def test_power_series_eval_is_polyval_of_polyder_bit_for_bit(coefs, order, past, kind, lo,
+                                                             hi, seed):
+    # orders 0-4, and with past > 0 an order at or beyond the series length
+    if past:
+        order = len(coefs) + past - 1
+    x = _points(kind, lo, hi, seed)
+    want = P.polyval(np.asarray(x, dtype=np.float64),
+                     P.polyder(np.asarray(coefs or [0.0], dtype=np.float64), order))
+    assert _bits(_kernels.power_series_eval(coefs, x, order)) == _bits(want)
+
+
+def test_power_series_eval_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="non-negative"):
+        _kernels.power_series_eval([1.0, 2.0], 0.5, -1)
 
 
 def test_blocks_are_zero_on_dead_side():

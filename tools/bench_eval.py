@@ -13,6 +13,10 @@ artifacts, the 3-block float combination) at s = 0.5 and then times, in
 the order of the workload's rounds:
 
 * ``load_ms``: ``combo_from_json`` of each artifact, the mean of LOADS;
+* ``artifact_point_ms``: one round's read of each artifact, as the workload
+  runs it: ``combo_from_json``, then ``combo_derivative`` of orders 0-2 at
+  ``EVAL_ARTIFACT_POINTS`` seeded points of [-0.99, 0.99], the mean of
+  LOADS rounds (the derived series comes from the warm group cache);
 * ``grid_eval_ms``: ``combo_derivative`` of orders 0-2 of each in-memory
   combination on the workload's 10001-point grid, the mean of GRID_REPS;
 * ``fraclap_ms``: ms per point of ``frac_laplacian_detailed`` (direct) and
@@ -21,25 +25,33 @@ the order of the workload's rounds:
   seeded points of [-0.99, 0.99], after one untimed call per operand and
   route so that layouts built on first use are in place.
 
-The first two do not run the operator quadrature; they are controls.  Like
-pipebench, every timed block runs between two runs of
+After each such interpreter, one more fresh interpreter per artifact reads
+the artifact that tree built from a file and times
+
+* ``cold_load_ms``: its first ``combo_from_json`` plus orders 0-2 at the
+  seeded points of the first round, so the derived series of every group
+  is computed in extended precision (imports are not timed).
+
+Like pipebench, every timed block runs between two runs of
 ``workloads.reference_ms``, and its time is scaled to a host on which that
 reference computation takes ``REFERENCE_NOMINAL_MS``.  ``median_ms`` holds
 each tree's median over its RUNS interpreters (``fraclap_ms.sum`` adds up
 the eight per-point figures), and ``per_run_ms`` every run's figures.
 Every run hashes the repr of every value it returns (each
-``FracLapDetail``, PV value, loaded combination and grid array), so
-``outputs_identical`` says whether both trees return the same bits.  Last,
-the script runs the ``fraclap`` cases of ``tools/compare_artifacts.py``
-against PATH and records their result.
+``FracLapDetail``, PV value, artifact text, loaded combination, point
+value and grid array), so ``outputs_identical`` says whether both trees
+return the same bits.  Last, the script runs the ``fraclap`` cases of
+``tools/compare_artifacts.py`` against PATH and records their result.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,8 +70,8 @@ EVAL_CHILD = """
 import hashlib, json, sys, time
 sys.path.insert(0, "pipebench")
 import numpy as np
-from workloads import (EVAL_GRID, REFERENCE_NOMINAL_MS, Evaluate, Record,
-                       bounded_operands, reference_ms)
+from workloads import (EVAL_ARTIFACT_POINTS, EVAL_GRID, REFERENCE_NOMINAL_MS, Evaluate,
+                       Record, bounded_operands, reference_ms)
 from sharmonic import blocks, fraclap
 
 points, loads, grid_reps = (int(a) for a in sys.argv[1:4])
@@ -77,11 +89,22 @@ def scaled_ms(fn, n):
     after = reference_ms()
     return round(elapsed * REFERENCE_NOMINAL_MS / (0.5 * (before + after)), 4)
 
-load_ms, grid_eval_ms = {}, {}
+load_ms, artifact_point_ms, grid_eval_ms = {}, {}, {}
 grid = np.linspace(-1.0, 1.0, EVAL_GRID)
+rounds = np.random.default_rng(0).uniform(-0.99, 0.99, (loads, EVAL_ARTIFACT_POINTS))
 for spec, combo, text in evaluate.artifacts:
+    digest.update(text.encode())
     load_ms[spec] = scaled_ms(lambda: blocks.combo_from_json(text), loads)
     digest.update(repr(blocks.combo_from_json(text).blocks).encode())
+    it, values = iter(rounds), []
+
+    def read_round():
+        loaded = blocks.combo_from_json(text)
+        values.append([blocks.combo_derivative(loaded, float(x), k)
+                       for x in next(it) for k in range(3)])
+
+    artifact_point_ms[spec] = scaled_ms(read_round, loads)
+    digest.update(repr(values).encode())
     grid_eval_ms[spec] = scaled_ms(
         lambda: [blocks.combo_derivative(combo, grid, k) for k in range(3)], grid_reps)
     for k in range(3):
@@ -99,17 +122,50 @@ for name, operand in operands.items():
             lambda: out.append(fn(operand, float(next(it)), evaluate.params)), points)
         digest.update(repr(out).encode())
 print(json.dumps({"fraclap_ms": fraclap_ms, "load_ms": load_ms,
-                  "grid_eval_ms": grid_eval_ms, "sha256": digest.hexdigest()}))
+                  "artifact_point_ms": artifact_point_ms, "grid_eval_ms": grid_eval_ms,
+                  "sha256": digest.hexdigest(),
+                  "texts": {spec: text for spec, _, text in evaluate.artifacts}}))
 """
 
-GROUPS = ("fraclap_ms", "load_ms", "grid_eval_ms")
+COLD_CHILD = """
+import hashlib, json, sys, time
+sys.path.insert(0, "pipebench")
+import numpy as np
+from workloads import EVAL_ARTIFACT_POINTS, REFERENCE_NOMINAL_MS, reference_ms
+from sharmonic import blocks
+
+text = open(sys.argv[1]).read()
+xs = np.random.default_rng(0).uniform(-0.99, 0.99, EVAL_ARTIFACT_POINTS)
+before = reference_ms()
+start = time.perf_counter()
+loaded = blocks.combo_from_json(text)
+values = [blocks.combo_derivative(loaded, float(x), k) for x in xs for k in range(3)]
+elapsed = (time.perf_counter() - start) * 1e3
+after = reference_ms()
+print(json.dumps({"ms": round(elapsed * REFERENCE_NOMINAL_MS / (0.5 * (before + after)), 4),
+                  "sha256": hashlib.sha256(repr(values).encode()).hexdigest()}))
+"""
+
+GROUPS = ("fraclap_ms", "load_ms", "artifact_point_ms", "grid_eval_ms", "cold_load_ms")
 
 
 def eval_split(tree: Path) -> dict:
     """Scaled ms per operation of each group and the output hash, from one
-    fresh interpreter."""
+    fresh interpreter, then the cold read of each artifact it built, one
+    fresh interpreter each; the hash covers every value of both."""
     out, _ = run_child(tree, ["-c", EVAL_CHILD, str(POINTS), str(LOADS), str(GRID_REPS)])
-    return json.loads(out)
+    split = json.loads(out)
+    digest = hashlib.sha256(split.pop("sha256").encode())
+    split["cold_load_ms"] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec, text in split.pop("texts").items():
+            path = Path(tmp) / f"{spec}.json"
+            path.write_text(text)
+            cold = json.loads(run_child(tree, ["-c", COLD_CHILD, str(path)])[0])
+            split["cold_load_ms"][spec] = cold["ms"]
+            digest.update(cold["sha256"].encode())
+    split["sha256"] = digest.hexdigest()
+    return split
 
 
 def _medians(runs: list[dict]) -> dict:
