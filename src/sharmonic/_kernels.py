@@ -1,7 +1,9 @@
 """Hot numerical kernels, vectorized with numpy.
 
-All kernels operate on plain float64 arrays.  Extended-precision paths
-live elsewhere and never call into this module.
+All kernels operate on plain float64 arrays; the power series kernel runs
+Horner's rule in place, and on Python floats, the same IEEE operations,
+for a single point.  Extended-precision paths live elsewhere and never
+call into this module.
 """
 
 from __future__ import annotations
