@@ -58,7 +58,7 @@ def power_series_eval(coefs, x, order):
     der = der.tolist()
     x = np.asarray(x, dtype=np.float64)
     if x.size == 1:
-        xf = float(x.reshape(-1)[0])
+        xf = x.item()
         acc = der[-1] + xf * 0.0
         for d in der[-2::-1]:
             acc = d + acc * xf
