@@ -1,25 +1,23 @@
 """Certified approximation of C^2 targets by block combinations.
 
 Pipeline: fit a Chebyshev interpolant whose C^2 distance to the target is
-certified against half the budget, convert it exactly to monomials, match
-each monomial's derivatives at the origin with a combination of blocks,
-and give every matched group the largest argument scale at which a proved
-bound on its C^2 deviation from its monomial fits the group's share of
-the remaining budget.  The sum of the groups inherits both certificates,
-so the final function - a finite combination of exactly equation-solving
-blocks - lies within the requested C^2 distance of the target on the
-working interval.
+certified against half the budget, convert it exactly to monomials, and
+match their derivatives at the origin with one group of blocks under one
+argument scale x -> r x, the largest at which a proved bound on the
+group's C^2 deviation from the polynomial fits the other half.  The final
+function - a finite combination of exactly equation-solving blocks -
+inherits both certificates, so it lies within the requested C^2 distance
+of the target on the working interval.
 
 The polynomial stage takes an arbitrary callable, so its C^2 error is
 certified by dense sampling with a fixed inflation factor.  The block
-stage's defect is the sum of the groups' proved bounds, which come from
-exact moments (see blocks.deviation_bound), plus the C^2 weight of the
-monomials too small to match.  Every reported epsilon is the certified
-value, never the mathematical ideal.  The residual bound is one
-exact.combo_residual at the interval's left end, where its decreasing
-cancellation mass is largest; that mass is summed in float64 and inflated
-by a proved relative delta (exact._mass_slack), so the bound is at least
-the exact product and at most 1 + 2 delta times it.
+stage's defect is proved from exact moments (see blocks._defect_model),
+plus the C^2 weight of the monomials too small to match.  Every reported
+epsilon is the certified value, never the mathematical ideal.  The
+residual bound is one exact.combo_residual at the interval's left end,
+where its decreasing cancellation mass is largest; that mass is summed in
+float64 and inflated by a proved relative delta (exact._mass_slack), so
+the bound is at least the exact product and at most 1 + 2 delta times it.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import exact
-from .blocks import SHCombo, rescale_for_defect
+from .blocks import SHCombo, match_polynomial
 from .errors import ApproximationError, ConfigError, DomainError
 from .fraclap import GridFunction
 
@@ -208,7 +206,7 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
 class BuildInfo:
     matching_order: int
     nodes: tuple[float, ...]
-    scales: tuple[tuple[int, float], ...]  # (degree, scale r) of each matched group
+    scales: tuple[tuple[int, float], ...]  # (degree, scale r) of each matched monomial
     defect_error: float
 
 
@@ -217,13 +215,6 @@ def default_nodes(order: int) -> np.ndarray:
     if order == 0:
         return np.array([2.0])
     return 2.0 + np.arange(order + 1) / order
-
-
-def _defect_certificate(bounds: list[np.ndarray], dropped: float) -> float:
-    """Proved C^2 bound on [-1, 1] of the block stage: per order m <= 2 the
-    groups' deviation bounds B_m (see blocks.deviation_bound) summed, at
-    the worst order, plus the C^2 weight of the monomials left unmatched."""
-    return max(math.fsum(b[m] for b in bounds) for m in range(3)) + dropped
 
 
 def _c2_weight(mono: list[Fraction], degrees: list[int]) -> float:
@@ -239,16 +230,15 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo,
     """Block combination within eps_half of the polynomial in certified C^2
     norm on [-1, 1].
 
-    Each exact monomial c_j x^j of the polynomial is reproduced by a
-    combination whose derivatives at the origin match c_j j! delta_ij up to
-    the padded order N = max(3, degree) at default_nodes(N), under the
-    largest argument rescaling x -> r x whose proved deviation bound fits
-    the group's share of the budget (see rescale_for_defect).  Monomials
-    below 1e-13 max|c| (conversion noise, such as the even monomials of an
-    odd target) are left out, and their C^2 weight is charged to the budget
-    before it is shared.  The certificate is the sum of the groups' proved
-    bounds plus that weight (see _defect_certificate); a certificate above
-    the budget raises ApproximationError.
+    The kept monomials c_j x^j are matched together: one group of N + 1
+    blocks at default_nodes(N), N = max(3, degree), whose derivatives at the
+    origin are those of sum_j c_j x^j up to order N, under the largest
+    scale x -> r x at which the proved deviation bound, summed over the kept
+    degrees, plus the C^2 weight of the monomials left out fits the budget
+    (blocks.match_polynomial).  Monomials below 1e-13 max|c| (conversion
+    noise, such as the even monomials of an odd target) are left out.  The
+    certificate is that bound at r; one above the budget raises
+    ApproximationError.
     """
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
@@ -260,32 +250,24 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo,
 
     scale_c = max(1.0, max(abs(float(c)) for c in mono))
     kept = [j for j, c in enumerate(mono) if abs(float(c)) > 1e-13 * scale_c]
-    left = [j for j, c in enumerate(mono) if c and j not in kept]
-    dropped = _c2_weight(mono, left)
-    # the margin keeps the float sum of the shares below the budget
-    share = (eps_half - dropped) * (1.0 - 1e-12) / max(len(kept), 1)
-    if share <= 0:
+    dropped = _c2_weight(mono, [j for j, c in enumerate(mono) if c and j not in kept])
+    if dropped >= eps_half:
         raise ApproximationError(
             f"unmatched monomials weigh {dropped:.3e} in C^2, above the block "
             f"budget {eps_half:.3e}; raise epsilon")
-
-    matched, bounds, scales = [], [], []
-    for j in kept:
-        values = [mono[j] * math.factorial(j) if i == j else 0 for i in range(big_n + 1)]
-        group, bound = rescale_for_defect(values, nodes, s, j, share)
-        matched.append(group)
-        bounds.append(bound)
-        scales.append((j, group.blocks[0].r))
-
-    cert = _defect_certificate(bounds, dropped)
+    if kept:
+        values = [mono[i] * math.factorial(i) if i in kept else 0 for i in range(big_n + 1)]
+        combo, bound = match_polynomial(values, nodes, s, eps_half, dropped)
+        cert = float(np.max(bound))
+    else:
+        combo, cert = SHCombo(s, ()), dropped
     if cert > eps_half:
         raise ApproximationError(
             f"proved defect certificate {cert:.3e} of the degree {poly.degree} "
             f"polynomial exceeds its budget {eps_half:.3e}; raise epsilon or "
             f"lower --degree-cap")
-    combo = SHCombo(s, tuple(b for g in matched for b in g.blocks), (-1.0, 1.0))
     info = BuildInfo(matching_order=big_n, nodes=tuple(float(t) for t in nodes),
-                     scales=tuple(scales), defect_error=cert)
+                     scales=tuple((j, combo.blocks[0].r) for j in kept), defect_error=cert)
     return combo, info
 
 
@@ -344,8 +326,7 @@ def approximate(target: Target, eps: float, s: float,
         target=target.name, s=s, epsilon_requested=float(eps),
         epsilon_poly=poly.fit_error, epsilon_defect=build.defect_error,
         epsilon_total=eps_total, degree=poly.degree,
-        matching_order=build.matching_order, nodes=build.nodes,
-        scales=build.scales,
+        matching_order=build.matching_order, nodes=build.nodes, scales=build.scales,
         n_blocks=len(combo.blocks), max_residual=residual,
         residual_method="per-block exact reduction via the canonical constant at the left end",
         elapsed_seconds=time.perf_counter() - t0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -75,6 +76,13 @@ def block_eval(block: "SHBlock", x, s: float):
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for float64
+        return False
+
+
 @dataclass(frozen=True)
 class SHBlock:
     """One truncated power block c * (r*x + t)_+^s.
@@ -91,13 +99,15 @@ class SHBlock:
     def __post_init__(self):
         if not isinstance(self.t, (int, float, np.floating)):
             raise DomainError(f"block offset must be a float, got {type(self.t)}")
-        if not (self.t > 0) or not math.isfinite(self.t):
-            raise DomainError(f"block offset must be positive and finite, got t={self.t}")
+        if not (self.t > 0) or not _finite(self.t):
+            raise DomainError(f"block offset must be positive and finite, "
+                              f"got t={reprlib.repr(self.t)}")
         if not (0.0 < self.r <= 1.0):
             raise DomainError(f"block scale must lie in (0, 1], got r={self.r}")
         if isinstance(self.c, (int, float)):
-            if not math.isfinite(self.c):
-                raise DomainError("block coefficient must be finite")
+            if not _finite(self.c):
+                raise DomainError(f"block coefficient must be finite, "
+                                  f"got c={reprlib.repr(self.c)}")
             object.__setattr__(self, "c", float(self.c))
         elif not isinstance(self.c, mpf):
             raise DomainError(f"block coefficient must be float or mpf, got {type(self.c)}")
@@ -402,8 +412,9 @@ def _remainder_logs(nodes: tuple[float, ...]) -> np.ndarray:
 
 
 def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
-    """Checked nodes t, the exact right-hand sides b_i = d_i / fall(s, i) and
-    the exact y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = b_i for the
+    """Checked nodes t, the exact right-hand sides b_i = d_i / fall(s, i) and,
+    per degree j with b_j != 0, the exact column y_k^(j) = (V^-1)_kj b_j; the
+    columns sum to y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = b_i for the
     values d_0..d_J (floats or Fractions)."""
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
@@ -427,11 +438,7 @@ def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
         rhs.append(Fraction(d) / fall if d else Fraction(0))
         if i < last:
             fall *= sf - i
-    nonzero = [(i, b) for i, b in enumerate(rhs) if b]
-    if len(nonzero) == 1:
-        (i0, b0), = nonzero
-        return t, rhs, [row[i0] * b0 for row in inverse]
-    return t, rhs, [sum((row[i] * b for i, b in nonzero), Fraction(0)) for row in inverse]
+    return t, rhs, {i: [row[i] * b for row in inverse] for i, b in enumerate(rhs) if b}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -441,13 +448,11 @@ def _inverse_power(t: float, s: float, dps: int) -> mpf:
         return mpf(t) ** -mpf(s)
 
 
-def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, r: float,
-                        j: int, dps: int) -> list[mpf]:
-    """Coefficients y_k t_k^-s r^-j at dps digits; y_k is rounded only once."""
+def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, dps: int) -> list[mpf]:
+    """Coefficients y_k t_k^-s at dps digits; y_k is rounded only once."""
     with workdps(dps):
-        factor = mpf(r) ** -j
         return [mpf(from_rational(yk.numerator, yk.denominator, mpmath.mp.prec,
-                                  round_nearest)) * _inverse_power(float(tk), s, dps) * factor
+                                  round_nearest)) * _inverse_power(float(tk), s, dps)
                 for yk, tk in zip(y, t)]
 
 
@@ -464,13 +469,14 @@ def solve_derivative_match(values: Sequence, nodes: Sequence[float], s: float) -
     of |terms|); float64 is kept when that provably holds the read-back
     residual below 1e-10 * (1 + max|d|).
     """
-    t, _, y = _exact_match(values, nodes, s)
+    t, _, columns = _exact_match(values, nodes, s)
+    y = [sum((col[k] for col in columns.values()), Fraction(0)) for k in range(t.size)]
     scale = 1.0 + max(abs(float(v)) for v in values)
     y_abs = np.array([abs(float(yk)) for yk in y])
     row_mass = max(abs(falling_factorial(s, i)) * float(np.sum(y_abs * t ** -float(i)))
                    for i in range(t.size))
     dps = 25 + math.ceil(math.log10(1.0 + row_mass / scale))
-    coeffs = _block_coefficients(y, t, s, 1.0, 0, dps)
+    coeffs = _block_coefficients(y, t, s, dps)
     if row_mass * _EPS64 * 4 <= 1e-10 * scale:
         coeffs = [float(ck) for ck in coeffs]
     return SHCombo(s, tuple(SHBlock(float(tk), ck) for tk, ck in zip(t, coeffs)))
@@ -485,64 +491,70 @@ def readback_derivatives(combo: SHCombo, n_orders: int) -> np.ndarray:
     return np.array([math.factorial(i) * coefs[i] for i in range(n_orders)])
 
 
-def _monomial_model(values: Sequence, nodes: Sequence[float], s: float, j: int,
-                    eps: float):
-    """Checked nodes t, exact y_k and the function r -> (B_0, B_1, B_2)
-    bounding on [-1, 1] the m-th derivative of the deviation of the group
-    matching c_j x^j = values[j] x^j / j! at scale r from c_j x^j.
+def _defect_model(values: Sequence, nodes: Sequence[float], s: float, eps: float,
+                  dropped: float = 0.0):
+    """Checked nodes t, the exact columns y^(j) of _exact_match and the
+    function r -> (B_0, B_1, B_2) bounding on [-1, 1] the m-th derivative of
+    the deviation from p(x) = sum_j values[j] x^j / j! of the group
+    match_polynomial stores at scale r for budget eps, plus dropped.
 
-    The group sum_k a_k (r x + t_k)^s, a_k = y_k t_k^-s r^-j, expands to
-    sum_i binom(s, i) r^(i-j) M_i x^i with M_i = sum_k y_k (1/t_k)^i.  The
-    matching makes M_i = b_i for i <= N, so those orders are exactly c_j
-    x^j; past N, M_i = R_ij b_j (see _remainder_logs).  With q = r / t_min
-    <= 1/16, B_m bounds sum_{i>N} |beta_i| i!/(i-m)! by three parts:
+    Column j alone gives sum_k a_k (r x + t_k)^s, a_k = y_k^(j) t_k^-s r^-j,
+    which expands to sum_i binom(s, i) r^(i-j) M_i x^i with M_i = sum_k
+    y_k^(j) (1/t_k)^i.  The matching makes M_i = b_j delta_ij for i <= N;
+    past N, M_i = R_ij b_j (see _remainder_logs).  Unrounded, the group is
+    the sum of the columns' terms, so with q = r / t_min <= 1/16, B_m bounds
+    sum_j sum_{i>N} |beta_i| i!/(i-m)! by three parts:
 
     * rows: those terms, exactly, for i = N+1 .. 2N+13;
-    * tail: from I = 2N+14 on, |M_i| <= Y t_min^-i with Y = sum_k |y_k|,
-      so those terms are what _omitted_bound bounds for m = I, W = Y r^-j,
-      p = q and xmax = 1;
-    * storage: rescale_for_defect rounds each a_k by a relative delta with
-      delta Y r^-j <= 1e-32 eps, which moves order i, matched ones
-      included, by at most |binom(s, i)| r^(i-j) t_min^-i delta Y <= 1e-32
-      eps q^i; with i!/(i-m)! that sums to 1e-32 eps m! q^m / (1-q)^(m+1).
+    * tail: from I = 2N+14 on, |M_i| <= Y_j t_min^-i with Y_j = sum_k
+      |y_k^(j)|, so those terms are what _omitted_bound bounds for m = I,
+      W = sum_j Y_j r^-j, p = q and xmax = 1;
+    * storage: each stored a_k = Y_k t_k^-s, Y_k = sum_j y_k^(j) r^-j, is
+      rounded by a relative delta with delta Y <= 1e-32 eps, Y = sum_k
+      |Y_k|, which moves order i, matched ones included, by at most
+      |binom(s, i)| r^i t_min^-i delta Y <= 1e-32 eps q^i; with i!/(i-m)!
+      that sums to 1e-32 eps m! q^m / (1-q)^(m+1), once for all columns.
 
     The parts are evaluated in float64 from logarithms of the exact values:
     exponents below 3e4 in magnitude put each term within 1e-10 relative,
-    the fewer than 2^7 additions add 2^-46, and terms that underflow lose
-    less than 2^-1000, so B_m is the sum times 1 + 1e-9, plus 2^-1000; the
-    same slack covers summing up to 31 groups' B_m.
+    the fewer than 2^11 additions add 2^-42, and terms that underflow lose
+    less than 2^-1000, so B_m is the sum, dropped included, times 1 + 1e-9,
+    plus 2^-1000.
     """
-    t, rhs, y = _exact_match(values, nodes, s)
+    t, rhs, columns = _exact_match(values, nodes, s)
     big_n = t.size - 1
-    if not (0 <= j <= big_n) or big_n == 0:
-        raise DomainError(f"need degree 0 <= j <= N and matching order N >= 1, "
-                          f"got j={j}, N={big_n}")
-    if any(b for i, b in enumerate(rhs) if i != j) or not rhs[j]:
-        raise DomainError(f"values must be one nonzero monomial of degree {j}")
+    if big_n == 0 or not columns:
+        raise DomainError(f"need matching order N >= 1 and a nonzero value, got N={big_n}")
     if not (eps > 0) or not math.isfinite(eps):
         raise DomainError(f"tolerance must be positive and finite, got {eps}")
-    log_rows = _remainder_logs(tuple(float(tk) for tk in t))[:, j]
-    powers = np.arange(big_n + 1, big_n + 1 + log_rows.size)
+    degrees = np.array(list(columns))
+    log_rows = _remainder_logs(tuple(float(tk) for tk in t))[:, degrees].T
+    powers = np.arange(big_n + 1, big_n + 1 + log_rows.shape[1])
     first = int(powers[-1]) + 1
     steps = np.arange(first)
     log_binom = np.concatenate(([0.0], np.cumsum(np.log10(np.abs(s - steps) / (steps + 1)))))
-    log_b_j = math.log10(abs(rhs[j].numerator)) - math.log10(rhs[j].denominator)
-    log_beta = log_binom[powers] + log_b_j + log_rows
+    log_b = np.array([[math.log10(abs(rhs[j].numerator)) - math.log10(rhs[j].denominator)]
+                      for j in columns])
+    log_beta = log_binom[powers] + log_b + log_rows
+    exponents = powers - degrees[:, None]
     orders = np.arange(3)
     falling = np.array([[math.perm(i, m) for i in powers] for m in orders], dtype=float)
-    log_lead = float(log_binom[first]) + math.log10(sum(abs(float(yk)) for yk in y))
+    log_leads = np.array([float(log_binom[first]) + math.log10(sum(abs(float(yk)) for yk in col))
+                          for col in columns.values()])
     t_min = float(np.min(t))
 
     def bound(r: float) -> np.ndarray:
         q, log_r = r / t_min, math.log10(r)
         with np.errstate(over="ignore"):
-            rows = falling @ 10.0 ** (log_beta + (powers - j) * log_r)
-        tail = np.array([_omitted_bound(s, first, log_lead - j * log_r, q, 1.0, m)
-                         for m in range(3)])
+            rows = falling @ np.sum(10.0 ** (log_beta + exponents * log_r), axis=0)
+        leads = log_leads - degrees * log_r  # log10(|binom(s, I)| Y_j r^-j)
+        top = float(np.max(leads))
+        log_lead = top + math.log10(float(np.sum(10.0 ** (leads - top))))
+        tail = np.array([_omitted_bound(s, first, log_lead, q, 1.0, m) for m in range(3)])
         storage = 1e-32 * eps * np.array([1.0, q, 2.0 * q * q]) / (1.0 - q) ** (orders + 1)
-        return (rows + tail + storage) * (1.0 + 1e-9) + 2.0**-1000
+        return (rows + tail + storage + dropped) * (1.0 + 1e-9) + 2.0**-1000
 
-    return t, y, bound
+    return t, columns, bound
 
 
 def _scale_cap(t: np.ndarray) -> float:
@@ -555,9 +567,11 @@ def deviation_bound(values: Sequence, nodes: Sequence[float], s: float, j: int,
                     r: float, eps: float) -> np.ndarray:
     """Proved bounds, for m = 0, 1, 2, on the m-th derivative over [-1, 1] of
     the deviation from its monomial of the group that rescale_for_defect
-    stores at scale r for budget eps (see _monomial_model); float
+    stores at scale r for budget eps (see _defect_model); float
     arithmetic past the cached exact remainder rows."""
-    t, _, bound = _monomial_model(values, nodes, s, j, eps)
+    t, columns, bound = _defect_model(values, nodes, s, eps)
+    if list(columns) != [j]:
+        raise DomainError(f"values must be one nonzero monomial of degree {j}")
     if not (0.0 < r <= _scale_cap(t)):
         raise DomainError(f"scale must lie in (0, min(1, t_min / 16)], got r={r}")
     return bound(r)
@@ -581,14 +595,14 @@ def _scale_bracket(worst, cap: float, top: float, eps: float,
     at most six rounds of probes, given worst(cap) = top > eps; a = 0.0
     when no pass point turns up.
 
-    log B is convex and nondecreasing in log r, with slope at least slope
-    = N + 1 - j where the exact rows dominate.  Until a pass point is found,
-    a round probes one step of that slope down from b to the budget.  Then
-    the estimate is the secant in log-log through the two probes nearest the
-    budget: while the last probe is more than 10% off the budget the round
-    probes the estimate, after that both ends of the bisection's final
-    bracket around it (_bisect_scale), which leave the replay nothing to
-    call when they hold the crossing.
+    log B is convex and nondecreasing in log r, with slope at least slope =
+    N + 1 - j, j the largest matched degree, where the exact rows dominate.
+    Until a pass point is found, a round probes one step of that slope down
+    from b to the budget.  Then the estimate is the secant in log-log
+    through the two probes nearest the budget: while the last probe is more
+    than 10% off the budget the round probes the estimate, after that both
+    ends of the bisection's final bracket around it (_bisect_scale), which
+    leave the replay nothing to call when they hold the crossing.
     """
     log_eps = math.log(eps)
     a, b, log_b = 0.0, cap, math.log(top)
@@ -618,36 +632,28 @@ def _scale_bracket(worst, cap: float, top: float, eps: float,
     return a, b
 
 
-def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
-                       j: int, eps: float) -> tuple[SHCombo, np.ndarray]:
-    """Matched group for the monomial values[j] x^j / j! (all other values
-    zero) under x -> r x, divided by r^j, at the largest r in (0, min(1,
-    t_min / 16)] whose deviation_bound is at most eps at every order m <= 2,
-    and that bound (B_0, B_1, B_2) at the chosen r.
+def match_polynomial(values: Sequence, nodes: Sequence[float], s: float, eps: float,
+                     dropped: float = 0.0) -> tuple[SHCombo, np.ndarray]:
+    """The group of len(nodes) blocks at one scale r matching the polynomial
+    sum_j values[j] x^j / j! to order N = len(nodes) - 1 at the origin, at
+    the largest r in (0, min(1, t_min / 16)] whose _defect_model bound is at
+    most eps at every order m <= 2, and that bound (B_0, B_1, B_2) at r.
 
-    r is the cap when the cap meets the budget.  Otherwise r is defined by
-    the bisection on log r from sys.float_info.min to the cap that keeps
-    each mid whose max_m B_m is at most eps as its lower end, until the
-    bracket is within a factor 1.001 (_bisect_scale): r is its final lower
-    end, and a budget that sys.float_info.min misses raises
-    ApproximationError.  The bisection is replayed without the calls whose
-    outcome is known.  Every part of the bound is a positive sum of
-    nondecreasing powers of r, so a verified pass point a and fail point b
-    (_scale_bracket) decide every mid at or below a (pass) and at or above
-    b (fail); only a mid strictly inside (a, b) calls the bound.  The
-    margins 1 -+ 1e-9 of a and b absorb the rounding of the float64
-    evaluation, far above its ulps.  Where no pass point turns up (budgets
-    near 1e-300, where the storage allowance and not the exact rows decide)
-    sys.float_info.min is checked and every mid below b calls the bound.
-    The bound at r is the one the search or the replay computed there, or
-    else one more call.
+    r is the cap when the cap meets the budget, else the final lower end of
+    _bisect_scale, which keeps each mid whose max_m B_m is at most eps; a
+    budget that sys.float_info.min misses raises ApproximationError.  The
+    bound is a positive sum of nondecreasing powers of r, so the pass point
+    a and fail point b of _scale_bracket decide every mid at or below a or
+    at or above b, and only the mids between them call the bound again.
 
-    The stored coefficients y_k t_k^-s r^-j are formed by at most seven
-    roundings at 25 + int(log10((1 + Y) r^-j / eps) + 8) digits, Y = sum_k
-    |y_k|, so their relative error delta is below 10^-digits and delta Y
-    r^-j below 1e-32 eps.  The matching order N is len(nodes) - 1.
+    At one scale the columns' groups share their blocks (r x + t_k)^s, so
+    their coefficients add: a_k = Y_k t_k^-s, Y_k = sum_j y_k^(j) r^-j,
+    summed exactly (r is a float, hence dyadic).  Each a_k is formed by
+    three roundings at 25 + int(log10((1 + Y) / eps) + 8) digits, Y = sum_k
+    |Y_k|, so its relative error delta is below 10^-digits and delta Y
+    below 1e-32 eps, the storage allowance of the bound.
     """
-    t, y, bound = _monomial_model(values, nodes, s, j, eps)
+    t, columns, bound = _defect_model(values, nodes, s, eps, dropped)
     seen = {}  # r -> bound(r)
 
     def worst(r: float) -> float:
@@ -657,18 +663,31 @@ def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
     r = _scale_cap(t)
     top = worst(r)
     if top > eps:
-        a, b = _scale_bracket(worst, r, top, eps, len(t) - j)
+        a, b = _scale_bracket(worst, r, top, eps, len(t) - max(columns))
         if a == 0.0 and worst(sys.float_info.min) > eps:
             raise ApproximationError(
-                f"no float64 scale meets the defect budget {eps:.3e} for degree {j}; "
-                f"raise epsilon")
+                f"no float64 scale meets the defect budget {eps:.3e} for the monomials "
+                f"of degree {', '.join(map(str, columns))}; raise epsilon")
         r, _ = _bisect_scale(r, lambda mid: mid <= a or (mid < b and worst(mid) <= eps))
-    mass = sum(abs(float(yk)) for yk in y)
-    amp = (math.log10(1.0 + mass) + j * math.log10(1.0 / r)
-           + math.log10(1.0 / eps) + 8.0)
-    coeffs = _block_coefficients(y, t, s, r, j, 25 + int(amp))
+    inv_r = 1 / Fraction(r)
+    weights = [sum((col[k] * inv_r**j for j, col in columns.items()), Fraction(0))
+               for k in range(t.size)]
+    mass = 1 + sum(abs(w) for w in weights)  # logs of its ints: r^-j may pass float64
+    dps = 25 + int(math.log10(mass.numerator) - math.log10(mass.denominator) - math.log10(eps) + 8)
+    coeffs = _block_coefficients(weights, t, s, dps)
     group = SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)))
     return group, seen[r] if r in seen else bound(r)
+
+
+def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
+                       j: int, eps: float) -> tuple[SHCombo, np.ndarray]:
+    """match_polynomial for the one monomial values[j] x^j / j! (all other
+    values zero): its group under x -> r x, divided by r^j, at the largest r
+    whose deviation_bound is at most eps, and that bound.  This is the
+    single-monomial tool; approximate calls match_polynomial instead."""
+    if [i for i, d in enumerate(values) if d] != [j]:
+        raise DomainError(f"values must be one nonzero monomial of degree {j}")
+    return match_polynomial(values, nodes, s, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
 import sharmonic as sh
-from sharmonic.approximate import _CERT_GRID, ChebPoly, Target, _defect_certificate
+from sharmonic.approximate import _CERT_GRID, ChebPoly, Target
 from sharmonic.blocks import _combo_eval_mp, deviation_bound
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.fraclap import GridFunction
@@ -165,8 +166,7 @@ def test_defect_certificate_bounds_sampled_deviation(s, big_n, data, eps, cj):
     nodes = sh.default_nodes(big_n)
     group, bound = sh.rescale_for_defect(values, nodes, s, j, eps)
     assert np.array_equal(bound, deviation_bound(values, nodes, s, j, group.blocks[0].r, eps))
-    cert = _defect_certificate([bound], 0.0)
-    assert cert <= eps
+    assert np.max(bound) <= eps
     xs = np.linspace(-1.0, 1.0, 201)
     for order in range(3):
         assert _group_deviation_mp(group, values[j], j, xs, order) <= bound[order]
@@ -201,13 +201,103 @@ def test_dropped_monomial_is_charged_to_the_certificate():
     assert info.defect_error >= 4.8e-13
 
 
+def _sweep_target(seed: int) -> Target:
+    """A sum of three sines and an exponential, drawn like the library-sweep
+    targets of the benchmark, with analytic derivatives."""
+    rng = random.Random(seed)
+    terms = [(rng.uniform(0.3, 1.0), w, rng.uniform(0.0, 2.0 * math.pi)) for w in (0.5, 1.0, 1.5)]
+    b, c = rng.uniform(0.2, 0.5), rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0)
+
+    def deriv(order):
+        def f(z):
+            z = np.asarray(z, dtype=float)
+            out = b * c**order * np.exp(c * z)
+            for a, w, p in terms:
+                out = out + a * w**order * np.sin(w * z + p + 0.5 * math.pi * order)
+            return out
+        return f
+
+    return Target(f"sweep-{seed}", deriv(0), deriv(1), deriv(2))
+
+
+def _merged_weights(mono: list[Fraction], kept: list[int], nodes, s: float, r: float):
+    """Y_k = sum_j y_k^(j) r^-j from one exact solve per kept monomial."""
+    weights = [Fraction(0)] * len(nodes)
+    for j in kept:
+        values = [mono[j] * math.factorial(j) if i == j else 0 for i in range(len(nodes))]
+        _, _, columns = sh.blocks._exact_match(values, nodes, s)
+        weights = [w + yk / Fraction(r) ** j for w, yk in zip(weights, columns[j])]
+    return weights
+
+
+def _storage_digits(weights: list[Fraction], eps_half: float) -> int:
+    # 25 + int(log10((1 + sum_k |Y_k|) / eps_half) + 8), as match_polynomial states
+    mass = 1 + sum(abs(w) for w in weights)
+    return 25 + int(math.log10(mass.numerator) - math.log10(mass.denominator)
+                    - math.log10(eps_half) + 8)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.05, 0.95), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1e-5, 1e-8]))
+def test_pipeline_matches_every_monomial_at_one_scale(s, seed, eps):
+    target = _sweep_target(seed)
+    combo, report = sh.approximate(target, eps, s)
+    assert report.epsilon_total <= eps
+    poly = sh.cheb_fit(target, 0.5 * eps)
+    built, info = sh.build_sharmonic(poly, s, 0.5 * eps)
+    assert sh.combo_to_json(built) == sh.combo_to_json(combo)
+    assert info.defect_error == report.epsilon_defect
+    # one scale, one group of N + 1 blocks
+    (r,) = {r for _, r in report.scales}
+    assert len(combo.groups) == 1 and report.n_blocks == report.matching_order + 1
+    assert all(b.r == r for b in combo.blocks)
+    # the stored coefficients round the exact merged weights: the sum of
+    # the per-monomial solves equals one solve of the values scaled by r^-j
+    mono, kept = poly.monomial_fractions(), [j for j, _ in report.scales]
+    nodes = sh.default_nodes(report.matching_order)
+    weights = _merged_weights(mono, kept, nodes, s, r)
+    scaled = [mono[i] * math.factorial(i) / Fraction(r) ** i if i in kept else 0
+              for i in range(len(nodes))]
+    _, _, columns = sh.blocks._exact_match(scaled, nodes, s)
+    assert weights == [sum((col[k] for col in columns.values()), Fraction(0))
+                       for k in range(len(nodes))]
+    dps = _storage_digits(weights, 0.5 * eps)
+    assert [b.c for b in combo.blocks] == sh.blocks._block_coefficients(weights, nodes, s, dps)
+    # the combination stays within its certificate of the kept polynomial
+    xs = np.linspace(-1.0, 1.0, 2001)
+    coefs = np.array([float(mono[j]) if j in kept else 0.0 for j in range(len(mono))])
+    for order in range(3):
+        want = np.polynomial.polynomial.polyval(
+            xs, np.polynomial.polynomial.polyder(coefs, order) if order else coefs)
+        got = sh.combo_derivative(combo, xs, order)
+        # past the proved deviation, only the float64 rounding of both sides
+        assert np.all(np.abs(got - want) <= info.defect_error + 1e-13 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("spec,eps", [("x2", 1.0 / 16.0), ("sin", 1e-6), ("exp", 1e-8)])
+def test_merged_coefficients_keep_the_storage_allowance(spec, eps, s):
+    # each stored a_k = Y_k t_k^-s is within a relative delta of its value at
+    # twice the digits, and delta sum_k |Y_k| <= 1e-32 eps_half
+    combo, report = _approx(spec, eps, s)
+    poly = sh.cheb_fit(sh.target_from_spec(spec), 0.5 * eps)
+    nodes = sh.default_nodes(report.matching_order)
+    weights = _merged_weights(poly.monomial_fractions(), [j for j, _ in report.scales],
+                              nodes, s, combo.blocks[0].r)
+    dps = _storage_digits(weights, 0.5 * eps)
+    with workdps(2 * dps):
+        delta = max(abs(b.c / (mpf(w.numerator) / w.denominator * mpf(b.t) ** -mpf(s)) - 1)
+                    for b, w in zip(combo.blocks, weights))
+        assert delta * sum(abs(w) for w in weights) <= 1e-32 * 0.5 * eps
+
+
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("spec,eps", [("x2", 1.0 / 16.0), ("sin", 1e-6), ("exp", 1e-8),
                                       ("const:1", 1e-6)])
 def test_loaded_pipeline_combo_matches_memory(spec, eps, s):
     combo, report = _approx(spec, eps, s)
     if spec == "exp":
-        # its low monomials all take the capped scale and share one derived series
+        # its 13 monomials share one scale, one group and one derived series
         assert len(combo.groups) < len(report.scales)
     back = sh.combo_from_json(sh.combo_to_json(combo))
     xs = np.linspace(-1.0, 1.0, 101)

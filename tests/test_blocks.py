@@ -193,8 +193,11 @@ def test_exact_match_equals_the_reference(big_n, data, s, zero):
     values = [data.draw(_nonzero_values) if i in positions else zero
               for i in range(big_n + 1)]
     nodes = sh.default_nodes(big_n)
-    _, rhs, y = sh.blocks._exact_match(values, nodes, s)
+    _, rhs, columns = sh.blocks._exact_match(values, nodes, s)
     want_rhs, want_y = _exact_match_reference(values, nodes, s)
+    # one column per nonzero value, summing to the solution
+    assert sorted(columns) == sorted(positions)
+    y = [sum((col[k] for col in columns.values()), Fraction(0)) for k in range(big_n + 1)]
     assert rhs == want_rhs and y == want_y
     assert all(type(v) is Fraction for v in rhs + y)
 
@@ -346,10 +349,9 @@ def test_storage_allowance_is_kept_where_the_exact_rows_underflow():
 def test_block_coefficients_equal_the_uncached_expression(s, dps):
     y = [Fraction(3, 7), Fraction(-5, 11), Fraction(2**70 + 1, 3**40)]
     t = sh.default_nodes(2) + 1.0 / 7.0
-    r, j = 2.0**-20 / 3.0, 2
     with workdps(dps):
         want = [mpf(from_rational(yk.numerator, yk.denominator, mpmath.mp.prec, round_nearest))
-                * mpf(float(tk)) ** -mpf(s) * mpf(r) ** -j for yk, tk in zip(y, t)]
+                * mpf(float(tk)) ** -mpf(s) for yk, tk in zip(y, t)]
     blocks._inverse_power.cache_clear()
     # the powers are cached under a low ambient precision and read back
     # under a high one
@@ -357,7 +359,7 @@ def test_block_coefficients_equal_the_uncached_expression(s, dps):
         for tk in t:
             blocks._inverse_power(float(tk), s, dps)
     with workdps(500):
-        assert blocks._block_coefficients(y, t, s, r, j, dps) == want
+        assert blocks._block_coefficients(y, t, s, dps) == want
     assert blocks._inverse_power.cache_info().hits == len(t)
 
 
@@ -383,7 +385,7 @@ def test_chosen_scale_is_the_largest(s, big_n, data, eps, cj):
 def _bisection_scale(values, nodes, s, j, eps):
     """The scale of rescale_for_defect, written plainly: bisection on log r
     from sys.float_info.min to the cap, calling the bound at every mid."""
-    t, _, bound = blocks._monomial_model(values, nodes, s, j, eps)
+    t, _, bound = blocks._defect_model(values, nodes, s, eps)
     r = float(np.min(t)) / 16.0
     if np.max(bound(r)) > eps:
         lo, hi = sys.float_info.min, r
@@ -422,18 +424,18 @@ def test_replayed_scale_is_the_bisection_scale(s, big_n, data, log_eps, cj, nega
 
 def test_bound_calls_per_group():
     calls = []
-    model = blocks._monomial_model
+    model = blocks._defect_model
 
     def counting_model(*args):
-        t, y, bound = model(*args)
+        t, columns, bound = model(*args)
 
         def counted(r):
             calls.append(r)
             return bound(r)
-        return t, y, counted
+        return t, columns, counted
 
     capped = 0
-    with mock.patch.object(blocks, "_monomial_model", counting_model):
+    with mock.patch.object(blocks, "_defect_model", counting_model):
         for big_n in (3, 10, 20):
             nodes = sh.default_nodes(big_n)
             for j in range(big_n + 1):
@@ -584,6 +586,18 @@ def test_long_coefficients_parse_as_in_a_workdps_context(cstr, outer_dps):
 def test_block_rejects_an_offset_that_is_not_a_float(t):
     with pytest.raises(DomainError, match=f"block offset must be a float, got .*{type(t).__name__}"):
         sh.SHBlock(t, 1.0)
+
+
+def test_block_rejects_an_offset_past_float64():
+    # an int too large for float64 is not finite as an offset
+    with pytest.raises(DomainError, match=r"block offset must be positive and finite, got t=1000"):
+        sh.SHBlock(10**400, 1.0)
+
+
+@pytest.mark.parametrize("c", [10**400, -(10**400)])
+def test_block_rejects_a_coefficient_past_float64(c):
+    with pytest.raises(DomainError, match=r"block coefficient must be finite, got c=-?1000"):
+        sh.SHBlock(2.0, c)
 
 
 @pytest.mark.parametrize("t", [2, 2.0, np.float64(2.0), np.float32(2.0)])

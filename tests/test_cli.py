@@ -155,8 +155,10 @@ def test_approximate_writes_report_trace_and_readable_combo(tmp_path):
 def test_defect_certificate_over_budget_exits_4(capsys, monkeypatch):
     # the proved block-stage certificate stays far below its budget on every
     # shipped target, so an over-budget value is injected to reach the refusal
-    monkeypatch.setattr(importlib.import_module("sharmonic.approximate"),
-                        "_defect_certificate", lambda bounds, dropped: 1.0)
+    module = importlib.import_module("sharmonic.approximate")
+    match = module.match_polynomial
+    monkeypatch.setattr(module, "match_polynomial",
+                        lambda *args: (match(*args)[0], np.ones(3)))
     rc = main(["approximate", "--target", "sin", "--epsilon", "0.1"])
     assert rc == 4
     err = capsys.readouterr().err

@@ -17,6 +17,11 @@ the order of the workload's rounds:
   runs it: ``combo_from_json``, then ``combo_derivative`` of orders 0-2 at
   ``EVAL_ARTIFACT_POINTS`` seeded points of [-0.99, 0.99], the mean of
   LOADS rounds (the derived series comes from the warm group cache);
+* ``first_point_ms`` and ``next_point_ms``: the first and the second
+  ``combo_derivative`` of order 0 at x = 0.5 on a freshly loaded artifact
+  (the load is not timed), the mean of LOADS loads; the groups' series are
+  in the warm ``_group_taylor`` cache, so the difference is what a cache
+  hit and the combination's own set-up cost;
 * ``grid_eval_ms``: ``combo_derivative`` of orders 0-2 of each in-memory
   combination on the workload's 10001-point grid, the mean of GRID_REPS;
 * ``fraclap_ms``: ms per point of ``frac_laplacian_detailed`` (direct) and
@@ -92,7 +97,21 @@ def scaled_ms(fn, n):
     after = reference_ms()
     return round(elapsed * REFERENCE_NOMINAL_MS / (0.5 * (before + after)), 4)
 
+def first_and_next_ms(text, n):
+    # mean ms of the first and the second point read of n fresh loads, scaled
+    spent = [0.0, 0.0]
+    before = reference_ms()
+    for _ in range(n):
+        loaded = blocks.combo_from_json(text)
+        for i in range(2):
+            start = time.perf_counter()
+            digest.update(repr(blocks.combo_derivative(loaded, 0.5, 0)).encode())
+            spent[i] += time.perf_counter() - start
+    factor = REFERENCE_NOMINAL_MS / (0.5 * (before + reference_ms()))
+    return [round(t * 1e3 / n * factor, 4) for t in spent]
+
 load_ms, artifact_point_ms, grid_eval_ms = {}, {}, {}
+first_point_ms, next_point_ms = {}, {}
 grid = np.linspace(-1.0, 1.0, EVAL_GRID)
 rounds = np.random.default_rng(0).uniform(-0.99, 0.99, (loads, EVAL_ARTIFACT_POINTS))
 for spec, combo, text in evaluate.artifacts:
@@ -108,6 +127,7 @@ for spec, combo, text in evaluate.artifacts:
 
     artifact_point_ms[spec] = scaled_ms(read_round, loads)
     digest.update(repr(values).encode())
+    first_point_ms[spec], next_point_ms[spec] = first_and_next_ms(text, loads)
     grid_eval_ms[spec] = scaled_ms(
         lambda: [blocks.combo_derivative(combo, grid, k) for k in range(3)], grid_reps)
     for k in range(3):
@@ -125,7 +145,8 @@ for name, operand in operands.items():
             lambda: out.append(fn(operand, float(next(it)), evaluate.params)), points)
         digest.update(repr(out).encode())
 print(json.dumps({"fraclap_ms": fraclap_ms, "load_ms": load_ms,
-                  "artifact_point_ms": artifact_point_ms, "grid_eval_ms": grid_eval_ms,
+                  "artifact_point_ms": artifact_point_ms, "first_point_ms": first_point_ms,
+                  "next_point_ms": next_point_ms, "grid_eval_ms": grid_eval_ms,
                   "sha256": digest.hexdigest(),
                   "texts": {spec: text for spec, _, text in evaluate.artifacts}}))
 """
@@ -149,7 +170,8 @@ print(json.dumps({"ms": round(elapsed * REFERENCE_NOMINAL_MS / (0.5 * (before + 
                   "sha256": hashlib.sha256(repr(values).encode()).hexdigest()}))
 """
 
-GROUPS = ("fraclap_ms", "load_ms", "artifact_point_ms", "grid_eval_ms", "cold_load_ms")
+GROUPS = ("fraclap_ms", "load_ms", "artifact_point_ms", "first_point_ms", "next_point_ms",
+          "grid_eval_ms", "cold_load_ms")
 
 
 def eval_split(tree: Path) -> dict:

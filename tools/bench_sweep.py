@@ -13,12 +13,15 @@ on the first TARGETS seed-1 library-sweep targets, with timers wrapped
 around these stages:
 
 * ``cheb_fit``: the Chebyshev stage;
-* ``exact_match``: ``blocks._exact_match``, the exact solve of each group;
-* ``model``: the rest of ``blocks._monomial_model`` (remainder rows and the
-  bound's set-up);
-* ``bound``: every call of the deviation bound ``_monomial_model`` returns,
-  from ``rescale_for_defect``'s search for a bracket of its scale, its
-  replay of the bisection on log r, and the bound at the chosen scale;
+* ``exact_match``: ``blocks._exact_match``, the exact solve;
+* ``model``: the rest of the deviation model, ``blocks._defect_model``
+  (``_monomial_model``, one per kept monomial, in trees that match each
+  monomial at its own scale): remainder rows and the bound's set-up;
+* ``bound``: every call of the deviation bound the model returns, from the
+  scale search's bracket, its replay of the bisection on log r, and the
+  bound at the chosen scale; one call bounds every kept monomial at once
+  (``match_polynomial``), or one monomial in trees with a scale per
+  monomial;
 * ``block_coefficients``: ``blocks._block_coefficients``;
 * ``combo_residual``: ``exact.combo_residual``, Phi included;
 * ``other``: the rest of ``approximate``.
@@ -79,7 +82,7 @@ def timed(name, fn):
             counts[name] = counts.get(name, 0) + 1
     return wrapper
 
-def monomial_model(*args, **kwargs):
+def model_with_timed_bound(*args, **kwargs):
     t, y, bound = model(*args, **kwargs)
     return t, y, timed("bound", bound)
 
@@ -102,8 +105,9 @@ def residual_excess(combo, value):
                            * (mpf(b.r) * x + mpf(b.t)) ** -sm for b in combo.blocks)
         return float(mpf(value) / ((abs(value_phi) + abs(err)) * mass) - 1)
 
-model = timed("model", blocks._monomial_model)
-blocks._monomial_model = monomial_model
+MODEL = "_defect_model" if hasattr(blocks, "_defect_model") else "_monomial_model"
+model = timed("model", getattr(blocks, MODEL))
+setattr(blocks, MODEL, model_with_timed_bound)
 blocks._exact_match = timed("exact_match", blocks._exact_match)
 blocks._block_coefficients = timed("block_coefficients", blocks._block_coefficients)
 approximate.cheb_fit = timed("cheb_fit", approximate.cheb_fit)
@@ -149,7 +153,7 @@ def _per_call(level: dict, spent: dict) -> dict:
     """ms per call of each stage, other included."""
     per_call = {name: spent.get(name, 0.0) * 1e3 / level["calls"]
                 for name in ("total", *STAGES)}
-    # _exact_match runs inside _monomial_model
+    # _exact_match runs inside the model
     per_call["model"] -= per_call["exact_match"]
     per_call["other"] = per_call["total"] - sum(per_call[k] for k in STAGES)
     return {k: round(v, 3) for k, v in per_call.items()}
