@@ -326,7 +326,8 @@ def approximate(target: Target, eps: float, s: float,
         target=target.name, s=s, epsilon_requested=float(eps),
         epsilon_poly=poly.fit_error, epsilon_defect=build.defect_error,
         epsilon_total=eps_total, degree=poly.degree,
-        matching_order=build.matching_order, nodes=build.nodes, scales=build.scales,
+        matching_order=build.matching_order, nodes=build.nodes,
+        scales=build.scales,
         n_blocks=len(combo.blocks), max_residual=residual,
         residual_method="per-block exact reduction via the canonical constant at the left end",
         elapsed_seconds=time.perf_counter() - t0)

@@ -77,10 +77,8 @@ def block_eval(block: "SHBlock", x, s: float):
 
 
 def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for float64
-        return False
+    # math.isfinite would raise OverflowError on an int too large for float64
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
 @dataclass(frozen=True)
