@@ -144,9 +144,10 @@ class ChebPoly:
     def monomial_fractions(self) -> list[Fraction]:
         """Exact monomial coefficients of the same real polynomial.
 
-        Chebyshev polynomials have integer monomial coefficients, so with
-        float inputs promoted to exact rationals the conversion is exact
-        for every supported degree.
+        Chebyshev polynomials have integer monomial coefficients and float
+        inputs are dyadic, so each monomial coefficient is an integer sum
+        over one power-of-two denominator, made a Fraction once, for every
+        supported degree.
         """
         n = self.degree + 1
         rows = [[1], [0, 1]]
@@ -156,13 +157,13 @@ class ChebPoly:
             for i, v in enumerate(prev):
                 nxt[i] -= v
             rows.append(nxt)
-        out = [Fraction(0)] * n
-        for k, a in enumerate(self.coefficients):
-            fa = Fraction(float(a))
-            for j, tv in enumerate(rows[k]):
-                if tv:
-                    out[j] += fa * tv
-        return out
+        ratios = [float(a).as_integer_ratio() for a in self.coefficients]
+        den = max(d for _, d in ratios)  # powers of two: the largest is their lcm
+        out = [0] * n
+        for num, row in zip((num * (den // d) for num, d in ratios), rows):
+            for j, tv in enumerate(row):
+                out[j] += num * tv
+        return [Fraction(v, den) for v in out]
 
 
 def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:

@@ -8,11 +8,13 @@ blocks the building material for every construction in this package.
 Matching the derivatives of a combination at the origin is, after scaling
 rows and columns, a Vandermonde system in the reciprocal offsets 1/t_k.
 Offsets and exponents are floats, hence exact dyadic rationals, so the
-system is solved exactly in rational arithmetic with one cached inverse
-per node tuple; extended precision enters only where a coefficient is
-rounded for storage.  The exact remainders of x^i modulo the same node
-polynomial give a matched group's moments past its matched orders, from
-which its deviation is bounded and its scale r chosen in float arithmetic.
+system is solved exactly in integers, with no gcd per operation: one
+cached integer inverse over one denominator per node tuple, solutions as
+integer numerators over one shared denominator; extended precision enters
+only where a coefficient is rounded for storage.  The exact remainders of
+x^i modulo the same node polynomial give a matched group's moments past
+its matched orders, from which its deviation is bounded and its scale r
+chosen in float arithmetic.
 
 Combinations produced by the derivative-matching pipeline carry extended
 precision coefficients: the raw block coefficients grow so large that
@@ -38,7 +40,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 from mpmath import mpf, workdps, workprec
-from mpmath.libmp import dps_to_prec, from_rational, from_str, round_nearest
+from mpmath.libmp import dps_to_prec, from_int, from_str, mpf_div, round_nearest
 
 from . import _kernels
 from .errors import ApproximationError, DomainError
@@ -351,37 +353,39 @@ def combo_scale(combo: SHCombo, alpha: float) -> SHCombo:
 
 
 @functools.lru_cache(maxsize=64)
-def _master_polynomial(nodes: tuple[float, ...]) -> tuple[Fraction, ...]:
-    """Coefficients, constant term first, of P(x) = prod_k (x - 1/t_k)."""
-    master = [Fraction(1)]
+def _node_polynomial(nodes: tuple[float, ...]) -> tuple[int, ...]:
+    """Coefficients, constant term first, of P(x) = prod_k (b_k x - a_k) for
+    1/t_k = a_k / b_k in lowest terms: by Gauss's lemma (P's content is
+    prod_k gcd(a_k, b_k) = 1) the least integer multiple of prod_k (x - 1/t_k)."""
+    poly = [1]
     for t in nodes:
-        nxt = [Fraction(0)] + master
-        for i, c in enumerate(master):
-            nxt[i] -= c / Fraction(t)
-        master = nxt
-    return tuple(master)
+        b, a = t.as_integer_ratio()
+        nxt = [0] + [b * c for c in poly]
+        for i, c in enumerate(poly):
+            nxt[i] -= a * c
+        poly = nxt
+    return tuple(poly)
 
 
 @functools.lru_cache(maxsize=64)
-def _vandermonde_inverse(nodes: tuple[float, ...]):
-    """Exact inverse of V[i][k] = (1/t_k)^i.
-
-    With x_k = 1/t_k and P(x) = prod_k (x - x_k), row k of the inverse holds
-    the monomial coefficients of the Lagrange polynomial P(x) / ((x - x_k)
-    P'(x_k)), one synthetic division each: O(n^2) rational operations.
-    """
-    xs = [1 / Fraction(t) for t in nodes]
-    n = len(xs)
-    master = _master_polynomial(nodes)
-    inverse = []
-    for xk in xs:
-        quot = [Fraction(0)] * n
-        quot[n - 1] = master[n]
-        for i in range(n - 1, 0, -1):
-            quot[i - 1] = master[i] + xk * quot[i]
-        den = math.prod((xk - xm for xm in xs if xm != xk), start=Fraction(1))
-        inverse.append(tuple(c / den for c in quot))
-    return tuple(inverse)
+def _vandermonde_inverse(nodes: tuple[float, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Exact inverse of V[i][k] = (1/t_k)^i as an integer matrix N and one
+    denominator D > 0, V^-1 = N / D.  Row k holds the Lagrange polynomial
+    b_k^(n-1) Q_k(x) / E_k: Q_k = P / (b_k x - a_k) (_node_polynomial) by one
+    exact synthetic division by the power of two a_k, and E_k = prod_{m != k}
+    (a_k b_m - a_m b_k) = b_k^(n-1) Q_k(a_k / b_k); D = lcm_k |E_k|."""
+    poly, ratios = _node_polynomial(nodes), [t.as_integer_ratio() for t in nodes]
+    n = len(nodes)
+    quots, lagrange = [], []
+    for k, (b, a) in enumerate(ratios):
+        quot = [-poly[0] // a]
+        for i in range(1, n):
+            quot.append((b * quot[-1] - poly[i]) // a)
+        quots.append(quot)
+        lagrange.append(math.prod(a * bm - am * b for m, (bm, am) in enumerate(ratios) if m != k))
+    den = math.lcm(*lagrange)
+    factors = [b ** (n - 1) * (den // e) for (b, _), e in zip(ratios, lagrange)]
+    return tuple(tuple(c * f for c in quot) for quot, f in zip(quots, factors)), den
 
 
 @functools.lru_cache(maxsize=64)
@@ -390,15 +394,13 @@ def _remainder_logs(nodes: tuple[float, ...]) -> np.ndarray:
     n = len(nodes), where R_ij is the exact x^j coefficient of x^i mod
     P(x), P(x) = prod_k (x - 1/t_k).
 
-    P vanishes at every x_k = 1/t_k, so x_k^i = sum_j R_ij x_k^j.  With L
-    the common denominator of P's coefficients and Q = L P, row i is V_i /
+    P vanishes at every x_k = 1/t_k, so x_k^i = sum_j R_ij x_k^j.  With Q =
+    L P the least integer multiple of P (_node_polynomial), row i is V_i /
     L^(i-n+1) for integers V_i: V_n = -(Q_0 .. Q_(n-1)), and multiplying by
     x and reducing x^n gives V_(i+1),l = L V_i,(l-1) - V_i,(n-1) Q_l.
     """
-    master = _master_polynomial(nodes)
-    lead = math.lcm(*(c.denominator for c in master))
-    master = [int(c * lead) for c in master]
-    n, log_lead = len(nodes), math.log10(lead)
+    master = _node_polynomial(nodes)
+    n, lead, log_lead = len(nodes), master[-1], math.log10(master[-1])
     row = [-c for c in master[:-1]]
     out = np.empty((n + 12, n))
     for e in range(out.shape[0]):
@@ -411,7 +413,8 @@ def _remainder_logs(nodes: tuple[float, ...]) -> np.ndarray:
 
 def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
     """Checked nodes t, the exact right-hand sides b_i = d_i / fall(s, i) and,
-    per degree j with b_j != 0, the exact column y_k^(j) = (V^-1)_kj b_j; the
+    per degree j with b_j = u_j / v_j != 0, the column y_k^(j) = (V^-1)_kj b_j
+    over one denominator, ([N_kj u_j for each k], D v_j) for V^-1 = N / D; the
     columns sum to y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = b_i for the
     values d_0..d_J (floats or Fractions)."""
     if not (0.0 < s < 1.0):
@@ -427,16 +430,29 @@ def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
         raise DomainError("matching nodes must be positive and finite")
     if len(set(t.tolist())) != t.size:  # np.unique would import numpy.ma
         raise DomainError("matching nodes must be distinct")
-    inverse = _vandermonde_inverse(tuple(float(tk) for tk in t))
-    sf = Fraction(s)
-    last = max((i for i, d in enumerate(values) if d), default=0)
-    rhs = []
-    fall = Fraction(1)
+    inverse, den = _vandermonde_inverse(tuple(float(tk) for tk in t))
+    sp, sq = Fraction(s).as_integer_ratio()
+    rhs, fall_num, fall_den = [], 1, 1  # fall(s, i) = fall_num / fall_den
     for i, d in enumerate(values):
-        rhs.append(Fraction(d) / fall if d else Fraction(0))
-        if i < last:
-            fall *= sf - i
-    return t, rhs, {i: [row[i] * b for row in inverse] for i, b in enumerate(rhs) if b}
+        u, v = Fraction(d).as_integer_ratio()
+        rhs.append(Fraction(u * fall_den, v * fall_num) if u else Fraction(0))
+        fall_num, fall_den = fall_num * (sp - i * sq), fall_den * sq
+    return t, rhs, {j: ([row[j] * b.numerator for row in inverse], den * b.denominator)
+                    for j, b in enumerate(rhs) if b}
+
+
+def _merge(columns: dict, r: float, size: int) -> tuple[list[int], int]:
+    """Y_k = sum_j y_k^(j) r^-j of _exact_match's columns as size numerators
+    over lcm_j (D v_j) p^J, r = p / q, J the top degree: one factor per
+    column, (lcm / (D v_j)) q^j p^(J-j)."""
+    p, q = r.as_integer_ratio()
+    top = max(columns, default=0)
+    lcm = math.lcm(*(den for _, den in columns.values()))
+    merged = [0] * size
+    for j, (nums, den) in columns.items():
+        factor = lcm // den * q**j * p ** (top - j)
+        merged = [m + n * factor for m, n in zip(merged, nums)]
+    return merged, lcm * p**top
 
 
 @functools.lru_cache(maxsize=4096)
@@ -446,12 +462,15 @@ def _inverse_power(t: float, s: float, dps: int) -> mpf:
         return mpf(t) ** -mpf(s)
 
 
-def _block_coefficients(y: list[Fraction], t: np.ndarray, s: float, dps: int) -> list[mpf]:
-    """Coefficients y_k t_k^-s at dps digits; y_k is rounded only once."""
+def _block_coefficients(nums: list[int], den: int, t: np.ndarray, s: float,
+                        dps: int) -> list[mpf]:
+    """Coefficients y_k t_k^-s at dps digits, y_k = nums[k] / den, den > 0: y_k
+    is rounded once, correctly, as libmp.from_rational would (den converted
+    once), so the result depends on its value alone, not on its terms."""
     with workdps(dps):
-        return [mpf(from_rational(yk.numerator, yk.denominator, mpmath.mp.prec,
-                                  round_nearest)) * _inverse_power(float(tk), s, dps)
-                for yk, tk in zip(y, t)]
+        prec, den = mpmath.mp.prec, from_int(den)
+        return [mpf(mpf_div(from_int(n), den, prec, round_nearest))
+                * _inverse_power(float(tk), s, dps) for n, tk in zip(nums, t)]
 
 
 def solve_derivative_match(values: Sequence, nodes: Sequence[float], s: float) -> SHCombo:
@@ -460,21 +479,21 @@ def solve_derivative_match(values: Sequence, nodes: Sequence[float], s: float) -
     Solves the square system sum_k a_k * d^i/dx^i (x + t_k)^s |_{x=0} = d_i
     for i = 0..J with J+1 distinct positive nodes.  With y_k = t_k^s a_k
     the system is the Vandermonde system sum_k (1/t_k)^i y_k = d_i /
-    fall(s, i), which is solved exactly in rational arithmetic (floats are
-    dyadic rationals) through a cached inverse per node tuple.  Each
+    fall(s, i), which is solved exactly (floats are dyadic rationals) in
+    integers over one denominator (_exact_match, _merge).  Each
     coefficient a_k = y_k t_k^-s then costs one extended precision power,
     at 25 digits beyond the read-back's cancellation (its largest row sum
     of |terms|); float64 is kept when that provably holds the read-back
     residual below 1e-10 * (1 + max|d|).
     """
     t, _, columns = _exact_match(values, nodes, s)
-    y = [sum((col[k] for col in columns.values()), Fraction(0)) for k in range(t.size)]
+    nums, den = _merge(columns, 1.0, t.size)
     scale = 1.0 + max(abs(float(v)) for v in values)
-    y_abs = np.array([abs(float(yk)) for yk in y])
+    y_abs = np.array([abs(n) / den for n in nums])  # int true division rounds correctly
     row_mass = max(abs(falling_factorial(s, i)) * float(np.sum(y_abs * t ** -float(i)))
                    for i in range(t.size))
     dps = 25 + math.ceil(math.log10(1.0 + row_mass / scale))
-    coeffs = _block_coefficients(y, t, s, dps)
+    coeffs = _block_coefficients(nums, den, t, s, dps)
     if row_mass * _EPS64 * 4 <= 1e-10 * scale:
         coeffs = [float(ck) for ck in coeffs]
     return SHCombo(s, tuple(SHBlock(float(tk), ck) for tk, ck in zip(t, coeffs)))
@@ -537,8 +556,8 @@ def _defect_model(values: Sequence, nodes: Sequence[float], s: float, eps: float
     exponents = powers - degrees[:, None]
     orders = np.arange(3)
     falling = np.array([[math.perm(i, m) for i in powers] for m in orders], dtype=float)
-    log_leads = np.array([float(log_binom[first]) + math.log10(sum(abs(float(yk)) for yk in col))
-                          for col in columns.values()])
+    log_leads = np.array([float(log_binom[first]) + math.log10(sum(abs(n) / den for n in nums))
+                          for nums, den in columns.values()])
     t_min = float(np.min(t))
 
     def bound(r: float) -> np.ndarray:
@@ -646,7 +665,7 @@ def match_polynomial(values: Sequence, nodes: Sequence[float], s: float, eps: fl
 
     At one scale the columns' groups share their blocks (r x + t_k)^s, so
     their coefficients add: a_k = Y_k t_k^-s, Y_k = sum_j y_k^(j) r^-j,
-    summed exactly (r is a float, hence dyadic).  Each a_k is formed by
+    summed exactly over one denominator (_merge).  Each a_k is formed by
     three roundings at 25 + int(log10((1 + Y) / eps) + 8) digits, Y = sum_k
     |Y_k|, so its relative error delta is below 10^-digits and delta Y
     below 1e-32 eps, the storage allowance of the bound.
@@ -667,12 +686,10 @@ def match_polynomial(values: Sequence, nodes: Sequence[float], s: float, eps: fl
                 f"no float64 scale meets the defect budget {eps:.3e} for the monomials "
                 f"of degree {', '.join(map(str, columns))}; raise epsilon")
         r, _ = _bisect_scale(r, lambda mid: mid <= a or (mid < b and worst(mid) <= eps))
-    inv_r = 1 / Fraction(r)
-    weights = [sum((col[k] * inv_r**j for j, col in columns.items()), Fraction(0))
-               for k in range(t.size)]
-    mass = 1 + sum(abs(w) for w in weights)  # logs of its ints: r^-j may pass float64
+    nums, den = _merge(columns, r, t.size)
+    mass = Fraction(den + sum(map(abs, nums)), den)  # reduced once; r^-j may pass float64
     dps = 25 + int(math.log10(mass.numerator) - math.log10(mass.denominator) - math.log10(eps) + 8)
-    coeffs = _block_coefficients(weights, t, s, dps)
+    coeffs = _block_coefficients(nums, den, t, s, dps)
     group = SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)))
     return group, seen[r] if r in seen else bound(r)
 

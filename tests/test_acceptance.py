@@ -135,15 +135,16 @@ def test_derivative_matching_solve_and_structure():
         entry = float(np.max(np.abs(scaled - vander)))
         worst_entry = max(worst_entry, entry)
         ok &= entry <= 1e-12
-        inverse = _vandermonde_inverse(tuple(float(t) for t in nodes))
+        # the inverse is an integer matrix N over one denominator D: V . N = D . I
+        inverse, den = _vandermonde_inverse(tuple(float(t) for t in nodes))
         xs = [1 / Fraction(float(t)) for t in nodes]
-        ok &= all(sum(row[i] * x**i for i in range(J + 1)) == (k == m)
-                  for k, row in enumerate(inverse) for m, x in enumerate(xs))
+        ok &= all(sum(xs[k] ** i * inverse[k][j] for k in range(J + 1)) == den * (i == j)
+                  for i in range(J + 1) for j in range(J + 1))
     _check("derivative matching solve",
            ok, f"worst read-back residual {worst_res:.2e} of scale "
                f"(limit 1e-8), worst Vandermonde entry gap {worst_entry:.2e} "
-               f"(limit 1e-12), exact inverse times Vandermonde is the "
-               f"identity, for J in {{1,2,4,8}}")
+               f"(limit 1e-12), Vandermonde times the exact integer inverse "
+               f"is its denominator times the identity, for J in {{1,2,4,8}}")
 
 
 def test_mean_value_oracles():

@@ -113,6 +113,35 @@ def test_monomial_conversion_is_exact():
                                          Fraction(0), Fraction(1)]
 
 
+def _monomial_fractions_per_term(coef) -> list[Fraction]:
+    """The Chebyshev-to-monomial conversion with one Fraction multiply-add
+    per term, T_(k+1) = 2 x T_k - T_(k-1) in integer rows."""
+    rows = [[1], [0, 1]]
+    while len(rows) < len(coef):
+        nxt = [0] + [2 * v for v in rows[-1]]
+        for i, v in enumerate(rows[-2]):
+            nxt[i] -= v
+        rows.append(nxt)
+    out = [Fraction(0)] * len(coef)
+    for k, a in enumerate(coef):
+        for j, tv in enumerate(rows[k]):
+            if tv:
+                out[j] += Fraction(float(a)) * tv
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 30).flatmap(lambda d: st.lists(
+    st.floats(-1e6, 1e6).map(lambda v: math.ldexp(v, -40) if abs(v) < 1 else v),
+    min_size=d + 1, max_size=d + 1)))
+def test_monomial_conversion_equals_the_per_term_sum(coef):
+    # one Fraction per output over a power-of-two denominator, values from
+    # tiny (subnormal-scaled) to large, zeros of either sign included
+    got = ChebPoly(np.array(coef), 0.0).monomial_fractions()
+    assert got == _monomial_fractions_per_term(coef)
+    assert all(type(c) is Fraction for c in got)
+
+
 def test_monomial_conversion_matches_numpy_on_generic_coefficients():
     coef = np.array([0.3, -1.1, 0.25, 0.7, -0.02])
     poly = ChebPoly(coef, 0.0)
@@ -226,8 +255,14 @@ def _merged_weights(mono: list[Fraction], kept: list[int], nodes, s: float, r: f
     for j in kept:
         values = [mono[j] * math.factorial(j) if i == j else 0 for i in range(len(nodes))]
         _, _, columns = sh.blocks._exact_match(values, nodes, s)
-        weights = [w + yk / Fraction(r) ** j for w, yk in zip(weights, columns[j])]
+        nums, den = columns[j]
+        weights = [w + Fraction(n, den) / Fraction(r) ** j for w, n in zip(weights, nums)]
     return weights
+
+
+def _over_one_denominator(weights: list[Fraction]) -> tuple[list[int], int]:
+    den = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def _storage_digits(weights: list[Fraction], eps_half: float) -> int:
@@ -259,10 +294,15 @@ def test_pipeline_matches_every_monomial_at_one_scale(s, seed, eps):
     scaled = [mono[i] * math.factorial(i) / Fraction(r) ** i if i in kept else 0
               for i in range(len(nodes))]
     _, _, columns = sh.blocks._exact_match(scaled, nodes, s)
-    assert weights == [sum((col[k] for col in columns.values()), Fraction(0))
+    assert weights == [sum((Fraction(nums[k], den) for nums, den in columns.values()), Fraction(0))
                        for k in range(len(nodes))]
+    # and so is the merge over one denominator of the unscaled columns
+    values = [mono[i] * math.factorial(i) if i in kept else 0 for i in range(len(nodes))]
+    merged, den = sh.blocks._merge(sh.blocks._exact_match(values, nodes, s)[2], r, len(nodes))
+    assert [Fraction(n, den) for n in merged] == weights
     dps = _storage_digits(weights, 0.5 * eps)
-    assert [b.c for b in combo.blocks] == sh.blocks._block_coefficients(weights, nodes, s, dps)
+    assert [b.c for b in combo.blocks] == sh.blocks._block_coefficients(
+        *_over_one_denominator(weights), nodes, s, dps)
     # the combination stays within its certificate of the kept polynomial
     xs = np.linspace(-1.0, 1.0, 2001)
     coefs = np.array([float(mono[j]) if j in kept else 0.0 for j in range(len(mono))])

@@ -96,27 +96,25 @@ def test_scaled_system_is_vandermonde():
             assert scaled == pytest.approx(t**-i, rel=1e-14)
 
 
-def _values_at(coefs, xs):
-    """Exact values of sum_i coefs[i] x^i, by Horner's rule in integers."""
-    den = math.lcm(*(c.denominator for c in coefs))
-    ints = [c.numerator * (den // c.denominator) for c in reversed(coefs)]
-    out = []
-    for x in xs:
-        acc, qpow = 0, 1
-        for c in ints:
-            acc = acc * x.numerator + c * qpow
-            qpow *= x.denominator
-        out.append(Fraction(acc, den * qpow // x.denominator))
-    return out
-
-
 def _assert_exact_inverse(nodes):
-    # row k is the Lagrange polynomial of x_k = 1/t_k: the inverse times the
-    # Vandermonde matrix in 1/t is the identity, with no rounding at all
-    inverse = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
-    xs = [1 / Fraction(float(t)) for t in nodes]
-    for k, row in enumerate(inverse):
-        assert _values_at(row, xs) == [int(m == k) for m in range(len(xs))]
+    # the inverse is N / D with an integer matrix N and one denominator D > 0,
+    # and N . V = D . I (so V . N = D . I) for the Vandermonde matrix V[i][m]
+    # = x_m^i in x_m = 1/t_m = a_m / b_m, with no rounding at all: row k of N
+    # is a polynomial, evaluated at x_m times b_m^(n-1) by Horner's rule in
+    # integers
+    inverse, den = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
+    n = len(nodes)
+    assert type(den) is int and den > 0
+    assert len(inverse) == n and all(len(row) == n and all(type(c) is int for c in row)
+                                     for row in inverse)
+    for m, t in enumerate(nodes):
+        b, a = float(t).as_integer_ratio()
+        for k, row in enumerate(inverse):
+            acc, b_pow = 0, 1
+            for c in reversed(row):
+                acc = acc * a + c * b_pow
+                b_pow *= b
+            assert acc == den * b**(n - 1) * (m == k)
 
 
 def test_exact_inverse_of_default_nodes():
@@ -127,6 +125,14 @@ def test_exact_inverse_of_default_nodes():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8, unique=True))
 def test_exact_inverse_of_arbitrary_nodes(nodes):
+    _assert_exact_inverse(nodes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.builds(math.ldexp, st.integers(1, 2**53 - 1), st.integers(-60, 20)),
+                min_size=1, max_size=21, unique=True))
+def test_exact_inverse_of_dyadic_nodes(nodes):
+    # mantissas of up to 53 bits at mixed binary exponents, N <= 20
     _assert_exact_inverse(nodes)
 
 
@@ -163,10 +169,11 @@ def test_solve_readback_property(values, s):
 
 
 def _exact_match_reference(values, nodes, s):
-    """The right-hand sides and y of blocks._exact_match, written plainly:
-    every value divided by its falling factorial, zeros included, and y
-    summed from Fraction(0)."""
-    inverse = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
+    """The right-hand sides and y of blocks._exact_match, written plainly in
+    Fractions: every value divided by its falling factorial, zeros
+    included, and y summed from Fraction(0)."""
+    inverse, den = sh.blocks._vandermonde_inverse(tuple(float(t) for t in nodes))
+    inverse = [[Fraction(c, den) for c in row] for row in inverse]
     sf = Fraction(s)
     rhs = []
     fall = Fraction(1)
@@ -195,11 +202,18 @@ def test_exact_match_equals_the_reference(big_n, data, s, zero):
     nodes = sh.default_nodes(big_n)
     _, rhs, columns = sh.blocks._exact_match(values, nodes, s)
     want_rhs, want_y = _exact_match_reference(values, nodes, s)
-    # one column per nonzero value, summing to the solution
+    # one column per nonzero value, integer numerators over one positive
+    # denominator, summing to the solution
     assert sorted(columns) == sorted(positions)
-    y = [sum((col[k] for col in columns.values()), Fraction(0)) for k in range(big_n + 1)]
+    assert all(len(nums) == big_n + 1 and all(type(v) is int for v in nums + [den]) and den > 0
+               for nums, den in columns.values())
+    y = [sum((Fraction(nums[k], den) for nums, den in columns.values()), Fraction(0))
+         for k in range(big_n + 1)]
     assert rhs == want_rhs and y == want_y
     assert all(type(v) is Fraction for v in rhs + y)
+    # the merge at r = 1 is the same sum over one denominator
+    nums, den = sh.blocks._merge(columns, 1.0, big_n + 1)
+    assert [Fraction(v, den) for v in nums] == want_y
 
 
 def test_solve_validation():
@@ -348,6 +362,8 @@ def test_storage_allowance_is_kept_where_the_exact_rows_underflow():
 @pytest.mark.parametrize("s, dps", [(0.5, 30), (0.3, 61), (0.9, 120), (0.05, 340)])
 def test_block_coefficients_equal_the_uncached_expression(s, dps):
     y = [Fraction(3, 7), Fraction(-5, 11), Fraction(2**70 + 1, 3**40)]
+    den = math.lcm(*(yk.denominator for yk in y))
+    nums = [yk.numerator * (den // yk.denominator) for yk in y]
     t = sh.default_nodes(2) + 1.0 / 7.0
     with workdps(dps):
         want = [mpf(from_rational(yk.numerator, yk.denominator, mpmath.mp.prec, round_nearest))
@@ -359,8 +375,24 @@ def test_block_coefficients_equal_the_uncached_expression(s, dps):
         for tk in t:
             blocks._inverse_power(float(tk), s, dps)
     with workdps(500):
-        assert blocks._block_coefficients(y, t, s, dps) == want
+        assert blocks._block_coefficients(nums, den, t, s, dps) == want
     assert blocks._inverse_power.cache_info().hits == len(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**30).map(lambda y: y * 10**20), min_size=1,
+                max_size=6),
+       st.integers(1, 3**50), st.floats(0.05, 0.95), st.integers(15, 200))
+def test_block_coefficients_round_the_value_not_its_representation(y, spread, s, dps):
+    # numerators over a common denominator, unreduced by spread, round to
+    # the same bits as the reduced Fractions at the same digits
+    t = 2.0 + np.arange(len(y)) / 7.0
+    den = math.lcm(*(yk.denominator for yk in y)) * spread
+    nums = [yk.numerator * (den // yk.denominator) for yk in y]
+    with workdps(dps):
+        want = [mpf(from_rational(yk.numerator, yk.denominator, mpmath.mp.prec, round_nearest))
+                * blocks._inverse_power(float(tk), s, dps) for yk, tk in zip(y, t)]
+    assert blocks._block_coefficients(nums, den, t, s, dps) == want
 
 
 def test_unreachable_budget_is_an_approximation_error():

@@ -22,6 +22,10 @@ around these stages:
   bound at the chosen scale; one call bounds every kept monomial at once
   (``match_polynomial``), or one monomial in trees with a scale per
   monomial;
+* ``merge``: ``blocks._merge``, the exact merge of the matched weights
+  Y_k = sum_j y_k^(j) r^-j over one denominator (trees without it sum the
+  weights inline in ``match_polynomial``, so there that work stays in
+  ``other``);
 * ``block_coefficients``: ``blocks._block_coefficients``;
 * ``combo_residual``: ``exact.combo_residual``, Phi included;
 * ``other``: the rest of ``approximate``.
@@ -110,6 +114,8 @@ model = timed("model", getattr(blocks, MODEL))
 setattr(blocks, MODEL, model_with_timed_bound)
 blocks._exact_match = timed("exact_match", blocks._exact_match)
 blocks._block_coefficients = timed("block_coefficients", blocks._block_coefficients)
+if hasattr(blocks, "_merge"):
+    blocks._merge = timed("merge", blocks._merge)
 approximate.cheb_fit = timed("cheb_fit", approximate.cheb_fit)
 phi, residual = exact.canonical_constant, exact.combo_residual
 exact.combo_residual = timed("combo_residual", residual)
@@ -145,7 +151,7 @@ print(json.dumps({"levels": {f"{eps:g}": level for eps, level in levels.items()}
                   "sha256": digest.hexdigest()}))
 """
 
-STAGES = ("cheb_fit", "exact_match", "model", "bound", "block_coefficients",
+STAGES = ("cheb_fit", "exact_match", "model", "bound", "merge", "block_coefficients",
           "combo_residual")
 
 
