@@ -160,7 +160,8 @@ class ChebPoly:
         ratios = [float(a).as_integer_ratio() for a in self.coefficients]
         den = max(d for _, d in ratios)  # powers of two: the largest is their lcm
         out = [0] * n
-        for num, row in zip((num * (den // d) for num, d in ratios), rows):
+        for (num, d), row in zip(ratios, rows):
+            num *= den // d
             for j, tv in enumerate(row):
                 out[j] += num * tv
         return [Fraction(v, den) for v in out]
