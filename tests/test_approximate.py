@@ -136,7 +136,7 @@ def _monomial_fractions_per_term(coef) -> list[Fraction]:
     min_size=d + 1, max_size=d + 1)))
 def test_monomial_conversion_equals_the_per_term_sum(coef):
     # one Fraction per output over a power-of-two denominator, values from
-    # tiny (subnormal-scaled) to large, zeros of either sign included
+    # tiny (scaled by 2^-40) to large, zeros of either sign included
     got = ChebPoly(np.array(coef), 0.0).monomial_fractions()
     assert got == _monomial_fractions_per_term(coef)
     assert all(type(c) is Fraction for c in got)
