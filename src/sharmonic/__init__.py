@@ -13,11 +13,9 @@ Everything is deterministic: no randomness, reproducible artifacts.
 from .approximate import (ApproxReport, BuildInfo, ChebPoly, Target,
                           approximate, build_sharmonic, cheb_fit,
                           default_nodes, target_from_spec)
-from .blocks import (SHBlock, SHCombo, block_derivative_at_zero,
-                     block_eval, combo_add, combo_derivative, combo_eval,
-                     combo_from_json, combo_scale, combo_to_json,
-                     readback_derivatives, rescale_for_defect,
-                     solve_derivative_match)
+from .blocks import (SHBlock, SHCombo, block_derivative_at_zero, combo_add,
+                     combo_derivative, combo_eval, combo_from_json,
+                     combo_scale, combo_to_json, match_polynomial)
 from .demos import (HarnackWitness, LogisticWitness, OffsetCombo,
                     harnack_counterexample, logistic_resource_plan,
                     mean_value_table)
@@ -37,13 +35,13 @@ __all__ = [
     "FracLapDetail", "FracParams", "GridFunction",
     "HarnackWitness", "LogisticWitness", "OffsetCombo",
     "QuadConfig", "SHBlock", "SHCombo", "SharmonicError", "Target",
-    "approximate", "block_derivative_at_zero", "block_eval",
+    "approximate", "block_derivative_at_zero",
     "build_sharmonic", "canonical_constant", "canonical_constant_closed_form",
     "cheb_fit", "combo_add", "combo_derivative", "combo_eval",
     "combo_from_json", "combo_residual", "combo_scale", "combo_to_json",
     "default_nodes", "frac_laplacian", "frac_laplacian_detailed",
     "frac_laplacian_pv", "harnack_counterexample", "logistic_resource_plan",
-    "mean_value_ball", "mean_value_sphere", "mean_value_table",
-    "power_block_reference", "readback_derivatives", "rescale_for_defect",
-    "solve_derivative_match", "target_from_spec", "__version__",
+    "match_polynomial", "mean_value_ball", "mean_value_sphere",
+    "mean_value_table", "power_block_reference", "target_from_spec",
+    "__version__",
 ]

@@ -176,8 +176,9 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
     raises DomainError."""
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
-    if degree_cap > 30:
-        raise ConfigError(f"degree cap {degree_cap} exceeds the supported maximum 30")
+    if not (_DEGREE_FLOOR <= degree_cap <= 30):
+        raise ConfigError(f"degree cap {degree_cap} lies outside the supported range "
+                          f"{_DEGREE_FLOOR}..30")
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
     samples = [target.derivative(m)(grid) for m in range(3)]
     for m, values in enumerate(samples):

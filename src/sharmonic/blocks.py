@@ -70,14 +70,6 @@ def block_derivative_at_zero(t: float, j: int, s: float) -> float:
     return falling_factorial(s, j) * t ** (s - j)
 
 
-def block_eval(block: "SHBlock", x, s: float):
-    """Evaluate a single block at scalar or array x."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _kernels.combo_derivatives(np.array([block.t]), np.array([float(block.c)]),
-                                     np.array([block.r]), s, xs, 0)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
 def _finite(value) -> bool:
     # math.isfinite would raise OverflowError on an int too large for float64
     return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
@@ -137,6 +129,8 @@ class SHCombo:
             raise DomainError(f"exponent must lie in (0, 1), got s={self.s}")
         # the empty combination is allowed: it is the exact zero function
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        if len(self.interval) != 2:
+            raise DomainError(f"working interval must be a pair (a, b), got {self.interval}")
         a, b = self.interval
         if not (a < b) or not (np.isfinite(a) and np.isfinite(b)):
             raise DomainError(f"invalid interval {self.interval}")
@@ -231,16 +225,15 @@ def _omitted_bound(s: float, m: int, log_lead: float, p: float, xmax: float,
 
 
 @functools.lru_cache(maxsize=256)
-def _group_taylor(s: float, blocks: tuple[SHBlock, ...],
-                  min_terms: int = 0) -> tuple[np.ndarray, float]:
+def _group_taylor(s: float, blocks: tuple[SHBlock, ...]) -> tuple[np.ndarray, float]:
     """Coefficients of x^0 .. x^(m - 1) for blocks sharing one scale r,
     binom(s, i) r^i sum_k c_k t_k^(s-i), and log10(|binom(s, m)| W) with W
     = sum_k |c_k| t_k^s.  Each coefficient is computed at the precision of
     the longest stored mantissa plus guard bits and rounded once to
-    float64.  The series stops at the first m >= min_terms at which, for
-    each order 0..4, the bound on the omitted terms at |x| = 1 (see
-    _omitted_bound) lies below 2^-52 times that order's own absolute series
-    sum_i |c_i| i!/(i-order)!, or at _SERIES_CAP terms."""
+    float64.  The series stops at the first m at which, for each order
+    0..4, the bound on the omitted terms at |x| = 1 (see _omitted_bound)
+    lies below 2^-52 times that order's own absolute series sum_i |c_i|
+    i!/(i-order)!, or at _SERIES_CAP terms."""
     p = blocks[0].r / min(b.t for b in blocks)
     with workprec(_mantissa_bits(blocks) + _GUARD_BITS):
         sm, r = mpf(s), mpf(blocks[0].r)
@@ -257,9 +250,8 @@ def _group_taylor(s: float, blocks: tuple[SHBlock, ...],
             terms = [term * q for term, q in zip(terms, inv_t)]
             binom_r *= (sm - i) * r / (i + 1)
             log_lead += math.log10(abs(s - i) / (i + 1))
-            if i + 1 >= min_terms and all(
-                    _omitted_bound(s, i + 1, log_lead, p, 1.0, order)
-                    <= _EPS64 * abs_series[order] for order in range(5)):
+            if all(_omitted_bound(s, i + 1, log_lead, p, 1.0, order)
+                   <= _EPS64 * abs_series[order] for order in range(5)):
                 break
     out = np.array(coefs)
     out.flags.writeable = False  # shared by every combination holding the group
@@ -473,41 +465,6 @@ def _block_coefficients(nums: list[int], den: int, t: np.ndarray, s: float,
                 * _inverse_power(float(tk), s, dps) for n, tk in zip(nums, t)]
 
 
-def solve_derivative_match(values: Sequence, nodes: Sequence[float], s: float) -> SHCombo:
-    """Combination of unit-scale blocks whose derivatives at 0 are values.
-
-    Solves the square system sum_k a_k * d^i/dx^i (x + t_k)^s |_{x=0} = d_i
-    for i = 0..J with J+1 distinct positive nodes.  With y_k = t_k^s a_k
-    the system is the Vandermonde system sum_k (1/t_k)^i y_k = d_i /
-    fall(s, i), which is solved exactly (floats are dyadic rationals) in
-    integers over one denominator (_exact_match, _merge).  Each
-    coefficient a_k = y_k t_k^-s then costs one extended precision power,
-    at 25 digits beyond the read-back's cancellation (its largest row sum
-    of |terms|); float64 is kept when that provably holds the read-back
-    residual below 1e-10 * (1 + max|d|).
-    """
-    t, _, columns = _exact_match(values, nodes, s)
-    nums, den = _merge(columns, 1.0, t.size)
-    scale = 1.0 + max(abs(float(v)) for v in values)
-    y_abs = np.array([abs(n) / den for n in nums])  # int true division rounds correctly
-    row_mass = max(abs(falling_factorial(s, i)) * float(np.sum(y_abs * t ** -float(i)))
-                   for i in range(t.size))
-    dps = 25 + math.ceil(math.log10(1.0 + row_mass / scale))
-    coeffs = _block_coefficients(nums, den, t, s, dps)
-    if row_mass * _EPS64 * 4 <= 1e-10 * scale:
-        coeffs = [float(ck) for ck in coeffs]
-    return SHCombo(s, tuple(SHBlock(float(tk), ck) for tk, ck in zip(t, coeffs)))
-
-
-def readback_derivatives(combo: SHCombo, n_orders: int) -> np.ndarray:
-    """Derivatives of orders 0..n_orders-1 at 0 of a combination: i! times
-    the coefficient of x^i of its derived power series."""
-    coefs = np.zeros(n_orders)
-    for g in combo.groups:
-        coefs += _group_taylor(combo.s, g, n_orders)[0][:n_orders]
-    return np.array([math.factorial(i) * coefs[i] for i in range(n_orders)])
-
-
 def _defect_model(values: Sequence, nodes: Sequence[float], s: float, eps: float,
                   dropped: float = 0.0):
     """Checked nodes t, the exact columns y^(j) of _exact_match and the
@@ -578,20 +535,6 @@ def _scale_cap(t: np.ndarray) -> float:
     """Largest scale of a matched group: r <= 1 for a block, and r / t_min
     <= 1/16 keeps the derived series short and its radius >= 8."""
     return min(1.0, float(np.min(t)) / 16.0)
-
-
-def deviation_bound(values: Sequence, nodes: Sequence[float], s: float, j: int,
-                    r: float, eps: float) -> np.ndarray:
-    """Proved bounds, for m = 0, 1, 2, on the m-th derivative over [-1, 1] of
-    the deviation from its monomial of the group that rescale_for_defect
-    stores at scale r for budget eps (see _defect_model); float
-    arithmetic past the cached exact remainder rows."""
-    t, columns, bound = _defect_model(values, nodes, s, eps)
-    if list(columns) != [j]:
-        raise DomainError(f"values must be one nonzero monomial of degree {j}")
-    if not (0.0 < r <= _scale_cap(t)):
-        raise DomainError(f"scale must lie in (0, min(1, t_min / 16)], got r={r}")
-    return bound(r)
 
 
 def _bisect_scale(cap: float, passes) -> tuple[float, float]:
@@ -692,17 +635,6 @@ def match_polynomial(values: Sequence, nodes: Sequence[float], s: float, eps: fl
     coeffs = _block_coefficients(nums, den, t, s, dps)
     group = SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)))
     return group, seen[r] if r in seen else bound(r)
-
-
-def rescale_for_defect(values: Sequence, nodes: Sequence[float], s: float,
-                       j: int, eps: float) -> tuple[SHCombo, np.ndarray]:
-    """match_polynomial for the one monomial values[j] x^j / j! (all other
-    values zero): its group under x -> r x, divided by r^j, at the largest r
-    whose deviation_bound is at most eps, and that bound.  This is the
-    single-monomial tool; approximate calls match_polynomial instead."""
-    if [i for i, d in enumerate(values) if d] != [j]:
-        raise DomainError(f"values must be one nonzero monomial of degree {j}")
-    return match_polynomial(values, nodes, s, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,8 @@ class QuadConfig:
             raise ConfigError(f"near_points must be at least 8, got {self.near_points}")
         if self.mid_points < 16:
             raise ConfigError(f"mid_points must be at least 16, got {self.mid_points}")
+        if self.tail_growth is not None and not np.isfinite(self.tail_growth):
+            raise ConfigError(f"tail_growth must be finite, got {self.tail_growth}")
 
     def growth(self, s: float) -> float:
         gamma = s if self.tail_growth is None else self.tail_growth

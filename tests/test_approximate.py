@@ -17,7 +17,7 @@ from mpmath import mpf, workdps
 
 import sharmonic as sh
 from sharmonic.approximate import _CERT_GRID, ChebPoly, Target
-from sharmonic.blocks import _combo_eval_mp, deviation_bound
+from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.fraclap import GridFunction
 
@@ -70,6 +70,10 @@ def test_cheb_fit_validation():
         sh.cheb_fit(target, np.inf)
     with pytest.raises(ConfigError):
         sh.cheb_fit(target, 0.01, degree_cap=40)
+    # below the degree floor no degree would be tried at all
+    for cap in (2, 0, -1):
+        with pytest.raises(ConfigError, match="supported range 3..30"):
+            sh.cheb_fit(target, 0.01, degree_cap=cap)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -193,8 +197,8 @@ def test_defect_certificate_bounds_sampled_deviation(s, big_n, data, eps, cj):
     j = data.draw(st.integers(0, big_n))
     values = [cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1)]
     nodes = sh.default_nodes(big_n)
-    group, bound = sh.rescale_for_defect(values, nodes, s, j, eps)
-    assert np.array_equal(bound, deviation_bound(values, nodes, s, j, group.blocks[0].r, eps))
+    group, bound = sh.match_polynomial(values, nodes, s, eps)
+    assert np.array_equal(bound, _defect_model(values, nodes, s, eps)[2](group.blocks[0].r))
     assert np.max(bound) <= eps
     xs = np.linspace(-1.0, 1.0, 201)
     for order in range(3):

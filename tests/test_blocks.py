@@ -17,7 +17,7 @@ from mpmath.libmp import from_rational, round_nearest
 
 import sharmonic as sh
 from sharmonic import _kernels, blocks
-from sharmonic.blocks import _combo_eval_mp, deviation_bound
+from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
 from conftest import richardson_derivative
@@ -64,11 +64,11 @@ def test_falling_factorial():
         s * (s - 1) * (s - 2), rel=1e-15)
 
 
-def test_block_eval_dead_side():
-    blk = sh.SHBlock(1.0, 2.0)
-    assert sh.block_eval(blk, -1.5, 0.5) == 0.0
-    assert sh.block_eval(blk, -1.0, 0.5) == 0.0
-    assert sh.block_eval(blk, 0.0, 0.5) == 2.0
+def test_block_dead_side():
+    combo = sh.SHCombo(0.5, (sh.SHBlock(1.0, 2.0),))
+    assert sh.combo_eval(combo, -1.5) == 0.0
+    assert sh.combo_eval(combo, -1.0) == 0.0
+    assert sh.combo_eval(combo, 0.0) == 2.0
 
 
 def test_shcombo_validation():
@@ -78,6 +78,9 @@ def test_shcombo_validation():
         sh.SHCombo(1.0, (sh.SHBlock(1.0, 1.0),))
     with pytest.raises(DomainError):
         sh.SHCombo(0.5, (sh.SHBlock(1.0, 1.0),), interval=(1.0, -1.0))
+    for interval in ((1.0,), (-1.0, 0.0, 1.0)):
+        with pytest.raises(DomainError, match="working interval must be a pair"):
+            sh.SHCombo(0.5, (), interval)
     combo = sh.SHCombo(0.5, ())
     assert sh.combo_eval(combo, np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
@@ -136,12 +139,17 @@ def test_exact_inverse_of_dyadic_nodes(nodes):
     _assert_exact_inverse(nodes)
 
 
+def _readback(combo, n_orders):
+    """Derivatives of orders 0..n_orders-1 of a combination at the origin."""
+    return np.array([sh.combo_derivative(combo, 0.0, i) for i in range(n_orders)])
+
+
 @pytest.mark.parametrize("order", [1, 2, 4, 8])
 def test_solve_readback_identity(order):
     values = tuple(((-1.0) ** i) * (1.0 + i) for i in range(order + 1))
     nodes = sh.default_nodes(order)
-    combo = sh.solve_derivative_match(values, nodes, 0.45)
-    got = sh.readback_derivatives(combo, order + 1)
+    combo, _ = sh.match_polynomial(values, nodes, 0.45, 1e-3)
+    got = _readback(combo, order + 1)
     scale = 1.0 + max(abs(v) for v in values)
     assert np.max(np.abs(got - np.array(values))) <= 1e-8 * scale
 
@@ -149,8 +157,8 @@ def test_solve_readback_identity(order):
 def test_solve_readback_wide_nodes():
     values = (0.5, -1.0, 2.0, 0.25)
     nodes = np.array([2.0, 3.0, 4.0, 5.0])
-    combo = sh.solve_derivative_match(values, nodes, 0.6)
-    got = sh.readback_derivatives(combo, 4)
+    combo, _ = sh.match_polynomial(values, nodes, 0.6, 1e-3)
+    got = _readback(combo, 4)
     assert np.max(np.abs(got - np.array(values))) <= 1e-8 * 3.0
 
 
@@ -162,8 +170,13 @@ def test_solve_readback_wide_nodes():
 def test_solve_readback_property(values, s):
     values = tuple(values)
     nodes = sh.default_nodes(len(values) - 1)
-    combo = sh.solve_derivative_match(values, nodes, s)
-    got = sh.readback_derivatives(combo, len(values))
+    if not any(values):
+        # the zero polynomial has no group to match it with
+        with pytest.raises(DomainError, match="nonzero value"):
+            sh.match_polynomial(values, nodes, s, 1e-3)
+        return
+    combo, _ = sh.match_polynomial(values, nodes, s, 1e-3)
+    got = _readback(combo, len(values))
     scale = 1.0 + max(abs(v) for v in values)
     assert np.max(np.abs(got - np.array(values))) <= 1e-8 * scale
 
@@ -219,26 +232,26 @@ def test_exact_match_equals_the_reference(big_n, data, s, zero):
 def test_solve_validation():
     spec = (1.0, 2.0)
     with pytest.raises(DomainError):
-        sh.solve_derivative_match(spec, [2.0], 0.5)
+        sh.match_polynomial(spec, [2.0], 0.5, 0.1)
     with pytest.raises(DomainError):
-        sh.solve_derivative_match(spec, [2.0, -1.0], 0.5)
+        sh.match_polynomial(spec, [2.0, -1.0], 0.5, 0.1)
     with pytest.raises(DomainError):
-        sh.solve_derivative_match(spec, [2.0, 2.0], 0.5)
+        sh.match_polynomial(spec, [2.0, 2.0], 0.5, 0.1)
     with pytest.raises(DomainError):
-        sh.solve_derivative_match(spec, [2.0, 2.5], 1.5)
+        sh.match_polynomial(spec, [2.0, 2.5], 1.5, 0.1)
     # the values themselves: at least one, all finite
     with pytest.raises(DomainError):
-        sh.solve_derivative_match((), [], 0.5)
+        sh.match_polynomial((), [], 0.5, 0.1)
     with pytest.raises(DomainError):
-        sh.solve_derivative_match((1.0, float("nan")), [2.0, 2.5], 0.5)
+        sh.match_polynomial((1.0, float("nan")), [2.0, 2.5], 0.5, 0.1)
     with pytest.raises(DomainError):
-        sh.rescale_for_defect((1.0, float("inf")), (2.0, 2.5), 0.5, 0, 0.1)
+        sh.match_polynomial((1.0, float("inf")), (2.0, 2.5), 0.5, 0.1)
 
 
 def test_series_matches_function_derivatives():
     # the series derived from the blocks against the per-point block sum
     values = (1.0, -0.5, 2.0)
-    combo = sh.solve_derivative_match(values, sh.default_nodes(2), 0.5)
+    combo, _ = sh.match_polynomial(values, sh.default_nodes(2), 0.5, 1e-3)
     coefs = combo.taylor
     xs = np.array([0.05, -0.2, 0.4])
     for order in range(3):
@@ -277,7 +290,7 @@ def test_unmatched_mp_combo_is_exact_to_the_radius():
 
 
 def test_pipeline_group_plus_float_block_is_exact():
-    group, _ = sh.rescale_for_defect((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
+    group, _ = sh.match_polynomial((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 1.0 / 32.0)
     extra = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
     total = sh.combo_add(group, extra)
     xs = np.linspace(-0.99, 0.99, 23)
@@ -289,7 +302,7 @@ def test_pipeline_group_plus_float_block_is_exact():
 
 def test_readback_past_the_series_length():
     combo = sh.SHCombo(0.5, (sh.SHBlock(2.0, mpf(1)),))
-    got = sh.readback_derivatives(combo, 20)
+    got = _readback(combo, 20)
     want = [sh.block_derivative_at_zero(2.0, i, 0.5) for i in range(20)]
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -301,7 +314,7 @@ def test_readback_past_the_series_length():
 def test_rescaled_group_blocks_match_series():
     # the series path must agree with the per-point sum over the blocks
     values = (0.0, 0.0, 2.0, 0.0)
-    group, _ = sh.rescale_for_defect(values, sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
+    group, _ = sh.match_polynomial(values, sh.default_nodes(3), 0.5, 1.0 / 32.0)
     assert group.has_mp_coefficients
     xs = np.linspace(-1.0, 1.0, 21)
     assert np.all(np.abs(xs) < group.radius)
@@ -314,7 +327,7 @@ def test_rescaled_group_blocks_match_series():
 def test_rescaled_group_defect_small_in_c2():
     values = (0.0, 0.0, 0.0, 6.0)
     eps = 0.01
-    group, _ = sh.rescale_for_defect(values, sh.default_nodes(3), 0.3, 3, eps)
+    group, _ = sh.match_polynomial(values, sh.default_nodes(3), 0.3, eps)
     xs = np.linspace(-1.0, 1.0, 201)
     for order in range(3):
         got = sh.combo_derivative(group, xs, order)
@@ -327,23 +340,16 @@ def test_rescale_validation():
     values, nodes = (1.0, 0.0), np.array([2.0, 2.5])
     # the matching order is len(nodes) - 1 = 1, so degree 2 is outside it
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(values, nodes, 0.5, 2, 0.1)
+        sh.match_polynomial((0.0, 0.0, 1.0), nodes, 0.5, 0.1)
     with pytest.raises(DomainError):
-        sh.rescale_for_defect(values, nodes, 0.5, 0, -0.1)
+        sh.match_polynomial(values, nodes, 0.5, -0.1)
     # the deviation bound needs a remainder past order N >= 1
     with pytest.raises(DomainError):
-        sh.rescale_for_defect((1.0,), [2.0], 0.5, 0, 0.1)
+        sh.match_polynomial((1.0,), [2.0], 0.5, 0.1)
     with pytest.raises(DomainError):
-        sh.rescale_for_defect((1.0, float("nan")), nodes, 0.5, 0, 0.1)
-    # one monomial: values vanish at every order but j, and not at j
-    with pytest.raises(DomainError):
-        sh.rescale_for_defect((1.0, 1.0), nodes, 0.5, 0, 0.1)
-    with pytest.raises(DomainError):
-        sh.rescale_for_defect((0.0, 1.0), nodes, 0.5, 0, 0.1)
-    with pytest.raises(DomainError):
-        deviation_bound(values, nodes, 0.5, 0, 0.2, 0.1)  # above t_min / 16
+        sh.match_polynomial((1.0, float("nan")), nodes, 0.5, 0.1)
     # nodes in (0, 1] are accepted: the cap r <= t_min / 16 follows them
-    group, _ = sh.rescale_for_defect(values, np.array([0.5, 0.75]), 0.5, 0, 0.1)
+    group, _ = sh.match_polynomial(values, np.array([0.5, 0.75]), 0.5, 0.1)
     assert group.blocks[0].r <= 0.5 / 16
     xs = np.linspace(-1.0, 1.0, 41)
     for order in range(3):
@@ -355,7 +361,7 @@ def test_storage_allowance_is_kept_where_the_exact_rows_underflow():
     # at r = 1e-300 the exact rows and the tail underflow to 0, so B_0 is
     # the allowance for the roundings of the stored coefficients alone
     eps = 1e-3
-    got = deviation_bound((0.0, 1.0, 0.0, 0.0), sh.default_nodes(3), 0.5, 1, 1e-300, eps)
+    got = _defect_model((0.0, 1.0, 0.0, 0.0), sh.default_nodes(3), 0.5, eps)[2](1e-300)
     assert got[0] >= 1e-32 * eps
 
 
@@ -398,7 +404,7 @@ def test_block_coefficients_round_the_value_not_its_representation(y, spread, s,
 def test_unreachable_budget_is_an_approximation_error():
     # no float64 scale brings the storage allowance under a budget near 1e-300
     with pytest.raises(sh.ApproximationError, match="no float64 scale"):
-        sh.rescale_for_defect((1.0, 0.0), (2.0, 2.5), 0.5, 0, 1e-305)
+        sh.match_polynomial((1.0, 0.0), (2.0, 2.5), 0.5, 1e-305)
 
 
 @settings(max_examples=40, deadline=None)
@@ -408,14 +414,15 @@ def test_chosen_scale_is_the_largest(s, big_n, data, eps, cj):
     j = data.draw(st.integers(0, big_n))
     values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
     nodes = sh.default_nodes(big_n)
-    r = sh.rescale_for_defect(values, nodes, s, j, eps)[0].blocks[0].r
-    assert np.max(deviation_bound(values, nodes, s, j, r, eps)) <= eps
+    r = sh.match_polynomial(values, nodes, s, eps)[0].blocks[0].r
+    bound = _defect_model(values, nodes, s, eps)[2]
+    assert np.max(bound(r)) <= eps
     cap = float(np.min(nodes)) / 16.0
-    assert r == cap or np.max(deviation_bound(values, nodes, s, j, min(1.05 * r, cap), eps)) > eps
+    assert r == cap or np.max(bound(min(1.05 * r, cap))) > eps
 
 
 def _bisection_scale(values, nodes, s, j, eps):
-    """The scale of rescale_for_defect, written plainly: bisection on log r
+    """The scale of match_polynomial, written plainly: bisection on log r
     from sys.float_info.min to the cap, calling the bound at every mid."""
     t, _, bound = blocks._defect_model(values, nodes, s, eps)
     r = float(np.min(t)) / 16.0
@@ -447,11 +454,11 @@ def test_replayed_scale_is_the_bisection_scale(s, big_n, data, log_eps, cj, nega
         want = _bisection_scale(values, nodes, s, j, eps)
     except sh.ApproximationError:
         with pytest.raises(sh.ApproximationError, match="no float64 scale"):
-            sh.rescale_for_defect(values, nodes, s, j, eps)
+            sh.match_polynomial(values, nodes, s, eps)
         return
-    group, bound = sh.rescale_for_defect(values, nodes, s, j, eps)
+    group, bound = sh.match_polynomial(values, nodes, s, eps)
     assert group.blocks[0].r == want
-    assert np.array_equal(bound, deviation_bound(values, nodes, s, j, want, eps))
+    assert np.array_equal(bound, _defect_model(values, nodes, s, eps)[2](want))
 
 
 def test_bound_calls_per_group():
@@ -474,7 +481,7 @@ def test_bound_calls_per_group():
                 values = tuple(math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
                 for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
                     calls.clear()
-                    r = sh.rescale_for_defect(values, nodes, 0.5, j, eps)[0].blocks[0].r
+                    r = sh.match_polynomial(values, nodes, 0.5, eps)[0].blocks[0].r
                     if r == float(np.min(nodes)) / 16.0:
                         capped += 1
                         assert len(calls) == 1
@@ -498,7 +505,7 @@ def test_combo_add_and_scale():
     assert np.allclose(sh.combo_eval(d, xs), -2.0 * sh.combo_eval(a, xs),
                        rtol=1e-14)
     # extended precision coefficients keep every digit the derived series needs
-    group, _ = sh.rescale_for_defect((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 2, 1.0 / 32.0)
+    group, _ = sh.match_polynomial((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 1.0 / 32.0)
     e = sh.combo_scale(group, -3.0)
     assert np.allclose(sh.combo_eval(e, xs), -3.0 * sh.combo_eval(group, xs),
                        rtol=1e-14, atol=1e-14)
@@ -534,7 +541,7 @@ def test_json_roundtrip_float_combo():
 
 def test_json_roundtrip_extended_precision():
     values = (0.0, 0.0, 2.0, 0.0)
-    group, _ = sh.rescale_for_defect(values, sh.default_nodes(3), 0.5, 2, 1.0 / 16.0)
+    group, _ = sh.match_polynomial(values, sh.default_nodes(3), 0.5, 1.0 / 16.0)
     back = sh.combo_from_json(sh.combo_to_json(group))
     assert back.has_mp_coefficients
     xs = np.linspace(-0.9, 0.9, 11)
@@ -551,7 +558,7 @@ def test_loaded_group_matches_memory(s, big_n, data, eps, cj):
     # reproduce the in-memory group without the per-point mp path
     j = data.draw(st.integers(0, big_n))
     values = tuple(cj * math.factorial(j) if i == j else 0.0 for i in range(big_n + 1))
-    group, _ = sh.rescale_for_defect(values, sh.default_nodes(big_n), s, j, eps)
+    group, _ = sh.match_polynomial(values, sh.default_nodes(big_n), s, eps)
     back = sh.combo_from_json(sh.combo_to_json(group))
     xs = np.linspace(-0.99, 0.99, 101)
     with mock.patch.object(sh.blocks, "_combo_eval_mp",
@@ -567,6 +574,8 @@ def test_json_malformed():
         sh.combo_from_json('{"s": 0.5}')
     with pytest.raises(DomainError):
         sh.combo_from_json('{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1}]}')
+    with pytest.raises(DomainError, match="working interval must be a pair"):
+        sh.combo_from_json('{"s": 0.5, "interval": [-1, 0, 1], "blocks": []}')
     for text in ('{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1, "c": "abc", "r": 1}]}',
                  '{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": "x", "c": 1, "r": 1}]}',
                  '{"s": 0.5, "interval": [-1, 1], "blocks": [{"t": 1, "c": 1, "r": "y"}]}',

@@ -335,6 +335,23 @@ def test_config_file_non_integer_value_exits_2(tmp_path, capsys):
     assert "option grid='1e3' is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["demo", "harnack", "--xmax", "inf", "--grid", "3"], "xmin and xmax must be finite"),
+    (["approximate", "--target", "x2", "--xmin=-inf"], "xmin and xmax must be finite"),
+    (["fraclap", "--target", "sin", "--xmax", "nan", "--grid", "3"],
+     "xmin and xmax must be finite"),
+    (["fraclap", "--target", "sin", "--tail-growth", "nan", "--grid", "3"],
+     "tail_growth must be finite"),
+    # below the degree floor no degree would be tried at all
+    (["approximate", "--target", "x2", "--degree-cap", "2"],
+     "degree cap 2 lies outside the supported range 3..30")])
+def test_nonfinite_or_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out-csv", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -283,6 +283,9 @@ def test_quad_config_validation():
         QuadConfig(mid_points=8)
     with pytest.raises(ConfigError):
         QuadConfig(delta=np.inf, outer_radius=np.inf)
+    for growth in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="tail_growth must be finite"):
+            QuadConfig(tail_growth=growth)
 
 
 def test_frac_params_validation():

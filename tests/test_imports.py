@@ -1,10 +1,13 @@
-"""Source hygiene: every import in the package and its tests is used, and
-every private module-level helper of the package is read by the package."""
+"""Source hygiene: every import in the package and its tests is used,
+every private module-level helper of the package is read by the package,
+and every exported name resolves."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import sharmonic
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -79,3 +82,10 @@ def test_helper_scan_sees_unread_names_across_modules():
              "    return _helper()\n")
     second = "import first\nfirst._remote()\n"
     assert unread_private_names([first, second]) == ["_DEAD (line 2)", "_orphan (line 5)"]
+
+
+def test_exports_resolve_once():
+    # a name left in __all__ after its definition is deleted still imports
+    # cleanly; only a star import would fail on it
+    assert len(sharmonic.__all__) == len(set(sharmonic.__all__))
+    assert [name for name in sharmonic.__all__ if not hasattr(sharmonic, name)] == []
