@@ -23,16 +23,16 @@ from .errors import (ApproximationError, ConfigError, DomainError,
                      EvaluationError, SharmonicError)
 from .exact import (canonical_constant, canonical_constant_closed_form,
                     combo_residual, power_block_reference)
-from .fraclap import (FracLapDetail, FracParams, GridFunction, QuadConfig,
-                      frac_laplacian, frac_laplacian_detailed,
-                      frac_laplacian_pv, mean_value_ball, mean_value_sphere)
+from .fraclap import (FracLapDetail, FracParams, QuadConfig, frac_laplacian,
+                      frac_laplacian_detailed, frac_laplacian_pv,
+                      mean_value_ball, mean_value_sphere)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproxReport", "ApproximationError", "BuildInfo", "ChebPoly",
     "ConfigError", "DomainError", "EvaluationError",
-    "FracLapDetail", "FracParams", "GridFunction",
+    "FracLapDetail", "FracParams",
     "HarnackWitness", "LogisticWitness", "OffsetCombo",
     "QuadConfig", "SHBlock", "SHCombo", "SharmonicError", "Target",
     "approximate", "block_derivative_at_zero",

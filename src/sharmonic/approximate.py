@@ -22,10 +22,13 @@ the bound is at least the exact product and at most 1 + 2 delta times it.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -33,7 +36,6 @@ import numpy as np
 from . import exact
 from .blocks import SHCombo, match_polynomial
 from .errors import ApproximationError, ConfigError, DomainError
-from .fraclap import GridFunction
 
 _CERT_GRID = 4096
 _INFLATION = 1.05
@@ -53,24 +55,89 @@ class Target:
         return (self.f, self.f1, self.f2)[order]
 
     @classmethod
-    def from_grid(cls, grid: GridFunction, name: str = "grid") -> "Target":
-        """Interpolated target from uniform samples.
+    def from_samples(cls, a: float, b: float, values, deriv1=None, deriv2=None,
+                     name: str = "grid") -> "Target":
+        """Interpolated target from n >= 3 uniform samples on [a, b].
 
-        When a first-derivative column is supplied it must agree with the
-        divided differences of the value column to within 1e-3 relative.
+        f, f1 and f2 interpolate the value, deriv1 and deriv2 columns
+        linearly at np.linspace(a, b, n) and are clamped to the end values
+        outside [a, b].  A missing derivative column is np.gradient
+        (edge_order=2) of the column below it; a supplied one must agree
+        with those divided differences to within 1e-3 (1 + max|column|).
         """
-        if grid.deriv1 is not None:
-            # edge_order=2 keeps the checker's own boundary error at h^2,
-            # so an exact derivative column is never falsely rejected
-            fd = np.gradient(grid.values, grid.xs, edge_order=2)
-            tol = 1e-3 * (1.0 + float(np.max(np.abs(grid.deriv1))))
-            worst = float(np.max(np.abs(grid.deriv1 - fd)))
-            if worst > tol:
-                raise ConfigError(
-                    f"grid deriv1 column disagrees with divided differences "
-                    f"of the values: max deviation {worst:.3e} > {tol:.3e}")
-        return cls(name, grid.as_function(), grid.derivative_function(1),
-                   grid.derivative_function(2))
+        if not (a < b) or not (np.isfinite(a) and np.isfinite(b)):
+            raise DomainError(f"invalid grid interval [{a}, {b}]")
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or values.size < 3:
+            raise DomainError("grid needs at least three samples")
+        if not np.all(np.isfinite(values)):
+            raise DomainError("grid values must be finite")
+        given = {}
+        for label, col in (("deriv1", deriv1), ("deriv2", deriv2)):
+            if col is not None:
+                col = np.asarray(col, dtype=float)
+                if col.shape != values.shape or not np.all(np.isfinite(col)):
+                    raise DomainError(f"{label} column must match the grid and be finite")
+                given[label] = col
+        xs = np.linspace(a, b, values.size)
+        cols = [values]
+        for label, below in (("deriv1", "the values"), ("deriv2", "deriv1")):
+            # edge_order=2 keeps the check's own boundary error at h^2 when
+            # the column below is exact; below a differenced deriv1 it is O(h)
+            fd = np.gradient(cols[-1], xs, edge_order=2)
+            col = given.get(label)
+            if col is None:
+                col = fd
+            else:
+                tol = 1e-3 * (1.0 + float(np.max(np.abs(col))))
+                worst = float(np.max(np.abs(col - fd)))
+                if worst > tol:
+                    raise ConfigError(
+                        f"grid {label} column disagrees with divided differences "
+                        f"of {below}: max deviation {worst:.3e} > {tol:.3e}")
+            cols.append(col)
+        return cls(name, *(_interpolant(xs, col) for col in cols))
+
+
+def _interpolant(xs: np.ndarray, col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Linear interpolant of col at xs, clamped to the end values outside."""
+    return lambda z: np.interp(np.asarray(z, dtype=float), xs, col)
+
+
+def _read_grid_csv(text: str) -> tuple:
+    """(a, b, values, deriv1, deriv2) from a grid CSV: a header x,value with
+    optional deriv1 and deriv2 columns, then at least three rows of uniformly
+    increasing x."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ConfigError("empty grid CSV") from None
+    allowed = (["x", "value"], ["x", "value", "deriv1"],
+               ["x", "value", "deriv1", "deriv2"])
+    if header not in allowed:
+        raise ConfigError(f"unexpected grid CSV header {header}")
+    rows = []
+    for line in reader:
+        if not line or (len(line) == 1 and not line[0].strip()):
+            continue
+        if len(line) != len(header):
+            raise ConfigError(f"ragged grid CSV row {line}")
+        try:
+            rows.append([float(v) for v in line])
+        except ValueError as exc:
+            raise ConfigError(f"non-numeric grid CSV entry in {line}") from exc
+    if len(rows) < 3:
+        raise ConfigError("grid CSV needs at least three rows")
+    data = np.array(rows)
+    xs = data[:, 0]
+    spaces = np.diff(xs)
+    ref = (xs[-1] - xs[0]) / (xs.size - 1)
+    if ref <= 0 or np.any(np.abs(spaces - ref) > 1e-8 * max(abs(ref), 1e-30)):
+        raise ConfigError("grid CSV abscissae must be uniformly increasing")
+    deriv1 = data[:, 2] if data.shape[1] >= 3 else None
+    deriv2 = data[:, 3] if data.shape[1] >= 4 else None
+    return float(xs[0]), float(xs[-1]), data[:, 1], deriv1, deriv2
 
 
 def _const_target(c: float) -> Target:
@@ -102,10 +169,10 @@ def target_from_spec(spec: str) -> Target:
     if spec.startswith("csv:"):
         path = spec.split(":", 1)[1]
         try:
-            grid = GridFunction.from_csv(path)
-        except OSError as exc:
+            text = Path(path).read_text(encoding="ascii")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read CSV target {path!r}: {exc}") from exc
-        return Target.from_grid(grid, name=f"csv:{path}")
+        return Target.from_samples(*_read_grid_csv(text), name=f"csv:{path}")
     raise ConfigError(f"unknown target {spec!r}")
 
 

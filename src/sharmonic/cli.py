@@ -69,6 +69,8 @@ class RunConfig:
             raise ConfigError(f"grid resolution must be >= 2, got {self.grid}")
         if not (np.isfinite(self.xmin) and np.isfinite(self.xmax)):
             raise ConfigError(f"xmin and xmax must be finite, got [{self.xmin}, {self.xmax}]")
+        if not np.isfinite(self.x):
+            raise ConfigError(f"x must be finite, got {self.x}")
         if not (self.xmin < self.xmax):
             raise ConfigError(f"need xmin < xmax, got [{self.xmin}, {self.xmax}]")
         if self.epsilon is not None and not (self.epsilon > 0):

@@ -30,12 +30,9 @@ Each route calls the operand twice per point: at x, then at all other nodes.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,123 +111,6 @@ class FracLapDetail:
     gamma_fit: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Uniformly sampled function on [a, b] with optional derivative columns."""
-
-    a: float
-    b: float
-    values: np.ndarray
-    deriv1: np.ndarray | None = None
-    deriv2: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (self.a < self.b) or not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise DomainError(f"invalid grid interval [{self.a}, {self.b}]")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 2:
-            raise DomainError("grid needs at least two samples")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("grid values must be finite")
-        object.__setattr__(self, "values", values)
-        for name in ("deriv1", "deriv2"):
-            col = getattr(self, name)
-            if col is not None:
-                col = np.asarray(col, dtype=float)
-                if col.shape != values.shape or not np.all(np.isfinite(col)):
-                    raise DomainError(f"{name} column must match the grid and be finite")
-                object.__setattr__(self, name, col)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.values.size)
-
-    def as_function(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Linear interpolant, clamped to the boundary values outside [a, b]."""
-        xs = self.xs
-        vals = self.values
-
-        def f(z):
-            return np.interp(np.asarray(z, dtype=float), xs, vals)
-
-        return f
-
-    def derivative_function(self, order: int) -> Callable[[np.ndarray], np.ndarray]:
-        if order == 0:
-            return self.as_function()
-        xs = self.xs
-        if order == 1:
-            col = (self.deriv1 if self.deriv1 is not None
-                   else np.gradient(self.values, xs, edge_order=2))
-        elif order == 2:
-            base = (self.deriv1 if self.deriv1 is not None
-                    else np.gradient(self.values, xs, edge_order=2))
-            col = (self.deriv2 if self.deriv2 is not None
-                   else np.gradient(base, xs, edge_order=2))
-        else:
-            raise DomainError(f"grid derivatives available up to order 2, got {order}")
-
-        def f(z):
-            return np.interp(np.asarray(z, dtype=float), xs, col)
-
-        return f
-
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text(), encoding="ascii")
-
-    def to_csv_text(self) -> str:
-        cols = ["x", "value"]
-        arrays = [self.xs, self.values]
-        if self.deriv1 is not None:
-            cols.append("deriv1")
-            arrays.append(self.deriv1)
-            if self.deriv2 is not None:
-                cols.append("deriv2")
-                arrays.append(self.deriv2)
-        out = io.StringIO()
-        out.write(",".join(cols) + "\n")
-        for row in zip(*arrays):
-            out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "GridFunction":
-        return cls.from_csv_text(Path(path).read_text(encoding="ascii"))
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "GridFunction":
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ConfigError("empty grid CSV") from None
-        allowed = (["x", "value"], ["x", "value", "deriv1"],
-                   ["x", "value", "deriv1", "deriv2"])
-        if header not in allowed:
-            raise ConfigError(f"unexpected grid CSV header {header}")
-        rows = []
-        for line in reader:
-            if not line or (len(line) == 1 and not line[0].strip()):
-                continue
-            if len(line) != len(header):
-                raise ConfigError(f"ragged grid CSV row {line}")
-            try:
-                rows.append([float(v) for v in line])
-            except ValueError as exc:
-                raise ConfigError(f"non-numeric grid CSV entry in {line}") from exc
-        if len(rows) < 2:
-            raise ConfigError("grid CSV needs at least two rows")
-        data = np.array(rows)
-        xs = data[:, 0]
-        spaces = np.diff(xs)
-        ref = (xs[-1] - xs[0]) / (xs.size - 1)
-        if ref <= 0 or np.any(np.abs(spaces - ref) > 1e-8 * max(abs(ref), 1e-30)):
-            raise ConfigError("grid CSV abscissae must be uniformly increasing")
-        deriv1 = data[:, 2] if data.shape[1] >= 3 else None
-        deriv2 = data[:, 3] if data.shape[1] >= 4 else None
-        return cls(float(xs[0]), float(xs[-1]), data[:, 1], deriv1, deriv2)
-
-
 # ---------------------------------------------------------------------------
 # input normalization
 
@@ -248,8 +128,6 @@ def _as_function(u, operator: bool = False
                 "field cannot treat it; bound its residual with exact.combo_residual")
         return (lambda z: combo_derivative(u, np.asarray(z, dtype=float), 0),
                 u.kinks, u)
-    if isinstance(u, GridFunction):
-        return u.as_function(), (), None
     if callable(u):
         probe = np.array([0.0, 0.5])
         try:

@@ -1,6 +1,8 @@
-"""Shared test helpers: finite-difference oracles."""
+"""Shared test helpers: finite-difference oracles and a grid CSV writer."""
 
 from __future__ import annotations
+
+import numpy as np
 
 # central difference stencils of second-order accuracy, by derivative order
 _STENCILS = {
@@ -32,3 +34,13 @@ def richardson_derivative(f, x: float, order: int, h: float = 1e-2,
         table = [(factor * table[i + 1] - table[i]) / (factor - 1.0)
                  for i in range(len(table) - 1)]
     return table[0]
+
+
+def write_grid_csv(path, a: float, b: float, *columns) -> None:
+    """Write value[, deriv1[, deriv2]] at np.linspace(a, b, n) in the csv:
+    target format, each number exact to the last bit."""
+    names = ["x", "value", "deriv1", "deriv2"][:len(columns) + 1]
+    xs = np.linspace(a, b, len(columns[0]))
+    rows = [",".join(names)] + [",".join(repr(float(v)) for v in row)
+                                for row in zip(xs, *columns)]
+    path.write_text("\n".join(rows) + "\n", encoding="ascii")

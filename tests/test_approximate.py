@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
 import sharmonic as sh
+from conftest import write_grid_csv
 from sharmonic.approximate import _CERT_GRID, ChebPoly, Target
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
-from sharmonic.fraclap import GridFunction
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,9 +463,16 @@ def test_target_from_spec_parses_all_forms(tmp_path):
 
     xs = np.linspace(-1.0, 1.0, 201)
     path = tmp_path / "target.csv"
-    GridFunction(-1.0, 1.0, np.sin(xs)).to_csv(path)
+    write_grid_csv(path, -1.0, 1.0, np.sin(xs))
     t = sh.target_from_spec(f"csv:{path}")
+    assert t.name == f"csv:{path}"
     assert float(t.f(np.array([0.25]))[0]) == pytest.approx(np.sin(0.25), abs=1e-4)
+    # every column is read back bit for bit at the nodes
+    columns = (np.sin(xs), np.cos(xs), -np.sin(xs))
+    write_grid_csv(path, -1.0, 1.0, *columns)
+    t = sh.target_from_spec(f"csv:{path}")
+    for m, col in enumerate(columns):
+        assert np.array_equal(t.derivative(m)(xs), col)
 
 
 def test_target_from_spec_errors():
@@ -481,9 +488,41 @@ def test_target_from_spec_errors():
 
 def test_target_from_grid_checks_derivative_consistency():
     xs = np.linspace(-1.0, 1.0, 401)
-    good = GridFunction(-1.0, 1.0, np.sin(xs), np.cos(xs))
-    target = Target.from_grid(good)
+    target = Target.from_samples(-1.0, 1.0, np.sin(xs), np.cos(xs))
     assert float(target.f1(np.array([0.3]))[0]) == pytest.approx(np.cos(0.3), abs=1e-3)
-    bad = GridFunction(-1.0, 1.0, np.sin(xs), 5.0 * np.cos(xs))
     with pytest.raises(ConfigError, match="deriv1"):
-        Target.from_grid(bad)
+        Target.from_samples(-1.0, 1.0, np.sin(xs), 5.0 * np.cos(xs))
+    # deriv2 is checked against the divided differences of the deriv1 in
+    # use, supplied or not
+    Target.from_samples(-1.0, 1.0, np.sin(xs), np.cos(xs), -np.sin(xs))
+    with pytest.raises(ConfigError, match="grid deriv2 column disagrees"):
+        Target.from_samples(-1.0, 1.0, np.sin(xs), np.cos(xs), -5.0 * np.sin(xs))
+    with pytest.raises(ConfigError, match="grid deriv2 column disagrees"):
+        Target.from_samples(-1.0, 1.0, np.sin(xs), deriv2=np.cos(xs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_from_samples_interpolates_the_columns_in_use(data):
+    n = data.draw(st.integers(3, 40))
+    a = data.draw(st.floats(-10.0, 10.0))
+    b = a + data.draw(st.floats(1e-3, 20.0))
+    xs = np.linspace(a, b, n)
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
+    values = 1e3 * data.draw(unit)
+    supplied = data.draw(st.sampled_from([(), ("deriv1",), ("deriv2",), ("deriv1", "deriv2")]))
+    # a supplied column is the divided differences of the column below it,
+    # moved by at most 1e-4 (1 + max|differences|): inside the 1e-3 rule
+    cols, given_cols = [values], {}
+    for label in ("deriv1", "deriv2"):
+        fd = np.gradient(cols[-1], xs, edge_order=2)
+        if label in supplied:
+            fd = fd + 1e-4 * (1.0 + np.max(np.abs(fd))) * data.draw(unit)
+            given_cols[label] = fd
+        cols.append(fd)
+    target = Target.from_samples(a, b, values, **given_cols)
+    z = np.array(data.draw(st.lists(st.floats(a - (b - a), b + (b - a)), max_size=20)))
+    for m, col in enumerate(cols):
+        f = target.derivative(m)
+        assert np.array_equal(f(xs), col)
+        assert np.array_equal(f(z), np.interp(z, xs, col))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sharmonic as sh
+from conftest import write_grid_csv
 from sharmonic.cli import main
 
 
@@ -97,10 +98,33 @@ def test_fraclap_csv_with_inconsistent_deriv1_exits_2(tmp_path, capsys):
     # deriv1 column that disagrees with the values is refused here too
     xs = np.linspace(-2.0, 2.0, 401)
     path = tmp_path / "bad.csv"
-    sh.GridFunction(-2.0, 2.0, np.exp(-xs**2), 5.0 * np.cos(xs)).to_csv(path)
+    write_grid_csv(path, -2.0, 2.0, np.exp(-xs**2), 5.0 * np.cos(xs))
     rc = main(["fraclap", "--target", f"csv:{path}", "--grid", "3"])
     assert rc == 2
     assert "deriv1" in capsys.readouterr().err
+
+
+def test_approximate_csv_with_inconsistent_deriv2_exits_2(tmp_path, capsys):
+    # deriv2 is checked against the divided differences of deriv1, so a
+    # column five times too large is refused as input, not left to fail
+    # the degree search (exit 4)
+    xs = np.linspace(-2.0, 2.0, 401)
+    g = np.exp(-xs**2)
+    path = tmp_path / "bad2.csv"
+    write_grid_csv(path, -2.0, 2.0, g, -2.0 * xs * g, 5.0 * (4.0 * xs**2 - 2.0) * g)
+    rc = main(["approximate", "--target", f"csv:{path}", "--epsilon", "1e-2"])
+    assert rc == 2
+    assert "deriv2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"x,value\n0,1\n1,2\n", "at least three rows"),
+    (b"x,value\n0,1\n0.5,\xff\n1,2\n", "cannot read CSV target")])
+def test_unreadable_csv_target_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(content)
+    assert main(["approximate", "--target", f"csv:{path}"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_fraclap_rejects_growing_target(capsys):
@@ -344,7 +368,8 @@ def test_config_file_non_integer_value_exits_2(tmp_path, capsys):
      "tail_growth must be finite"),
     # below the degree floor no degree would be tried at all
     (["approximate", "--target", "x2", "--degree-cap", "2"],
-     "degree cap 2 lies outside the supported range 3..30")])
+     "degree cap 2 lies outside the supported range 3..30"),
+    (["demo", "meanvalue", "--x", "nan"], "x must be finite")])
 def test_nonfinite_or_out_of_range_option_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out-csv", str(out)]) == 2

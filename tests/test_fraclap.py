@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import sharmonic as sh
 from sharmonic import fraclap
+from sharmonic.approximate import Target, _read_grid_csv
 from sharmonic.blocks import combo_derivative
 from sharmonic.cli import main
 from sharmonic.errors import ConfigError, DomainError, EvaluationError
-from sharmonic.fraclap import FracLapDetail, FracParams, GridFunction, QuadConfig
+from sharmonic.fraclap import FracLapDetail, FracParams, QuadConfig
 
 
 def gaussian(z):
@@ -170,7 +171,7 @@ def test_mean_value_rejects_bad_radius():
 
 def _sample_grid():
     xs = np.linspace(-8.0, 8.0, 4001)
-    return GridFunction(-8.0, 8.0, np.exp(-xs**2))
+    return Target.from_samples(-8.0, 8.0, np.exp(-xs**2)).f
 
 
 def test_grid_function_operand_matches_callable():
@@ -182,46 +183,33 @@ def test_grid_function_operand_matches_callable():
     assert got == pytest.approx(want, rel=1e-2)
 
 
-def test_grid_csv_round_trip_is_byte_stable(tmp_path):
-    xs = np.linspace(-1.0, 1.0, 33)
-    g = GridFunction(-1.0, 1.0, np.sin(xs), np.cos(xs), -np.sin(xs))
-    path = tmp_path / "grid.csv"
-    g.to_csv(path)
-    first = path.read_bytes()
-    back = GridFunction.from_csv(path)
-    assert np.array_equal(back.values, g.values)
-    assert np.array_equal(back.deriv1, g.deriv1)
-    assert np.array_equal(back.deriv2, g.deriv2)
-    back.to_csv(path)
-    assert path.read_bytes() == first
-
-
 def test_grid_csv_rejects_malformed_input():
     with pytest.raises(ConfigError):
-        GridFunction.from_csv_text("")
+        _read_grid_csv("")
     with pytest.raises(ConfigError):
-        GridFunction.from_csv_text("a,b\n0,1\n1,2\n")
+        _read_grid_csv("a,b\n0,1\n1,2\n")
     with pytest.raises(ConfigError):
-        GridFunction.from_csv_text("x,value\n0,1\n1\n")
+        _read_grid_csv("x,value\n0,1\n1\n")
     with pytest.raises(ConfigError):
-        GridFunction.from_csv_text("x,value\n0,1\n1,notanumber\n")
+        _read_grid_csv("x,value\n0,1\n1,notanumber\n")
     with pytest.raises(ConfigError):
-        GridFunction.from_csv_text("x,value\n0,1\n")
+        _read_grid_csv("x,value\n0,1\n")
     with pytest.raises(ConfigError):
-        GridFunction.from_csv_text("x,value\n0,1\n0.5,2\n2,3\n")
+        _read_grid_csv("x,value\n0,1\n0.5,2\n2,3\n")
 
 
 def test_grid_function_validation():
     with pytest.raises(DomainError):
-        GridFunction(1.0, 0.0, np.array([0.0, 1.0]))
+        Target.from_samples(1.0, 0.0, np.array([0.0, 1.0, 2.0]))
     with pytest.raises(DomainError):
-        GridFunction(0.0, 1.0, np.array([0.0]))
+        Target.from_samples(0.0, 1.0, np.array([0.0]))
+    # a second derivative needs three samples
+    with pytest.raises(DomainError, match="three samples"):
+        Target.from_samples(0.0, 1.0, np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
-        GridFunction(0.0, 1.0, np.array([0.0, np.nan]))
+        Target.from_samples(0.0, 1.0, np.array([0.0, np.nan, 1.0]))
     with pytest.raises(DomainError):
-        GridFunction(0.0, 1.0, np.array([0.0, 1.0]), deriv1=np.array([1.0]))
-    with pytest.raises(DomainError):
-        _sample_grid().derivative_function(3)
+        Target.from_samples(0.0, 1.0, np.array([0.0, 1.0, 2.0]), deriv1=np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +431,7 @@ def cosmix(z):
     return np.cos(z) + 0.5 * np.sin(3.0 * np.asarray(z, dtype=float))
 
 
-_GRID = GridFunction(-8.0, 8.0, np.exp(-np.linspace(-8.0, 8.0, 401) ** 2))
+_GRID = Target.from_samples(-8.0, 8.0, np.exp(-np.linspace(-8.0, 8.0, 401) ** 2)).f
 
 
 @settings(max_examples=60, deadline=None)
