@@ -13,16 +13,13 @@ Everything is deterministic: no randomness, reproducible artifacts.
 from .approximate import (ApproxReport, BuildInfo, ChebPoly, Target,
                           approximate, build_sharmonic, cheb_fit,
                           default_nodes, target_from_spec)
-from .blocks import (SHBlock, SHCombo, block_derivative_at_zero, combo_add,
-                     combo_derivative, combo_eval, combo_from_json,
-                     combo_scale, combo_to_json, match_polynomial)
-from .demos import (HarnackWitness, LogisticWitness, OffsetCombo,
-                    harnack_counterexample, logistic_resource_plan,
-                    mean_value_table)
+from .blocks import (SHBlock, SHCombo, combo_derivative, combo_eval,
+                     combo_from_json, combo_to_json, match_polynomial)
+from .demos import (HarnackWitness, LogisticWitness, harnack_counterexample,
+                    logistic_resource_plan, mean_value_table)
 from .errors import (ApproximationError, ConfigError, DomainError,
                      EvaluationError, SharmonicError)
-from .exact import (canonical_constant, canonical_constant_closed_form,
-                    combo_residual, power_block_reference)
+from .exact import canonical_constant, combo_residual
 from .fraclap import (FracLapDetail, FracParams, QuadConfig, frac_laplacian,
                       frac_laplacian_detailed, frac_laplacian_pv,
                       mean_value_ball, mean_value_sphere)
@@ -33,15 +30,14 @@ __all__ = [
     "ApproxReport", "ApproximationError", "BuildInfo", "ChebPoly",
     "ConfigError", "DomainError", "EvaluationError",
     "FracLapDetail", "FracParams",
-    "HarnackWitness", "LogisticWitness", "OffsetCombo",
+    "HarnackWitness", "LogisticWitness",
     "QuadConfig", "SHBlock", "SHCombo", "SharmonicError", "Target",
-    "approximate", "block_derivative_at_zero",
-    "build_sharmonic", "canonical_constant", "canonical_constant_closed_form",
-    "cheb_fit", "combo_add", "combo_derivative", "combo_eval",
-    "combo_from_json", "combo_residual", "combo_scale", "combo_to_json",
+    "approximate", "build_sharmonic", "canonical_constant",
+    "cheb_fit", "combo_derivative", "combo_eval",
+    "combo_from_json", "combo_residual", "combo_to_json",
     "default_nodes", "frac_laplacian", "frac_laplacian_detailed",
     "frac_laplacian_pv", "harnack_counterexample", "logistic_resource_plan",
     "match_polynomial", "mean_value_ball", "mean_value_sphere",
-    "mean_value_table", "power_block_reference", "target_from_spec",
+    "mean_value_table", "target_from_spec",
     "__version__",
 ]

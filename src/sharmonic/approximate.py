@@ -133,8 +133,9 @@ def _read_grid_csv(text: str) -> tuple:
     xs = data[:, 0]
     spaces = np.diff(xs)
     ref = (xs[-1] - xs[0]) / (xs.size - 1)
-    if ref <= 0 or np.any(np.abs(spaces - ref) > 1e-8 * max(abs(ref), 1e-30)):
-        raise ConfigError("grid CSV abscissae must be uniformly increasing")
+    # stated positively, so that a NaN anywhere fails it
+    if not (ref > 0 and np.all(np.abs(spaces - ref) <= 1e-8 * max(ref, 1e-30))):
+        raise ConfigError("grid CSV abscissae must be finite and uniformly increasing")
     deriv1 = data[:, 2] if data.shape[1] >= 3 else None
     deriv2 = data[:, 3] if data.shape[1] >= 4 else None
     return float(xs[0]), float(xs[-1]), data[:, 1], deriv1, deriv2

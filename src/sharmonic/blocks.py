@@ -33,7 +33,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,26 +48,6 @@ from .errors import ApproximationError, DomainError
 _EPS64 = 2.0**-52
 _SERIES_CAP = 128  # most terms a derived group series keeps
 _GUARD_BITS = 64  # working bits past the longest stored mantissa
-
-
-def falling_factorial(s: float, order: int) -> float:
-    """Product s*(s-1)*...*(s-order+1); equals 1 for order 0."""
-    out = 1.0
-    for l in range(order):
-        out *= s - l
-    return out
-
-
-def block_derivative_at_zero(t: float, j: int, s: float) -> float:
-    """j-th derivative of x -> (x + t)_+^s at x = 0, for t > 0.
-
-    Closed form: s*(s-1)*...*(s-j+1) * t**(s-j).
-    """
-    if t <= 0:
-        raise DomainError(f"block offset must be positive, got t={t}")
-    if j < 0:
-        raise DomainError(f"derivative order must be nonnegative, got {j}")
-    return falling_factorial(s, j) * t ** (s - j)
 
 
 def _finite(value) -> bool:
@@ -319,25 +299,6 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
 def combo_eval(combo: SHCombo, x):
     """Value of the combination at scalar or array x."""
     return combo_derivative(combo, x, 0)
-
-
-def combo_add(a: SHCombo, b: SHCombo) -> SHCombo:
-    """Sum of two combinations with identical exponent and interval."""
-    if a.s != b.s:
-        raise DomainError(f"cannot add combinations with different exponents {a.s} and {b.s}")
-    if a.interval != b.interval:
-        raise DomainError("cannot add combinations with different working intervals")
-    return SHCombo(a.s, a.blocks + b.blocks, a.interval)
-
-
-def combo_scale(combo: SHCombo, alpha: float) -> SHCombo:
-    """Pointwise scaling by a float factor; extended precision coefficients
-    are multiplied exactly, so the derived series keeps all their digits."""
-    if not np.isfinite(alpha):
-        raise DomainError("scale factor must be finite")
-    with workprec(_mantissa_bits(combo.blocks) + 53):
-        blocks = tuple(replace(b, c=b.c * alpha) for b in combo.blocks)
-    return SHCombo(combo.s, blocks, combo.interval)
 
 
 # ---------------------------------------------------------------------------

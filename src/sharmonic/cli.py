@@ -92,8 +92,8 @@ def _load_config_file(path: str) -> dict:
     """Flat key=value file; blank lines and '#' comments are skipped."""
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -144,11 +144,19 @@ def _fmt(v: float) -> str:
     return "%.17g" % float(v)
 
 
+def _write_text(path: str, text: str) -> None:
+    """The one artifact writer; an unwritable path is a configuration error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}; check that its directory exists") from exc
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _json_text(obj) -> str:
@@ -156,7 +164,7 @@ def _json_text(obj) -> str:
 
 
 def _write_json(path: str, obj) -> None:
-    Path(path).write_text(_json_text(obj))
+    _write_text(path, _json_text(obj))
 
 
 def _write_report_with_combo(path: str, report_obj: dict, combo: SHCombo) -> None:
@@ -173,7 +181,7 @@ def _write_report_with_combo(path: str, report_obj: dict, combo: SHCombo) -> Non
     text = ('{\n  "combo": ' + combo_indented.lstrip() + ',\n'
             '  "report": ' + report_indented.lstrip() + "\n}\n")
     json.loads(text)  # fail fast if the splice ever breaks
-    Path(path).write_text(text)
+    _write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +223,10 @@ def cmd_fraclap(cfg: RunConfig) -> int:
     rows = []
     for x, ux in zip(xs, uvals):
         if cfg.method == "pv":
-            value = frac_laplacian_pv(operand, float(x), params, qc)
-            halfwidth = float("nan")
-            detail_rows = [float(x), float(ux), value]
+            rows.append([float(x), float(ux), frac_laplacian_pv(operand, float(x), params, qc)])
         else:
             detail = frac_laplacian_detailed(operand, float(x), params, qc)
-            value = detail.value
-            halfwidth = detail.tail_halfwidth
-            detail_rows = [float(x), float(ux), value, halfwidth]
-        rows.append(detail_rows)
+            rows.append([float(x), float(ux), detail.value, detail.tail_halfwidth])
 
     header = ["x", "value", "fraclap_value"]
     if cfg.method == "direct":
@@ -288,13 +291,13 @@ def _demo_harnack(cfg: RunConfig) -> int:
     w = harnack_counterexample(cfg.s, eps)
     if cfg.out_csv:
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
-        _write_csv(cfg.out_csv, ["x", "u"],
-                   [[float(a), float(b)] for a, b in zip(xs, w.u(xs))])
+        uvals = combo_eval(w.u, xs) - w.iota
+        _write_csv(cfg.out_csv, ["x", "u"], [[float(a), float(b)] for a, b in zip(xs, uvals)])
     payload = _witness_payload(
         w, "demo harnack", max_residual=w.report.max_residual,
         harnack_ratio=w.sup_inner / w.inf_inner if w.inf_inner > 0 else None)
     if cfg.out_json:
-        _write_report_with_combo(cfg.out_json, payload, w.u.combo)
+        _write_report_with_combo(cfg.out_json, payload, w.u)
     print(f"demo harnack s={_fmt(w.s)} inf_inner={_fmt(w.inf_inner)} "
           f"sup_inner={_fmt(w.sup_inner)} value_origin={_fmt(w.value_origin)} "
           f"boundary_level={_fmt(w.boundary_level)} "

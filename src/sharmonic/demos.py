@@ -2,8 +2,8 @@
 
 Two headline constructions:
 
-* a bounded function, equal to an approximant of x^2 minus its interior
-  minimum, that solves the fractional Laplace equation on the unit ball,
+* a bounded function u - iota, an approximant u of x^2 minus the level
+  iota just below its interior minimum, that solves the fractional Laplace equation on the unit ball,
   is nonnegative at every sampled point there, yet has interior infimum
   zero while staying above a fixed positive level on the outer half of
   the ball - the classical Harnack inequality cannot survive for
@@ -41,29 +41,14 @@ _NEWTON_STEPS = 32  # from an error below 1/7, (2/7)^32 / 7 < 1e-18
 
 
 @dataclass(frozen=True)
-class OffsetCombo:
-    """A block combination shifted by a constant: x -> combo(x) - offset.
+class HarnackWitness:
+    """Data for the failure of the global Harnack inequality.
 
-    Constants are annihilated by the operator, so the shift preserves the
-    equation on the smooth region while adjusting the function's range.
+    The witness function is u - iota: the combination u shifted down by the
+    constant iota, which the operator annihilates.
     """
 
-    combo: SHCombo
-    offset: float
-
-    def __call__(self, x):
-        return combo_eval(self.combo, x) - self.offset
-
-    def derivative(self, x, order: int):
-        out = combo_derivative(self.combo, x, order)
-        return out - self.offset if order == 0 else out
-
-
-@dataclass(frozen=True)
-class HarnackWitness:
-    """Data for the failure of the global Harnack inequality."""
-
-    u: OffsetCombo
+    u: SHCombo
     s: float
     epsilon: float
     iota: float
@@ -131,7 +116,7 @@ def harnack_counterexample(s: float, eps: float = 1.0 / 16.0) -> HarnackWitness:
     inner = np.abs(fresh) <= 0.5
     outer = ~inner
     return HarnackWitness(
-        u=OffsetCombo(combo, iota), s=s, epsilon=eps, iota=iota, argmin=argmin,
+        u=combo, s=s, epsilon=eps, iota=iota, argmin=argmin,
         inf_inner=vmin - iota,
         sup_inner=float(np.max(uvals[inner])),
         inf_outer=float(np.min(uvals[outer])),

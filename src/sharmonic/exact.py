@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 import mpmath
-from mpmath import iv, mpf, workdps, workprec
+from mpmath import iv, mpf, workprec
 
 from .blocks import SHCombo
 from .errors import DomainError
@@ -200,38 +200,6 @@ def canonical_constant(p: float, s: float, dps: int) -> tuple[mpf, mpf]:
         result = mpmath.ldexp(mpf(value), -w), mpmath.ldexp(mpf(err + tails), -w)
     _phi_cache[key] = result
     return result
-
-
-def canonical_constant_closed_form(p: float, s: float, dps: int = 40) -> mpf:
-    """Independent closed form of Phi(p, s) from the Mellin continuation:
-
-        Phi = -Gamma(-2s) * [Gamma(2s-p)/Gamma(-p) + Gamma(1+p)/Gamma(1+p-2s)]
-
-    Valid away from the numerator poles (-2s or 2s-p a nonpositive integer;
-    1/Gamma vanishes at the denominator's); a cross-check oracle only.
-    """
-    with workdps(dps):
-        pm = mpf(p)
-        sm = mpf(s)
-        for pole in (-2 * sm, 2 * sm - pm):
-            if mpmath.isint(pole) and pole <= 0:
-                raise DomainError(f"closed form hits a Gamma pole at parameter {float(pole)}")
-        bracket = mpmath.gamma(2 * sm - pm) * mpmath.rgamma(-pm) \
-            + mpmath.gamma(1 + pm) * mpmath.rgamma(1 + pm - 2 * sm)
-        return -mpmath.gamma(-2 * sm) * bracket
-
-
-def power_block_reference(t: float, p: float, s: float, x: float, dps: int = 40) -> float:
-    """Reference value of the operator applied to (z + t)_+^p at x > -t.
-
-    Exact reduction Phi(p, s) * (x + t)^(p - 2s); nonzero whenever p != s.
-    Serves as an independent oracle for the float64 quadrature engine.
-    """
-    if x + t <= 0:
-        raise DomainError(f"point {x} is outside the smooth region of the block")
-    phi, _ = canonical_constant(p, s, dps)
-    with workdps(dps + 10):
-        return float(phi * (mpf(x) + mpf(t)) ** (mpf(p) - 2 * mpf(s)))
 
 
 # ---------------------------------------------------------------------------

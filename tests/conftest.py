@@ -1,8 +1,14 @@
-"""Shared test helpers: finite-difference oracles and a grid CSV writer."""
+"""Shared test helpers: finite-difference oracles, closed-form oracles for
+blocks and the canonical constant, and a grid CSV writer."""
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
+from mpmath import mpf, workdps
+
+from sharmonic.errors import DomainError
+from sharmonic.exact import canonical_constant
 
 # central difference stencils of second-order accuracy, by derivative order
 _STENCILS = {
@@ -34,6 +40,58 @@ def richardson_derivative(f, x: float, order: int, h: float = 1e-2,
         table = [(factor * table[i + 1] - table[i]) / (factor - 1.0)
                  for i in range(len(table) - 1)]
     return table[0]
+
+
+def falling_factorial(s: float, order: int) -> float:
+    """Product s*(s-1)*...*(s-order+1); equals 1 for order 0."""
+    out = 1.0
+    for l in range(order):
+        out *= s - l
+    return out
+
+
+def block_derivative_at_zero(t: float, j: int, s: float) -> float:
+    """j-th derivative of x -> (x + t)_+^s at x = 0, for t > 0.
+
+    Closed form: s*(s-1)*...*(s-j+1) * t**(s-j).
+    """
+    if t <= 0:
+        raise DomainError(f"block offset must be positive, got t={t}")
+    if j < 0:
+        raise DomainError(f"derivative order must be nonnegative, got {j}")
+    return falling_factorial(s, j) * t ** (s - j)
+
+
+def canonical_constant_closed_form(p: float, s: float, dps: int = 40) -> mpf:
+    """Independent closed form of Phi(p, s) from the Mellin continuation:
+
+        Phi = -Gamma(-2s) * [Gamma(2s-p)/Gamma(-p) + Gamma(1+p)/Gamma(1+p-2s)]
+
+    Valid away from the numerator poles (-2s or 2s-p a nonpositive integer;
+    1/Gamma vanishes at the denominator's); a cross-check oracle only.
+    """
+    with workdps(dps):
+        pm = mpf(p)
+        sm = mpf(s)
+        for pole in (-2 * sm, 2 * sm - pm):
+            if mpmath.isint(pole) and pole <= 0:
+                raise DomainError(f"closed form hits a Gamma pole at parameter {float(pole)}")
+        bracket = mpmath.gamma(2 * sm - pm) * mpmath.rgamma(-pm) \
+            + mpmath.gamma(1 + pm) * mpmath.rgamma(1 + pm - 2 * sm)
+        return -mpmath.gamma(-2 * sm) * bracket
+
+
+def power_block_reference(t: float, p: float, s: float, x: float, dps: int = 40) -> float:
+    """Reference value of the operator applied to (z + t)_+^p at x > -t.
+
+    Exact reduction Phi(p, s) * (x + t)^(p - 2s); nonzero whenever p != s.
+    Serves as an independent oracle for the float64 quadrature engine.
+    """
+    if x + t <= 0:
+        raise DomainError(f"point {x} is outside the smooth region of the block")
+    phi, _ = canonical_constant(p, s, dps)
+    with workdps(dps + 10):
+        return float(phi * (mpf(x) + mpf(t)) ** (mpf(p) - 2 * mpf(s)))
 
 
 def write_grid_csv(path, a: float, b: float, *columns) -> None:

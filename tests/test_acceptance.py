@@ -8,11 +8,11 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from conftest import richardson_derivative
+from conftest import block_derivative_at_zero, falling_factorial, richardson_derivative
 
 import sharmonic as sh
 from sharmonic.approximate import target_from_spec
-from sharmonic.blocks import _vandermonde_inverse, falling_factorial
+from sharmonic.blocks import _vandermonde_inverse
 from sharmonic.cli import main as cli_main
 from sharmonic.fraclap import FracParams
 
@@ -99,7 +99,7 @@ def test_block_derivatives_match_finite_differences():
             for j in range(5):
                 f = lambda z: (z + t) ** s
                 want = richardson_derivative(f, 0.0, j, h=(0.02 + 0.03 * j) * t)
-                got = sh.block_derivative_at_zero(t, j, s)
+                got = block_derivative_at_zero(t, j, s)
                 rel = abs(got - want) / abs(want)
                 worst = max(worst, rel)
                 ok &= rel <= 1e-5
@@ -128,7 +128,7 @@ def test_derivative_matching_solve_and_structure():
 
         # after scaling row i by 1/fall(s, i) and column k by t_k^-s the
         # system is the Vandermonde matrix in 1/t, inverted exactly
-        scaled = np.array([[sh.block_derivative_at_zero(t, i, 0.5)
+        scaled = np.array([[block_derivative_at_zero(t, i, 0.5)
                             / falling_factorial(0.5, i) / t**0.5 for t in nodes]
                            for i in range(J + 1)])
         vander = np.vander(1.0 / nodes, J + 1, increasing=True).T

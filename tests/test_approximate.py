@@ -409,7 +409,7 @@ def test_tighter_budget_tightens_certificate():
 def test_pipeline_results_add_linearly():
     c1, _ = _approx("x2", 0.1)
     c2, _ = _approx("sin", 0.1)
-    both = sh.combo_add(c1, c2)
+    both = sh.SHCombo(c1.s, c1.blocks + c2.blocks)
     xs = np.linspace(-0.9, 0.9, 11)
     want = sh.combo_eval(c1, xs) + sh.combo_eval(c2, xs)
     got = sh.combo_eval(both, xs)

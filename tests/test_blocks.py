@@ -20,7 +20,7 @@ from sharmonic import _kernels, blocks
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
-from conftest import richardson_derivative
+from conftest import block_derivative_at_zero, falling_factorial, richardson_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ from conftest import richardson_derivative
 
 def test_block_derivative_hand_value():
     # s (s - 1) t^(s-2) at t=2, s=0.5: 0.5 * (-0.5) * 2^(-1.5)
-    got = sh.block_derivative_at_zero(2.0, 2, 0.5)
+    got = block_derivative_at_zero(2.0, 2, 0.5)
     assert got == pytest.approx(-0.08838834764831845, rel=1e-14)
 
 
@@ -41,7 +41,7 @@ def test_block_derivative_matches_finite_differences(s, t, j):
     # step grows with the order: deep extrapolation levels divide h by 16,
     # and roundoff scales like eps / h^j
     want = richardson_derivative(f, 0.0, j, h=(0.02 + 0.03 * j) * t)
-    got = sh.block_derivative_at_zero(t, j, s)
+    got = block_derivative_at_zero(t, j, s)
     assert got == pytest.approx(want, rel=1e-5)
     if j >= 1:
         # non-integrality of s keeps every derivative alive
@@ -50,17 +50,17 @@ def test_block_derivative_matches_finite_differences(s, t, j):
 
 def test_block_derivative_validation():
     with pytest.raises(DomainError):
-        sh.block_derivative_at_zero(0.0, 1, 0.5)
+        block_derivative_at_zero(0.0, 1, 0.5)
     with pytest.raises(DomainError):
-        sh.block_derivative_at_zero(-1.0, 1, 0.5)
+        block_derivative_at_zero(-1.0, 1, 0.5)
     with pytest.raises(DomainError):
-        sh.block_derivative_at_zero(2.0, -1, 0.5)
+        block_derivative_at_zero(2.0, -1, 0.5)
 
 
 def test_falling_factorial():
     s = 0.4
-    assert sh.blocks.falling_factorial(s, 0) == 1.0
-    assert sh.blocks.falling_factorial(s, 3) == pytest.approx(
+    assert falling_factorial(s, 0) == 1.0
+    assert falling_factorial(s, 3) == pytest.approx(
         s * (s - 1) * (s - 2), rel=1e-15)
 
 
@@ -94,8 +94,8 @@ def test_scaled_system_is_vandermonde():
     nodes = np.array([2.0, 2.25, 2.5, 2.75, 3.0])
     for i in range(nodes.size):
         for k, t in enumerate(nodes):
-            scaled = (sh.block_derivative_at_zero(t, i, 0.5)
-                      / sh.blocks.falling_factorial(0.5, i) / t**0.5)
+            scaled = (block_derivative_at_zero(t, i, 0.5)
+                      / falling_factorial(0.5, i) / t**0.5)
             assert scaled == pytest.approx(t**-i, rel=1e-14)
 
 
@@ -292,7 +292,7 @@ def test_unmatched_mp_combo_is_exact_to_the_radius():
 def test_pipeline_group_plus_float_block_is_exact():
     group, _ = sh.match_polynomial((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 1.0 / 32.0)
     extra = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
-    total = sh.combo_add(group, extra)
+    total = sh.SHCombo(group.s, group.blocks + extra.blocks)
     xs = np.linspace(-0.99, 0.99, 23)
     for order in range(3):
         want = sh.combo_derivative(group, xs, order) + sh.combo_derivative(extra, xs, order)
@@ -303,7 +303,7 @@ def test_pipeline_group_plus_float_block_is_exact():
 def test_readback_past_the_series_length():
     combo = sh.SHCombo(0.5, (sh.SHBlock(2.0, mpf(1)),))
     got = _readback(combo, 20)
-    want = [sh.block_derivative_at_zero(2.0, i, 0.5) for i in range(20)]
+    want = [block_derivative_at_zero(2.0, i, 0.5) for i in range(20)]
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
@@ -488,37 +488,6 @@ def test_bound_calls_per_group():
                     else:
                         assert len(calls) <= 10, (big_n, j, eps, len(calls))
     assert capped > 0
-
-
-# ---------------------------------------------------------------------------
-# algebra
-
-
-def test_combo_add_and_scale():
-    a = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
-    b = sh.SHCombo(0.5, (sh.SHBlock(3.0, -0.5),))
-    c = sh.combo_add(a, b)
-    xs = np.linspace(-1.0, 1.0, 9)
-    assert np.allclose(sh.combo_eval(c, xs),
-                       sh.combo_eval(a, xs) + sh.combo_eval(b, xs), rtol=1e-14)
-    d = sh.combo_scale(a, -2.0)
-    assert np.allclose(sh.combo_eval(d, xs), -2.0 * sh.combo_eval(a, xs),
-                       rtol=1e-14)
-    # extended precision coefficients keep every digit the derived series needs
-    group, _ = sh.match_polynomial((0.0, 0.0, 2.0, 0.0), sh.default_nodes(3), 0.5, 1.0 / 32.0)
-    e = sh.combo_scale(group, -3.0)
-    assert np.allclose(sh.combo_eval(e, xs), -3.0 * sh.combo_eval(group, xs),
-                       rtol=1e-14, atol=1e-14)
-
-
-def test_combo_add_rejects_mismatch():
-    a = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),))
-    b = sh.SHCombo(0.6, (sh.SHBlock(2.0, 1.0),))
-    with pytest.raises(DomainError):
-        sh.combo_add(a, b)
-    c = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),), interval=(0.0, 1.0))
-    with pytest.raises(DomainError):
-        sh.combo_add(a, c)
 
 
 # ---------------------------------------------------------------------------

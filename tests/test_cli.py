@@ -127,6 +127,21 @@ def test_unreadable_csv_target_exits_2(tmp_path, capsys, content, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [0, 20, 40])
+@pytest.mark.parametrize("argv", [["fraclap", "--grid", "3"],
+                                  ["approximate", "--epsilon", "0.1"]])
+def test_nan_abscissa_in_csv_target_exits_2(tmp_path, capsys, row, argv):
+    # NaN fails every comparison, so a spacing check that only looks for a
+    # bad gap would let it through and read the grid as linspace
+    xs = np.linspace(-2.0, 2.0, 41)
+    lines = ["x,value"] + [f"{float(x)!r},{float(np.exp(-x * x))!r}" for x in xs]
+    lines[row + 1] = "nan" + lines[row + 1][lines[row + 1].index(","):]
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    assert main([argv[0], "--target", f"csv:{path}"] + argv[1:]) == 2
+    assert "finite and uniformly increasing" in capsys.readouterr().err
+
+
 def test_fraclap_rejects_growing_target(capsys):
     rc = main(["fraclap", "--target", "x2", "--grid", "2"])
     assert rc == 2
@@ -199,6 +214,20 @@ def test_approximate_impossible_budget_exits_4_with_diagnostic(tmp_path, capsys)
     payload = json.loads(json_path.read_text())
     assert "error" in payload
     assert payload["target"] == "exp"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["approximate", "--target", "x2"], "--out-json"),
+    (["fraclap", "--target", "sin", "--grid", "3"], "--out-csv"),
+    # the diagnostics of a failed approximation are an artifact too
+    (["approximate", "--target", "exp", "--epsilon", "1e-8", "--degree-cap", "5"],
+     "--out-json")])
+def test_artifact_in_a_missing_directory_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "no_such_dir" / "out"
+    assert main(argv + [flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err
+    assert "check that its directory exists" in err
 
 
 def test_approximate_zero_target_emits_empty_block_list(tmp_path):
@@ -341,6 +370,15 @@ def test_config_file_missing_exits_2(capsys):
     rc = main(["fraclap", "--target", "sin", "--config", "/no/such.cfg"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# r\u00e9glages\ns=0.5\n".encode("latin-1"))
+    rc = main(["approximate", "--target", "x2", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and "latin1.cfg" in err
 
 
 def test_config_file_non_numeric_value_exits_2(tmp_path, capsys):

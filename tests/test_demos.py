@@ -43,7 +43,7 @@ def test_harnack_witness_is_nonnegative_on_ball(harnack_half):
     w = harnack_half
     assert w.nonneg_margin >= 0.0
     xs = np.linspace(-1.0, 1.0, 1001)[1:-1]
-    vals = w.u(xs)
+    vals = sh.combo_eval(w.u, xs) - w.iota
     assert np.all(vals >= 0.0)
     assert abs(w.iota) <= w.epsilon
 
@@ -62,7 +62,7 @@ def test_harnack_witness_goes_negative_outside(harnack_half):
     x, val = site
     assert val < 0.0
     assert abs(x) > 1.0
-    got = float(sh.combo_eval(harnack_half.u.combo, x)) - harnack_half.iota
+    got = float(sh.combo_eval(harnack_half.u, x)) - harnack_half.iota
     assert got == val
 
 
@@ -72,8 +72,8 @@ def test_harnack_argmin_is_the_grid_minimum(s, eps):
     # the Newton minimiser of the strictly convex approximant is at or
     # below every point of a dense grid of the inner half-ball
     w = sh.harnack_counterexample(s, eps)
-    vmin = sh.combo_eval(w.u.combo, w.argmin)
-    grid = sh.combo_eval(w.u.combo, np.linspace(-0.5, 0.5, 2001))
+    vmin = sh.combo_eval(w.u, w.argmin)
+    grid = sh.combo_eval(w.u, np.linspace(-0.5, 0.5, 2001))
     assert np.all(vmin <= grid)
     assert w.inf_inner == vmin - w.iota
 
@@ -89,18 +89,6 @@ def test_harnack_rejects_useless_tolerances():
     for eps in (0.0, 0.25, 0.5, -0.1):
         with pytest.raises(ConfigError):
             sh.harnack_counterexample(0.5, eps=eps)
-
-
-def test_offset_combo_shifts_only_order_zero(harnack_half):
-    u = harnack_half.u
-    xs = np.array([-0.4, 0.0, 0.3])
-    base = sh.combo_eval(u.combo, xs)
-    assert np.allclose(u(xs), base - u.offset, rtol=0, atol=0)
-    assert np.array_equal(u.derivative(xs, 0), base - u.offset)
-    assert np.array_equal(u.derivative(xs, 1),
-                          sh.combo_derivative(u.combo, xs, 1))
-    assert np.array_equal(u.derivative(xs, 2),
-                          sh.combo_derivative(u.combo, xs, 2))
 
 
 # ---------------------------------------------------------------------------

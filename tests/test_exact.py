@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mpf, workdps, workprec
 
 import sharmonic as sh
+from conftest import canonical_constant_closed_form, power_block_reference
 from sharmonic import exact
 from sharmonic.errors import DomainError
 
@@ -36,7 +37,7 @@ def test_canonical_constant_matches_gamma_closed_form(p, s):
     # [DERIVED] Mellin-continuation closed form computed by an entirely
     # separate code path (three Gamma evaluations, no quadrature)
     value, err = sh.canonical_constant(p, s, dps=40)
-    closed = sh.canonical_constant_closed_form(p, s, dps=50)
+    closed = canonical_constant_closed_form(p, s, dps=50)
     assert abs(value - closed) <= err + mpf("1e-38")
     # the reported error bound is honest but not absurdly loose
     assert err < 1e-30
@@ -76,7 +77,7 @@ def test_closed_form_through_denominator_poles(p, s, want):
     # 1 + p - 2s = 0 and -p = -1 are poles of denominator Gammas, where
     # 1/Gamma vanishes and the closed form stays valid
     value, err = sh.canonical_constant(p, s, dps=40)
-    closed = sh.canonical_constant_closed_form(p, s, dps=60)
+    closed = canonical_constant_closed_form(p, s, dps=60)
     assert abs(value - closed) <= err
     with workdps(60):
         assert abs(closed - want(mpf(s))) < mpf(10) ** -55
@@ -85,10 +86,10 @@ def test_closed_form_through_denominator_poles(p, s, want):
 def test_closed_form_reports_gamma_poles():
     # 2s integer: Gamma(-2s) pole
     with pytest.raises(DomainError):
-        sh.canonical_constant_closed_form(0.3, 0.5)
+        canonical_constant_closed_form(0.3, 0.5)
     # 2s - p a nonpositive integer: Gamma(2s - p) pole
     with pytest.raises(DomainError):
-        sh.canonical_constant_closed_form(1.5, 0.75)
+        canonical_constant_closed_form(1.5, 0.75)
 
 
 @settings(max_examples=30, deadline=None)
@@ -102,7 +103,7 @@ def test_canonical_constant_error_bound_is_honest(s, frac, dps):
     assert abs(zero) <= zero_err
     if s == 0.5:
         return  # Gamma(-2s) pole of the closed form, not of Phi
-    closed = sh.canonical_constant_closed_form(p, s, dps + 40)
+    closed = canonical_constant_closed_form(p, s, dps + 40)
     assert abs(value - closed) <= err
 
 
@@ -124,7 +125,7 @@ def test_canonical_constant_covers_its_rounding_at_few_guard_digits(monkeypatch,
     monkeypatch.setattr(exact, "_phi_cache", {})
     value, err = sh.canonical_constant(p, s, dps)
     assert err > mpf(10) ** -(dps + 9)
-    closed = sh.canonical_constant_closed_form(p, s, dps + 40)
+    closed = canonical_constant_closed_form(p, s, dps + 40)
     assert abs(value - closed) <= err
 
 
@@ -181,24 +182,24 @@ def test_power_block_reference_against_direct_quadrature():
         remainder = abs(pm * (pm - 1)) * tm ** (pm - 2) * cut ** (2 - 2 * sm) / (2 - 2 * sm)
         direct = float(inner + outer)
         assert float(remainder) < 1e-11
-    ref = sh.power_block_reference(t, p, s, 0.0)
+    ref = power_block_reference(t, p, s, 0.0)
     assert ref == pytest.approx(direct, rel=1e-10)
 
 
 def test_power_block_reference_point_dependence():
     # the reduction predicts a pure power law in the distance to the kink
     t, p, s = 1.5, 0.6, 0.45
-    r1 = sh.power_block_reference(t, p, s, 0.0)
-    r2 = sh.power_block_reference(t, p, s, 2.0)
+    r1 = power_block_reference(t, p, s, 0.0)
+    r2 = power_block_reference(t, p, s, 2.0)
     expected_ratio = ((2.0 + t) / t) ** (p - 2 * s)
     assert r2 / r1 == pytest.approx(expected_ratio, rel=1e-12)
 
 
 def test_power_block_reference_outside_smooth_region():
     with pytest.raises(DomainError):
-        sh.power_block_reference(1.0, 0.6, 0.45, -1.0)
+        power_block_reference(1.0, 0.6, 0.45, -1.0)
     with pytest.raises(DomainError):
-        sh.power_block_reference(1.0, 0.6, 0.45, -2.0)
+        power_block_reference(1.0, 0.6, 0.45, -2.0)
 
 
 # ---------------------------------------------------------------------------

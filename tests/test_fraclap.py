@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sharmonic as sh
+from conftest import power_block_reference
 from sharmonic import fraclap
 from sharmonic.approximate import Target, _read_grid_csv
 from sharmonic.blocks import combo_derivative
@@ -42,7 +43,7 @@ def test_power_block_against_exact_reduction():
 
     cfg = QuadConfig(tail_growth=p)
     for x in (0.0, 1.0):
-        want = sh.power_block_reference(t, p, s, x)
+        want = power_block_reference(t, p, s, x)
         got = sh.frac_laplacian(u, x, FracParams(s), cfg)
         assert got == pytest.approx(want, rel=1e-4)
 

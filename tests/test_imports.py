@@ -1,8 +1,10 @@
-"""Source hygiene: every import in the package and its tests is used,
-every private module-level helper of the package is read by the package,
-and every exported name resolves."""
+"""Source hygiene: every import in the package, its tests and its tools is
+used, every private module-level helper of the package is read by the
+package, and every exported name resolves and is read by the package or
+named in the README."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,18 @@ import sharmonic
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
-FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+FILES = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Names a module reads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
 
 
 def unused_imports(source: str) -> list[str]:
@@ -63,11 +76,7 @@ def unread_private_names(sources: list[str]) -> list[str]:
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     defined.setdefault(name, node.lineno)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= read_names(tree)
     return [f"{name} (line {line})" for name, line in sorted(defined.items())
             if name not in read]
 
@@ -89,3 +98,24 @@ def test_exports_resolve_once():
     # cleanly; only a star import would fail on it
     assert len(sharmonic.__all__) == len(set(sharmonic.__all__))
     assert [name for name in sharmonic.__all__ if not hasattr(sharmonic, name)] == []
+
+
+def unused_exports(exports: list[str], sources: list[str], readme: str) -> list[str]:
+    """Exported names, __version__ aside, that no package module other than
+    __init__ reads and that the README does not name."""
+    read = set().union(*(read_names(ast.parse(source)) for source in sources))
+    named = set(re.findall(r"\w+", readme))
+    return [name for name in exports
+            if name != "__version__" and name not in read and name not in named]
+
+
+def test_every_export_is_read_or_documented():
+    sources = [path.read_text() for path in SOURCES if path.name != "__init__.py"]
+    readme = (ROOT / "README.md").read_text()
+    assert unused_exports(sharmonic.__all__, sources, readme) == []
+
+
+def test_export_scan_sees_unread_names():
+    source = "def used():\n    pass\ndef orphan():\n    pass\nused()\n"
+    exports = ["used", "orphan", "documented", "__version__"]
+    assert unused_exports(exports, [source], "Call `documented` first.") == ["orphan"]
