@@ -1,14 +1,21 @@
 """Shared test helpers: finite-difference oracles, closed-form oracles for
-blocks and the canonical constant, and a grid CSV writer."""
+blocks and the canonical constant, the unscreened Chebyshev degree search,
+a grid CSV writer and the hypothesis profiles."""
 
 from __future__ import annotations
 
 import mpmath
 import numpy as np
+from hypothesis import settings
 from mpmath import mpf, workdps
 
-from sharmonic.errors import DomainError
+from sharmonic.approximate import _CERT_GRID, _DEGREE_FLOOR, _INFLATION, ChebPoly
+from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.exact import canonical_constant
+
+# CI runs the suite with --hypothesis-profile=ci, so that a failure seen only
+# there prints the blob that reproduces it
+settings.register_profile("ci", print_blob=True)
 
 # central difference stencils of second-order accuracy, by derivative order
 _STENCILS = {
@@ -102,3 +109,33 @@ def write_grid_csv(path, a: float, b: float, *columns) -> None:
     rows = [",".join(names)] + [",".join(repr(float(v)) for v in row)
                                 for row in zip(xs, *columns)]
     path.write_text("\n".join(rows) + "\n", encoding="ascii")
+
+
+def cheb_fit_reference(target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
+    """The Chebyshev degree search without the screen: every degree from 3
+    up is interpolated and certified on the full grid until one passes."""
+    if eps_half <= 0 or not np.isfinite(eps_half):
+        raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
+    if not (_DEGREE_FLOOR <= degree_cap <= 30):
+        raise ConfigError(f"degree cap {degree_cap} lies outside the supported range "
+                          f"{_DEGREE_FLOOR}..30")
+    grid = np.linspace(-1.0, 1.0, _CERT_GRID)
+    samples = [target.derivative(m)(grid) for m in range(3)]
+    for m, values in enumerate(samples):
+        # max() below would skip a NaN and certify the finite orders alone
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"target {target.name!r}: derivative of order {m} is "
+                              f"not finite on the certification grid")
+    best = np.inf
+    for degree in range(_DEGREE_FLOOR, degree_cap + 1):
+        coef = np.polynomial.chebyshev.chebinterpolate(
+            lambda z: np.asarray(target.f(np.asarray(z, dtype=float)), dtype=float), degree)
+        poly = ChebPoly(coef, 0.0)
+        cert = _INFLATION * max(
+            float(np.max(np.abs(samples[m] - poly.eval(grid, m)))) for m in range(3))
+        best = min(best, cert)
+        if cert <= eps_half:
+            return ChebPoly(coef, cert)
+    raise ApproximationError(
+        f"no polynomial of degree <= {degree_cap} reaches certified C^2 error "
+        f"{eps_half:.3e} for target {target.name!r} (best {best:.3e})")

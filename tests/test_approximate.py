@@ -11,12 +11,12 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
 import sharmonic as sh
-from conftest import write_grid_csv
+from conftest import cheb_fit_reference, write_grid_csv
 from sharmonic.approximate import _CERT_GRID, ChebPoly, Target
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
@@ -106,8 +106,51 @@ def test_cheb_fit_samples_the_grid_once():
     poly = sh.cheb_fit(Target("counted", f, f1, f2), 1e-6)
     assert poly.degree > 3  # several degrees were tried
     assert (f.grid_calls, f1.grid_calls, f2.grid_calls) == (1, 1, 1)
-    # f is also sampled at each degree's Chebyshev nodes; its derivatives never
+    # f is also sampled once on the union of the screen's Chebyshev nodes and
+    # once at the returned degree's; its derivatives never
+    assert f.other_calls == 2
     assert f1.other_calls == f2.other_calls == 0
+
+
+def _sines_and_exponentials(terms) -> Target:
+    """sum of a sin(w x + p) and b exp(c x) terms, with exact derivatives."""
+    def deriv(order):
+        def f(z):
+            z = np.asarray(z, dtype=float)
+            out = np.zeros_like(z)
+            for kind, amp, rate, phase in terms:
+                if kind == "sin":
+                    out = out + amp * rate**order * np.sin(rate * z + phase + 0.5 * math.pi * order)
+                else:
+                    out = out + amp * rate**order * np.exp(rate * z)
+            return out
+        return f
+    return Target("sum", deriv(0), deriv(1), deriv(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["sin", "exp"]),
+                          st.floats(-2.0, 2.0).filter(lambda a: abs(a) >= 0.1),
+                          st.floats(-6.0, 6.0).filter(lambda w: abs(w) >= 0.25),
+                          st.floats(0.0, 2.0 * math.pi)),
+                min_size=1, max_size=4),
+       st.floats(-11.0, -2.0), st.integers(3, 30))
+# sin at eps 1e-10: its certificate is not monotone in the degree
+@example([("sin", 1.0, 1.0, 0.0)], math.log10(5e-11), 30)
+def test_screened_cheb_fit_matches_the_plain_loop(terms, log_eps, cap):
+    target, eps_half = _sines_and_exponentials(terms), 10.0**log_eps
+    outcomes = []
+    for fit in (sh.cheb_fit, cheb_fit_reference):
+        try:
+            outcomes.append(fit(target, eps_half, cap))
+        except ApproximationError as exc:
+            outcomes.append(str(exc))
+    screened, plain = outcomes
+    if isinstance(plain, str):
+        assert screened == plain
+    else:
+        assert np.array_equal(screened.coefficients, plain.coefficients)
+        assert screened.fit_error == plain.fit_error
 
 
 def test_monomial_conversion_is_exact():
@@ -501,6 +544,17 @@ def test_target_from_grid_checks_derivative_consistency():
         Target.from_samples(-1.0, 1.0, np.sin(xs), deriv2=np.cos(xs))
 
 
+@pytest.mark.parametrize("n", [101, 401])
+def test_exact_deriv2_without_deriv1_is_accepted(n):
+    # checked against the O(h^2) second difference of the values, not a
+    # gradient of the differenced deriv1 (O(h) at the ends: 2.0e-3 at 401)
+    xs = np.linspace(-1.0, 1.0, n)
+    target = Target.from_samples(-1.0, 1.0, np.sin(xs), deriv2=-np.sin(xs))
+    assert np.array_equal(target.f2(xs), -np.sin(xs))
+    with pytest.raises(ConfigError, match="divided differences of the values"):
+        Target.from_samples(-1.0, 1.0, np.sin(xs), deriv2=-5.0 * np.sin(xs))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_from_samples_interpolates_the_columns_in_use(data):
@@ -516,7 +570,18 @@ def test_from_samples_interpolates_the_columns_in_use(data):
     cols, given_cols = [values], {}
     for label in ("deriv1", "deriv2"):
         fd = np.gradient(cols[-1], xs, edge_order=2)
+        if supplied == ("deriv2",):
+            # without deriv1, deriv2 is checked against the second
+            # difference of the values: central inside, one-sided at the ends
+            h = (b - a) / (n - 1)
+            inner = np.diff(values, 2) / h**2
+            ends = inner[[0, -1]] if n == 3 else (
+                2 * values[[0, -1]] - 5 * values[[1, -2]] + 4 * values[[2, -3]]
+                - values[[3, -4]]) / h**2
+            second = np.concatenate([ends[:1], inner, ends[1:]])
         if label in supplied:
+            if supplied == ("deriv2",):
+                fd = second
             fd = fd + 1e-4 * (1.0 + np.max(np.abs(fd))) * data.draw(unit)
             given_cols[label] = fd
         cols.append(fd)

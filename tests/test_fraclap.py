@@ -199,6 +199,15 @@ def test_grid_csv_rejects_malformed_input():
         _read_grid_csv("x,value\n0,1\n0.5,2\n2,3\n")
 
 
+@pytest.mark.parametrize("xs", ["-inf,0,inf", "inf,0,inf"])
+def test_grid_csv_refuses_infinite_abscissae_without_a_warning(xs):
+    # the suite turns RuntimeWarning into an error: the finiteness test comes
+    # before any difference of the abscissae
+    rows = "".join(f"{x},{i}\n" for i, x in enumerate(xs.split(",")))
+    with pytest.raises(ConfigError, match="finite and uniformly increasing"):
+        _read_grid_csv("x,value\n" + rows)
+
+
 def test_grid_function_validation():
     with pytest.raises(DomainError):
         Target.from_samples(1.0, 0.0, np.array([0.0, 1.0, 2.0]))

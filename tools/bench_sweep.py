@@ -36,8 +36,11 @@ every call is timed together with ``workloads.reference_ms`` just before and
 after it, and its stage times are scaled to a host on which that reference
 computation takes ``REFERENCE_NOMINAL_MS``: ``levels`` holds the scaled
 figures and ``raw_levels`` the measured ones.  Beside them, ``bound_calls``
-counts the bound's calls per ``approximate`` call, and the top-level
-``bound_calls`` of each tree their total over the TARGETS calls.  Every run
+counts the bound's calls per ``approximate`` call and ``cheb_certificates``
+the Chebyshev degrees certified on the full grid per call (the calls of
+``numpy.polynomial.chebyshev.chebinterpolate``, which the child wraps with
+a counter); the top-level ``bound_calls`` and ``cheb_certificates`` of each
+tree are their totals over the TARGETS calls.  Every run
 also hashes ``combo_to_json`` and ``report.to_dict()`` of every call, so the
 file records whether both trees produce the same output, and, untimed,
 compares each ``max_residual`` with (|Phi| + err) times the cancellation
@@ -69,6 +72,7 @@ SWEEP_CHILD = """
 import hashlib, importlib, json, sys, time
 sys.path.insert(0, "pipebench")
 import mpmath
+import numpy.polynomial.chebyshev as chebyshev
 from mpmath import mpf
 from workloads import REFERENCE_NOMINAL_MS, SWEEP_EPS, SWEEP_S, LibrarySweep, Record, reference_ms
 from sharmonic import blocks, exact
@@ -84,6 +88,12 @@ def timed(name, fn):
         finally:
             spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
             counts[name] = counts.get(name, 0) + 1
+    return wrapper
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
     return wrapper
 
 def model_with_timed_bound(*args, **kwargs):
@@ -117,6 +127,7 @@ blocks._block_coefficients = timed("block_coefficients", blocks._block_coefficie
 if hasattr(blocks, "_merge"):
     blocks._merge = timed("merge", blocks._merge)
 approximate.cheb_fit = timed("cheb_fit", approximate.cheb_fit)
+chebyshev.chebinterpolate = counted("cheb_certificates", chebyshev.chebinterpolate)
 phi, residual = exact.canonical_constant, exact.combo_residual
 exact.combo_residual = timed("combo_residual", residual)
 
@@ -141,7 +152,8 @@ for _ in range(int(sys.argv[1])):
     excess.append(residual_excess(combo, report.max_residual))
     level = levels[eps]
     level["calls"] += 1
-    level["bound_calls"] = level.get("bound_calls", 0) + counts.get("bound", 0)
+    for key, name in (("bound_calls", "bound"), ("cheb_certificates", "cheb_certificates")):
+        level[key] = level.get(key, 0) + counts.get(name, 0)
     for name, seconds in spent.items():
         level["raw"][name] = level["raw"].get(name, 0.0) + seconds
         level["scaled"][name] = level["scaled"].get(name, 0.0) + seconds * factor
@@ -151,6 +163,7 @@ print(json.dumps({"levels": {f"{eps:g}": level for eps, level in levels.items()}
                   "sha256": digest.hexdigest()}))
 """
 
+COUNTS = ("bound_calls", "cheb_certificates")
 STAGES = ("cheb_fit", "exact_match", "model", "bound", "merge", "block_coefficients",
           "combo_residual")
 
@@ -167,21 +180,22 @@ def _per_call(level: dict, spent: dict) -> dict:
 
 def sweep_split(tree: Path) -> dict:
     """Scaled and raw ms per call of each stage per eps level, bound calls
-    per call, the mean scaled and raw totals, the bound calls over all
-    calls, the residual's excess over its 80-digit product and the output
+    and full Chebyshev certificates per call, the mean scaled and raw
+    totals, both counts over all calls, the residual's excess over its 80-digit product and the output
     hash, from one fresh interpreter."""
     out, _ = run_child(tree, ["-c", SWEEP_CHILD, str(TARGETS)])
     raw = json.loads(out)
     split = {"levels": {}, "raw_levels": {}}
     for eps, level in raw["levels"].items():
         split["levels"][eps] = _per_call(level, level["scaled"])
-        split["levels"][eps]["bound_calls"] = level.get("bound_calls", 0) / level["calls"]
+        for key in COUNTS:
+            split["levels"][eps][key] = level.get(key, 0) / level["calls"]
         split["raw_levels"][eps] = _per_call(level, level["raw"])
     for key, name in (("mean_total", "scaled"), ("raw_mean_total", "raw")):
         total = sum(level[name]["total"] for level in raw["levels"].values())
         split[key] = round(total * 1e3 / TARGETS, 3)
-    split["bound_calls"] = sum(level.get("bound_calls", 0)
-                               for level in raw["levels"].values())
+    for key in COUNTS:
+        split[key] = sum(level.get(key, 0) for level in raw["levels"].values())
     split["residual_excess"] = raw["residual_excess"]
     split["phi_dps"] = raw["phi_dps"]
     split["sha256"] = raw["sha256"]
