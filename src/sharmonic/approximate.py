@@ -96,7 +96,8 @@ class Target:
             else:
                 if label == "deriv2" and "deriv1" not in given:
                     # a gradient of the differenced deriv1 is O(h) at the ends
-                    below, fd = "the values", _second_difference(values, (b - a) / (values.size - 1))
+                    below = "the values"
+                    fd = _second_difference(values, (b - a) / (values.size - 1))
                 tol = 1e-3 * (1.0 + float(np.max(np.abs(col))))
                 worst = float(np.max(np.abs(col - fd)))
                 if worst > tol:
@@ -395,20 +396,17 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
     samples = [target.derivative(m)(grid) for m in range(3)]
     for m, values in enumerate(samples):
-        # max() below would skip a NaN and certify the finite orders alone
+        # the certificate's max() would skip a NaN and certify the finite orders alone
         if not np.all(np.isfinite(values)):
             raise DomainError(f"target {target.name!r}: derivative of order {m} is "
                               f"not finite on the certification grid")
     degrees = range(_DEGREE_FLOOR, degree_cap + 1)
-    certs = {}
     for degree, open_ in zip(degrees, _screen(target, samples, eps_half, degree_cap)):
         if open_:
             poly = _certified(target, grid, samples, degree)
             if poly.fit_error <= eps_half:
                 return poly
-            certs[degree] = poly.fit_error
-    best = min(certs[d] if d in certs else _certified(target, grid, samples, d).fit_error
-               for d in degrees)
+    best = min(_certified(target, grid, samples, d).fit_error for d in degrees)
     raise ApproximationError(
         f"no polynomial of degree <= {degree_cap} reaches certified C^2 error "
         f"{eps_half:.3e} for target {target.name!r} (best {best:.3e})")

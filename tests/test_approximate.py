@@ -120,7 +120,8 @@ def _sines_and_exponentials(terms) -> Target:
             out = np.zeros_like(z)
             for kind, amp, rate, phase in terms:
                 if kind == "sin":
-                    out = out + amp * rate**order * np.sin(rate * z + phase + 0.5 * math.pi * order)
+                    out = out + amp * rate**order * np.sin(
+                        rate * z + phase + 0.5 * math.pi * order)
                 else:
                     out = out + amp * rate**order * np.exp(rate * z)
             return out

@@ -181,8 +181,8 @@ def _per_call(level: dict, spent: dict) -> dict:
 def sweep_split(tree: Path) -> dict:
     """Scaled and raw ms per call of each stage per eps level, bound calls
     and full Chebyshev certificates per call, the mean scaled and raw
-    totals, both counts over all calls, the residual's excess over its 80-digit product and the output
-    hash, from one fresh interpreter."""
+    totals, both counts over all calls, the residual's excess over its
+    80-digit product and the output hash, from one fresh interpreter."""
     out, _ = run_child(tree, ["-c", SWEEP_CHILD, str(TARGETS)])
     raw = json.loads(out)
     split = {"levels": {}, "raw_levels": {}}
