@@ -556,6 +556,16 @@ def test_exact_deriv2_without_deriv1_is_accepted(n):
         Target.from_samples(-1.0, 1.0, np.sin(xs), deriv2=-5.0 * np.sin(xs))
 
 
+def _second_difference(values, h):
+    """Second difference of uniform samples: central inside, (2 f0 - 5 f1 +
+    4 f2 - f3) / h^2 at the ends, central at the ends of three samples."""
+    inner = np.diff(values, 2) / h**2
+    ends = inner[[0, -1]] if values.size == 3 else (
+        2 * values[[0, -1]] - 5 * values[[1, -2]] + 4 * values[[2, -3]]
+        - values[[3, -4]]) / h**2
+    return np.concatenate([ends[:1], inner, ends[1:]])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_from_samples_interpolates_the_columns_in_use(data):
@@ -571,18 +581,10 @@ def test_from_samples_interpolates_the_columns_in_use(data):
     cols, given_cols = [values], {}
     for label in ("deriv1", "deriv2"):
         fd = np.gradient(cols[-1], xs, edge_order=2)
-        if supplied == ("deriv2",):
-            # without deriv1, deriv2 is checked against the second
-            # difference of the values: central inside, one-sided at the ends
-            h = (b - a) / (n - 1)
-            inner = np.diff(values, 2) / h**2
-            ends = inner[[0, -1]] if n == 3 else (
-                2 * values[[0, -1]] - 5 * values[[1, -2]] + 4 * values[[2, -3]]
-                - values[[3, -4]]) / h**2
-            second = np.concatenate([ends[:1], inner, ends[1:]])
         if label in supplied:
             if supplied == ("deriv2",):
-                fd = second
+                # without deriv1, deriv2 is checked against the values
+                fd = _second_difference(values, (b - a) / (n - 1))
             fd = fd + 1e-4 * (1.0 + np.max(np.abs(fd))) * data.draw(unit)
             given_cols[label] = fd
         cols.append(fd)

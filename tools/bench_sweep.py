@@ -38,8 +38,8 @@ computation takes ``REFERENCE_NOMINAL_MS``: ``levels`` holds the scaled
 figures and ``raw_levels`` the measured ones.  Beside them, ``bound_calls``
 counts the bound's calls per ``approximate`` call and ``cheb_certificates``
 the Chebyshev degrees certified on the full grid per call (the calls of
-``numpy.polynomial.chebyshev.chebinterpolate``, which the child wraps with
-a counter); the top-level ``bound_calls`` and ``cheb_certificates`` of each
+``numpy.polynomial.chebyshev.chebinterpolate``, which the child wraps like
+a stage); the top-level ``bound_calls`` and ``cheb_certificates`` of each
 tree are their totals over the TARGETS calls.  Every run
 also hashes ``combo_to_json`` and ``report.to_dict()`` of every call, so the
 file records whether both trees produce the same output, and, untimed,
@@ -90,12 +90,6 @@ def timed(name, fn):
             counts[name] = counts.get(name, 0) + 1
     return wrapper
 
-def counted(name, fn):
-    def wrapper(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
-        return fn(*args, **kwargs)
-    return wrapper
-
 def model_with_timed_bound(*args, **kwargs):
     t, y, bound = model(*args, **kwargs)
     return t, y, timed("bound", bound)
@@ -127,7 +121,7 @@ blocks._block_coefficients = timed("block_coefficients", blocks._block_coefficie
 if hasattr(blocks, "_merge"):
     blocks._merge = timed("merge", blocks._merge)
 approximate.cheb_fit = timed("cheb_fit", approximate.cheb_fit)
-chebyshev.chebinterpolate = counted("cheb_certificates", chebyshev.chebinterpolate)
+chebyshev.chebinterpolate = timed("cheb_certificates", chebyshev.chebinterpolate)
 phi, residual = exact.canonical_constant, exact.combo_residual
 exact.combo_residual = timed("combo_residual", residual)
 
