@@ -47,7 +47,11 @@ _DEGREE_CAP = 30
 
 @dataclass(frozen=True)
 class Target:
-    """C^2 target on the working interval: value and two derivatives."""
+    """C^2 target on the working interval: value and two derivatives.
+
+    Each callable maps an array of abscissae to the values there, point
+    by point: a value may not depend on the other points or on the size
+    of the array, beyond a few ulps."""
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
@@ -375,7 +379,7 @@ def _certified(target: Target, grid: np.ndarray, samples: list, degree: int) -> 
     return ChebPoly(coef, cert)
 
 
-def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
+def cheb_fit(target: Target, eps_half: float, degree_cap: int = _DEGREE_CAP) -> ChebPoly:
     """Lowest-degree Chebyshev interpolant within eps_half of the target in
     certified C^2 norm; raises when the degree cap is insufficient.
 
@@ -385,9 +389,11 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
     grid with a derived rounding margin (_screen), which rules out only
     degrees whose full certificate would fail; the degrees left are tried
     in order with the full 4096-point certificate, so normally only the
-    degree returned gets it.  The result is the one the plain loop over
-    every degree gives, bit for bit; when no degree passes, every degree
-    is certified in full for the smallest certificate in the message."""
+    degree returned gets it.  For a target.f that is pointwise, as Target
+    asks, the result is the one the plain loop over every degree gives,
+    bit for bit; for any other the result is still fully certified, but
+    may have a higher degree.  When no degree passes, every degree is
+    certified in full for the smallest certificate in the message."""
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
     if not (_DEGREE_FLOOR <= degree_cap <= _DEGREE_CAP):
@@ -516,7 +522,7 @@ class ApproxReport:
 
 
 def approximate(target: Target, eps: float, s: float,
-                degree_cap: int = 30) -> tuple[SHCombo, ApproxReport]:
+                degree_cap: int = _DEGREE_CAP) -> tuple[SHCombo, ApproxReport]:
     """Block combination within certified C^2 distance eps of the target.
 
     The budget is split evenly between the polynomial stage and the block

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact
-from .approximate import approximate, target_from_spec
+from .approximate import _DEGREE_CAP, approximate, target_from_spec
 from .blocks import SHBlock, SHCombo, combo_eval, combo_to_json
 from .demos import (harnack_counterexample, logistic_resource_plan,
                     mean_value_table)
@@ -53,7 +53,7 @@ class RunConfig:
     x: float = 0.0
     method: str = "direct"
     rhos: str = "0.1,0.01,0.001"
-    degree_cap: int = 30
+    degree_cap: int = _DEGREE_CAP
     delta: float | None = None
     outer_radius: float | None = None
     near_points: int | None = None
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--target", help="x2 | sin | exp | const:<c> | csv:<path>")
     ap.add_argument("--epsilon", type=float, help="C2 tolerance (default 1/16)")
     ap.add_argument("--degree-cap", dest="degree_cap", type=int,
-                    help="polynomial degree ceiling (default 30)")
+                    help=f"polynomial degree ceiling (default {_DEGREE_CAP})")
     _add_common(ap)
 
     dp = sub.add_parser("demo", help="reproduce the headline constructions")

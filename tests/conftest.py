@@ -1,21 +1,16 @@
 """Shared test helpers: finite-difference oracles, closed-form oracles for
-blocks and the canonical constant, the unscreened Chebyshev degree search,
-a grid CSV writer and the hypothesis profiles."""
+blocks and the canonical constant, the unscreened Chebyshev degree search
+and a grid CSV writer."""
 
 from __future__ import annotations
 
 import mpmath
 import numpy as np
-from hypothesis import settings
 from mpmath import mpf, workdps
 
 from sharmonic.approximate import _CERT_GRID, _DEGREE_FLOOR, _INFLATION, ChebPoly
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.exact import canonical_constant
-
-# CI runs the suite with --hypothesis-profile=ci, so that a failure seen only
-# there prints the blob that reproduces it
-settings.register_profile("ci", print_blob=True)
 
 # central difference stencils of second-order accuracy, by derivative order
 _STENCILS = {
