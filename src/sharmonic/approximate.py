@@ -43,6 +43,7 @@ _SCREEN_STRIDE = 64
 _INFLATION = 1.05
 _DEGREE_FLOOR = 3
 _DEGREE_CAP = 30
+_NODE_STEPS = 64  # default_nodes are multiples of 1 / _NODE_STEPS
 
 
 @dataclass(frozen=True)
@@ -431,10 +432,18 @@ class BuildInfo:
 
 
 def default_nodes(order: int) -> np.ndarray:
-    """Matching offsets t_k = 2 + k/J, k = 0..J, spread over [2, 3]."""
+    """Matching offsets t_k = 2 + round(64 k / J) / 64, k = 0..J, for an int
+    order J in 0..64 (J = 0 gives [2]): multiples of 1/64 spanning [2, 3],
+    distinct because their steps are at least 1/64, and 2 + k/J exactly
+    when J is a power of two.  64 k / J never lands on a half.  Short
+    dyadics keep every exact integer of the matching build small (the node
+    polynomial of J = 30 has 207 bits, against 1458 for 2 + k/J)."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) \
+            or not 0 <= order <= _NODE_STEPS:
+        raise DomainError(f"matching order must be an int in 0..{_NODE_STEPS}, got {order!r}")
     if order == 0:
         return np.array([2.0])
-    return 2.0 + np.arange(order + 1) / order
+    return 2.0 + np.rint(_NODE_STEPS * np.arange(order + 1) / order) / _NODE_STEPS
 
 
 def _c2_weight(mono: list[Fraction], degrees: list[int]) -> float:

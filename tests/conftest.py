@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 from mpmath import mpf, workdps
 
-from sharmonic.approximate import _CERT_GRID, _DEGREE_FLOOR, _INFLATION, ChebPoly
+from sharmonic.approximate import _CERT_GRID, _DEGREE_CAP, _DEGREE_FLOOR, _INFLATION, ChebPoly
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.exact import canonical_constant
 
@@ -106,14 +106,14 @@ def write_grid_csv(path, a: float, b: float, *columns) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="ascii")
 
 
-def cheb_fit_reference(target, eps_half: float, degree_cap: int = 30) -> ChebPoly:
+def cheb_fit_reference(target, eps_half: float, degree_cap: int = _DEGREE_CAP) -> ChebPoly:
     """The Chebyshev degree search without the screen: every degree from 3
     up is interpolated and certified on the full grid until one passes."""
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
-    if not (_DEGREE_FLOOR <= degree_cap <= 30):
+    if not (_DEGREE_FLOOR <= degree_cap <= _DEGREE_CAP):
         raise ConfigError(f"degree cap {degree_cap} lies outside the supported range "
-                          f"{_DEGREE_FLOOR}..30")
+                          f"{_DEGREE_FLOOR}..{_DEGREE_CAP}")
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
     samples = [target.derivative(m)(grid) for m in range(3)]
     for m, values in enumerate(samples):

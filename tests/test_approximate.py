@@ -212,6 +212,30 @@ def test_cheb_poly_validation():
 # block stage
 
 
+def test_default_nodes_are_short_dyadics_spanning_two_to_three():
+    assert sh.default_nodes(0).tolist() == [2.0]
+    for order in range(1, 65):
+        nodes = sh.default_nodes(order)
+        assert len(nodes) == order + 1 and nodes[0] == 2.0 and nodes[-1] == 3.0
+        assert np.all(np.diff(nodes) > 0)
+        assert all(float(t * 64).is_integer() for t in nodes)
+    for order in (1, 2, 4, 8, 16, 32, 64):
+        # a power-of-two order keeps the nodes 2 + k/J bit for bit
+        assert np.array_equal(sh.default_nodes(order), 2.0 + np.arange(order + 1) / order)
+
+
+def test_default_nodes_keep_the_node_polynomial_short():
+    # the 53-bit nodes 2 + k/30 give 1458 bits, so long nodes fail here
+    poly = sh.blocks._node_polynomial(tuple(float(t) for t in sh.default_nodes(30)))
+    assert max(abs(c) for c in poly).bit_length() <= 207
+
+
+@pytest.mark.parametrize("order", [-1, -3, 65, 100, 2.5, 3.0, True, "3", None])
+def test_default_nodes_refuse_orders_outside_zero_to_sixty_four(order):
+    with pytest.raises(DomainError, match=r"int in 0\.\.64"):
+        sh.default_nodes(order)
+
+
 def _group_deviation_mp(group, dj: float, j: int, xs, order: int) -> float:
     """sup over xs of |d^order/dx^order (group - dj x^j / j!)|, summed over
     the blocks in mpmath with digits past the coefficient mass."""

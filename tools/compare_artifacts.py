@@ -14,8 +14,10 @@ points of [-2, 2]), which the script writes into its temporary directory;
 both trees read the same path.  For each case the script prints
 whether both artifacts are byte-identical; where one differs it prints every
 differing JSON key and CSV column with its largest relative difference (inf
-for a key or column present in one tree only).  It exits 1 if any case
-differs.
+for a key or column present in one tree only), and, for an artifact with a
+certificate (``report.epsilon_total``), each tree's certificate ratio
+epsilon_total / epsilon_requested and max_residual, the parent's first.
+It exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -126,6 +128,17 @@ def _differences(ours, theirs) -> dict[str, float]:
     return out
 
 
+def _certificate(text: str) -> str | None:
+    """Certificate ratio and max_residual of a report with epsilon_total,
+    else None."""
+    report = json.loads(text).get("report", {})
+    if "epsilon_total" not in report:
+        return None
+    return (f"epsilon_total/epsilon_requested "
+            f"{report['epsilon_total'] / report['epsilon_requested']:.6g} "
+            f"max_residual {report['max_residual']:.6g}")
+
+
 def compare(args: tuple[str, ...], trees: dict[str, Path]) -> str | None:
     """None when both artifacts of the case are identical, else a summary."""
     texts = {}
@@ -145,6 +158,10 @@ def compare(args: tuple[str, ...], trees: dict[str, Path]) -> str | None:
         notes += [f"{kind} {key} {worst:.3e}" for key, worst in diffs.items()]
     if not notes and (json_a, csv_a) != (json_b, csv_b):
         notes.append("same values, different text")
+    if notes:
+        names = sorted(texts, key=lambda name: name != "parent")
+        notes += [f"{name} {cert}" for name in names
+                  if (cert := _certificate(texts[name][0])) is not None]
     return "; ".join(notes) or None
 
 
