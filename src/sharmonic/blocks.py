@@ -116,11 +116,11 @@ class SHCombo:
             raise DomainError(f"invalid interval {self.interval}")
         object.__setattr__(self, "interval", (float(a), float(b)))
 
-    @property
+    @functools.cached_property
     def kinks(self) -> tuple[float, ...]:
         return tuple(sorted({b.kink for b in self.blocks}))
 
-    @property
+    @functools.cached_property
     def has_mp_coefficients(self) -> bool:
         return any(isinstance(b.c, mpf) for b in self.blocks)
 
@@ -278,7 +278,7 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if combo.has_mp_coefficients:
-        xmax = float(np.max(np.abs(xs), initial=0.0))
+        xmax = abs(xs.item()) if xs.size == 1 else float(np.max(np.abs(xs), initial=0.0))
         coefs = combo.taylor
         # the float64 rounding scale of the series: eps times its absolute sum
         powers = np.arange(order, coefs.size)

@@ -23,9 +23,10 @@ different panel layout, giving a genuinely independent cross-check.
 
 Layouts that do not depend on x are built once per (s, QuadConfig, rule)
 and cached: the near field's abscissae, the excision rings and, for an
-operand without kinks, the mid field's nodes, weights and kernel.  A kinked
-operand's mid field is built per call, since its split points depend on x.
-Each route calls the operand twice per point: at x, then at all other nodes.
+operand without kinks, the mid field's nodes, weights, kernel and offsets;
+a kinked operand's mid field is built per call, since its split points
+depend on x.  A call then does only per-point work.  Each route calls the
+operand twice per point: at x, then at all other nodes.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ class QuadConfig:
         return gamma
 
 
+_DEFAULT_CONFIG = QuadConfig()  # frozen, so one instance serves every call
+# the direct route's finite-difference offsets for d2 and d4 per unit of
+# scale = 1 + |x|; a factor 0, +/-1 or +/-2 is exact in either order
+_FD_STEPS = np.outer([6e-4, 6e-3], [-2.0, -1.0, 0.0, 1.0, 2.0]).ravel()
+
+
 @dataclass(frozen=True)
 class FracLapDetail:
     """Value plus decomposition and tail certificate of one evaluation."""
@@ -144,9 +151,9 @@ def _as_function(u, operator: bool = False
 
 def _check(args: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """vals, or EvaluationError naming the first argument with a non-finite value."""
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        node = float(args[np.argmax(bad)])
+    finite = np.isfinite(vals)
+    if not finite.all():
+        node = float(args[np.argmin(finite)])
         raise EvaluationError(f"non-finite function value at argument {node}", node=node)
     return vals
 
@@ -155,17 +162,16 @@ def _checked(f, x: float, offsets: np.ndarray) -> np.ndarray:
     return _check(x + offsets, np.asarray(f(x + offsets), dtype=float))
 
 
-def _sample_zones(f, x: float, ux: float, near: np.ndarray, mid_layout, R: float):
+def _sample_zones(f, x: float, ux: float, near: np.ndarray, mid_layout):
     """Near-field values, mid-field sum and the tail's (arguments, values) per
-    side, from one call of the operand at x + near, x +/- the mid field's
-    nodes and x +/- (R, 2R, 4R, 8R).  Non-finite values raise in the order
-    the zones are summed; _tail_model checks the tail's minus side last."""
-    nodes, wts, kern = mid_layout
-    tail = R * np.array([1.0, 2.0, 4.0, 8.0])
-    args = x + np.concatenate([near, nodes, -nodes, tail, -tail])
+    side, from one call of the operand at x + near and x + the mid layout's
+    far offsets.  Non-finite values raise in the order the zones are summed;
+    _tail_model checks the tail's minus side last."""
+    nodes, wts, kern, far = mid_layout
+    args = x + np.concatenate([near, far])
     vals = np.asarray(f(args), dtype=float)
     _check(args[:-4], vals[:-4])
-    up, um = np.split(vals[near.size:-8], 2)
+    up, um = vals[near.size:near.size + nodes.size], vals[near.size + nodes.size:-8]
     mid = float(np.sum(wts * (2.0 * ux - up - um) * kern))
     return vals[:near.size], mid, ((args[-8:-4], vals[-8:-4]), (args[-4:], vals[-4:]))
 
@@ -195,6 +201,8 @@ def _split_points(x: float, kinks: Sequence[float], lo: float, hi: float,
                   depth: int, offset: int) -> np.ndarray:
     """Each kink's distance y* = |x - K| inside (lo, hi), and y* -/+ y* 2^-(L+offset),
     L = 1..depth, where they stay inside."""
+    if not kinks:
+        return np.empty(0)
     ystar = np.abs(x - np.asarray(kinks, dtype=float))
     ystar = ystar[(lo < ystar) & (ystar < hi)]
     g = np.ldexp(ystar[:, None], -np.arange(1 + offset, depth + 1 + offset)).ravel()
@@ -214,12 +222,14 @@ def _panel_nodes(bounds: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
 def _mid_layout(s: float, lo: float, hi: float, n_points: int, order: int,
                 split: np.ndarray = ()) -> tuple[np.ndarray, ...]:
     """Nodes, weights and kernel y^(-1-2s) of Gauss panels of the given order
-    on [lo, hi]: log-spaced, with the split points as extra bounds."""
+    on [lo, hi]: log-spaced, with the split points as extra bounds; and the
+    far offsets +/- nodes, +/- hi (1, 2, 4, 8), hi being the tail's radius R."""
     panels = max(n_points // order, 4)
     b = np.concatenate([lo * (hi / lo) ** (np.arange(panels + 1) / panels), split])
     b = np.sort(b[(lo <= b) & (b <= hi)])
     nodes, wts = _panel_nodes(b[np.append(True, b[1:] != b[:-1])], _gauss(order))
-    return nodes, wts, nodes ** (-1.0 - 2.0 * s)
+    tail = hi * np.array([1.0, 2.0, 4.0, 8.0])
+    return nodes, wts, nodes ** (-1.0 - 2.0 * s), np.concatenate([nodes, -nodes, tail, -tail])
 
 
 _kink_free_mid_layout = functools.lru_cache(maxsize=16)(_mid_layout)
@@ -233,7 +243,7 @@ def _tail_model(sides, ux: float, s: float, R: float,
     halfwidth = 0.0
     ghats = []
     for side in sides:
-        vR, v2, v4, v8 = (float(vi) for vi in _check(*side))
+        vR, v2, v4, v8 = _check(*side).tolist()
         tol = 1e-14 * (abs(ux) + 1.0)
         c_est = 2.0 * max(abs(vR) / (1 + R) ** gamma,
                           abs(v2) / (1 + 2 * R) ** gamma,
@@ -294,7 +304,7 @@ def _effective_delta(delta: float, x: float, kinks: Sequence[float]) -> float:
 def _operator(u, x: float, params: FracParams, config: QuadConfig | None,
               pv: bool) -> FracLapDetail:
     """Both routes; they differ in the near field and the mid field's rule."""
-    config = config or QuadConfig()
+    config = config or _DEFAULT_CONFIG
     s, gamma = params.s, config.growth(params.s)
     f, kinks, combo = _as_function(u, operator=True)
     x = float(x)
@@ -306,34 +316,34 @@ def _operator(u, x: float, params: FracParams, config: QuadConfig | None,
     else:
         y, weight = _near_layout(s, delta, config.near_points)
         small = y < min(1e-4 * scale, 0.25 * delta)
+        any_small = small.any()
         yb = y[~small]
-        fd = (np.outer(scale * np.array([6e-4, 6e-3]), [-2.0, -1.0, 0.0, 1.0, 2.0]).ravel()
-              if combo is None and np.any(small) else np.empty(0))
+        fd = scale * _FD_STEPS if combo is None and any_small else np.empty(0)
         offsets = np.concatenate([fd, yb, -yb])
     # the mid field's layout depends on x only through the kinks' split points
     R, order = config.outer_radius, 12 if pv else 8
     split = _split_points(x, kinks, delta, R, *((26, 7) if pv else (30, 6)))
     layout = (_mid_layout(s, delta, R, config.mid_points, order, split) if split.size
               else _kink_free_mid_layout(s, delta, R, config.mid_points, order))
-    near_v, mid, sides = _sample_zones(f, x, ux, offsets, layout, R)
+    near_v, mid, sides = _sample_zones(f, x, ux, offsets, layout)
     if pv:
         # S_k = integral over [rho_k, delta], extrapolated to rho -> 0
         v = near_v.reshape(-1, 2, 12)
         pieces = ring_wts * (2.0 * ux - v[:, 0] - v[:, 1]) * ring_kern
-        S = list(itertools.accumulate((float(np.sum(p)) for p in pieces), initial=0.0))
+        S = list(itertools.accumulate(pieces.sum(axis=1).tolist(), initial=0.0))
         near = float(np.linalg.solve(A, np.array(S[-1:-4:-1]))[0])
     else:
         phi = np.empty(y.size)
-        if np.any(small):
+        if any_small:
             if combo is not None:
                 d2, d4 = (float(combo_derivative(combo, x, k)) for k in (2, 4))
             else:
-                h2, h4, p = 6e-4 * scale, 6e-3 * scale, near_v
+                h2, h4, p = 6e-4 * scale, 6e-3 * scale, near_v[:10].tolist()
                 d2 = (-p[0] + 16 * p[1] - 30 * p[2] + 16 * p[3] - p[4]) / (12 * h2 * h2)
                 d4 = (p[5] - 4 * p[6] + 6 * p[7] - 4 * p[8] + p[9]) / h4**4
             ys = y[small]
             phi[small] = -d2 - d4 * ys * ys / 12.0
-        up, um = np.split(near_v[fd.size:], 2)
+        up, um = near_v[fd.size:fd.size + yb.size], near_v[fd.size + yb.size:]
         phi[~small] = (2.0 * ux - up - um) / (yb * yb)
         near = weight * float(phi.sum())
     tail, halfwidth, ghats = _tail_model(sides, ux, s, R, gamma)

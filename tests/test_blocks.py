@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -536,6 +537,29 @@ def test_loaded_group_matches_memory(s, big_n, data, eps, cj):
             want = sh.combo_derivative(group, xs, order)
             got = sh.combo_derivative(back, xs, order)
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@functools.cache
+def _one_point_combos():
+    """A built combination (sin at 1e-6), its JSON copy and a float combination."""
+    built, _ = sh.approximate(sh.target_from_spec("sin"), 1e-6, 0.5)
+    floats = sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0), sh.SHBlock(2.5, -0.7),
+                              sh.SHBlock(3.0, 0.3, 0.5)))
+    return built, sh.combo_from_json(sh.combo_to_json(built)), floats
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-0.99, 0.99), st.integers(0, 4), st.integers(0, 2))
+def test_one_point_gives_the_same_bits_in_every_form(x, order, which):
+    # a float, a 0-d array and a one-element array take the one-point path;
+    # the pair (x, -x) has the same largest |x| and takes the array path
+    combo = _one_point_combos()[which]
+    assert combo.has_mp_coefficients == (which < 2)
+    got = [sh.combo_derivative(combo, v, order) for v in (x, np.array(x))]
+    assert all(type(v) is float for v in got)
+    got.append(float(sh.combo_derivative(combo, np.array([x]), order)[0]))
+    got.append(float(sh.combo_derivative(combo, np.array([x, -x]), order)[0]))
+    assert len({repr(v) for v in got}) == 1, got
 
 
 def test_json_malformed():

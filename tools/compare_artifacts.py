@@ -13,10 +13,13 @@ the grid CSV fixture GRID_CSV (exp(-x^2) and its two derivatives on 401
 points of [-2, 2]), which the script writes into its temporary directory;
 both trees read the same path.  For each case the script prints
 whether both artifacts are byte-identical; where one differs it prints every
-differing JSON key and CSV column with its largest relative difference (inf
-for a key or column present in one tree only), and, for an artifact with a
-certificate (``report.epsilon_total``), each tree's certificate ratio
-epsilon_total / epsilon_requested and max_residual, the parent's first.
+differing JSON key and CSV column with its largest relative difference and,
+after "abs", its largest absolute difference (both inf for a key or column
+present in one tree only; two rounding-level zeros of opposite sign read as
+a relative change near 1 but show their size in the absolute one), and,
+for an artifact with a certificate (``report.epsilon_total``), each tree's
+certificate ratio epsilon_total / epsilon_requested and max_residual, the
+parent's first.
 It exits 1 if any case differs.
 """
 
@@ -77,14 +80,14 @@ def _grid_csv() -> str:
 GRID_CSV = _grid_csv()
 
 
-def _relative(a: str, b: str) -> float:
-    """Relative difference of two numbers written as text, exact up to the
-    final rounding; inf when either is not a finite number."""
+def _difference(a: str, b: str) -> tuple[float, float]:
+    """Relative and absolute difference of two numbers written as text, exact
+    up to the final rounding; both inf when either is not a finite number."""
     try:
         x, y = Fraction(a), Fraction(b)
     except (TypeError, ValueError):
-        return float("inf")
-    return float(abs(x - y) / max(abs(x), abs(y))) if x != y else 0.0
+        return float("inf"), float("inf")
+    return (float(abs(x - y) / max(abs(x), abs(y))) if x != y else 0.0), float(abs(x - y))
 
 
 def _json_leaves(text: str):
@@ -110,10 +113,11 @@ def _csv_cells(text: str):
         yield from zip(rows[0], row)
 
 
-def _differences(ours, theirs) -> dict[str, float]:
-    """Largest relative difference of each key whose values differ between
-    two (key, value) sequences, in order of first appearance; a key present
-    on one side only, or with a different number of values, counts as inf."""
+def _differences(ours, theirs) -> dict[str, tuple[float, float]]:
+    """Largest relative and largest absolute difference of each key whose
+    values differ between two (key, value) sequences, in order of first
+    appearance; a key present on one side only, or with a different number
+    of values, counts as inf."""
     sides = ({}, {})
     for side, items in zip(sides, (ours, theirs)):
         for key, value in items:
@@ -122,9 +126,10 @@ def _differences(ours, theirs) -> dict[str, float]:
     for key in {**sides[0], **sides[1]}:
         a, b = sides[0].get(key), sides[1].get(key)
         if a is None or b is None or len(a) != len(b):
-            out[key] = float("inf")
+            out[key] = float("inf"), float("inf")
         elif a != b:
-            out[key] = max(_relative(x, y) for x, y in zip(a, b))
+            rel, absolute = zip(*(_difference(x, y) for x, y in zip(a, b)))
+            out[key] = max(rel), max(absolute)
     return out
 
 
@@ -140,7 +145,8 @@ def _certificate(text: str) -> str | None:
 
 
 def compare(args: tuple[str, ...], trees: dict[str, Path]) -> str | None:
-    """None when both artifacts of the case are identical, else a summary."""
+    """None when both artifacts of the case are identical, else a summary
+    (see summarize)."""
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp) / "grid.csv"
@@ -151,11 +157,19 @@ def compare(args: tuple[str, ...], trees: dict[str, Path]) -> str | None:
             run_child(tree, ["-m", "sharmonic", *args, "--out-json", f"{out}.json",
                              "--out-csv", f"{out}.csv"])
             texts[name] = (Path(f"{out}.json").read_text(), Path(f"{out}.csv").read_text())
+    return summarize(texts)
+
+
+def summarize(texts: dict[str, tuple[str, str]]) -> str | None:
+    """None when both trees' (JSON, CSV) texts are identical, else every
+    differing key and column with its largest relative and absolute
+    difference, then each tree's certificate, the parent's first."""
     (json_a, csv_a), (json_b, csv_b) = texts.values()
     notes = []
     for kind, diffs in (("JSON key", _differences(_json_leaves(json_a), _json_leaves(json_b))),
                         ("CSV column", _differences(_csv_cells(csv_a), _csv_cells(csv_b)))):
-        notes += [f"{kind} {key} {worst:.3e}" for key, worst in diffs.items()]
+        notes += [f"{kind} {key} {rel:.3e} abs {absolute:.3e}"
+                  for key, (rel, absolute) in diffs.items()]
     if not notes and (json_a, csv_a) != (json_b, csv_b):
         notes.append("same values, different text")
     if notes:
