@@ -26,7 +26,8 @@ and cached: the near field's abscissae, the excision rings and, for an
 operand without kinks, the mid field's nodes, weights, kernel and offsets;
 a kinked operand's mid field is built per call, since its split points
 depend on x.  A call then does only per-point work.  Each route calls the
-operand twice per point: at x, then at all other nodes.
+operand twice per point, at x and then at all other nodes, after
+_as_function's probe of a callable at 0 and 0.5.
 """
 
 from __future__ import annotations
