@@ -171,6 +171,31 @@ class SHCombo:
             a.flags.writeable = False
         return ts, cs, rs
 
+    @functools.cached_property
+    def _derivative_tables(self) -> dict:
+        return {}
+
+    def derivative_table(self, order: int):
+        """What the order-th derivative needs that does not depend on the
+        point, built on first use and kept by this combination.
+
+        With extended-precision coefficients: the derivative's series
+        coefficients (_kernels.series_derivative of taylor) and their
+        absolute values |c_i| i!/(i - order)!, both as lists of Python
+        floats.  Otherwise: each block's coefficient cs * rs**order *
+        s (s - 1) ... (s - order + 1) (_kernels.block_coefficients).
+        """
+        table = self._derivative_tables.get(order)
+        if table is None:
+            if self.has_mp_coefficients:
+                der = _kernels.series_derivative(self.taylor, order)
+                table = der, [abs(d) for d in der]
+            else:
+                _, cs, rs = self.float_arrays
+                table = _kernels.block_coefficients(cs, rs, self.s, order)
+            self._derivative_tables[order] = table
+        return table
+
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -266,33 +291,33 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
     Orders 0..2 are certified on the working interval; higher orders are
     computed with the same formulas but without accuracy guarantees near
     the matching scale.  At a kink the one-sided dead value 0 is used.
+    Every call reads the combination's table for the order (see
+    SHCombo.derivative_table), built once per combination and order.
     A combination with extended precision coefficients goes through its
     derived power series when every |x| is below its radius and the bound
     on the omitted terms is below the float64 rounding of the series
-    itself, and through the per-point mpmath sum otherwise.  The series
-    route is _kernels.power_series_eval: Horner's rule in place on one
-    array, or on Python floats for a single point.
+    itself, 2^-52 times the absolute series at max |x|, and through the
+    per-point mpmath sum otherwise.  The series route is
+    _kernels.power_series_eval, Horner's rule over the table: in place on
+    one array, or, like the rounding test, on Python floats for a scalar
+    or 0-d x.
     """
     if order < 0:
         raise DomainError(f"derivative order must be nonnegative, got {order}")
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = float(x) if scalar else np.atleast_1d(np.asarray(x, dtype=float))
+    table = combo.derivative_table(order)
     if combo.has_mp_coefficients:
-        xmax = abs(xs.item()) if xs.size == 1 else float(np.max(np.abs(xs), initial=0.0))
-        coefs = combo.taylor
-        # the float64 rounding scale of the series: eps times its absolute sum
-        powers = np.arange(order, coefs.size)
-        weights = xmax ** (powers - order)
-        for l in range(order):
-            weights = weights * (powers - l)
-        noise = _EPS64 * float(np.abs(coefs[order:]) @ weights)
-        if xmax < combo.radius and combo.series_error(xmax, order) <= noise:
-            out = _kernels.power_series_eval(coefs, xs, order)
-        else:
-            out = _combo_eval_mp(combo, xs, order)
+        der, weights = table
+        xmax = abs(xs) if scalar else float(np.max(np.abs(xs), initial=0.0))
+        if (xmax < combo.radius and combo.series_error(xmax, order)
+                <= _EPS64 * _kernels.power_series_eval(weights, xmax)):
+            return _kernels.power_series_eval(der, xs)
+        out = _combo_eval_mp(combo, np.atleast_1d(xs), order)
     else:
-        ts, cs, rs = combo.float_arrays
-        out = _kernels.combo_derivatives(ts, cs, rs, combo.s, xs, order)
+        ts, _, rs = combo.float_arrays
+        out = _kernels.combo_derivatives(ts, table, rs, float(combo.s) - order,
+                                         np.atleast_1d(xs))
     return float(out[0]) if scalar else out
 
 

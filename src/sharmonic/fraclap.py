@@ -224,9 +224,13 @@ def _mid_layout(s: float, lo: float, hi: float, n_points: int, order: int,
                 split: np.ndarray = ()) -> tuple[np.ndarray, ...]:
     """Nodes, weights and kernel y^(-1-2s) of Gauss panels of the given order
     on [lo, hi]: log-spaced, with the split points as extra bounds; and the
-    far offsets +/- nodes, +/- hi (1, 2, 4, 8), hi being the tail's radius R."""
+    far offsets +/- nodes, +/- hi (1, 2, 4, 8), hi being the tail's radius R.
+    The log-spaced ends are pinned to lo and hi: lo (hi/lo)^1 may round
+    past hi, and the filter would then drop the last panel."""
     panels = max(n_points // order, 4)
-    b = np.concatenate([lo * (hi / lo) ** (np.arange(panels + 1) / panels), split])
+    grid = lo * (hi / lo) ** (np.arange(panels + 1) / panels)
+    grid[0], grid[-1] = lo, hi
+    b = np.concatenate([grid, split])
     b = np.sort(b[(lo <= b) & (b <= hi)])
     nodes, wts = _panel_nodes(b[np.append(True, b[1:] != b[:-1])], _gauss(order))
     tail = hi * np.array([1.0, 2.0, 4.0, 8.0])

@@ -1,6 +1,6 @@
 """Shared test helpers: finite-difference oracles, closed-form oracles for
-blocks and the canonical constant, the unscreened Chebyshev degree search
-and a grid CSV writer."""
+blocks and the canonical constant, the unscreened Chebyshev degree search,
+a grid CSV writer and the per-call combination evaluation."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 from mpmath import mpf, workdps
 
 from sharmonic.approximate import _CERT_GRID, _DEGREE_CAP, _DEGREE_FLOOR, _INFLATION, ChebPoly
+from sharmonic.blocks import _EPS64, _combo_eval_mp
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.exact import canonical_constant
 
@@ -134,3 +135,74 @@ def cheb_fit_reference(target, eps_half: float, degree_cap: int = _DEGREE_CAP) -
     raise ApproximationError(
         f"no polynomial of degree <= {degree_cap} reaches certified C^2 error "
         f"{eps_half:.3e} for target {target.name!r} (best {best:.3e})")
+
+
+# ---------------------------------------------------------------------------
+# the combination evaluation as it was before the per-order tables: every
+# call rebuilds the derivative's coefficients and the rounding test in numpy
+
+
+def power_series_eval_reference(coefs, x, order):
+    """polyval(x, polyder(coefs, order)) by Horner's rule, derivative built per call."""
+    coefs = np.asarray(coefs, dtype=np.float64)
+    if coefs.size == 0:
+        coefs = np.zeros(1)
+    order = int(order)
+    if order < 0:
+        raise ValueError("The order of derivation must be non-negative")
+    if order >= coefs.size:
+        der = coefs[:1] * 0.0
+    else:
+        der = coefs[order:]
+        powers = np.arange(order, coefs.size, dtype=np.float64)
+        for l in range(order):
+            der = der * (powers - l)
+    der = der.tolist()
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 1:
+        xf = x.item()
+        acc = der[-1] + xf * 0.0
+        for d in der[-2::-1]:
+            acc = d + acc * xf
+        return np.float64(acc) if x.ndim == 0 else np.full(x.shape, acc)
+    acc = x * 0.0
+    acc += der[-1]
+    for d in der[-2::-1]:
+        acc *= x
+        acc += d
+    return acc
+
+
+def _combo_derivatives_reference(ts, cs, rs, s, x, order):
+    fall = 1.0
+    for l in range(order):
+        fall *= s - l
+    coef = cs * rs**order * fall
+    arg = rs[:, None] * x[None, :] + ts[:, None]
+    powers = np.power(arg, float(s) - order, out=np.zeros_like(arg), where=arg > 0.0)
+    return (coef[:, None] * powers).sum(axis=0)
+
+
+def combo_derivative_reference(combo, x, order=0):
+    """combo_derivative with the noise threshold |coefs[order:]| @ weights
+    and the derivative's coefficients rebuilt in numpy on every call."""
+    if order < 0:
+        raise DomainError(f"derivative order must be nonnegative, got {order}")
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if combo.has_mp_coefficients:
+        xmax = abs(xs.item()) if xs.size == 1 else float(np.max(np.abs(xs), initial=0.0))
+        coefs = combo.taylor
+        powers = np.arange(order, coefs.size)
+        weights = xmax ** (powers - order)
+        for l in range(order):
+            weights = weights * (powers - l)
+        noise = _EPS64 * float(np.abs(coefs[order:]) @ weights)
+        if xmax < combo.radius and combo.series_error(xmax, order) <= noise:
+            out = power_series_eval_reference(coefs, xs, order)
+        else:
+            out = _combo_eval_mp(combo, xs, order)
+    else:
+        ts, cs, rs = combo.float_arrays
+        out = _combo_derivatives_reference(ts, cs, rs, combo.s, xs, order)
+    return float(out[0]) if scalar else out

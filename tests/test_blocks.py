@@ -21,7 +21,8 @@ from sharmonic import _kernels, blocks
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
-from conftest import block_derivative_at_zero, falling_factorial, richardson_derivative
+from conftest import (block_derivative_at_zero, combo_derivative_reference, falling_factorial,
+                      richardson_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def test_series_matches_function_derivatives():
     coefs = combo.taylor
     xs = np.array([0.05, -0.2, 0.4])
     for order in range(3):
-        got = _kernels.power_series_eval(coefs, xs, order)
+        got = _kernels.power_series_eval(_kernels.series_derivative(coefs, order), xs)
         want = _combo_eval_mp(combo, xs, order)
         assert np.allclose(got, want, rtol=1e-6 * 10**order, atol=0.0)
 
@@ -560,6 +561,33 @@ def test_one_point_gives_the_same_bits_in_every_form(x, order, which):
     got.append(float(sh.combo_derivative(combo, np.array([x]), order)[0]))
     got.append(float(sh.combo_derivative(combo, np.array([x, -x]), order)[0]))
     assert len({repr(v) for v in got}) == 1, got
+
+
+@functools.cache
+def _artifacts():
+    """The built x2, sin and exp artifacts at s = 0.5 and their JSON copies."""
+    built = [sh.approximate(sh.target_from_spec(spec), eps, 0.5)[0]
+             for spec, eps in (("x2", 1.0 / 16.0), ("sin", 1e-6), ("exp", 1e-8))]
+    return tuple(built) + tuple(sh.combo_from_json(sh.combo_to_json(c)) for c in built)
+
+
+def _repr(value) -> str:
+    # exact per element, signed zeros included, with the container's type
+    return repr((type(value), np.shape(value), np.asarray(value).tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-1.5, 1.5), st.integers(0, 6), st.data())
+def test_tables_give_the_bits_of_the_per_call_evaluation(x, order, data):
+    # past |x| = 1 and at orders 5-6 the series' omitted terms can exceed
+    # its rounding, so both routes, series and mpmath, are covered
+    floats = st.lists(st.builds(sh.SHBlock, st.floats(0.5, 60.0), st.floats(-2.0, 2.0),
+                                st.floats(0.05, 1.0)), min_size=1, max_size=3)
+    combo = data.draw(st.one_of(st.sampled_from(_artifacts()),
+                                floats.map(lambda b: sh.SHCombo(0.5, tuple(b)))))
+    for v in (x, np.array(x), np.array([x]), np.array([x, -0.5 * x, 0.25 * x])):
+        assert _repr(sh.combo_derivative(combo, v, order)) == _repr(
+            combo_derivative_reference(combo, v, order))
 
 
 def test_json_malformed():

@@ -128,6 +128,29 @@ def test_tail_certificate_bounds_truncation_effect():
     assert gap <= p_small.tail_halfwidth + p_big.tail_halfwidth + 1e-12
 
 
+def test_lorentzian_half_order_when_the_last_log_bound_rounds_past_r():
+    # [DERIVED] for s = 1/2, int_0^inf 2(1 - 1/(1 + y^2))/y^2 dy = pi; at
+    # delta = 0.003, R = 100 the last log-spaced bound rounds above R, and a
+    # mid field stopping one panel short misses by about 1e-3
+    def lorentzian(z):
+        return 1.0 / (1.0 + np.asarray(z, dtype=float) ** 2)
+
+    config = QuadConfig(delta=0.003, outer_radius=100.0)
+    detail = sh.frac_laplacian_detailed(lorentzian, 0.0, FracParams(0.5), config)
+    assert detail.tail_halfwidth < 2e-5
+    assert abs(detail.value - math.pi) <= 1e-10
+    assert abs(sh.frac_laplacian_pv(lorentzian, 0.0, FracParams(0.5), config)
+               - math.pi) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 0.5), st.floats(1.0, 1e8), st.integers(16, 4000),
+       st.sampled_from([8, 12]))
+def test_mid_layout_covers_the_whole_mid_field(lo, hi, mid_points, order):
+    _, wts, _, _ = fraclap._mid_layout(0.5, lo, hi, mid_points, order)
+    assert abs(float(np.sum(wts)) - (hi - lo)) <= 1e-12 * (hi - lo)
+
+
 # ---------------------------------------------------------------------------
 # local mean value comparisons
 
@@ -338,7 +361,8 @@ def _ref_second_difference(f, x, ys, ux):
 
 def _ref_mid(f, x, ux, s, lo, hi, n_points, kinks, rule, depth, offset):
     panels = max(n_points // len(rule[0]), 4)
-    bounds = set(lo * (hi / lo) ** (np.arange(panels + 1) / panels))
+    grid = lo * (hi / lo) ** (np.arange(panels + 1) / panels)
+    bounds = set(grid[1:-1]) | {lo, hi}
     for kink in kinks:
         ystar = abs(x - kink)
         if lo < ystar < hi:

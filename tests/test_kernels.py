@@ -19,6 +19,15 @@ def _workload():
     return ts, cs, rs, x
 
 
+def _derivatives(ts, cs, rs, s, x, order):
+    return _kernels.combo_derivatives(ts, _kernels.block_coefficients(cs, rs, s, order), rs,
+                                      s - order, x)
+
+
+def _series(coefs, x, order):
+    return _kernels.power_series_eval(_kernels.series_derivative(coefs, order), x)
+
+
 def _loop_derivatives(ts, cs, rs, s, x, order):
     fall = 1.0
     for l in range(order):
@@ -43,7 +52,7 @@ def _loop_power_series(exps, coefs, x, order):
 
 def test_combo_values_matches_reference():
     ts, cs, rs, x = _workload()
-    got = _kernels.combo_derivatives(ts, cs, rs, 0.5, x, 0)
+    got = _derivatives(ts, cs, rs, 0.5, x, 0)
     want = _loop_derivatives(ts, cs, rs, 0.5, x, 0)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -51,7 +60,7 @@ def test_combo_values_matches_reference():
 def test_combo_derivatives_matches_reference():
     ts, cs, rs, x = _workload()
     for order in range(4):
-        got = _kernels.combo_derivatives(ts, cs, rs, 0.35, x, order)
+        got = _derivatives(ts, cs, rs, 0.35, x, order)
         want = _loop_derivatives(ts, cs, rs, 0.35, x, order)
         scale = 1.0 + np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -62,15 +71,15 @@ def test_power_series_eval_matches_reference_and_horner():
     exps = np.arange(coefs.size)
     x = np.linspace(-2.0, 2.0, 101)
     for order in range(3):
-        got = _kernels.power_series_eval(coefs, x, order)
+        got = _series(coefs, x, order)
         want = _loop_power_series(exps, coefs, x, order)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
     # independent check at order 0 against numpy polynomial evaluation
-    assert np.allclose(_kernels.power_series_eval(coefs, x, 0),
+    assert np.allclose(_series(coefs, x, 0),
                        np.polynomial.polynomial.polyval(x, coefs), rtol=1e-12)
     # an empty series, and orders above its degree, are the zero function
-    assert np.all(_kernels.power_series_eval([], x, 0) == 0.0)
-    assert np.all(_kernels.power_series_eval(coefs, x, 10) == 0.0)
+    assert np.all(_series([], x, 0) == 0.0)
+    assert np.all(_series(coefs, x, 10) == 0.0)
 
 
 def _points(kind: str, lo: float, hi: float, seed: int):
@@ -98,15 +107,20 @@ def test_power_series_eval_is_polyval_of_polyder_bit_for_bit(coefs, order, past,
     # orders 0-4, and with past > 0 an order at or beyond the series length
     if past:
         order = len(coefs) + past - 1
+    # the derivative's coefficients are polyder's, and Horner's rule over
+    # them is polyval's, bit for bit; a Python float gives a Python float
     x = _points(kind, lo, hi, seed)
-    want = P.polyval(np.asarray(x, dtype=np.float64),
-                     P.polyder(np.asarray(coefs or [0.0], dtype=np.float64), order))
-    assert _bits(_kernels.power_series_eval(coefs, x, order)) == _bits(want)
+    der = P.polyder(np.asarray(coefs or [0.0], dtype=np.float64), order)
+    assert _bits(np.array(_kernels.series_derivative(coefs, order))) == _bits(der)
+    want = P.polyval(np.asarray(x, dtype=np.float64), der)
+    if kind == "float":
+        want = float(want)
+    assert _bits(_series(coefs, x, order)) == _bits(want)
 
 
 def test_power_series_eval_rejects_a_negative_order():
     with pytest.raises(ValueError, match="non-negative"):
-        _kernels.power_series_eval([1.0, 2.0], 0.5, -1)
+        _kernels.series_derivative([1.0, 2.0], -1)
 
 
 def test_blocks_are_zero_on_dead_side():
@@ -114,7 +128,7 @@ def test_blocks_are_zero_on_dead_side():
     cs = np.array([5.0])
     rs = np.array([1.0])
     x = np.array([-3.0, -1.0, -1.0000001])
-    out = _kernels.combo_derivatives(ts, cs, rs, 0.5, x, 0)
+    out = _derivatives(ts, cs, rs, 0.5, x, 0)
     assert np.all(out == 0.0)
-    der = _kernels.combo_derivatives(ts, cs, rs, 0.5, x, 1)
+    der = _derivatives(ts, cs, rs, 0.5, x, 1)
     assert np.all(der == 0.0)

@@ -24,6 +24,11 @@ the order of the workload's rounds:
   hit and the combination's own set-up cost;
 * ``grid_eval_ms``: ``combo_derivative`` of orders 0-2 of each in-memory
   combination on the workload's 10001-point grid, the mean of GRID_REPS;
+* ``float_point_ms``: one ``combo_derivative`` of the float 3-block
+  combination at one point, per order, as ``fraclap`` calls it: order 0 on
+  a one-element array (the operand's value at x) and orders 2 and 4 on a
+  float (the direct route's Taylor model), the mean over POINTS seeded
+  points of [-0.99, 0.99], repeated LOADS times;
 * ``fraclap_ms``: ms per point of ``frac_laplacian_detailed`` (direct) and
   ``frac_laplacian_pv`` (pv) for each operand the workload evaluates
   (gauss, cosmix, atan and the float combination ``combo``), over POINTS
@@ -133,6 +138,14 @@ for spec, combo, text in evaluate.artifacts:
     for k in range(3):
         digest.update(blocks.combo_derivative(combo, grid, k).tobytes())
 xs = np.random.default_rng(0).uniform(-0.99, 0.99, points)
+float_point_ms = {}
+for k in (0, 2, 4):
+    args = [np.array([x]) if k == 0 else float(x) for x in xs] * loads
+    it, values = iter(args), []
+    float_point_ms[str(k)] = scaled_ms(
+        lambda: values.append(blocks.combo_derivative(evaluate.block_operand, next(it), k)),
+        len(args))
+    digest.update(repr([np.asarray(v).tolist() for v in values]).encode())
 operands = {**bounded_operands(), "combo": evaluate.block_operand}
 routes = {"direct": fraclap.frac_laplacian_detailed, "pv": fraclap.frac_laplacian_pv}
 fraclap_ms = {}
@@ -147,7 +160,7 @@ for name, operand in operands.items():
 print(json.dumps({"fraclap_ms": fraclap_ms, "load_ms": load_ms,
                   "artifact_point_ms": artifact_point_ms, "first_point_ms": first_point_ms,
                   "next_point_ms": next_point_ms, "grid_eval_ms": grid_eval_ms,
-                  "sha256": digest.hexdigest(),
+                  "float_point_ms": float_point_ms, "sha256": digest.hexdigest(),
                   "texts": {spec: text for spec, _, text in evaluate.artifacts}}))
 """
 
@@ -171,7 +184,7 @@ print(json.dumps({"ms": round(elapsed * REFERENCE_NOMINAL_MS / (0.5 * (before + 
 """
 
 GROUPS = ("fraclap_ms", "load_ms", "artifact_point_ms", "first_point_ms", "next_point_ms",
-          "grid_eval_ms", "cold_load_ms")
+          "grid_eval_ms", "float_point_ms", "cold_load_ms")
 
 
 def eval_split(tree: Path) -> dict:
