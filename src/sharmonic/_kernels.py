@@ -59,12 +59,9 @@ def series_derivative(coefs, order: int) -> list[float]:
         raise ValueError("The order of derivation must be non-negative")
     if order >= len(coefs):
         return [coefs[0] * 0.0]
-    der = []
-    for i in range(order, len(coefs)):
-        d = coefs[i]
-        for l in range(order):
-            d *= i - l
-        der.append(d)
+    der = coefs[order:]
+    for l in range(order):
+        der = [d * (i - l) for i, d in enumerate(der, order)]
     return der
 
 
