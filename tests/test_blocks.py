@@ -579,8 +579,8 @@ def _repr(value) -> str:
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-1.5, 1.5), st.integers(0, 6), st.data())
 def test_tables_give_the_bits_of_the_per_call_evaluation(x, order, data):
-    # past |x| = 1 and at orders 5-6 the series' omitted terms can exceed
-    # its rounding, so both routes, series and mpmath, are covered
+    # at orders 2-6, mostly past |x| = 1, the series' omitted terms can
+    # exceed its rounding, so both routes, series and mpmath, are covered
     floats = st.lists(st.builds(sh.SHBlock, st.floats(0.5, 60.0), st.floats(-2.0, 2.0),
                                 st.floats(0.05, 1.0)), min_size=1, max_size=3)
     combo = data.draw(st.one_of(st.sampled_from(_artifacts()),
