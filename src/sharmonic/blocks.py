@@ -37,12 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
-from mpmath import mpf, workdps, workprec
-from mpmath.libmp import dps_to_prec, from_int, from_str, mpf_div, round_nearest
 
 from . import _kernels
+from ._dyadic import (Dyadic, dps_to_prec, fixed_pow, from_str, log10, parts, round_bits,
+                      rounded_pow, rounded_ratio, to_float, to_str)
 from .errors import ApproximationError, DomainError
 
 _EPS64 = 2.0**-52
@@ -59,9 +58,10 @@ def _finite(value) -> bool:
 class SHBlock:
     """One truncated power block c * (r*x + t)_+^s.
 
-    c may be a python float or an mpmath.mpf; extended precision is
-    required when the coefficient magnitude exceeds what float64 can
-    carry without destroying the combination's interior cancellation.
+    c is a python float or, where float64 cannot carry the coefficient
+    without destroying the combination's interior cancellation, an exact
+    binary fraction (_dyadic.Dyadic).  Any value with mpmath's raw tuple
+    _mpf_, an mpmath.mpf among them, is stored as the Dyadic of that tuple.
     """
 
     t: float
@@ -81,10 +81,13 @@ class SHBlock:
                 raise DomainError(f"block coefficient must be finite, "
                                   f"got c={reprlib.repr(self.c)}")
             object.__setattr__(self, "c", float(self.c))
-        elif not isinstance(self.c, mpf):
+        elif not hasattr(self.c, "_mpf_"):
             raise DomainError(f"block coefficient must be float or mpf, got {type(self.c)}")
-        elif not mpmath.isfinite(self.c):
-            raise DomainError("block coefficient must be finite")
+        else:
+            sign, man, exp, bc = self.c._mpf_
+            if not man and exp:  # mpmath's inf and nan
+                raise DomainError("block coefficient must be finite")
+            object.__setattr__(self, "c", Dyadic((sign, int(man), exp, bc)))
 
     @property
     def kink(self) -> float:
@@ -122,7 +125,7 @@ class SHCombo:
 
     @functools.cached_property
     def has_mp_coefficients(self) -> bool:
-        return any(isinstance(b.c, mpf) for b in self.blocks)
+        return any(isinstance(b.c, Dyadic) for b in self.blocks)
 
     @functools.cached_property
     def radius(self) -> float:
@@ -203,7 +206,7 @@ class SHCombo:
 
 def _mantissa_bits(blocks: Sequence[SHBlock]) -> int:
     """Longest stored coefficient mantissa in bits; 53 for float64."""
-    return max((b.c._mpf_[3] if isinstance(b.c, mpf) else 53 for b in blocks), default=53)
+    return max((b.c._mpf_[3] if isinstance(b.c, Dyadic) else 53 for b in blocks), default=53)
 
 
 def _omitted_bound(s: float, m: int, log_lead: float, p: float, xmax: float,
@@ -233,55 +236,86 @@ def _omitted_bound(s: float, m: int, log_lead: float, p: float, xmax: float,
 def _group_taylor(s: float, blocks: tuple[SHBlock, ...]) -> tuple[np.ndarray, float]:
     """Coefficients of x^0 .. x^(m - 1) for blocks sharing one scale r,
     binom(s, i) r^i sum_k c_k t_k^(s-i), and log10(|binom(s, m)| W) with W
-    = sum_k |c_k| t_k^s.  Each coefficient is computed at the precision of
-    the longest stored mantissa plus guard bits and rounded once to
-    float64.  The series stops at the first m at which, for each order
-    0..4, the bound on the omitted terms at |x| = 1 (see _omitted_bound)
-    lies below 2^-52 times that order's own absolute series sum_i |c_i|
-    i!/(i-order)!, or at _SERIES_CAP terms."""
+    = sum_k |c_k| t_k^s.  Each coefficient is computed in integers at the
+    precision of the longest stored mantissa plus guard bits and rounded
+    once to float64: c_k t_k^s from _dyadic.fixed_pow, divided by t_k = n_k
+    2^e_k once per order, floored, as (D 2^b / n_k) 2^-(b + e_k) with b the
+    bit length of the odd n_k, the blocks summed exactly, and binom(s, i)
+    r^i kept to the same bits plus 64.  The series stops at the first m at
+    which, for each order 0..4, the bound on the omitted terms at |x| = 1
+    (see _omitted_bound) lies below 2^-52 times that order's own absolute
+    series sum_i |c_i| i!/(i-order)!, or at _SERIES_CAP terms."""
     p = blocks[0].r / min(b.t for b in blocks)
-    with workprec(_mantissa_bits(blocks) + _GUARD_BITS):
-        sm, r = mpf(s), mpf(blocks[0].r)
-        terms = [mpf(b.c) * mpf(b.t) ** sm for b in blocks]  # c_k t_k^(s-i) at i = 0
-        mass = mpmath.fsum(abs(term) for term in terms)
-        log_lead = float(mpmath.log10(mass)) if mass else -math.inf  # at m = 0
-        inv_t = [1 / mpf(b.t) for b in blocks]
-        binom_r = mpf(1)  # binom(s, i) r^i
-        coefs, abs_series = [], [0.0] * 5
-        for i in range(_SERIES_CAP):
-            coefs.append(float(binom_r * mpmath.fsum(terms)))
-            for order in range(5):
-                abs_series[order] += abs(coefs[i]) * math.perm(i, order)
-            terms = [term * q for term, q in zip(terms, inv_t)]
-            binom_r *= (sm - i) * r / (i + 1)
-            log_lead += math.log10(abs(s - i) / (i + 1))
-            if all(_omitted_bound(s, i + 1, log_lead, p, 1.0, order)
-                   <= _EPS64 * abs_series[order] for order in range(5)):
-                break
+    w = _mantissa_bits(blocks) + _GUARD_BITS
+    sn, sd = s.as_integer_ratio()
+    rn, re = parts(blocks[0].r)
+    terms, steps = [], []  # c_k t_k^(s-i) = d_k 2^f_k; per block (n_k, b_k, b_k + e_k)
+    for b in blocks:
+        (cm, ce), (tm, te) = parts(b.c), parts(b.t)
+        x, _, f = fixed_pow(tm, te, sn, sd, w)
+        terms.append((cm * x, ce + f))
+        steps.append((tm, tm.bit_length(), tm.bit_length() + te))
+    low = min(f for _, f in terms)
+    mass = sum(abs(d) << (f - low) for d, f in terms)
+    log_lead = log10(mass, low) if mass else -math.inf  # at m = 0
+    bm, be = 1 << (w + 64), -w - 64  # binom(s, i) r^i = bm 2^be
+    coefs, abs_series = [], [0.0] * 5
+    for i in range(_SERIES_CAP):
+        low = min(f for _, f in terms)
+        coefs.append(to_float(bm * sum(d << (f - low) for d, f in terms), be + low))
+        for order in range(5):
+            abs_series[order] += abs(coefs[i]) * math.perm(i, order)
+        terms = [((d << bits) // tm, f - shift)
+                 for (d, f), (tm, bits, shift) in zip(terms, steps)]
+        bm, be = bm * (sn - i * sd) * rn // (i + 1), be + re + 1 - sd.bit_length()
+        cut = max(0, abs(bm).bit_length() - w - 64)
+        bm, be = bm >> cut, be + cut
+        log_lead += math.log10(abs(s - i) / (i + 1))
+        if all(_omitted_bound(s, i + 1, log_lead, p, 1.0, order)
+               <= _EPS64 * abs_series[order] for order in range(5)):
+            break
     out = np.array(coefs)
     out.flags.writeable = False  # shared by every combination holding the group
     return out, log_lead
 
 
 def _combo_eval_mp(combo: SHCombo, xs: np.ndarray, order: int) -> np.ndarray:
+    """Per-point sum of the blocks' order-th derivatives c_k r_k^order
+    s (s-1) ... (s-order+1) (r_k x + t_k)^(s-order), in integers: r_k x +
+    t_k exact, each power from _dyadic.fixed_pow at 28 digits (plus 32
+    bits) past the digits of sum_k |c_k| (t_k + r_k max|x|)^s, the terms
+    summed exactly and rounded once to float64."""
+    s = combo.s
     xmax = float(np.max(np.abs(xs))) if xs.size else 1.0
-    with workdps(30):
-        tot = mpf(0)
-        for b in combo.blocks:
-            tot += abs(mpf(b.c)) * (mpf(b.t) + mpf(b.r) * xmax) ** mpf(combo.s)
-        digits = int(mpmath.ceil(mpmath.log10(tot))) if tot > 1 else 0
+    logs = []
+    for b in combo.blocks:
+        if b.c:
+            cm, ce = parts(b.c)
+            logs.append(log10(abs(cm), ce) + s * math.log10(b.t + b.r * xmax))
+    digits = 0
+    if logs:
+        top = max(logs)
+        digits = max(0, math.ceil(top + math.log10(sum(10.0 ** (v - top) for v in logs))))
+    w = dps_to_prec(28 + digits) + 32
+    sn, sd = s.as_integer_ratio()
+    fall = math.prod(sn - j * sd for j in range(order))  # s (s-1) ... over sd^order
+    shift = order * (sd.bit_length() - 1)
+    blocks = []  # (c r^order fall as m 2^e, r, t as integer pairs)
+    for b in combo.blocks:
+        (cm, ce), (rm, re), (tm, te) = parts(b.c), parts(b.r), parts(b.t)
+        blocks.append((cm * rm**order * fall, ce + re * order - shift, rm, re, tm, te))
     out = np.empty(xs.shape)
-    with workdps(28 + digits):
-        s = mpf(combo.s)
-        fall = mpmath.ff(s, order)
-        for i, x in enumerate(xs):
-            acc = mpf(0)
-            xm = mpf(float(x))
-            for b in combo.blocks:
-                arg = mpf(b.r) * xm + mpf(b.t)
-                if arg > 0:
-                    acc += mpf(b.c) * mpf(b.r) ** order * fall * arg ** (s - order)
-            out[i] = float(acc)
+    for i, x in enumerate(xs):
+        xm, xe = parts(float(x))
+        acc = []
+        for c, ce, rm, re, tm, te in blocks:
+            low = min(re + xe, te)
+            arg = (rm * xm << (re + xe - low)) + (tm << (te - low))
+            if arg > 0 and c:
+                v, _, f = fixed_pow(arg, low, sn - order * sd, sd, w)
+                acc.append((c * v, ce + f))
+        low = min((f for _, f in acc), default=0)
+        out[i] = to_float(sum(m << (f - low) for m, f in acc), low)
     return out
 
 
@@ -297,7 +331,7 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
     derived power series when every |x| is below its radius and the bound
     on the omitted terms is below the float64 rounding of the series
     itself, 2^-52 times the absolute series at max |x|, and through the
-    per-point mpmath sum otherwise.  The series route is
+    per-point sum (_combo_eval_mp) otherwise.  The series route is
     _kernels.power_series_eval, Horner's rule over the table: in place on
     one array, or, like the rounding test, on Python floats for a scalar
     or 0-d x.
@@ -434,21 +468,25 @@ def _merge(columns: dict, r: float, size: int) -> tuple[list[int], int]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _inverse_power(t: float, s: float, dps: int) -> mpf:
-    """t^-s rounded at dps digits, whatever the caller's precision."""
-    with workdps(dps):
-        return mpf(t) ** -mpf(s)
+def _inverse_power(t: float, s: float, dps: int) -> Dyadic:
+    """t^-s rounded to nearest at dps digits (_dyadic.rounded_pow)."""
+    return rounded_pow(t, -s, dps_to_prec(dps))
 
 
 def _block_coefficients(nums: list[int], den: int, t: np.ndarray, s: float,
-                        dps: int) -> list[mpf]:
+                        dps: int) -> list[Dyadic]:
     """Coefficients y_k t_k^-s at dps digits, y_k = nums[k] / den, den > 0: y_k
-    is rounded once, correctly, as libmp.from_rational would (den converted
-    once), so the result depends on its value alone, not on its terms."""
-    with workdps(dps):
-        prec, den = mpmath.mp.prec, from_int(den)
-        return [mpf(mpf_div(from_int(n), den, prec, round_nearest))
-                * _inverse_power(float(tk), s, dps) for n, tk in zip(nums, t)]
+    is rounded once, correctly, as libmp.from_rational would, so the result
+    depends on its value alone, not on its terms; its product with t_k^-s
+    (_inverse_power) is rounded once more, to nearest."""
+    prec = dps_to_prec(dps)
+    out = []
+    for n, tk in zip(nums, t):
+        sign, ym, ye, _ = rounded_ratio(n, den, prec)
+        _, pm, pe, _ = _inverse_power(float(tk), s, dps)._mpf_
+        man, exp = round_bits(ym * pm, ye + pe, prec)
+        out.append(Dyadic((sign, man, exp, man.bit_length())))
+    return out
 
 
 def _defect_model(values: Sequence, nodes: Sequence[float], s: float, eps: float,
@@ -627,17 +665,15 @@ def match_polynomial(values: Sequence, nodes: Sequence[float], s: float, eps: fl
 # serialization
 
 
-def _mpf_digits(value: mpf) -> int:
+def _mpf_digits(value: Dyadic) -> int:
     """Decimal digits needed to reproduce the stored binary mantissa."""
     _, _, _, bitcount = value._mpf_
     return max(20, int(bitcount * 0.30103) + 5)
 
 
 def _format_coefficient(value) -> str:
-    if isinstance(value, mpf):
-        digits = _mpf_digits(value)
-        with workdps(digits + 10):
-            return mpmath.nstr(value, digits, strip_zeros=True, min_fixed=1, max_fixed=0)
+    if isinstance(value, Dyadic):
+        return to_str(value._mpf_, _mpf_digits(value))
     return repr(float(value))
 
 
@@ -669,8 +705,9 @@ def combo_from_json(text: str) -> SHCombo:
 
     Accepts either a bare combination object or a report artifact that
     stores the combination under a "combo" key.  A coefficient of more
-    than 17 significant digits is read as an mpf at 10 digits past its
-    own, rounded to nearest (mpmath.libmp.from_str, without a context).
+    than 17 significant digits is read as a Dyadic at 10 digits past its
+    own, rounded to nearest, the bits of mpmath.libmp.from_str
+    (_dyadic.from_str).
     """
     try:
         raw = json.loads(text, parse_float=str, parse_int=str)
@@ -686,8 +723,7 @@ def combo_from_json(text: str) -> SHCombo:
             mantissa = cstr.split("e")[0].split("E")[0].replace("-", "").replace(".", "")
             mantissa = mantissa.lstrip("0")
             if len(mantissa) > 17:
-                c = mpmath.mp.make_mpf(from_str(cstr, dps_to_prec(len(mantissa) + 10),
-                                                round_nearest))
+                c = Dyadic(from_str(cstr, dps_to_prec(len(mantissa) + 10)))
             else:
                 c = float(cstr)
             blocks.append(SHBlock(t, c, r))

@@ -38,13 +38,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import mpmath
-from mpmath import iv, mpf, workprec
 
+from ._dyadic import Dyadic, pow_box
 from .blocks import SHCombo
 from .errors import DomainError
 
-_phi_cache: dict[tuple[float, float, int], tuple[mpf, mpf]] = {}
+_phi_cache: dict[tuple[float, float, int], tuple[Dyadic, Dyadic]] = {}
 _MAX_TERMS = 100000
 _GUARD_DIGITS = 15  # the working precision W is dps + _GUARD_DIGITS digits
 
@@ -99,7 +98,7 @@ def _g_zone(P, L, A, bound, tol, one):
         _guard(k)
 
 
-def canonical_constant(p: float, s: float, dps: int) -> tuple[mpf, mpf]:
+def canonical_constant(p: float, s: float, dps: int) -> tuple[Dyadic, Dyadic]:
     """(value, error bound) for Phi(p, s) at dps significant digits.
 
     Requires 0 < p < 2s and 0 < s < 1 so the integral converges at both
@@ -113,15 +112,18 @@ def canonical_constant(p: float, s: float, dps: int) -> tuple[mpf, mpf]:
     of two L, so every recurrence step multiplies by a ratio c/d of
     integers; floor(X c / d) lies within E |c| / d + 1 units of the true
     product, which rounded up is the new E.  Terms add exactly.  The zone
-    factors K, the closed-form parts and the Cauchy bounds are enclosed in
-    intervals by mpmath.iv at W + 64 bits and rounded outward to units
-    [lo, hi].  K times a zone sum X (error E), floored, is within
+    factors K, the closed-form parts and the Cauchy bounds are enclosed at
+    W + 64 bits (more for small s, whose 1/s they carry) in integers, each
+    power of 2, 4, 8, 23/8 and 15/8 by _dyadic.pow_box, products, the
+    difference and the divisions rounded outward, then rounded outward to
+    units [lo, hi].  K times a zone sum X (error E), floored, is within
     (hi E + (hi - lo) |X|) / 2^W + 1 units of the product.  Each zone
     holds its terms scaled by their geometric weight, so E stays a few
     units: the ratios of zones 1-3 fall to 1/4, 1/2 and (1+2s+k)/(2k+2),
     and in the difference form of zones 4-5 E halves and gains a few units
     per step, where the three-term form would multiply it by about 1.78.
-    The sum converts to mpf exactly; its error is sum E plus the tails.
+    The sum and its error, sum E plus the tails, are returned exactly as
+    Dyadics.
     """
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
@@ -139,23 +141,26 @@ def canonical_constant(p: float, s: float, dps: int) -> tuple[mpf, mpf]:
     P, S = int(fp * L), int(fs * L)
     tol = one // 10 ** (dps + 10)  # 10^-(dps+10) in units, rounded down
     exponents = (-L - 2 * S, 2 * S - L - P)  # a = A/L of zones 4-5 below
-    prec = w + 64 + max(0, 1 - math.frexp(s)[1])  # 1/s < 2^(1-e)
-    saved, iv.prec = iv.prec, prec
-    try:
-        pm, sm, two = iv.mpf(p), iv.mpf(s), iv.mpf(2)
-        # int_2^inf and int_{1/2}^2 of 2 w^(-1-2s) in closed form, the factors
-        # K of zones 1-5 and the Cauchy bounds of zones 4-5
-        boxes = [4 ** -sm / sm, (4 ** sm - 4 ** -sm) / sm, two ** (2 * sm - 1),
-                 two ** (pm - 2 * sm), two ** -(pm + 1), two ** (pm - 1)] + [
-            7 * (iv.mpf(23) / 8) ** pm * (8 ** -(iv.mpf(A) / L) if A < 0
-                                          else (iv.mpf(15) / 8) ** (iv.mpf(A) / L)) / 6
-            for A in exponents]
-    finally:
-        iv.prec = saved
-    with workprec(prec):  # the endpoints convert exactly
-        c0, c1, k1, k2, k3, k4, *cauchy = [
-            (int(mpmath.floor(mpmath.ldexp(mpf(b.a), w))),
-             int(mpmath.ceil(mpmath.ldexp(mpf(b.b), w)))) for b in boxes]
+    fine = w + 64 + max(0, 1 - math.frexp(s)[1])  # 1/s < 2^(1-e)
+
+    def power(man, exp, xn):  # (man 2^exp)^(xn / L), in units 2^-fine
+        return pow_box(man, exp, xn, L, fine)
+
+    def over_s(lo, hi):
+        return lo * L // S, -(-hi * L // S)
+
+    def cauchy_bound(A):  # 7 (23/8)^p max(8^-a, (15/8)^a) / 6, a = A/L
+        (a, b), (c, d) = power(23, -3, P), power(1, 3, -A) if A < 0 else power(15, -3, A)
+        return 7 * (a * c >> fine) // 6, -(-7 * (b * d) // (6 << fine))
+
+    # int_2^inf and int_{1/2}^2 of 2 w^(-1-2s) in closed form, the factors
+    # K of zones 1-5 and the Cauchy bounds of zones 4-5
+    (q_lo, q_hi), (p_lo, p_hi) = power(1, 2, -S), power(1, 2, S)  # 4^-s, 4^s
+    boxes = [over_s(q_lo, q_hi), over_s(p_lo - q_hi, p_hi - q_lo), power(1, 1, 2 * S - L),
+             power(1, 1, P - 2 * S), power(1, 1, -P - L), power(1, 1, P - L)] + [
+        cauchy_bound(A) for A in exponents]
+    c0, c1, k1, k2, k3, k4, *cauchy = [(lo >> (fine - w), -(-hi >> (fine - w)))
+                                        for lo, hi in boxes]
     zones = [
         # zone [0, 1/2]: 2 - (1+w)^p - (1-w)^p = -2 sum_{m>=1} binom(p, 2m) w^(2m);
         # the kernel singularity integrates in closed form term by term, to
@@ -196,8 +201,7 @@ def canonical_constant(p: float, s: float, dps: int) -> tuple[mpf, mpf]:
         value -= (lo * total) >> w
         err += -(-(hi * e_total + (hi - lo) * abs(total)) // one) + 1
         tails += tail
-    with workprec(max(value.bit_length(), (err + tails).bit_length()) + 8):
-        result = mpmath.ldexp(mpf(value), -w), mpmath.ldexp(mpf(err + tails), -w)
+    result = Dyadic.exact(value, -w), Dyadic.exact(err + tails, -w)
     _phi_cache[key] = result
     return result
 
@@ -454,7 +458,7 @@ def combo_residual(combo: SHCombo, xs) -> np.ndarray:
         amp = max(0, _ceil_log10(float(S[j]), int(N[j])))
     dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)
-    bm, be = _mantissa_up(mpmath.fadd(abs(phi), abs(phi_err), prec=64, rounding="u"))
+    bm, be = _mantissa_up(abs(phi) + abs(phi_err))
     inflation = math.nextafter(1.0 + _mass_slack(len(combo.blocks)), math.inf)
     out = np.ldexp(bm * S * inflation, N + be)
     # ldexp rounds to nearest below 2^-1022: step up there

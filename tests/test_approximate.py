@@ -240,7 +240,7 @@ def _group_deviation_mp(group, dj: float, j: int, xs, order: int) -> float:
     """sup over xs of |d^order/dx^order (group - dj x^j / j!)|, summed over
     the blocks in mpmath with digits past the coefficient mass."""
     s = group.s
-    mass = sum(abs(b.c) for b in group.blocks) * 4
+    mass = mpmath.fsum(abs(b.c) for b in group.blocks) * 4
     with workdps(50 + int(mpmath.log10(mass)) + int(-math.log10(group.blocks[0].r))):
         sm = mpf(s)
         cj = mpf(dj) / math.factorial(j)

@@ -18,6 +18,7 @@ from mpmath.libmp import from_rational, round_nearest
 
 import sharmonic as sh
 from sharmonic import _kernels, blocks
+from sharmonic._dyadic import Dyadic
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
@@ -640,7 +641,7 @@ def test_long_coefficients_parse_as_in_a_workdps_context(cstr, outer_dps):
     text = f'{{"s": 0.5, "interval": [-1, 1], "blocks": [{{"t": 2, "c": {cstr}, "r": 1}}]}}'
     with workdps(outer_dps):  # the caller's precision plays no part
         got = sh.combo_from_json(text).blocks[0].c
-    assert isinstance(got, mpf)
+    assert isinstance(got, Dyadic)
     assert got._mpf_ == _workdps_parse(cstr)._mpf_
 
 
@@ -677,9 +678,10 @@ def test_block_rejects_nonfinite_mp_coefficient(value):
 
 @pytest.mark.parametrize("c, stored", [
     (1.5, 1.5), (-3, -3.0), (True, 1.0), (np.float64(-0.25), -0.25),
-    (1e308, 1e308), (mpf("1e400"), mpf("1e400"))])
+    (1e308, 1e308), (mpf("1e400"), Dyadic(mpf("1e400")._mpf_))])
 def test_block_accepts_finite_coefficients(c, stored):
-    # python and numpy floats and ints are stored as float, mpf as mpf
+    # python and numpy floats and ints are stored as float, an mpf as the
+    # Dyadic of its raw tuple
     block = sh.SHBlock(2.0, c)
     assert block.c == stored and type(block.c) is type(stored)
 

@@ -475,6 +475,22 @@ def test_module_entry_point_smoke():
     assert "elapsed:" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["approximate", "--target", "sin", "--epsilon", "1e-6", "--out-json", "{out}"],
+    ["demo", "harnack", "--out-json", "{out}"],
+    ["demo", "logistic", "--sigma", "sin", "--mu", "exp", "--out-json", "{out}"],
+    ["fraclap", "--target", "sin", "--out-json", "{out}"]], ids=lambda argv: argv[0])
+def test_commands_never_import_mpmath(tmp_path, argv):
+    # mpmath costs about 40 ms to import; the exact arithmetic is in integers
+    argv = [a.replace("{out}", str(tmp_path / "out.json")) for a in argv]
+    code = (f"import sys\nfrom sharmonic.cli import main\nrc = main({argv!r})\n"
+            "print(rc, 'mpmath' in sys.modules)\n")
+    src = str(Path(sh.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+
+
 def test_approximate_never_imports_numpy_ma(tmp_path):
     # numpy.ma costs 10-30 ms to import, and np.unique would load it
     code = ("import sys\nfrom sharmonic.cli import main\n"

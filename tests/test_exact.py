@@ -46,7 +46,7 @@ def test_canonical_constant_matches_gamma_closed_form(p, s):
 def test_canonical_constant_error_bound_shrinks_with_precision():
     _, err_lo = sh.canonical_constant(0.3, 0.45, dps=20)
     _, err_hi = sh.canonical_constant(0.3, 0.45, dps=40)
-    assert err_hi < err_lo * 1e-10
+    assert err_hi < float(err_lo) * 1e-10
 
 
 def test_canonical_constant_sign_for_small_power():
@@ -371,7 +371,7 @@ def test_combo_residual_handles_huge_coefficients():
     assert np.isfinite(res[0])
     expected_mass = 1e120 * (1e-6) ** 0.5 * (2.0 / 1e-6) ** -0.5
     phi, err = sh.canonical_constant(0.5, 0.5, dps=160)
-    assert res[0] == pytest.approx(float((abs(phi) + err) * expected_mass), rel=1e-6)
+    assert res[0] == pytest.approx(float(abs(phi) + err) * expected_mass, rel=1e-6)
 
 
 def test_combo_residual_mass_at_fixed_precision_matches_60_digits():
