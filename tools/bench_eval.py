@@ -50,9 +50,10 @@ reference computation takes ``REFERENCE_NOMINAL_MS``.  ``median_ms`` holds
 each tree's median over its RUNS interpreters (``fraclap_ms.sum`` adds up
 the eight per-point figures), and ``per_run_ms`` every run's figures.
 Every run hashes the repr of every value it returns (each
-``FracLapDetail``, PV value, artifact text, loaded combination, point
-value and grid array), so ``outputs_identical`` says whether both trees
-return the same bits.  Last, the script runs the ``fraclap`` cases of
+``FracLapDetail``, PV value, artifact text, point value and grid array,
+and each loaded block's offset, scale and exact coefficient, as mpmath's
+raw tuple where it has one), so ``outputs_identical`` says whether both
+trees return the same bits.  Last, the script runs the ``fraclap`` cases of
 ``tools/compare_artifacts.py`` against PATH and records their result.
 """
 
@@ -122,7 +123,10 @@ rounds = np.random.default_rng(0).uniform(-0.99, 0.99, (loads, EVAL_ARTIFACT_POI
 for spec, combo, text in evaluate.artifacts:
     digest.update(text.encode())
     load_ms[spec] = scaled_ms(lambda: blocks.combo_from_json(text), loads)
-    digest.update(repr(blocks.combo_from_json(text).blocks).encode())
+    # each loaded coefficient by its exact value (mpmath's raw tuple for an
+    # extended-precision one), whatever class holds it
+    digest.update(repr([(b.t, getattr(b.c, "_mpf_", b.c), b.r)
+                        for b in blocks.combo_from_json(text).blocks]).encode())
     it, values = iter(rounds), []
 
     def read_round():
