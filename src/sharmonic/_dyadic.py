@@ -15,7 +15,9 @@ Three things the package needs past float64:
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -83,11 +85,16 @@ def _pow_ten(n: int, prec: int, mode: str) -> tuple[int, int]:
     return round_bits(pm, pe, prec, mode)
 
 
-def rounded_ratio(num: int, den: int, prec: int) -> tuple[int, int, int, int]:
-    """The raw tuple of num / den for integers, den > 0, rounded to nearest
-    at prec bits: mpmath's libmp.from_rational."""
-    m, e = _div(*round_bits(abs(num), 0, 0), *round_bits(den, 0, 0), prec, "n")
-    return (int(num < 0) if m else 0, m, e, m.bit_length())
+def rounded_ratios(nums: list[int], den: int, prec: int) -> list[tuple[int, int, int, int]]:
+    """The raw tuples of num / den for integers num in nums and den > 0,
+    rounded to nearest at prec bits: mpmath's libmp.from_rational, den
+    normalised once."""
+    dm, de = round_bits(den, 0, 0)
+    out = []
+    for num in nums:
+        m, e = _div(*round_bits(abs(num), 0, 0), dm, de, prec, "n")
+        out.append((int(num < 0) if m else 0, m, e, m.bit_length()))
+    return out
 
 
 def to_float(man: int, exp: int) -> float:
@@ -210,21 +217,32 @@ def _atanh_inv(q: int, w: int) -> tuple[int, int]:
     return total, k + 1
 
 
+# precisions of the cached logarithms: from 128 bits up by a quarter each,
+# in multiples of 64 bits
+_LN_PRECISIONS = tuple(itertools.accumulate(
+    range(100), lambda p, _: (p * 5 // 4 + 63) // 64 * 64, initial=128))
+# ln p = sum_i c_i atanh(1/q_i) for q = 251, 449, 4801, 8749
+_LN_SMALL_PRIMES = {2: (144, 54, -38, 62), 3: (228, 86, -60, 98),
+                    5: (334, 126, -88, 144), 7: (404, 152, -106, 174)}
+
+
+@functools.lru_cache(maxsize=64)
+def _atanh_basis(w: int) -> tuple[tuple[int, int], ...]:
+    return tuple(_atanh_inv(q, w) for q in (251, 449, 4801, 8749))
+
+
 @functools.lru_cache(maxsize=4096)
 def _ln_int(man: int, w: int) -> tuple[int, int]:
     """ln man for an integer man >= 1 as (X, E) at w bits, from series in
-    1/q for integers q, which need no product of two long integers: ln 2 =
-    18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749) (the formula mpmath
-    uses), a prime p > 2 as ln(p - 1) + 2 atanh(1/(2p - 1)), and any other
-    integer as the sum over its prime factors."""
+    1/q for integers q, which need no product of two long integers: ln 2,
+    3, 5 and 7 from four shared series (_LN_SMALL_PRIMES), a larger prime p
+    as ln(p - 1) + 2 atanh(1/(2p - 1)), and any other integer as the sum
+    over its prime factors."""
     if man == 1:
         return 0, 0
-    if man == 2:
-        x = e = 0
-        for c, q in ((18, 26), (-2, 4801), (8, 8749)):
-            a, ea = _atanh_inv(q, w)
-            x, e = x + c * a, e + abs(c) * ea
-        return x, e
+    if man in _LN_SMALL_PRIMES:
+        terms = list(zip(_LN_SMALL_PRIMES[man], _atanh_basis(w)))
+        return sum(c * a for c, (a, _) in terms), sum(abs(c) * e for c, (_, e) in terms)
     p = next((p for p in range(2, math.isqrt(man) + 1) if man % p == 0), man)
     if p < man:
         (a, ea), (b, eb) = _ln_int(p, w), _ln_int(man // p, w)
@@ -234,9 +252,10 @@ def _ln_int(man: int, w: int) -> tuple[int, int]:
 
 
 def _ln_cut(man: int, w: int) -> tuple[int, int]:
-    """_ln_int cut to w bits from the cached value at the next multiple of
-    64 bits past w + 63."""
-    wq = (w + 127) // 64 * 64
+    """_ln_int cut to w bits from the cached value at the first of
+    _LN_PRECISIONS at or past w + 32, so that nearby precisions share one
+    table."""
+    wq = _LN_PRECISIONS[bisect.bisect_left(_LN_PRECISIONS, w + 32)]
     x, e = _ln_int(man, wq)
     return x >> (wq - w), (e >> (wq - w)) + 2
 
@@ -330,13 +349,13 @@ def pow_box(man: int, exp: int, xn: int, xd: int, w: int) -> tuple[int, int]:
 
 def rounded_pow(base: float, x: float, prec: int) -> Dyadic:
     """base^x for floats base > 0 and x, rounded to nearest at prec bits:
-    from fixed_pow's enclosure at prec + 64 bits, redone with twice the
+    from fixed_pow's enclosure at prec + 32 bits, redone with twice the
     guard bits while its ends round apart.  That ends unless base^x is a
     tie at prec bits; for 0 < |x| < 1, as for t^-s, a dyadic base^x has at
     most 27 bits, so prec >= 27 leaves no tie."""
     bm, be = parts(base)
     xn, xd = float(x).as_integer_ratio()
-    guard = 64
+    guard = 32
     while True:
         v, e, f = fixed_pow(bm, be, xn, xd, prec + guard)
         man, exp = round_bits(v - e, f, prec)
@@ -423,5 +442,5 @@ def from_str(text: str, prec: int) -> tuple[int, int, int, int]:
     elif k >= 0:
         m, e = round_bits(abs(num) * 10**k, 0, prec)
     else:
-        return rounded_ratio(num, 10**-k, prec)
+        return rounded_ratios([num], 10**-k, prec)[0]
     return (int(num < 0) if m else 0, m, e, m.bit_length())

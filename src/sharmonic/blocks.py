@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from ._dyadic import (Dyadic, dps_to_prec, fixed_pow, from_str, log10, parts, round_bits,
-                      rounded_pow, rounded_ratio, to_float, to_str)
+                      rounded_pow, rounded_ratios, to_float, to_str)
 from .errors import ApproximationError, DomainError
 
 _EPS64 = 2.0**-52
@@ -481,8 +481,7 @@ def _block_coefficients(nums: list[int], den: int, t: np.ndarray, s: float,
     (_inverse_power) is rounded once more, to nearest."""
     prec = dps_to_prec(dps)
     out = []
-    for n, tk in zip(nums, t):
-        sign, ym, ye, _ = rounded_ratio(n, den, prec)
+    for (sign, ym, ye, _), tk in zip(rounded_ratios(nums, den, prec), t):
         _, pm, pe, _ = _inverse_power(float(tk), s, dps)._mpf_
         man, exp = round_bits(ym * pm, ye + pe, prec)
         out.append(Dyadic((sign, man, exp, man.bit_length())))
