@@ -62,6 +62,17 @@ def test_rounded_power_is_the_nearest(base, x, prec):
     assert got._mpf_ == mpf(exact, prec=prec, rounding="n")._mpf_
 
 
+def test_rounded_power_where_mpmath_is_one_ulp_off():
+    # mpmath's power is not always correctly rounded; here it is one ulp off
+    t, s, prec = 2.734375, 0.07843965464114701, _dyadic.dps_to_prec(80)
+    with workprec(prec + 200):
+        exact = mpf(t) ** -mpf(s)
+    with workprec(prec):
+        theirs = mpf(t) ** -mpf(s)
+    got = _dyadic.rounded_pow(t, -s, prec)
+    assert got._mpf_ == mpf(exact, prec=prec, rounding="n")._mpf_ != theirs._mpf_
+
+
 @st.composite
 def _decimals(draw) -> str:
     """Decimal literals of 18-400 significant digits, either sign, with an
