@@ -5,8 +5,9 @@ into its point-independent coefficients, built once per combination and
 order (block_coefficients, series_derivative), and the per-point step
 that consumes them (combo_derivatives, power_series_eval).  The power
 series step runs Horner's rule in place, and on Python floats, the same
-IEEE operations, for a single point.  Extended-precision paths live
-elsewhere and never call into this module.
+IEEE operations, for a single point.  The exact work lives elsewhere;
+a combination with extended-precision coefficients comes here through
+its derived float64 power series (series_derivative, power_series_eval).
 """
 
 from __future__ import annotations

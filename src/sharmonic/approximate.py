@@ -50,9 +50,9 @@ _NODE_STEPS = 64  # default_nodes are multiples of 1 / _NODE_STEPS
 class Target:
     """C^2 target on the working interval: value and two derivatives.
 
-    Each callable maps an array of abscissae to the values there, point
-    by point: a value may not depend on the other points or on the size
-    of the array, beyond a few ulps."""
+    Each callable maps an array of abscissae to one value per abscissa,
+    point by point: a value should not depend on the other points or on
+    the size of the array (cheb_fit's bit-for-bit match needs this)."""
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
@@ -267,67 +267,77 @@ class ChebPoly:
 
 @functools.cache
 def _screen_tables() -> tuple:
-    """The screen's fixed arrays, built once for every degree up to the cap
-    (about 0.28 MB) and sliced for a lower one.
+    """The Chebyshev stage's fixed arrays, built once for every degree up to
+    the cap (about 0.14 MB) and sliced for a lower one.
 
-    nodes: chebpts1(d + 1) of d = 3..30 concatenated, 490 points; take:
-    (28, 31) indices of each degree's nodes in nodes, padded with
-    nodes.size; interp: (28, 31, 31), each degree's chebvander(x_d, d).T
-    scaled as chebinterpolate scales its product, zero-padded; at: every
-    _SCREEN_STRIDE-th grid point and the last; evals: (31, 3 len(at)),
-    T_k^(m) at those points for m = 0, 1, 2 side by side; peaks: (3, 31),
-    T_k^(m)(1) = prod_{l<m} (k^2 - l^2) / (2 l + 1).
+    nodes: chebpts1(d + 1) of d = 3..30 concatenated, 490 points; layout:
+    per degree, its first index in nodes and chebvander(x_d, d).T, C
+    contiguous as chebinterpolate passes it to np.dot; scale: (28, 31),
+    each degree's divisors n, n/2, ..., n/2 of chebinterpolate, padded with
+    ones; at: every _SCREEN_STRIDE-th grid point and the last; evals: (31,
+    3 len(at)), T_k^(m) at those points for m = 0, 1, 2 side by side;
+    peaks: (3, 31), T_k^(m)(1) = prod_{l<m} (k^2 - l^2) / (2 l + 1).
     """
     cheb = np.polynomial.chebyshev
     size = _DEGREE_CAP + 1
-    nodes = np.concatenate([cheb.chebpts1(d + 1) for d in range(_DEGREE_FLOOR, size)])
+    sizes = range(_DEGREE_FLOOR + 1, size + 1)
+    nodes = np.concatenate([cheb.chebpts1(n) for n in sizes])
     # the recurrence is elementwise, so the leading columns are chebvander(x_d, d)
     vander = cheb.chebvander(nodes, _DEGREE_CAP)
-    rows = size - _DEGREE_FLOOR
-    interp = np.zeros((rows, size, size))
-    take = np.full((rows, size), nodes.size)
-    end = 0
-    for i in range(rows):
-        n = _DEGREE_FLOOR + 1 + i
-        scale = np.full(n, 0.5 * n)
-        scale[0] = n
-        interp[i, :n, :n] = vander[end:end + n, :n].T / scale[:, None]
-        take[i, :n] = np.arange(end, end + n)
-        end += n
+    layout = tuple((i, np.ascontiguousarray(vander[i:i + n, :n].T))
+                   for i, n in zip(np.cumsum([0, *sizes]), sizes))
+    n, k = np.array(sizes, dtype=float)[:, None], np.arange(size)
+    scale = np.where(k == 0, n, np.where(k < n, 0.5 * n, 1.0))
     at = np.append(np.arange(0, _CERT_GRID, _SCREEN_STRIDE), _CERT_GRID - 1)
     vander = cheb.chebvander(np.linspace(-1.0, 1.0, _CERT_GRID)[at], _DEGREE_CAP)
     evals = np.hstack([(vander[:, :size - m] @ cheb.chebder(np.eye(size), m)).T
                        for m in range(3)])
     k2 = np.arange(size, dtype=float) ** 2
     peaks = np.array([np.ones(size), k2, k2 * (k2 - 1.0) / 3.0])
-    return nodes, take, interp, at, evals, peaks
+    return nodes, layout, scale, at, evals, peaks
 
 
-def _screen(target: Target, samples: list, eps_half: float, degree_cap: int) -> np.ndarray:
-    """Mask over the degrees 3..degree_cap, False where the degree's full
-    certificate provably exceeds eps_half.
+def _sampled(target: Target, order: int, x: np.ndarray) -> np.ndarray:
+    """The target's derivative of the given order at x; DomainError unless
+    it gives one value per abscissa."""
+    values = np.asarray(target.derivative(order)(x), dtype=float)
+    if values.shape != x.shape:
+        raise DomainError(f"target {target.name!r}: derivative of order {order} gave shape "
+                          f"{values.shape} for {x.size} abscissae, not one value per abscissa")
+    return values
 
-    Every degree is interpolated at once: one call of target.f on the
-    union of their Chebyshev nodes (the abscissae chebinterpolate uses, bit
-    for bit) and one batched product.  The interpolants are compared with
-    the samples at every _SCREEN_STRIDE-th grid point and x = 1.  These
-    points lie on the certification grid, so the screen's deviation D_m at
-    order m is at most the full certificate's maximum M_m, up to rounding.
-    A degree is ruled out only when 1.05 max_m (D_m - margin_m) > eps_half,
-    where margin_m bounds D_m - M_m.  With u = 2^-53, n = d + 1, Y the
-    largest |node value| of the degree, c the screen's coefficients, a
-    chebinterpolate's and W_m = sum_k |c_k| T_k^(m)(1):
 
-    * Coefficients.  a = (V^T y) / scale and c = (V^T / scale) y use the
-      same chebvander entries V, |V| <= 1 + n^2 u, and |scale| >= n / 2.
-      Each product is within about 2 (n + 1) u Y of the exact one.  A node
-      value of target.f taken in a differently sized array may differ by
-      a few ulps; 4 ulps of Y add 16 u Y after the product.  So |a_k - c_k|
-      <= dc = 8 (n + 8) u Y, twice that sum.  At order m the two exact
-      polynomials then differ by at most dc sum_{k<=d} T_k^(m)(1) on [-1,
-      1], since |T_k^(m)| <= T_k^(m)(1) there (V. Markov).  The margin
-      counts this term twice, which also covers W_m being taken over c
-      rather than a.
+def _interpolants(target: Target, degree_cap: int) -> np.ndarray:
+    """Chebyshev coefficients of the interpolants of degrees 3..degree_cap,
+    one row each, zero-padded to _DEGREE_CAP + 1 columns.
+
+    target.f is called once, on the union of their nodes.  Each row takes
+    chebinterpolate's steps: the same np.dot of the same block with a fresh
+    array of the node values, then the same division, so it has the same
+    bits wherever target.f gives the nodes the values it gives them alone."""
+    nodes, layout, scale = _screen_tables()[:3]
+    rows = degree_cap - _DEGREE_FLOOR + 1
+    start, block = layout[rows - 1]  # the nodes of degrees 3..degree_cap lead
+    values = _sampled(target, 0, nodes[:start + len(block)])
+    coef = np.zeros((rows, _DEGREE_CAP + 1))
+    for row, (start, block) in zip(coef, layout):
+        row[:len(block)] = np.dot(block, values[start:start + len(block)].copy())
+    return coef / scale[:rows]
+
+
+def _screen(coef: np.ndarray, samples: list, eps_half: float) -> np.ndarray:
+    """Mask over the rows of coef (_interpolants), False where the degree's
+    full certificate provably exceeds eps_half.
+
+    Every degree is evaluated at once, by one product with the tables, and
+    compared with the samples at every _SCREEN_STRIDE-th grid point and x =
+    1.  These points lie on the certification grid and the certificate
+    takes the same coefficients, so the screen's deviation D_m at order m
+    is at most the full certificate's maximum M_m, up to rounding.  A
+    degree is ruled out only when 1.05 max_m (D_m - margin_m) > eps_half,
+    where margin_m bounds D_m - M_m.  With u = 2^-53, n = d + 1, c the
+    degree's coefficients and W_m = sum_k |c_k| T_k^(m)(1):
+
     * Evaluation.  The Chebyshev coefficients of each T_k^(m) are
       nonnegative and sum to T_k^(m)(1), so chebder's coefficients d have
       sum |d_j| <= W_m, up to a relative 3 n u of its own rounding.
@@ -342,38 +352,24 @@ def _screen(target: Target, samples: list, eps_half: float, degree_cap: int) -> 
       margin_m rounds once more; each deviation is at most max|samples_m|
       + W_m, so 8 u times that covers all three.
 
-    Rounding is monotone, so D_m - margin_m <= M_m survives 1.05 max.  On
-    sums of sines and exponentials the margin at order 2 is about 5e-10 at
-    degree 8 and 4e-7 at degree 30 (medians), and the actual D_m - M_m at
-    the screen's points stayed below 0.5% of it.  A generous margin costs
-    only speed: a degree it keeps gets the full certificate.  A non-finite
-    node value makes the degree's lower bound NaN, which rules nothing
-    out; a target whose output does not have the shape of its input is
-    not screened.
+    Rounding is monotone, so D_m - margin_m <= M_m survives 1.05 max,
+    whatever the coefficients and the target.  A generous margin costs only
+    speed: a degree it keeps gets the full certificate.  A non-finite
+    coefficient makes the degree's lower bound NaN, which rules nothing out.
     """
-    nodes, take, interp, at, evals, peaks = _screen_tables()
-    rows = degree_cap - _DEGREE_FLOOR + 1
-    count = take[rows - 1, degree_cap] + 1  # the nodes of degrees 3..degree_cap lead
-    values = np.asarray(target.f(nodes[:count]), dtype=float)
-    if values.shape != (count,):
-        return np.ones(rows, dtype=bool)
-    y = np.append(values, np.zeros(nodes.size + 1 - count))[take[:rows]]
-    coef = np.matmul(interp[:rows], y[:, :, None])[:, :, 0]
+    at, evals, peaks = _screen_tables()[3:]
     screened = np.concatenate([s[at] for s in samples])
-    dev = np.abs(screened - coef @ evals).reshape(rows, 3, at.size).max(axis=2)
-    n = np.arange(_DEGREE_FLOOR + 1, degree_cap + 2, dtype=float)[:, None]
+    dev = np.abs(screened - coef @ evals).reshape(len(coef), 3, at.size).max(axis=2)
+    n = np.arange(_DEGREE_FLOOR + 1, _DEGREE_FLOOR + 1 + len(coef), dtype=float)[:, None]
     mass = np.abs(coef) @ peaks.T
-    dc = 2.0**-50 * (n + 8.0) * np.max(np.abs(y), axis=1, keepdims=True)
-    margin = (2.0 * dc * np.cumsum(peaks, axis=1).T[_DEGREE_FLOOR:degree_cap + 1]
-              + 2.0**-49 * n**3 * mass
+    margin = (2.0**-49 * n**3 * mass
               + 2.0**-50 * (np.abs(screened).reshape(3, -1).max(axis=1) + mass))
     return ~(_INFLATION * np.max(dev - margin, axis=1) > eps_half)
 
 
-def _certified(target: Target, grid: np.ndarray, samples: list, degree: int) -> ChebPoly:
-    """The degree's interpolant with its full certificate on the grid."""
-    coef = np.polynomial.chebyshev.chebinterpolate(
-        lambda z: np.asarray(target.f(np.asarray(z, dtype=float)), dtype=float), degree)
+def _certified(coef: np.ndarray, grid: np.ndarray, samples: list) -> ChebPoly:
+    """The interpolant with these coefficients and its full certificate on
+    the grid."""
     poly = ChebPoly(coef, 0.0)
     cert = _INFLATION * max(
         float(np.max(np.abs(samples[m] - poly.eval(grid, m)))) for m in range(3))
@@ -385,35 +381,37 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = _DEGREE_CAP) -> 
     certified C^2 norm; raises when the degree cap is insufficient.
 
     The target and its two derivatives are sampled on the certification
-    grid once, before the degree search; a sample that is not finite
-    raises DomainError.  Every degree is first screened on a subset of the
-    grid with a derived rounding margin (_screen), which rules out only
-    degrees whose full certificate would fail; the degrees left are tried
-    in order with the full 4096-point certificate, so normally only the
-    degree returned gets it.  For a target.f that is pointwise, as Target
-    asks, the result is the one the plain loop over every degree gives,
-    bit for bit; for any other the result is still fully certified, but
-    may have a higher degree.  When no degree passes, every degree is
-    certified in full for the smallest certificate in the message."""
+    grid once, and target.f once on the union of every degree's Chebyshev
+    nodes, which gives every interpolant (_interpolants); a callable that
+    does not give one value per abscissa, or a grid sample that is not
+    finite, raises DomainError.  Every degree is first screened on a subset
+    of the grid with a derived rounding margin (_screen), which rules out
+    only degrees whose full certificate would fail; the others are tried in
+    order with the full 4096-point certificate, so normally only the degree
+    returned gets it.  The result is the lowest degree whose interpolant
+    passes; for a pointwise target.f, as Target asks, it is the plain
+    loop's over every degree with chebinterpolate, bit for bit.  When no
+    degree passes, every degree is certified in full for the smallest
+    certificate in the message."""
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
     if not (_DEGREE_FLOOR <= degree_cap <= _DEGREE_CAP):
         raise ConfigError(f"degree cap {degree_cap} lies outside the supported range "
                           f"{_DEGREE_FLOOR}..{_DEGREE_CAP}")
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
-    samples = [target.derivative(m)(grid) for m in range(3)]
+    samples = [_sampled(target, m, grid) for m in range(3)]
     for m, values in enumerate(samples):
         # the certificate's max() would skip a NaN and certify the finite orders alone
         if not np.all(np.isfinite(values)):
             raise DomainError(f"target {target.name!r}: derivative of order {m} is "
                               f"not finite on the certification grid")
-    degrees = range(_DEGREE_FLOOR, degree_cap + 1)
-    for degree, open_ in zip(degrees, _screen(target, samples, eps_half, degree_cap)):
-        if open_:
-            poly = _certified(target, grid, samples, degree)
-            if poly.fit_error <= eps_half:
-                return poly
-    best = min(_certified(target, grid, samples, d).fit_error for d in degrees)
+    coef = _interpolants(target, degree_cap)
+    rows = [row[:d + 1] for d, row in enumerate(coef, _DEGREE_FLOOR)]
+    for i in np.flatnonzero(_screen(coef, samples, eps_half)):
+        poly = _certified(rows[i], grid, samples)
+        if poly.fit_error <= eps_half:
+            return poly
+    best = min(_certified(row, grid, samples).fit_error for row in rows)
     raise ApproximationError(
         f"no polynomial of degree <= {degree_cap} reaches certified C^2 error "
         f"{eps_half:.3e} for target {target.name!r} (best {best:.3e})")

@@ -86,6 +86,31 @@ def test_cheb_fit_refuses_a_nonfinite_derivative(order):
         sh.cheb_fit(target, 1e-6)
 
 
+def _off_grid(f, g):
+    """f on the certification grid, g anywhere else."""
+    return lambda z: f(z) if np.size(z) == _CERT_GRID else g(np.asarray(z, dtype=float))
+
+
+@pytest.mark.parametrize("order, bad", [
+    pytest.param(0, lambda z: 1.0, id="f-scalar"),
+    pytest.param(0, lambda z: np.sin(z)[:1], id="f-one-value"),
+    pytest.param(0, _off_grid(np.sin, lambda z: np.sin(z)[:1]), id="f-one-value-off-grid"),
+    pytest.param(1, lambda z: 0.5, id="f1-scalar"),
+    pytest.param(2, lambda z: np.zeros((np.size(z), 1)), id="f2-column"),
+])
+def test_cheb_fit_refuses_a_target_without_one_value_per_abscissa(order, bad):
+    derivs = [np.sin, np.cos, lambda z: -np.sin(z)]
+    derivs[order] = bad
+    with pytest.raises(DomainError, match=rf"'shaped'.*order {order}.*one value per abscissa"):
+        sh.cheb_fit(Target("shaped", *derivs), 1e-6)
+
+
+def test_cheb_fit_refuses_a_nonfinite_node_value():
+    f = _off_grid(np.sin, lambda z: np.full_like(z, np.nan))
+    with pytest.raises(DomainError, match="polynomial coefficients must be finite"):
+        sh.cheb_fit(Target("nan-nodes", f, np.cos, lambda z: -np.sin(z)), 1e-6)
+
+
 class _CountingSamples:
     """A target callable that counts its calls on the certification grid."""
 
@@ -106,9 +131,9 @@ def test_cheb_fit_samples_the_grid_once():
     poly = sh.cheb_fit(Target("counted", f, f1, f2), 1e-6)
     assert poly.degree > 3  # several degrees were tried
     assert (f.grid_calls, f1.grid_calls, f2.grid_calls) == (1, 1, 1)
-    # f is also sampled once on the union of the screen's Chebyshev nodes and
-    # once at the returned degree's; its derivatives never
-    assert f.other_calls == 2
+    # f is also sampled once, on the union of every degree's Chebyshev nodes;
+    # its derivatives never
+    assert f.other_calls == 1
     assert f1.other_calls == f2.other_calls == 0
 
 

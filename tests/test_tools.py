@@ -31,3 +31,15 @@ def test_summary_of_identical_texts_is_none_and_a_one_sided_key_is_inf():
     summary = summarize({"change": ('{"a": 1, "b": 2}', "x\n1\n"),
                          "parent": ('{"a": 1}', "x,y\n1,2\n")})
     assert summary == "JSON key b inf abs inf; CSV column y inf abs inf"
+
+
+def test_the_benchmark_scripts_import():
+    # they share run_child, host, revision and RUNS with compare_artifacts,
+    # which CI runs; a moved helper must not break them silently
+    import bench_eval
+    import bench_sweep
+    import compare_artifacts
+
+    for tool in (bench_eval, bench_sweep):
+        assert tool.run_child is compare_artifacts.run_child
+        assert tool.RUNS == compare_artifacts.RUNS

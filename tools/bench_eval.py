@@ -69,8 +69,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
-from bench_phi import RUNS, host, revision, run_child  # noqa: E402
-from compare_artifacts import CASES, compare  # noqa: E402
+from compare_artifacts import CASES, RUNS, compare, host, revision, run_child  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "pipebench"))
 from workloads import REFERENCE_NOMINAL_MS  # noqa: E402
@@ -195,7 +194,7 @@ def eval_split(tree: Path) -> dict:
     """Scaled ms per operation of each group and the output hash, from one
     fresh interpreter, then the fastest cold read of each artifact it
     built over COLD_REPS fresh interpreters; the hash covers every value."""
-    out, _ = run_child(tree, ["-c", EVAL_CHILD, str(POINTS), str(LOADS), str(GRID_REPS)])
+    out = run_child(tree, ["-c", EVAL_CHILD, str(POINTS), str(LOADS), str(GRID_REPS)])
     split = json.loads(out)
     digest = hashlib.sha256(split.pop("sha256").encode())
     split["cold_load_ms"] = {}
@@ -203,7 +202,7 @@ def eval_split(tree: Path) -> dict:
         for spec, text in split.pop("texts").items():
             path = Path(tmp) / f"{spec}.json"
             path.write_text(text)
-            colds = [json.loads(run_child(tree, ["-c", COLD_CHILD, str(path)])[0])
+            colds = [json.loads(run_child(tree, ["-c", COLD_CHILD, str(path)]))
                      for _ in range(COLD_REPS)]
             split["cold_load_ms"][spec] = min(cold["ms"] for cold in colds)
             for cold in colds:

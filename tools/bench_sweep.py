@@ -14,18 +14,14 @@ around these stages:
 
 * ``cheb_fit``: the Chebyshev stage;
 * ``exact_match``: ``blocks._exact_match``, the exact solve;
-* ``model``: the rest of the deviation model, ``blocks._defect_model``
-  (``_monomial_model``, one per kept monomial, in trees that match each
-  monomial at its own scale): remainder rows and the bound's set-up;
+* ``model``: the rest of the deviation model, ``blocks._defect_model``:
+  remainder rows and the bound's set-up;
 * ``bound``: every call of the deviation bound the model returns, from the
   scale search's bracket, its replay of the bisection on log r, and the
   bound at the chosen scale; one call bounds every kept monomial at once
-  (``match_polynomial``), or one monomial in trees with a scale per
-  monomial;
+  (``match_polynomial``);
 * ``merge``: ``blocks._merge``, the exact merge of the matched weights
-  Y_k = sum_j y_k^(j) r^-j over one denominator (trees without it sum the
-  weights inline in ``match_polynomial``, so there that work stays in
-  ``other``);
+  Y_k = sum_j y_k^(j) r^-j over one denominator;
 * ``block_coefficients``: ``blocks._block_coefficients``;
 * ``combo_residual``: ``exact.combo_residual``, Phi included;
 * ``other``: the rest of ``approximate``.
@@ -38,15 +34,15 @@ computation takes ``REFERENCE_NOMINAL_MS``: ``levels`` holds the scaled
 figures and ``raw_levels`` the measured ones.  Beside them, ``bound_calls``
 counts the bound's calls per ``approximate`` call and ``cheb_certificates``
 the Chebyshev degrees certified on the full grid per call (the calls of
-``numpy.polynomial.chebyshev.chebinterpolate``, which the child wraps like
-a stage); the top-level ``bound_calls`` and ``cheb_certificates`` of each
-tree are their totals over the TARGETS calls.  Every run
-also hashes ``combo_to_json`` and ``report.to_dict()`` of every call, so the
-file records whether both trees produce the same output, and, untimed,
-compares each ``max_residual`` with (|Phi| + err) times the cancellation
-mass at x = -1 summed at 80 digits: ``residual_excess`` is the smallest and
-largest max_residual / product - 1 over the calls, and ``phi_dps`` counts
-the calls by the precision of the Phi they used.  Last, the script runs
+``approximate._certified``, which the child wraps like a stage); the
+top-level ``bound_calls`` and ``cheb_certificates`` of each tree are their
+totals over the TARGETS calls.  Every run also hashes ``combo_to_json``
+and ``report.to_dict()`` of every call, so the file records whether both
+trees produce the same output, and, untimed, compares each
+``max_residual`` with (|Phi| + err) times the cancellation mass at x = -1
+summed at 80 digits: ``residual_excess`` is the smallest and largest
+max_residual / product - 1 over the calls, and ``phi_dps`` counts the
+calls by the precision of the Phi they used.  Last, the script runs
 ``tools/compare_artifacts.py``'s CLI grid against PATH and records its
 result.
 """
@@ -60,8 +56,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
-from bench_phi import RUNS, host, revision, run_child  # noqa: E402
-from compare_artifacts import CASES, compare  # noqa: E402
+from compare_artifacts import CASES, RUNS, compare, host, revision, run_child  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "pipebench"))
 from workloads import REFERENCE_NOMINAL_MS  # noqa: E402
@@ -72,7 +67,6 @@ SWEEP_CHILD = """
 import hashlib, importlib, json, sys, time
 sys.path.insert(0, "pipebench")
 import mpmath
-import numpy.polynomial.chebyshev as chebyshev
 from mpmath import mpf
 from workloads import REFERENCE_NOMINAL_MS, SWEEP_EPS, SWEEP_S, LibrarySweep, Record, reference_ms
 from sharmonic import blocks, exact
@@ -113,15 +107,13 @@ def residual_excess(combo, value):
                            * (mpf(b.r) * x + mpf(b.t)) ** -sm for b in combo.blocks)
         return float(mpf(value) / ((abs(value_phi) + abs(err)) * mass) - 1)
 
-MODEL = "_defect_model" if hasattr(blocks, "_defect_model") else "_monomial_model"
-model = timed("model", getattr(blocks, MODEL))
-setattr(blocks, MODEL, model_with_timed_bound)
+model = timed("model", blocks._defect_model)
+blocks._defect_model = model_with_timed_bound
 blocks._exact_match = timed("exact_match", blocks._exact_match)
 blocks._block_coefficients = timed("block_coefficients", blocks._block_coefficients)
-if hasattr(blocks, "_merge"):
-    blocks._merge = timed("merge", blocks._merge)
+blocks._merge = timed("merge", blocks._merge)
 approximate.cheb_fit = timed("cheb_fit", approximate.cheb_fit)
-chebyshev.chebinterpolate = timed("cheb_certificates", chebyshev.chebinterpolate)
+approximate._certified = timed("cheb_certificates", approximate._certified)
 phi, residual = exact.canonical_constant, exact.combo_residual
 exact.combo_residual = timed("combo_residual", residual)
 
@@ -177,7 +169,7 @@ def sweep_split(tree: Path) -> dict:
     and full Chebyshev certificates per call, the mean scaled and raw
     totals, both counts over all calls, the residual's excess over its
     80-digit product and the output hash, from one fresh interpreter."""
-    out, _ = run_child(tree, ["-c", SWEEP_CHILD, str(TARGETS)])
+    out = run_child(tree, ["-c", SWEEP_CHILD, str(TARGETS)])
     raw = json.loads(out)
     split = {"levels": {}, "raw_levels": {}}
     for eps, level in raw["levels"].items():

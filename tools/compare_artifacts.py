@@ -27,16 +27,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import math
+import os
+import platform
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-from bench_phi import run_child  # noqa: E402
+RUNS = 5  # fresh interpreters per tree in the benchmark scripts beside this one
 
 CASES = tuple(
     ("approximate", "--target", target, "--epsilon", eps, "--s", s)
@@ -65,6 +68,28 @@ CASES = tuple(
     ("approximate", "--target", "csv:{grid}", "--epsilon", "1e-2", "--s", "0.5"),
     ("fraclap", "--target", "csv:{grid}"),
 )
+
+
+def run_child(tree: Path, cmd: list[str]) -> str:
+    """Standard output of a fresh interpreter running cmd in tree, with
+    PYTHONPATH set to the tree's src."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run([sys.executable, *cmd], env=env, capture_output=True, text=True,
+                          check=True, cwd=tree).stdout
+
+
+def host() -> dict:
+    return {"cores": os.cpu_count(), "numba": importlib.util.find_spec("numba") is not None,
+            "python": platform.python_version(), "machine": platform.machine()}
+
+
+def revision(tree: Path) -> str:
+    """The tree's short commit hash, noting uncommitted changes under src."""
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
+                          capture_output=True, text=True).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=tree,
+                           capture_output=True, text=True).stdout.strip()
+    return head + (" with uncommitted src changes" if dirty else "")
 
 
 def _grid_csv() -> str:
