@@ -15,9 +15,9 @@ stage's defect is proved from exact moments (see blocks._defect_model),
 plus the C^2 weight of the monomials too small to match.  Every reported
 epsilon is the certified value, never the mathematical ideal.  The
 residual bound is one exact.combo_residual at the interval's left end,
-where its decreasing cancellation mass is largest; that mass is summed in
-float64 and inflated by a proved relative delta (exact._mass_slack), so
-the bound is at least the exact product and at most 1 + 2 delta times it.
+where its decreasing cancellation mass is largest; that mass is bounded
+in integers from exact r_k x + t_k, so the bound is at least the exact
+product and at most 1 + delta times it, delta < 4.45e-16.
 """
 
 from __future__ import annotations
@@ -299,11 +299,16 @@ def _screen_tables() -> tuple:
 
 def _sampled(target: Target, order: int, x: np.ndarray) -> np.ndarray:
     """The target's derivative of the given order at x; DomainError unless
-    it gives one value per abscissa."""
+    it gives one finite value per abscissa."""
     values = np.asarray(target.derivative(order)(x), dtype=float)
     if values.shape != x.shape:
         raise DomainError(f"target {target.name!r}: derivative of order {order} gave shape "
                           f"{values.shape} for {x.size} abscissae, not one value per abscissa")
+    # the certificate's max() would skip a NaN and certify the finite orders alone
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"target {target.name!r}: derivative of order {order} is not "
+                          f"finite at x={x[bad][0]}; give a target finite on [-1, 1]")
     return values
 
 
@@ -383,16 +388,15 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = _DEGREE_CAP) -> 
     The target and its two derivatives are sampled on the certification
     grid once, and target.f once on the union of every degree's Chebyshev
     nodes, which gives every interpolant (_interpolants); a callable that
-    does not give one value per abscissa, or a grid sample that is not
-    finite, raises DomainError.  Every degree is first screened on a subset
-    of the grid with a derived rounding margin (_screen), which rules out
-    only degrees whose full certificate would fail; the others are tried in
-    order with the full 4096-point certificate, so normally only the degree
-    returned gets it.  The result is the lowest degree whose interpolant
-    passes; for a pointwise target.f, as Target asks, it is the plain
-    loop's over every degree with chebinterpolate, bit for bit.  When no
-    degree passes, every degree is certified in full for the smallest
-    certificate in the message."""
+    does not give one finite value per abscissa raises DomainError.  Every
+    degree is first screened on a subset of the grid with a derived
+    rounding margin (_screen), which rules out only degrees whose full
+    certificate would fail; the others are tried in order with the full
+    4096-point certificate, so normally only the degree returned gets it.
+    The result is the lowest degree that passes; for a pointwise target.f,
+    as Target asks, it is the plain loop's over every degree with
+    chebinterpolate, bit for bit.  When no degree passes, every degree is
+    certified in full for the smallest certificate in the message."""
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
     if not (_DEGREE_FLOOR <= degree_cap <= _DEGREE_CAP):
@@ -400,11 +404,6 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = _DEGREE_CAP) -> 
                           f"{_DEGREE_FLOOR}..{_DEGREE_CAP}")
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
     samples = [_sampled(target, m, grid) for m in range(3)]
-    for m, values in enumerate(samples):
-        # the certificate's max() would skip a NaN and certify the finite orders alone
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"target {target.name!r}: derivative of order {m} is "
-                              f"not finite on the certification grid")
     coef = _interpolants(target, degree_cap)
     rows = [row[:d + 1] for d, row in enumerate(coef, _DEGREE_FLOOR)]
     for i in np.flatnonzero(_screen(coef, samples, eps_half)):
@@ -536,8 +535,8 @@ def approximate(target: Target, eps: float, s: float,
     stage; epsilon_total reports the sum of both certificates and never
     exceeds eps on success.  max_residual is combo_residual at the
     interval's left end, which bounds the operator residual at every point
-    of the interval: |Phi(s, s)| plus its error times the float64
-    cancellation mass there, inflated by 1 + delta (exact._mass_slack).
+    of the interval: |Phi(s, s)| plus its error times an integer upper
+    bound on the cancellation mass there, rounded up to float.
     """
     t0 = time.perf_counter()
     if eps <= 0 or not np.isfinite(eps):

@@ -319,6 +319,12 @@ def _combo_eval_mp(combo: SHCombo, xs: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+def _nonfinite_points(xs) -> DomainError:
+    """The error naming the first point of a float or an array that is not finite."""
+    bad = xs if isinstance(xs, float) else xs[~np.isfinite(xs)][0]
+    return DomainError(f"points must be finite, got x={bad}")
+
+
 def combo_derivative(combo: SHCombo, x, order: int = 0):
     """Derivative of the combination at scalar or array x.
 
@@ -334,7 +340,7 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
     per-point sum (_combo_eval_mp) otherwise.  The series route is
     _kernels.power_series_eval, Horner's rule over the table: in place on
     one array, or, like the rounding test, on Python floats for a scalar
-    or 0-d x.
+    or 0-d x.  A point that is not finite raises DomainError.
     """
     if order < 0:
         raise DomainError(f"derivative order must be nonnegative, got {order}")
@@ -344,11 +350,15 @@ def combo_derivative(combo: SHCombo, x, order: int = 0):
     if combo.has_mp_coefficients:
         der, weights = table
         xmax = abs(xs) if scalar else float(np.max(np.abs(xs), initial=0.0))
+        if not math.isfinite(xmax):
+            raise _nonfinite_points(xs)
         if (xmax < combo.radius and combo.series_error(xmax, order)
                 <= _EPS64 * _kernels.power_series_eval(weights, xmax)):
             return _kernels.power_series_eval(der, xs)
         out = _combo_eval_mp(combo, np.atleast_1d(xs), order)
     else:
+        if not (math.isfinite(xs) if scalar else np.isfinite(xs).all()):
+            raise _nonfinite_points(xs)
         ts, _, rs = combo.float_arrays
         out = _kernels.combo_derivatives(ts, table, rs, float(combo.s) - order,
                                          np.atleast_1d(xs))

@@ -24,23 +24,22 @@ error is the sum of the proved tail bounds and of integer bounds on the
 rounding, carried beside each recurrence.
 
 The cancellation mass sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s that |Phi|
-multiplies is summed in float64 over all blocks and points at once, from
-each coefficient's mantissa and binary exponent, with r_k x + t_k formed as
-its nearest float and log2 and 2^f taken from positive-coefficient series
-in basic operations only.  It carries a proved relative inflation delta
-(_mass_slack), and every rounded step keeps the mass's order in x.
+multiplies is bounded in the same integers: r_k x + t_k formed exactly at
+each point, each power enclosed by _dyadic.fixed_pow, the uppers of the
+terms summed exactly and the product with |Phi| plus its error rounded up
+to float once.  The bound is within a proved relative delta of the exact
+product, and keeps the mass's order in x.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from ._dyadic import Dyadic, pow_box
-from .blocks import SHCombo
+from ._dyadic import Dyadic, fixed_exp, fixed_ln, parts, pow_box, round_bits, to_float
+from .blocks import SHCombo, _nonfinite_points
 from .errors import DomainError
 
 _phi_cache: dict[tuple[float, float, int], tuple[Dyadic, Dyadic]] = {}
@@ -207,261 +206,102 @@ def canonical_constant(p: float, s: float, dps: int) -> tuple[Dyadic, Dyadic]:
 
 
 # ---------------------------------------------------------------------------
-# the cancellation mass in float64
-
-_LOG2E = 1.4426950408889634  # the float nearest 1/ln 2
-_LN2 = 0.6931471805599453  # the float nearest ln 2
-_ATANH = tuple(1.0 / (2 * k + 1) for k in range(15))  # atanh(u) / u in powers of u^2
-_EXP2 = tuple(itertools.accumulate(range(1, 16), lambda c, k: c * _LN2 / k,
-                                   initial=1.0))  # 2^f in powers of f
-_CLAMP = 2.0**1000  # largest |r x| / 2^e(t) formed
-_FLOOR = 2.0**-1000  # smallest term kept, relative to a point's largest
-_ZERO_EXP = -(1 << 40)  # binary exponent given to a zero coefficient
-_CHUNK = 1 << 16  # blocks x points per pass
+# the cancellation mass in integers
 
 
-def _mass_slack(n_blocks: int) -> float:
-    """delta(n): the float64 mass of n blocks, times 1 + delta, is at least
-    the exact mass and at most 1 + 2 delta times it.
-
-    With u = 2^-53, each term |c_k| 2^z, z = s (2 log2 r_k - log2 a_k) for
-    a_k = r_k x + t_k, is within a factor 1 +- 7975u of its exact value:
-
-    * |c_k|: its mantissa rounded up to 53 bits, a factor in [1, 1 + 2u];
-    * a_k: the float nearest it (see _scaled_argument), so log2 a_k moves
-      by at most 1.45u;
-    * log2 of a float (see _log2): the atanh series cut after 15 terms
-      leaves 1.6u, its coefficients, the quotient and the Horner steps 35u,
-      all relative to log2 y < 1; the integer exponent is then added in
-      float, with |log2 a| < 2^11 and |log2 r| < 2^11, each within 1024u;
-    * z: the difference and the product by s, with |z| < 2^13, add 4096u
-      each, so z is within 11386u and 2^z within ln 2 * 11386u = 7893u;
-    * 2^f for f in [0, 1) (see _exp2): truncating after f^15 leaves 1.3u,
-      the coefficients (3 roundings per power of ln 2 / k) 46u and the
-      Horner steps 31u;
-    * the mantissa product: u.
-
-    Pairwise summation over ceil(log2 n) levels adds 1.01u per level, and
-    raising terms below 2^-1000 of a point's largest adds less than u.
-    The bound |Phi| + err is rounded up (at most 2u), and the product with
-    the mass and with the float 1 + delta, rounded up, add 4u.  So for up
-    to 2^14 blocks (14 levels) the result is within 8000u < 8.9e-13 of its
-    exact value before the factor 1 + delta, and delta = 2e-12 both covers
-    that and keeps the product below 1 + 2 delta; past 2^14 blocks delta
-    grows by 2u per level.  The upper side holds for |r_k x| < 2^999 t_k;
-    past that a_k is taken as 2^1000 t_k, an upper bound.
-    """
-    return 2e-12 + max(0, (max(n_blocks, 1) - 1).bit_length() - 14) * 2.0**-52
-
-
-def _mantissa_up(v) -> tuple[float, int]:
-    """(m, e) with m 2^e >= |v| by at most a factor 1 + 2^-52, m a float in
-    [0.5, 1]; exact for floats, (0.0, 0) for zero."""
-    if isinstance(v, float):
-        return math.frexp(abs(v))
-    _, man, exp, bits = v._mpf_
-    if bits > 53:
-        man, cut = int(man), bits - 53
-        man, exp = (man >> cut) + ((man >> cut) << cut != man), exp + cut
-    m, e = math.frexp(float(man))
-    return m, e + exp
+def _mass(combo: SHCombo, xs: np.ndarray) -> list[tuple[int, int]]:
+    """(M, e) at each point x of xs, with M 2^e an upper bound on the
+    cancellation mass sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s (0 when every
+    coefficient is zero); raises DomainError at or past a kink.  Per point,
+    r_k x + t_k is formed exactly and rounded down to 53 bits as a'; each
+    term is |c_k| times the upper X + E of exp(2 s ln r_k - s ln a') from
+    _dyadic.fixed_ln and fixed_exp at w bits, with 2 s ln r_k formed once
+    per scale, and the terms add exactly, so a point's mass depends on that
+    point alone."""
+    sn, sd = combo.s.as_integer_ratio()
+    w = 129 - math.frexp(combo.s)[1]
+    logs = {r: [2 * sn * v for v in fixed_ln(*parts(r), w)] for r in {b.r for b in combo.blocks}}
+    blocks = []  # (|c| as m 2^e, 2 s ln r as (X, E) times sd, then r and t as integer pairs)
+    for b in combo.blocks:
+        (cm, ce), (rm, re), (tm, te) = parts(b.c), parts(b.r), parts(b.t)
+        blocks.append((abs(cm), ce, *logs[b.r], rm, re, tm, te, b.kink))
+    out = []
+    for x in xs:
+        xm, xe = parts(float(x))
+        terms = []
+        for c, ce, lr, er, rm, re, tm, te, kink in blocks:
+            low = min(re + xe, te)
+            arg = (rm * xm << (re + xe - low)) + (tm << (te - low))
+            if arg <= 0:
+                raise DomainError(f"point {x} is outside the smooth region (kink at {kink})")
+            if c:
+                la, ea = fixed_ln(*round_bits(arg, low, 53, "d"), w)
+                v, e, f = fixed_exp((lr - sn * la) // sd, (er + sn * ea) // sd + 2, w)
+                terms.append((c * (v + e), ce + f))
+        low = min((f for _, f in terms), default=0)
+        out.append((sum(m << (f - low) for m, f in terms), low))
+    return out
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of floats |a| < 1 into two halves of 26 bits."""
-    c = a * 134217729.0  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knuth's TwoSum: s = fl(a + b) and the exact a + b - s."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _horner(coefs: tuple[float, ...], w: np.ndarray) -> np.ndarray:
-    acc = np.full(w.shape, coefs[-1])
-    for c in coefs[-2::-1]:
-        acc *= w
-        acc += c
-    return acc
-
-
-def _log2(h: np.ndarray, e0) -> np.ndarray:
-    """log2(h 2^e0) for floats h > 0 and integers e0, nondecreasing in h.
-
-    h = y 2^(e-1) with y in [1, 2), and log2 y = (2 / ln 2) atanh(u) for
-    u = (y - 1)/(y + 1) in [0, 1/3), from the series of atanh(u) / u in u^2
-    through u^28.  Every step is nondecreasing in y: fl(y + 1) moves by one
-    place where y moves by one, which leaves u nondecreasing, and Horner's
-    rule with positive coefficients at u^2 >= 0 is.  log2 1 = 0 exactly and
-    min(., 1) carry that across binades.
-    """
-    m, e = np.frexp(h)
-    y = m + m
-    u = (y - 1.0) / (y + 1.0)
-    acc = _horner(_ATANH, u * u)
-    acc *= u
-    acc *= 2.0 * _LOG2E
-    np.minimum(acc, 1.0, out=acc)
-    return (e - 1 + e0) + acc
-
-
-def _exp2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q, n), q in [1, 2] and n integer, with q 2^n = 2^z, nondecreasing in
-    z: 2^f for f = z - floor(z) in [0, 1) from its Taylor series through
-    f^15, positive coefficients at f >= 0; q(0) = 1 and min(., 2) carry
-    that across integers."""
-    n = np.floor(z)
-    q = _horner(_EXP2, z - n)
-    np.minimum(q, 2.0, out=q)
-    return q, n.astype(np.int64)
-
-
-def _scaled_argument(mr, rh, rl, shift0, mt, xs) -> np.ndarray:
-    """The float nearest (r_k x + t_k) / 2^e_k, t_k = mt_k 2^e_k, for each
-    block k (rows) and point x (columns), with r_k x / 2^e_k clamped to at
-    most 2^1000.  r_k = mr_k 2^(er_k), rh_k + rl_k = mr_k (_split) and
-    shift0_k = er_k - e_k.
-
-    Dekker's TwoProduct of the mantissas is exact, and scaling it by 2^shift
-    is exact unless r_k x / 2^e_k is below 2^-969, where mt_k alone is the
-    nearest float.  TwoSum with mt_k gives the argument exactly as s1 + c +
-    d with c = fl(e + es) (Ogita, Rump and Oishi 2005); |d| is at most half
-    a unit in the last place of c, so fl(s1 + c) is the nearest float to the
-    argument unless s1 + c is a tie, where d decides.
-    """
-    mx, ex = np.frexp(xs)
-    xh, xl = _split(mx)
-    p = mr[:, None] * mx
-    e = rh[:, None] * xh - p
-    e += rh[:, None] * xl
-    e += rl[:, None] * xh
-    e += rl[:, None] * xl
-    shift = shift0[:, None] + ex
-    if shift.max(initial=0) > 990:
-        np.minimum(shift, 1010, out=shift)
-        p, e = np.ldexp(p, shift), np.ldexp(e, shift)
-        over = (p > _CLAMP) | ((p == _CLAMP) & (e > 0))
-        under = (p < -_CLAMP) | ((p == -_CLAMP) & (e < 0))
-        p[over], p[under] = _CLAMP, -_CLAMP
-        e[over | under] = 0.0
-    else:
-        p, e = np.ldexp(p, shift), np.ldexp(e, shift)
-    s1, es = _two_sum(p, mt[:, None])
-    c, d = _two_sum(e, es)
-    hi, f = _two_sum(s1, c)
-    step = np.nextafter(hi, np.copysign(np.inf, f)) - hi
-    tie = (f + f == step) & (f * d > 0)
-    hi[tie] += step[tie]
-    return hi
-
-
-def _pairwise_sum(v: np.ndarray) -> np.ndarray:
-    """Sum of the rows of v, each column in the same order: row k plus row
-    k + half, halving until one row is left (v is overwritten)."""
-    rows = v.shape[0]
-    while rows > 1:
-        half = rows // 2
-        v[:half] += v[half:2 * half]
-        if rows % 2:
-            v[half] = v[rows - 1]
-        rows = half + rows % 2
-    return v[0]
-
-
-def _mass(combo: SHCombo, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, N) with S 2^N the float64 cancellation mass at each point, S a
-    float and N an integer: within 1 +- 8000u of sum_k |c_k| r_k^(2s)
-    (r_k x + t_k)^-s for up to 2^14 blocks (see _mass_slack), S = 0 when
-    every coefficient is zero.  Each value is nonincreasing in x and does
-    not depend on the other points.  Raises DomainError at or past a kink.
-    """
-    blocks = combo.blocks
-    cm, ce = (np.array(v) for v in zip(*(_mantissa_up(b.c) for b in blocks)))
-    ce = np.where(cm > 0, ce, _ZERO_EXP)
-    mt, et = np.frexp(np.array([b.t for b in blocks]))
-    mr, er = np.frexp(np.array([b.r for b in blocks]))
-    rh, rl = _split(mr)
-    twice_log_r = 2.0 * _log2(mr, er)
-    shift0 = er.astype(np.int64) - et
-    S, N = np.zeros(xs.size), np.zeros(xs.size, dtype=np.int64)
-    step = max(1, _CHUNK // len(blocks))
-    for lo in range(0, xs.size, step):
-        x = xs[lo:lo + step]
-        hi = _scaled_argument(mr, rh, rl, shift0, mt, x)
-        inside = hi > 0
-        if not inside.all():
-            j = int(np.argmin(inside.all(axis=0)))
-            k = int(np.argmin(inside[:, j]))
-            raise DomainError(f"point {x[j]} is outside the smooth region "
-                              f"(kink at {blocks[k].kink})")
-        z = twice_log_r[:, None] - _log2(hi, et[:, None])
-        z *= combo.s
-        q, n = _exp2(z)
-        q *= cm[:, None]
-        n += ce[:, None]
-        top = n.max(axis=0)
-        n -= top
-        np.maximum(n, -1020, out=n)
-        v = np.ldexp(q, n)
-        np.maximum(v, _FLOOR, out=v)
-        S[lo:lo + step], N[lo:lo + step] = _pairwise_sum(v), top
-    if not cm.any():
-        S[:] = 0.0
-    return S, N
-
-
-def _ceil_log10(m: float, n: int) -> int:
-    """ceil(log10(m 2^n)) for a float m > 0, exactly."""
-    value = Fraction(m) * Fraction(2) ** n
+def _ceil_log10(m: int, n: int) -> int:
+    """ceil(log10(m 2^n)) for an integer m > 0, exactly."""
+    def above(k):  # m 2^n > 10^k, both sides times 2^max(k - n, 0) 5^max(-k, 0)
+        return (m << max(n - k, 0)) * 5 ** max(-k, 0) > 5 ** max(k, 0) << max(k - n, 0)
     k = math.ceil(math.log10(m) + n * math.log10(2.0))
-    while Fraction(10) ** k < value:
+    while above(k):
         k += 1
-    while Fraction(10) ** (k - 1) >= value:
+    while not above(k - 1):
         k -= 1
     return k
+
+
+def _float_up(man: int, exp: int) -> float:
+    """man 2^exp for an integer man >= 0 rounded up to float64: to 53 bits,
+    to the grid of 2^-1074 below 2^-1022, and inf past the float range."""
+    prec = min(53, exp + man.bit_length() + 1074)
+    return to_float(*round_bits(man, exp, prec, "u")) if prec > 0 or not man else 5e-324
 
 
 def combo_residual(combo: SHCombo, xs) -> np.ndarray:
     """Absolute value of the defining integral of a block combination.
 
-    Each value is |Phi(s, s)| plus its error bound, rounded up, times the
-    cancellation mass sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s, times 1 +
-    delta (_mass_slack), rounded up to float.  The mass is summed in float64
-    over all blocks and points at once (_mass): each |c_k| enters as its
-    mantissa and binary exponent, so coefficients past the float64 range
-    neither overflow nor lose digits, and r_k x + t_k is formed as its
-    nearest float, so no rounding is amplified next to a kink.  The result
-    is at least the exact product and at most 1 + 2 delta times it.
+    Each value bounds |(-Delta)^s v(x)|: |Phi(s, s)| plus its error bound,
+    an exact Dyadic, times the integer upper bound on the cancellation mass
+    sum_k |c_k| r_k^(2s) (r_k x + t_k)^-s (_mass), rounded up to float
+    once.  Coefficients past the float64 range neither overflow nor lose
+    digits, and no rounding is amplified next to a kink.  Phi is evaluated
+    at a precision chosen from the largest mass, so the result is
+    meaningful even when the raw coefficients overflow any fixed-precision
+    cancellation.
 
-    Every term of the mass is positive and decreasing in x, and every
-    rounded step preserves that order, so a value at a point bounds every
-    point to its right in the smooth region, and each point's value does
-    not depend on the array it is evaluated in.  Phi is evaluated at a
-    precision chosen from the largest mass, so the result is meaningful
-    even when the raw coefficients overflow any fixed-precision
-    cancellation.  Each returned value bounds |(-Delta)^s v(x)|.
+    The result is at least the exact product and at most 1 + delta times
+    it, delta = 2^-51 + 2^-103 < 4.45e-16.  With s = m 2^e, m in [1/2, 1),
+    _mass works at w = 129 - e bits.  Its bases b have 53 bits, |log2 b| <=
+    1074 for r_k and < 2149 for a', and fixed_ln's E is below 2 |log2 b| +
+    w/6 + 40 units: _ln_cut's entries within 2 units (their own errors, far
+    below 2^32 units, fall off with the 32 guard bits), |log2 b| + 12
+    multiples of ln 2 within 2 each, the series in u^2.  So z = 2 s ln r_k
+    - s ln a' is within 8716 + w/2 units, the |n| <= 4298 multiples of ln 2
+    fixed_exp takes from it add 2 |n|, and its E, at most 3 (8716 + w/2 +
+    2 |n|) + 4, is below 2^16 units of an X above 2^(w-1): each upper is
+    within a factor 1 + 2^(19-w) <= 1 + s 2^-109 of exp(z).  Rounding r_k x
+    + t_k down to a' raises its power by at most a factor (1 + 2^-52)^s <=
+    1 + s 2^-52, and the rounding to float adds less than 1 + 2^-52.
+
+    Each value is nonincreasing in x, so a value at a point bounds every
+    point to its right in the smooth region: a larger r_k x + t_k rounds to
+    the same a', which gives the same term, or to one at least 1 + 2^-53
+    times larger, whose power is smaller by a factor 1 + s 2^-54 at least,
+    far more than the width of either enclosure.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise DomainError(f"points must be finite, got {xs[~np.isfinite(xs)][0]}")
-    if combo.blocks:
-        S, N = _mass(combo, xs)
-    else:
-        S, N = np.zeros(xs.size), np.zeros(xs.size, dtype=np.int64)
-    amp = 0
-    if S.any():
-        j = int(np.argmax(np.ldexp(S, N - N.max())))
-        amp = max(0, _ceil_log10(float(S[j]), int(N[j])))
+    if not np.isfinite(xs).all():
+        raise _nonfinite_points(xs)
+    masses = _mass(combo, xs)
+    low = min((e for _, e in masses), default=0)
+    top = max(masses, key=lambda me: me[0] << (me[1] - low), default=(0, 0))
+    amp = max(0, _ceil_log10(*top)) if top[0] else 0
     dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)
-    bm, be = _mantissa_up(abs(phi) + abs(phi_err))
-    inflation = math.nextafter(1.0 + _mass_slack(len(combo.blocks)), math.inf)
-    out = np.ldexp(bm * S * inflation, N + be)
-    # ldexp rounds to nearest below 2^-1022: step up there
-    low = (out < 2.0**-1022) & (S > 0)
-    out[low] = np.nextafter(out[low], np.inf)
-    return out
+    bm, be = parts(abs(phi) + abs(phi_err))
+    return np.array([_float_up(m * bm, e + be) for m, e in masses])

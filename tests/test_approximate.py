@@ -105,10 +105,12 @@ def test_cheb_fit_refuses_a_target_without_one_value_per_abscissa(order, bad):
         sh.cheb_fit(Target("shaped", *derivs), 1e-6)
 
 
-def test_cheb_fit_refuses_a_nonfinite_node_value():
-    f = _off_grid(np.sin, lambda z: np.full_like(z, np.nan))
-    with pytest.raises(DomainError, match="polynomial coefficients must be finite"):
-        sh.cheb_fit(Target("nan-nodes", f, np.cos, lambda z: -np.sin(z)), 1e-6)
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_cheb_fit_refuses_a_nonfinite_node_value(bad):
+    # the node values are checked as the grid's are, before any product
+    f = _off_grid(np.sin, lambda z: np.full_like(z, bad))
+    with pytest.raises(DomainError, match=r"'bad-nodes'.*order 0 is not finite at x="):
+        sh.cheb_fit(Target("bad-nodes", f, np.cos, lambda z: -np.sin(z)), 1e-6)
 
 
 class _CountingSamples:

@@ -564,6 +564,17 @@ def test_one_point_gives_the_same_bits_in_every_form(x, order, which):
     assert len({repr(v) for v in got}) == 1, got
 
 
+@pytest.mark.parametrize("which", [0, 2], ids=["extended", "float"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("form", [float, np.array, lambda v: np.array([0.25, v])],
+                         ids=["float", "0-d", "array"])
+def test_combo_derivative_refuses_a_nonfinite_point(which, bad, form):
+    # a float combination read NaN as the dead side and returned 0, and the
+    # extended route failed inside the integer conversion
+    with pytest.raises(DomainError, match=rf"points must be finite, got x={bad}"):
+        sh.combo_derivative(_one_point_combos()[which], form(bad))
+
+
 @functools.cache
 def _artifacts():
     """The built x2, sin and exp artifacts at s = 0.5 and their JSON copies."""

@@ -476,7 +476,8 @@ def test_module_entry_point_smoke():
 
 
 @pytest.mark.parametrize("argv", [
-    ["approximate", "--target", "sin", "--epsilon", "1e-6", "--out-json", "{out}"],
+    ["approximate", "--target", "sin", "--epsilon", "1e-6", "--out-json", "{out}",
+     "--out-csv", "{out}.csv"],
     ["demo", "harnack", "--out-json", "{out}"],
     ["demo", "logistic", "--sigma", "sin", "--mu", "exp", "--out-json", "{out}"],
     ["fraclap", "--target", "sin", "--out-json", "{out}"]], ids=lambda argv: argv[0])

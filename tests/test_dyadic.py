@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 from mpmath.libmp import from_str, round_nearest, to_str
@@ -36,12 +36,17 @@ def test_power_enclosure_contains_the_power(base, x, w):
 
 @settings(max_examples=100, deadline=None)
 @given(_BASES, st.integers(-40, 40), st.integers(1, 16), st.integers(40, 400))
+@example((1, 13), -5, 13, 40)
 def test_power_boxes_contain_the_power(base, xn, xd, w):
     man, exp = base
     lo, hi = _dyadic.pow_box(man, exp, xn, xd, w)
+    # containment exactly, raised to the power xd: mpmath's xn / xd is
+    # rounded, which moves an exact power such as 8192^(-5/13) = 2^-5 off
+    # the end that pow_box puts on it
+    power = Fraction(man) ** xn * Fraction(2) ** (exp * xn + w * xd)
+    assert (lo <= 0 or lo ** xd <= power) and hi > 0 and power <= hi ** xd
     with workprec(w + 400 + abs(xn) * (man.bit_length() + abs(exp))):
         want = _value(man, exp) ** (mpf(xn) / xd) * mpf(2) ** w
-        assert lo <= want <= hi
     assert hi - lo <= 2 + want * mpf(2) ** -(w + 40)  # tight at its relative precision
 
 

@@ -1,6 +1,7 @@
 """Certified canonical-constant evaluation and exact residual bounds."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -234,14 +235,15 @@ def _exact_products(combo, xs, phi, err, dps=80):
             for b in combo.blocks) for x in xs]
 
 
-def _assert_within_slack(combo, got, wants):
-    """exact <= got <= exact (1 + 2 delta) at each point; below 2^-1022 the
-    result is rounded up to the subnormal grid, so it may sit one subnormal
-    step above that."""
-    delta = mpf(exact._mass_slack(len(combo.blocks)))
+def _assert_within_slack(got, wants):
+    """exact <= got <= exact (1 + delta) at each point, delta = 2^-51 +
+    2^-103 < 4.45e-16 as combo_residual derives it; below 2^-1022 the result
+    is rounded up to the subnormal grid, so it may sit one subnormal step
+    above that."""
+    delta = mpf(4.45e-16)
     with workdps(80):
         for value, want in zip(got, wants):
-            assert want <= mpf(value) <= want * (1 + 2 * delta) + mpf(2) ** -1073
+            assert want <= mpf(value) <= want * (1 + delta) + mpf(2) ** -1074
 
 
 def test_combo_residual_matches_hand_reduction():
@@ -260,14 +262,16 @@ def test_combo_residual_matches_hand_reduction():
                 xi = mpf(x) + mpf(b.t) / mpf(b.r)
                 acc += abs(mpf(b.c)) * mpf(b.r) ** mpf(s) * xi ** (-mpf(s))
             wants.append((abs(phi) + abs(err)) * acc)
-    _assert_within_slack(combo, got, wants)
+    _assert_within_slack(got, wants)
 
 
 _FLOAT_BLOCKS = st.lists(
     st.builds(sh.SHBlock, t=st.floats(1.5, 4.0), c=st.floats(-10.0, 10.0),
               r=st.floats(0.0, 1.0, exclude_min=True)),
     min_size=1, max_size=6)
-_POINTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20)
+# with adjacent floats, whose arguments r x + t round to the same 53 bits
+_POINTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20).map(
+    lambda xs: xs + [math.nextafter(x, math.inf) for x in xs[:3]] + [0.0, 5e-324])
 
 
 @st.composite
@@ -330,7 +334,7 @@ def test_combo_residual_raises_each_scale_once_with_the_same_digits():
     assert len(hand.groups) >= 2
     for combo in (pipeline, hand):
         got, phi, err = _residual_with_phi(combo, xs)
-        _assert_within_slack(combo, got, _exact_products(combo, xs, phi, err))
+        _assert_within_slack(got, _exact_products(combo, xs, phi, err))
 
 
 def test_combo_residual_single_block_is_certifiably_tiny():
@@ -355,6 +359,22 @@ def test_combo_residual_empty_combo_is_zero():
     res = sh.combo_residual(combo, np.array([-5.0, 0.0, 5.0]))
     assert res.shape == (3,)
     assert np.all(res == 0.0)
+
+
+@pytest.mark.parametrize("man, exp, want", [
+    (0, 5, 0.0),
+    (2**53 + 1, 0, 2.0**53 + 2),  # 54 bits round up, not to even
+    (2**53 - 1, 0, 2.0**53 - 1),  # exact
+    (1, -1074, 5e-324),
+    (3, -1075, 1e-323),  # half-way between two subnormals
+    (1, -2000, 5e-324),  # below the smallest subnormal
+    (2**60 + 1, -1090, 2.0**-1030 + 2.0**-1074),  # subnormal: up at 2^-1074
+    (2**53 - 1, 971, sys.float_info.max),
+    (2**53 + 1, 971, math.inf),
+    (1, 1024, math.inf),
+])
+def test_float_up_rounds_up_on_every_grid(man, exp, want):
+    assert exact._float_up(man, exp) == want
 
 
 def test_combo_residual_accepts_scalars():
@@ -390,29 +410,17 @@ def test_combo_residual_mass_at_fixed_precision_matches_60_digits():
                 xi = mpf(x) + mpf(b.t) / mpf(b.r)
                 acc += abs(mpf(b.c)) * mpf(b.r) ** sm * xi ** (-sm)
             wants.append((abs(phi) + abs(err)) * acc)
-    _assert_within_slack(combo, got, wants)
-
-
-def test_combo_residual_slack_grows_past_ten_thousand_blocks():
-    # pairwise summation takes one rounding per level: 2e-12 covers the
-    # terms and up to 14 levels (2^14 > 10^4 blocks), and each level past
-    # that adds 2u
-    assert exact._mass_slack(1) == exact._mass_slack(10 ** 4) == exact._mass_slack(2 ** 14) \
-        == 2e-12
-    assert exact._mass_slack(2 ** 14 + 1) == 2e-12 + 2.0**-52
-    assert exact._mass_slack(10 ** 6) == 2e-12 + 6 * 2.0**-52
-    assert exact._mass_slack(2 ** 40) < 1e-9
+    _assert_within_slack(got, wants)
 
 
 def test_combo_residual_covers_the_mass_of_ten_thousand_float_blocks():
-    # past 10^4 blocks the pairwise sum takes 14 levels
     rng = np.random.default_rng(7)
     blocks = tuple(sh.SHBlock(float(t), float(c), float(r)) for t, c, r in zip(
         rng.uniform(1.5, 4.0, 10050), rng.uniform(-10.0, 10.0, 10050),
         rng.uniform(1e-3, 1.0, 10050)))
     combo = sh.SHCombo(0.5, blocks)
     got, phi, err = _residual_with_phi(combo, [-1.0])
-    _assert_within_slack(combo, got, _exact_products(combo, [-1.0], phi, err, dps=60))
+    _assert_within_slack(got, _exact_products(combo, [-1.0], phi, err, dps=60))
 
 
 def _coefficient(mantissa: float, exponent: int):
@@ -452,12 +460,30 @@ def test_combo_residual_is_within_twice_the_slack_of_80_digits(combo_and_points)
     combo, xs = combo_and_points
     got, phi, err = _residual_with_phi(combo, xs)
     picks = sorted({0, 1, 2, xs.size // 2, xs.size - 1})
-    _assert_within_slack(combo, got[picks], _exact_products(combo, xs[picks], phi, err))
+    _assert_within_slack(got[picks], _exact_products(combo, xs[picks], phi, err))
     assert np.all(np.diff(got) <= 0.0)
-    # a point's value does not depend on the array it is evaluated in
+    # a point's value does not depend on the array it is evaluated in: the
+    # largest mass sets Phi's precision, and with the same Phi every point
+    # alone gives the bits it gives in the array
     (first,), _, _ = _residual_with_phi(combo, xs[0])
     assert first == got[0]
-    masses = exact._mass(combo, xs)
-    for i in picks:
-        alone = exact._mass(combo, xs[i:i + 1])
-        assert (alone[0][0], alone[1][0]) == (masses[0][i], masses[1][i])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "canonical_constant", lambda p, s, dps: (phi, err))
+        for i in picks:
+            assert sh.combo_residual(combo, xs[i:i + 1])[0] == got[i]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.02, 0.98), _WIDE_BLOCKS, _POINTS)
+def test_mass_encloses_the_powers_of_the_rounded_arguments(s, blocks, xs):
+    # each term's upper lies within the factor 1 + 2^(19-w) < 1 + 2^-100 of
+    # |c_k| r_k^(2s) a'^-s, a' = r_k x + t_k rounded down to 53 bits, far
+    # closer than the float rounding of the result could show
+    combo = sh.SHCombo(s, tuple(blocks))
+    with workdps(80):
+        sm = mpf(s)
+        for x, (m, e) in zip(xs, exact._mass(combo, np.array(xs))):
+            want = mpmath.fsum(abs(mpf(b.c)) * mpf(b.r) ** (2 * sm) * mpf(mpmath.fadd(
+                mpmath.fmul(mpf(b.r), mpf(x), exact=True), mpf(b.t), exact=True),
+                prec=53, rounding="f") ** -sm for b in blocks)
+            assert want <= mpmath.ldexp(mpf(m), e) <= want * (1 + mpf(2) ** -100)
