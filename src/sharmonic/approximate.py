@@ -28,7 +28,6 @@ import io
 import math
 import time
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -239,30 +238,25 @@ class ChebPoly:
             c = np.polynomial.chebyshev.chebder(c)
         return np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), c)
 
-    def monomial_fractions(self) -> list[Fraction]:
-        """Exact monomial coefficients of the same real polynomial.
-
-        Chebyshev polynomials have integer monomial coefficients and float
-        inputs are dyadic, so each monomial coefficient is an integer sum
-        over one power-of-two denominator, made a Fraction once, for every
-        supported degree.
-        """
-        n = self.degree + 1
-        rows = [[1], [0, 1]]
-        while len(rows) < n:
-            prev, cur = rows[-2], rows[-1]
-            nxt = [0] + [2 * v for v in cur]
-            for i, v in enumerate(prev):
-                nxt[i] -= v
-            rows.append(nxt)
+    def monomial_numerators(self) -> tuple[list[int], int]:
+        """Exact monomial coefficients of the same real polynomial as integer
+        numerators over the inputs' largest denominator, a power of two:
+        Chebyshev polynomials have integer monomial coefficients."""
         ratios = [float(a).as_integer_ratio() for a in self.coefficients]
         den = max(d for _, d in ratios)  # powers of two: the largest is their lcm
-        out = [0] * n
-        for (num, d), row in zip(ratios, rows):
-            num *= den // d
-            for j, tv in enumerate(row):
+        out = [0] * len(ratios)
+        for num, row in zip([n * (den // d) for n, d in ratios], _chebyshev_monomials()):
+            for j, tv in row:
                 out[j] += num * tv
-        return [Fraction(v, den) for v in out]
+        return out, den
+
+
+@functools.cache
+def _chebyshev_monomials() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(j, coefficient of x^j) of T_k's nonzero monomials for k <= the cap;
+    cheb2poly's float sums are exact, every one an integer below 2^40."""
+    return tuple(tuple((j, int(v)) for j, v in enumerate(np.polynomial.chebyshev.cheb2poly(row))
+                       if v) for row in np.eye(_DEGREE_CAP + 1))
 
 
 @functools.cache
@@ -443,13 +437,24 @@ def default_nodes(order: int) -> np.ndarray:
     return 2.0 + np.rint(_NODE_STEPS * np.arange(order + 1) / order) / _NODE_STEPS
 
 
-def _c2_weight(mono: list[Fraction], degrees: list[int]) -> float:
-    """max over m <= 2 of sum_j |c_j| j!/(j-m)! over the given degrees j: the
-    C^2 norm on [-1, 1] of sum_j c_j x^j is at most this; computed exactly
-    and rounded up."""
-    exact = max(sum((abs(mono[j]) * math.perm(j, m) for j in degrees), Fraction(0))
-                for m in range(3))
-    return math.nextafter(float(exact), math.inf) if exact else 0.0
+def _matching_values(poly: ChebPoly) -> tuple[list[int], int, list[int], float]:
+    """The monomials c_j = n_j / D as values to match over D: n_j j! at the
+    kept degrees and 0 elsewhere, then D, the kept degrees and the C^2
+    weight of the others, max_(m<=2) sum_j |c_j| j!/(j-m)!, exact and
+    rounded up (see build_sharmonic).  Each n_j / D is an int true
+    division, correctly rounded: the float of the exact rational."""
+    nums, den = poly.monomial_numerators()
+    try:
+        sizes = [abs(n) / den for n in nums]
+    except OverflowError:
+        raise DomainError(f"a monomial coefficient of the degree {poly.degree} "
+                          f"polynomial exceeds float64") from None
+    cut = 1e-13 * max(1.0, max(sizes))
+    values = [n * math.factorial(j) if v > cut else 0 for j, (n, v) in enumerate(zip(nums, sizes))]
+    weight = max(sum(abs(n) * math.perm(j, m) for j, (n, v) in enumerate(zip(nums, values))
+                     if not v) for m in range(3))
+    dropped = math.nextafter(weight / den, math.inf) if weight else 0.0
+    return values, den, [j for j, v in enumerate(values) if v], dropped
 
 
 def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo, BuildInfo]:
@@ -461,29 +466,24 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo,
     origin are those of sum_j c_j x^j up to order N, under the largest
     scale x -> r x at which the proved deviation bound, summed over the kept
     degrees, plus the C^2 weight of the monomials left out fits the budget
-    (blocks.match_polynomial).  Monomials below 1e-13 max|c| (conversion
-    noise, such as the even monomials of an odd target) are left out.  The
-    certificate is that bound at r; one above the budget raises
-    ApproximationError.
+    (blocks.match_polynomial).  Monomials below 1e-13 max(1, max|c|)
+    (conversion noise, such as the even monomials of an odd target) are
+    left out; all stay integers over one power of two.  The certificate
+    is that bound at r; one above the budget raises ApproximationError.
     """
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
-    mono = poly.monomial_fractions()
+    values, den, kept, dropped = _matching_values(poly)
     big_n = max(poly.degree, _DEGREE_FLOOR)
     nodes = default_nodes(big_n)
-
-    scale_c = max(1.0, max(abs(float(c)) for c in mono))
-    kept = [j for j, c in enumerate(mono) if abs(float(c)) > 1e-13 * scale_c]
-    dropped = _c2_weight(mono, [j for j, c in enumerate(mono) if c and j not in kept])
     if dropped >= eps_half:
         raise ApproximationError(
             f"unmatched monomials weigh {dropped:.3e} in C^2, above the block "
             f"budget {eps_half:.3e}; raise epsilon")
     if kept:
-        values = [mono[i] * math.factorial(i) if i in kept else 0 for i in range(big_n + 1)]
-        combo, bound = match_polynomial(values, nodes, s, eps_half, dropped)
+        combo, bound = match_polynomial(values, nodes, s, eps_half, dropped, den)
         cert = float(np.max(bound))
     else:
         combo, cert = SHCombo(s, ()), dropped

@@ -8,13 +8,14 @@ blocks the building material for every construction in this package.
 Matching the derivatives of a combination at the origin is, after scaling
 rows and columns, a Vandermonde system in the reciprocal offsets 1/t_k.
 Offsets and exponents are floats, hence exact dyadic rationals, so the
-system is solved exactly in integers, with no gcd per operation: one
-cached integer inverse over one denominator per node tuple, solutions as
-integer numerators over one shared denominator; extended precision enters
-only where a coefficient is rounded for storage.  The exact remainders of
-x^i modulo the same node polynomial give a matched group's moments past
-its matched orders, from which its deviation is bounded and its scale r
-chosen in float arithmetic.
+system is solved in integers over one denominator, with no gcd: one cached
+integer inverse per node tuple, the values' right-hand sides as integer
+numerators over one denominator, and the matched weights merged at the
+chosen scale the same way; extended precision enters only where a
+coefficient is rounded for storage.  The exact remainders of x^i modulo
+the node polynomial bound a group's moments past its matched orders; that
+bound is grouped by power of the scale r once per group, so the scale
+search evaluates it in float arithmetic from a short table.
 
 Combinations produced by the derivative-matching pipeline carry extended
 precision coefficients: the raw block coefficients grow so large that
@@ -204,11 +205,6 @@ class SHCombo:
 # evaluation
 
 
-def _mantissa_bits(blocks: Sequence[SHBlock]) -> int:
-    """Longest stored coefficient mantissa in bits; 53 for float64."""
-    return max((b.c._mpf_[3] if isinstance(b.c, Dyadic) else 53 for b in blocks), default=53)
-
-
 def _omitted_bound(s: float, m: int, log_lead: float, p: float, xmax: float,
                    order: int) -> float:
     """Bound on the terms i >= m of the order-th derivative of a group's
@@ -246,7 +242,8 @@ def _group_taylor(s: float, blocks: tuple[SHBlock, ...]) -> tuple[np.ndarray, fl
     (see _omitted_bound) lies below 2^-52 times that order's own absolute
     series sum_i |c_i| i!/(i-order)!, or at _SERIES_CAP terms."""
     p = blocks[0].r / min(b.t for b in blocks)
-    w = _mantissa_bits(blocks) + _GUARD_BITS
+    # the longest stored mantissa, 53 bits for float64, plus guard bits
+    w = max(b.c._mpf_[3] if isinstance(b.c, Dyadic) else 53 for b in blocks) + _GUARD_BITS
     sn, sd = s.as_integer_ratio()
     rn, re = parts(blocks[0].r)
     terms, steps = [], []  # c_k t_k^(s-i) = d_k 2^f_k; per block (n_k, b_k, b_k + e_k)
@@ -410,71 +407,57 @@ def _vandermonde_inverse(nodes: tuple[float, ...]) -> tuple[tuple[tuple[int, ...
     return tuple(tuple(c * f for c in quot) for quot, f in zip(quots, factors)), den
 
 
-@functools.lru_cache(maxsize=64)
-def _remainder_logs(nodes: tuple[float, ...]) -> np.ndarray:
-    """log10 |R_ij| (-inf where R_ij = 0) for the rows i = n .. 2n + 11,
-    n = len(nodes), where R_ij is the exact x^j coefficient of x^i mod
-    P(x), P(x) = prod_k (x - 1/t_k).
-
-    P vanishes at every x_k = 1/t_k, so x_k^i = sum_j R_ij x_k^j.  With Q =
-    L P the least integer multiple of P (_node_polynomial), row i is V_i /
-    L^(i-n+1) for integers V_i: V_n = -(Q_0 .. Q_(n-1)), and multiplying by
-    x and reducing x^n gives V_(i+1),l = L V_i,(l-1) - V_i,(n-1) Q_l.
-    """
-    master = _node_polynomial(nodes)
-    n, lead, log_lead = len(nodes), master[-1], math.log10(master[-1])
-    row = [-c for c in master[:-1]]
-    out = np.empty((n + 12, n))
-    for e in range(out.shape[0]):
-        out[e] = [math.log10(abs(v)) - (e + 1) * log_lead if v else -math.inf for v in row]
-        top = row[-1]
-        row = [lead * v - top * c for v, c in zip([0] + row[:-1], master)]
-    out.flags.writeable = False
-    return out
-
-
-def _exact_match(values: Sequence, nodes: Sequence[float], s: float):
-    """Checked nodes t, the exact right-hand sides b_i = d_i / fall(s, i) and,
-    per degree j with b_j = u_j / v_j != 0, the column y_k^(j) = (V^-1)_kj b_j
-    over one denominator, ([N_kj u_j for each k], D v_j) for V^-1 = N / D; the
-    columns sum to y_k = t_k^s a_k solving sum_k (1/t_k)^i y_k = b_i for the
-    values d_0..d_J (floats or Fractions)."""
+def _exact_match(values: Sequence, nodes: Sequence[float], s: float, denominator: int = 1):
+    """Checked nodes t, a tuple, and the right-hand sides b_i = d_i / fall(s,
+    i) of d_i = values[i] / denominator (floats, ints or Fractions over a
+    positive int) as integers over one denominator, (t, [u_0 .. u_J], v)
+    for b_i = u_i / v, with no gcd: for s = p / q, fall(s, i) = F_i / q^i,
+    F_i = prod_(l<i) (p - l q), and each F_i divides F_J.  The column
+    y^(j) = V^-1 e_j b_j, V[i][k] = (1/t_k)^i, matches degree j alone."""
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
-    if not values or not all(isinstance(d, Fraction) or math.isfinite(d) for d in values):
+    try:  # Fraction(d) of a float or an int takes no gcd
+        ratios = [(d, 1) if type(d) is int else Fraction(d).as_integer_ratio() for d in values]
+    except (OverflowError, ValueError):
+        ratios = []
+    if not ratios:
         raise DomainError("derivative values must be finite and at least one")
+    if type(denominator) is not int or denominator <= 0:
+        raise DomainError(f"denominator must be a positive int, got {reprlib.repr(denominator)}")
     t = np.asarray(nodes, dtype=float)
     if t.ndim != 1 or t.size != len(values):
-        raise DomainError(
-            f"need exactly {len(values)} nodes for {len(values)} derivative "
-            f"values, got {t.size}")
-    if np.any(t <= 0) or not np.all(np.isfinite(t)):
+        raise DomainError(f"need exactly {len(values)} nodes for {len(values)} derivative "
+                          f"values, got {t.size}")
+    t = tuple(t.tolist())
+    if not all(0.0 < tk < math.inf for tk in t):
         raise DomainError("matching nodes must be positive and finite")
-    if len(set(t.tolist())) != t.size:  # np.unique would import numpy.ma
+    if len(set(t)) != len(t):
         raise DomainError("matching nodes must be distinct")
-    inverse, den = _vandermonde_inverse(tuple(float(tk) for tk in t))
-    sp, sq = Fraction(s).as_integer_ratio()
-    rhs, fall_num, fall_den = [], 1, 1  # fall(s, i) = fall_num / fall_den
-    for i, d in enumerate(values):
-        u, v = Fraction(d).as_integer_ratio()
-        rhs.append(Fraction(u * fall_den, v * fall_num) if u else Fraction(0))
-        fall_num, fall_den = fall_num * (sp - i * sq), fall_den * sq
-    return t, rhs, {j: ([row[j] * b.numerator for row in inverse], den * b.denominator)
-                    for j, b in enumerate(rhs) if b}
+    p, q = s.as_integer_ratio()
+    falls = [1]
+    for i in range(len(t) - 1):
+        falls.append(falls[-1] * (p - i * q))
+    common, whole, shift = math.lcm(*(v for _, v in ratios)), abs(falls[-1]), q.bit_length() - 1
+    rhs = [u * (common // v) * (whole // f) << shift * i
+           for i, ((u, v), f) in enumerate(zip(ratios, falls))]
+    return t, rhs, common * denominator * whole
 
 
-def _merge(columns: dict, r: float, size: int) -> tuple[list[int], int]:
-    """Y_k = sum_j y_k^(j) r^-j of _exact_match's columns as size numerators
-    over lcm_j (D v_j) p^J, r = p / q, J the top degree: one factor per
-    column, (lcm / (D v_j)) q^j p^(J-j)."""
+def _merge(t: tuple[float, ...], rhs: list[int], den: int, r: float) -> tuple[list[int], int]:
+    """Y_k = sum_j y_k^(j) r^-j for b_j = rhs[j] / den as numerators over one
+    denominator: with V^-1 = N / D (_vandermonde_inverse), r = p / 2^a and
+    J the top degree, Y_k = sum_j N_kj u_j 2^(a j) p^(J-j) / (D v p^J), by
+    Horner's rule in p: each step multiplies the sum by p alone."""
+    inverse, inv_den = _vandermonde_inverse(t)
     p, q = r.as_integer_ratio()
-    top = max(columns, default=0)
-    lcm = math.lcm(*(den for _, den in columns.values()))
-    merged = [0] * size
-    for j, (nums, den) in columns.items():
-        factor = lcm // den * q**j * p ** (top - j)
-        merged = [m + n * factor for m, n in zip(merged, nums)]
-    return merged, lcm * p**top
+    shift, top = q.bit_length() - 1, max(j for j, u in enumerate(rhs) if u)
+    merged = []
+    for row in inverse:
+        acc = 0
+        for j in range(top + 1):
+            acc = acc * p + (row[j] * rhs[j] << shift * j)
+        merged.append(acc)
+    return merged, inv_den * den * p**top
 
 
 @functools.lru_cache(maxsize=4096)
@@ -498,76 +481,106 @@ def _block_coefficients(nums: list[int], den: int, t: np.ndarray, s: float,
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _bound_tables(t: tuple[float, ...], s: float) -> tuple:
+    """_defect_model's tables for n = N + 1 degrees j, I = 2N + 14 and one
+    column per power of r: terms (n, 3N + 14), log10 |binom(s, i) R_ij| at
+    r^(i-j) for i = N+1 .. 2N+13 and log10(|binom(s, I)| t_min^-I sum_k
+    |N_kj| / D) at the tail's r^(I-j), else -inf; weights (4, n, 3N + 14),
+    i!/(i-m)! at the rows' places for m <= 2 and 1 at the tail's; the
+    powers; I!/(I-m)! and rho_m = max(1, (I - s) / (I + 1 - m)).
+
+    R_ij, the x^j coefficient of x^i mod P(x) = prod_k (x - 1/t_k), so that
+    x_k^i = sum_j R_ij x_k^j at x_k = 1/t_k, is V_ij / L^(i-n+1) for Q = L P
+    the least integer multiple of P (_node_polynomial): V_n = -(Q_0 ..
+    Q_(n-1)) and V_(i+1),l = L V_i,(l-1) - V_i,(n-1) Q_l."""
+    master = _node_polynomial(t)
+    n, first, lead = len(t), 2 * len(t) + 12, master[-1]
+    row, log_rows = [-c for c in master[:-1]], np.empty((n + 12, n))
+    for e in range(n + 12):
+        log_rows[e] = [math.log10(abs(v)) - (e + 1) * math.log10(lead) if v else -math.inf
+                       for v in row]
+        row = [lead * v - row[-1] * c for v, c in zip([0] + row[:-1], master)]
+    steps = np.arange(first)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log10(np.abs(s - steps) / (steps + 1)))))
+    j = np.arange(n)[:, None]
+    i = j + np.arange(1, first)  # the row of degree j that carries r^e, e = column + 1
+    reached = (i >= n) & (i < first)
+    i = np.where(reached, i, n)
+    inverse, den = _vandermonde_inverse(t)
+    tail = float(log_binom[first]) - first * math.log10(min(t)) - math.log10(den)
+    leads = [tail + math.log10(sum(abs(v[k]) for v in inverse)) for k in range(n)]
+    terms = np.hstack((np.where(reached, log_binom[i] + log_rows[i - n, j], -np.inf),
+                       np.where(np.eye(n, dtype=bool), np.array(leads)[:, None], -np.inf)))
+    weights = np.zeros((4, n, terms.shape[1]))
+    weights[:3, :, :first - 1] = np.where(reached, np.array([i**0, i, i * (i - 1)]), 0)
+    weights[3, :, first - 1:] = np.eye(n)
+    powers = np.concatenate((np.arange(1, first), first - np.arange(n)))
+    return (terms, weights, powers, tuple(float(math.perm(first, m)) for m in range(3)),
+            tuple(max(1.0, (first - s) / (first + 1 - m)) for m in range(3)))
+
+
 def _defect_model(values: Sequence, nodes: Sequence[float], s: float, eps: float,
-                  dropped: float = 0.0):
-    """Checked nodes t, the exact columns y^(j) of _exact_match and the
-    function r -> (B_0, B_1, B_2) bounding on [-1, 1] the m-th derivative of
-    the deviation from p(x) = sum_j values[j] x^j / j! of the group
+                  dropped: float = 0.0, denominator: int = 1):
+    """_exact_match's (t, (rhs, v)) and the function r -> (B_0, B_1, B_2)
+    bounding on [-1, 1] the m-th derivative of the deviation from p(x) =
+    sum_j d_j x^j / j!, d_j = values[j] / denominator, of the group
     match_polynomial stores at scale r for budget eps, plus dropped.
 
     Column j alone gives sum_k a_k (r x + t_k)^s, a_k = y_k^(j) t_k^-s r^-j,
     which expands to sum_i binom(s, i) r^(i-j) M_i x^i with M_i = sum_k
     y_k^(j) (1/t_k)^i.  The matching makes M_i = b_j delta_ij for i <= N;
-    past N, M_i = R_ij b_j (see _remainder_logs).  Unrounded, the group is
+    past N, M_i = R_ij b_j (see _bound_tables).  Unrounded, the group is
     the sum of the columns' terms, so with q = r / t_min <= 1/16, B_m bounds
     sum_j sum_{i>N} |beta_i| i!/(i-m)! by three parts:
 
     * rows: those terms, exactly, for i = N+1 .. 2N+13;
     * tail: from I = 2N+14 on, |M_i| <= Y_j t_min^-i with Y_j = sum_k
-      |y_k^(j)|, so those terms are what _omitted_bound bounds for m = I,
-      W = sum_j Y_j r^-j, p = q and xmax = 1;
+      |y_k^(j)| = |b_j| sum_k |N_kj| / D, so those terms are what
+      _omitted_bound bounds for m = I, W = sum_j Y_j r^-j, p = q and xmax
+      = 1: I!/(I-m)! T / (1 - rho_m q), T = sum_j |binom(s, I)| Y_j
+      t_min^-I r^(I-j);
     * storage: each stored a_k = Y_k t_k^-s, Y_k = sum_j y_k^(j) r^-j, is
       rounded by a relative delta with delta Y <= 1e-32 eps, Y = sum_k
       |Y_k|, which moves order i, matched ones included, by at most
       |binom(s, i)| r^i t_min^-i delta Y <= 1e-32 eps q^i; with i!/(i-m)!
       that sums to 1e-32 eps m! q^m / (1-q)^(m+1), once for all columns.
 
-    The parts are evaluated in float64 from logarithms of the exact values:
-    exponents below 3e4 in magnitude put each term within 1e-10 relative,
-    the fewer than 2^11 additions add 2^-42, and terms that underflow lose
-    less than 2^-1000, so B_m is the sum, dropped included, times 1 + 1e-9,
-    plus 2^-1000.
+    The rows and T are grouped once per model by power of r: the terms of
+    one power add to 10^top S_m, top their largest log10 and S_m the sum
+    of i!/(i-m)! 10^(x - top), so a bound call is one power of ten per
+    power of r and one product with S.  Rounding: log10 |b_j| and T's
+    leads are math.log10 of the integers, and every exponent stays below
+    3e4 in magnitude, so each power of ten, in S or in a call, is
+    within 1e-10 relative, and a term within 2e-10 + 2^-52 with the exact
+    weights and the product.  Sums of fewer than 2^11 terms add 2^-42
+    twice, and terms that underflow lose less than 2^-1000.  So B_m is the
+    sum, dropped included, times 1 + 1e-9, plus 2^-1000.
     """
-    t, rhs, columns = _exact_match(values, nodes, s)
-    big_n = t.size - 1
-    if big_n == 0 or not columns:
-        raise DomainError(f"need matching order N >= 1 and a nonzero value, got N={big_n}")
+    t, rhs, den = _exact_match(values, nodes, s, denominator)
+    if len(t) == 1 or not any(rhs):
+        raise DomainError(f"need matching order N >= 1 and a nonzero value, got N={len(t) - 1}")
     if not (eps > 0) or not math.isfinite(eps):
         raise DomainError(f"tolerance must be positive and finite, got {eps}")
-    degrees = np.array(list(columns))
-    log_rows = _remainder_logs(tuple(float(tk) for tk in t))[:, degrees].T
-    powers = np.arange(big_n + 1, big_n + 1 + log_rows.shape[1])
-    first = int(powers[-1]) + 1
-    steps = np.arange(first)
-    log_binom = np.concatenate(([0.0], np.cumsum(np.log10(np.abs(s - steps) / (steps + 1)))))
-    log_b = np.array([[math.log10(abs(rhs[j].numerator)) - math.log10(rhs[j].denominator)]
-                      for j in columns])
-    log_beta = log_binom[powers] + log_b + log_rows
-    exponents = powers - degrees[:, None]
-    orders = np.arange(3)
-    falling = np.array([[math.perm(i, m) for i in powers] for m in orders], dtype=float)
-    log_leads = np.array([float(log_binom[first]) + math.log10(sum(abs(n) / den for n in nums))
-                          for nums, den in columns.values()])
-    t_min = float(np.min(t))
+    terms, weights, powers, falls, rhos = _bound_tables(t, s)
+    log_b = np.array([math.log10(abs(u)) if u else -math.inf for u in rhs]) - math.log10(den)
+    x = terms + log_b[:, None]
+    top = x.max(axis=0)
+    top[top == -np.inf] = 0.0  # a power no kept degree reaches: its S stays 0
+    table = np.einsum("mjc,jc->mc", weights, 10.0 ** (x - top))
+    t_min = min(t)
 
     def bound(r: float) -> np.ndarray:
-        q, log_r = r / t_min, math.log10(r)
-        with np.errstate(over="ignore"):
-            rows = falling @ np.sum(10.0 ** (log_beta + exponents * log_r), axis=0)
-        leads = log_leads - degrees * log_r  # log10(|binom(s, I)| Y_j r^-j)
-        top = float(np.max(leads))
-        log_lead = top + math.log10(float(np.sum(10.0 ** (leads - top))))
-        tail = np.array([_omitted_bound(s, first, log_lead, q, 1.0, m) for m in range(3)])
-        storage = 1e-32 * eps * np.array([1.0, q, 2.0 * q * q]) / (1.0 - q) ** (orders + 1)
-        return (rows + tail + storage + dropped) * (1.0 + 1e-9) + 2.0**-1000
+        q = r / t_min
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (table @ 10.0 ** (top + powers * math.log10(r))).tolist()
+        # a power of ten past float64 is inf, or NaN where it meets a 0 of the table
+        *rows, tail = [v if v == v else math.inf for v in sums]
+        return np.array([(rows[m] + falls[m] * tail / (1.0 - rhos[m] * q)
+                          + 1e-32 * eps * (1.0, q, 2.0 * q * q)[m] / (1.0 - q) ** (m + 1)
+                          + dropped) * (1.0 + 1e-9) + 2.0**-1000 for m in range(3)])
 
-    return t, columns, bound
-
-
-def _scale_cap(t: np.ndarray) -> float:
-    """Largest scale of a matched group: r <= 1 for a block, and r / t_min
-    <= 1/16 keeps the derived series short and its radius >= 8."""
-    return min(1.0, float(np.min(t)) / 16.0)
+    return t, (rhs, den), bound
 
 
 def _bisect_scale(cap: float, passes) -> tuple[float, float]:
@@ -626,10 +639,11 @@ def _scale_bracket(worst, cap: float, top: float, eps: float,
 
 
 def match_polynomial(values: Sequence, nodes: Sequence[float], s: float, eps: float,
-                     dropped: float = 0.0) -> tuple[SHCombo, np.ndarray]:
-    """The group of len(nodes) blocks at one scale r matching the polynomial
-    sum_j values[j] x^j / j! to order N = len(nodes) - 1 at the origin, at
-    the largest r in (0, min(1, t_min / 16)] whose _defect_model bound is at
+                     dropped: float = 0.0, denominator: int = 1) -> tuple[SHCombo, np.ndarray]:
+    """The group of len(nodes) blocks at one scale r matching sum_j d_j x^j
+    / j!, d_j = values[j] / denominator (floats, ints or Fractions over a
+    positive int), to order N = len(nodes) - 1 at the origin, at the
+    largest r in (0, min(1, t_min / 16)] whose _defect_model bound is at
     most eps at every order m <= 2, and that bound (B_0, B_1, B_2) at r.
 
     r is the cap when the cap meets the budget, else the final lower end of
@@ -646,27 +660,29 @@ def match_polynomial(values: Sequence, nodes: Sequence[float], s: float, eps: fl
     |Y_k|, so its relative error delta is below 10^-digits and delta Y
     below 1e-32 eps, the storage allowance of the bound.
     """
-    t, columns, bound = _defect_model(values, nodes, s, eps, dropped)
+    t, (rhs, den), bound = _defect_model(values, nodes, s, eps, dropped, denominator)
     seen = {}  # r -> bound(r)
 
     def worst(r: float) -> float:
         seen[r] = bound(r)
         return float(np.max(seen[r]))
 
-    r = _scale_cap(t)
+    r = min(1.0, min(t) / 16.0)  # r <= 1; r / t_min <= 1/16 keeps the derived series short
     top = worst(r)
     if top > eps:
-        a, b = _scale_bracket(worst, r, top, eps, len(t) - max(columns))
+        degrees = [j for j, u in enumerate(rhs) if u]
+        a, b = _scale_bracket(worst, r, top, eps, len(t) - degrees[-1])
         if a == 0.0 and worst(sys.float_info.min) > eps:
             raise ApproximationError(
                 f"no float64 scale meets the defect budget {eps:.3e} for the monomials "
-                f"of degree {', '.join(map(str, columns))}; raise epsilon")
+                f"of degree {', '.join(map(str, degrees))}; raise epsilon")
         r, _ = _bisect_scale(r, lambda mid: mid <= a or (mid < b and worst(mid) <= eps))
-    nums, den = _merge(columns, r, t.size)
-    mass = Fraction(den + sum(map(abs, nums)), den)  # reduced once; r^-j may pass float64
-    dps = 25 + int(math.log10(mass.numerator) - math.log10(mass.denominator) - math.log10(eps) + 8)
+    nums, den = _merge(t, rhs, den, r)
+    mass = den + sum(map(abs, nums))  # over den, reduced once; r^-j may pass float64
+    g = math.gcd(mass, den)
+    dps = 25 + int(math.log10(mass // g) - math.log10(den // g) - math.log10(eps) + 8)
     coeffs = _block_coefficients(nums, den, t, s, dps)
-    group = SHCombo(s, tuple(SHBlock(float(tk), ck, r) for tk, ck in zip(t, coeffs)))
+    group = SHCombo(s, tuple(SHBlock(tk, ck, r) for tk, ck in zip(t, coeffs)))
     return group, seen[r] if r in seen else bound(r)
 
 
@@ -674,15 +690,11 @@ def match_polynomial(values: Sequence, nodes: Sequence[float], s: float, eps: fl
 # serialization
 
 
-def _mpf_digits(value: Dyadic) -> int:
-    """Decimal digits needed to reproduce the stored binary mantissa."""
-    _, _, _, bitcount = value._mpf_
-    return max(20, int(bitcount * 0.30103) + 5)
-
-
 def _format_coefficient(value) -> str:
+    """A float's shortest round-trip form, or a Dyadic with every digit its
+    mantissa needs, at least 20."""
     if isinstance(value, Dyadic):
-        return to_str(value._mpf_, _mpf_digits(value))
+        return to_str(value._mpf_, max(20, int(value._mpf_[3] * 0.30103) + 5))
     return repr(float(value))
 
 
@@ -694,19 +706,11 @@ def combo_to_json(combo: SHCombo) -> str:
     schema is a plain list of blocks: the power series is derived from the
     blocks of the loaded combination when it is first evaluated.
     """
-    lines = ["{"]
-    lines.append(f'  "s": {repr(float(combo.s))},')
     a, b = combo.interval
-    lines.append(f'  "interval": [{repr(float(a))}, {repr(float(b))}],')
-    lines.append('  "blocks": [')
-    items = []
-    for blk in combo.blocks:
-        cstr = _format_coefficient(blk.c)
-        items.append(f'    {{"t": {repr(float(blk.t))}, "c": {cstr}, "r": {repr(float(blk.r))}}}')
-    lines.append(",\n".join(items))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    blocks = ",\n".join(f'    {{"t": {float(blk.t)!r}, "c": {_format_coefficient(blk.c)}, '
+                        f'"r": {float(blk.r)!r}}}' for blk in combo.blocks)
+    return (f'{{\n  "s": {float(combo.s)!r},\n  "interval": [{float(a)!r}, {float(b)!r}],\n'
+            f'  "blocks": [\n{blocks}\n  ]\n}}\n')
 
 
 def combo_from_json(text: str) -> SHCombo:
@@ -726,15 +730,10 @@ def combo_from_json(text: str) -> SHCombo:
         interval = tuple(float(v) for v in raw["interval"])
         blocks = []
         for item in raw["blocks"]:
-            t = float(item["t"])
-            r = float(item["r"])
-            cstr = str(item["c"])
-            mantissa = cstr.split("e")[0].split("E")[0].replace("-", "").replace(".", "")
-            mantissa = mantissa.lstrip("0")
-            if len(mantissa) > 17:
-                c = Dyadic(from_str(cstr, dps_to_prec(len(mantissa) + 10)))
-            else:
-                c = float(cstr)
+            t, r, cstr = float(item["t"]), float(item["r"]), str(item["c"])
+            digits = len(cstr.split("e")[0].split("E")[0].replace("-", "").replace(".", "")
+                         .lstrip("0"))
+            c = Dyadic(from_str(cstr, dps_to_prec(digits + 10))) if digits > 17 else float(cstr)
             blocks.append(SHBlock(t, c, r))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise DomainError(f"malformed combination JSON: {exc}") from exc

@@ -1,15 +1,20 @@
 """Shared test helpers: finite-difference oracles, closed-form oracles for
 blocks and the canonical constant, the unscreened Chebyshev degree search,
-a grid CSV writer and the per-call combination evaluation."""
+a grid CSV writer, the per-call combination evaluation and the block
+stage's Fraction path with its ungrouped deviation bound."""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 from mpmath import mpf, workdps
 
 from sharmonic.approximate import _CERT_GRID, _DEGREE_CAP, _DEGREE_FLOOR, _INFLATION, ChebPoly
-from sharmonic.blocks import _EPS64, _combo_eval_mp
+from sharmonic.blocks import (_EPS64, _combo_eval_mp, _node_polynomial, _omitted_bound,
+                              _vandermonde_inverse)
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 from sharmonic.exact import canonical_constant
 
@@ -206,3 +211,135 @@ def combo_derivative_reference(combo, x, order=0):
         ts, cs, rs = combo.float_arrays
         out = _combo_derivatives_reference(ts, cs, rs, combo.s, xs, order)
     return float(out[0]) if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# the block stage as it was before its integer path: the monomials, the
+# right-hand sides and the columns as Fractions, the merge over the lcm of
+# the columns' denominators, and the deviation bound summed over the whole
+# (kept degree, row) grid on every call
+
+
+def monomial_fractions_reference(poly: ChebPoly) -> list[Fraction]:
+    """Exact monomial coefficients of the polynomial, one Fraction each."""
+    n = poly.degree + 1
+    rows = [[1], [0, 1]]
+    while len(rows) < n:
+        prev, cur = rows[-2], rows[-1]
+        nxt = [0] + [2 * v for v in cur]
+        for i, v in enumerate(prev):
+            nxt[i] -= v
+        rows.append(nxt)
+    ratios = [float(a).as_integer_ratio() for a in poly.coefficients]
+    den = max(d for _, d in ratios)
+    out = [0] * n
+    for (num, d), row in zip(ratios, rows):
+        num *= den // d
+        for j, tv in enumerate(row):
+            out[j] += num * tv
+    return [Fraction(v, den) for v in out]
+
+
+def conversion_reference(poly: ChebPoly) -> tuple[list[Fraction], list[int], float]:
+    """build_sharmonic's monomials, kept degrees and dropped C^2 weight."""
+    mono = monomial_fractions_reference(poly)
+    scale_c = max(1.0, max(abs(float(c)) for c in mono))
+    kept = [j for j, c in enumerate(mono) if abs(float(c)) > 1e-13 * scale_c]
+    degrees = [j for j, c in enumerate(mono) if c and j not in kept]
+    exact = max(sum((abs(mono[j]) * math.perm(j, m) for j in degrees), Fraction(0))
+                for m in range(3))
+    return mono, kept, math.nextafter(float(exact), math.inf) if exact else 0.0
+
+
+def exact_match_reference(values, nodes, s: float):
+    """Checked nodes t, the right-hand sides b_i = d_i / fall(s, i) as
+    Fractions and, per degree j with b_j = u_j / v_j != 0, the column
+    ([N_kj u_j for each k], D v_j) for V^-1 = N / D."""
+    if not (0.0 < s < 1.0):
+        raise DomainError(f"exponent must lie in (0, 1), got s={s}")
+    if not values or not all(isinstance(d, Fraction) or math.isfinite(d) for d in values):
+        raise DomainError("derivative values must be finite and at least one")
+    t = np.asarray(nodes, dtype=float)
+    if t.ndim != 1 or t.size != len(values):
+        raise DomainError(f"need exactly {len(values)} nodes for {len(values)} derivative "
+                          f"values, got {t.size}")
+    if np.any(t <= 0) or not np.all(np.isfinite(t)):
+        raise DomainError("matching nodes must be positive and finite")
+    if len(set(t.tolist())) != t.size:
+        raise DomainError("matching nodes must be distinct")
+    inverse, den = _vandermonde_inverse(tuple(float(tk) for tk in t))
+    sp, sq = Fraction(s).as_integer_ratio()
+    rhs, fall_num, fall_den = [], 1, 1
+    for i, d in enumerate(values):
+        u, v = Fraction(d).as_integer_ratio()
+        rhs.append(Fraction(u * fall_den, v * fall_num) if u else Fraction(0))
+        fall_num, fall_den = fall_num * (sp - i * sq), fall_den * sq
+    return t, rhs, {j: ([row[j] * b.numerator for row in inverse], den * b.denominator)
+                    for j, b in enumerate(rhs) if b}
+
+
+def merge_reference(columns: dict, r: float, size: int) -> tuple[list[int], int]:
+    """Y_k = sum_j y_k^(j) r^-j over lcm_j (D v_j) p^J, r = p / q."""
+    p, q = r.as_integer_ratio()
+    top = max(columns, default=0)
+    lcm = math.lcm(*(den for _, den in columns.values()))
+    merged = [0] * size
+    for j, (nums, den) in columns.items():
+        factor = lcm // den * q**j * p ** (top - j)
+        merged = [m + n * factor for m, n in zip(merged, nums)]
+    return merged, lcm * p**top
+
+
+def remainder_logs_reference(nodes: tuple[float, ...]) -> np.ndarray:
+    """log10 |R_ij| (-inf where R_ij = 0) for the rows i = n .. 2n + 11 of
+    x^i mod prod_k (x - 1/t_k), n = len(nodes), from the integer rows V_i
+    over powers of the node polynomial's leading coefficient."""
+    master = _node_polynomial(nodes)
+    n, lead, log_lead = len(nodes), master[-1], math.log10(master[-1])
+    row = [-c for c in master[:-1]]
+    out = np.empty((n + 12, n))
+    for e in range(out.shape[0]):
+        out[e] = [math.log10(abs(v)) - (e + 1) * log_lead if v else -math.inf for v in row]
+        top = row[-1]
+        row = [lead * v - top * c for v, c in zip([0] + row[:-1], master)]
+    return out
+
+
+def defect_model_reference(values, nodes, s: float, eps: float, dropped: float = 0.0):
+    """Checked nodes, exact_match_reference's columns and the deviation
+    bound r -> (B_0, B_1, B_2), every (kept degree, row) term summed on
+    every call and the tail's lead from one float per column entry."""
+    t, rhs, columns = exact_match_reference(values, nodes, s)
+    big_n = t.size - 1
+    if big_n == 0 or not columns:
+        raise DomainError(f"need matching order N >= 1 and a nonzero value, got N={big_n}")
+    if not (eps > 0) or not math.isfinite(eps):
+        raise DomainError(f"tolerance must be positive and finite, got {eps}")
+    degrees = np.array(list(columns))
+    log_rows = remainder_logs_reference(tuple(float(tk) for tk in t))[:, degrees].T
+    powers = np.arange(big_n + 1, big_n + 1 + log_rows.shape[1])
+    first = int(powers[-1]) + 1
+    steps = np.arange(first)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log10(np.abs(s - steps) / (steps + 1)))))
+    log_b = np.array([[math.log10(abs(rhs[j].numerator)) - math.log10(rhs[j].denominator)]
+                      for j in columns])
+    log_beta = log_binom[powers] + log_b + log_rows
+    exponents = powers - degrees[:, None]
+    orders = np.arange(3)
+    falling = np.array([[math.perm(i, m) for i in powers] for m in orders], dtype=float)
+    log_leads = np.array([float(log_binom[first]) + math.log10(sum(abs(n) / den for n in nums))
+                          for nums, den in columns.values()])
+    t_min = float(np.min(t))
+
+    def bound(r: float) -> np.ndarray:
+        q, log_r = r / t_min, math.log10(r)
+        with np.errstate(over="ignore"):
+            rows = falling @ np.sum(10.0 ** (log_beta + exponents * log_r), axis=0)
+        leads = log_leads - degrees * log_r
+        top = float(np.max(leads))
+        log_lead = top + math.log10(float(np.sum(10.0 ** (leads - top))))
+        tail = np.array([_omitted_bound(s, first, log_lead, q, 1.0, m) for m in range(3)])
+        storage = 1e-32 * eps * np.array([1.0, q, 2.0 * q * q]) / (1.0 - q) ** (orders + 1)
+        return (rows + tail + storage + dropped) * (1.0 + 1e-9) + 2.0**-1000
+
+    return t, columns, bound

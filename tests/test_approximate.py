@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
 import sharmonic as sh
-from conftest import cheb_fit_reference, write_grid_csv
-from sharmonic.approximate import _CERT_GRID, ChebPoly, Target
+from conftest import (cheb_fit_reference, conversion_reference, exact_match_reference,
+                      merge_reference, monomial_fractions_reference, write_grid_csv)
+from sharmonic.approximate import _CERT_GRID, ChebPoly, Target, _matching_values
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 
@@ -182,10 +183,9 @@ def test_screened_cheb_fit_matches_the_plain_loop(terms, log_eps, cap):
 
 
 def test_monomial_conversion_is_exact():
-    # (3/4) T_1 + (1/4) T_3 = x^3 exactly
+    # (3/4) T_1 + (1/4) T_3 = x^3 exactly, over the inputs' denominator 4
     poly = ChebPoly(np.array([0.0, 0.75, 0.0, 0.25]), 0.0)
-    assert poly.monomial_fractions() == [Fraction(0), Fraction(0),
-                                         Fraction(0), Fraction(1)]
+    assert poly.monomial_numerators() == ([0, 0, 0, 4], 4)
 
 
 def _monomial_fractions_per_term(coef) -> list[Fraction]:
@@ -210,20 +210,60 @@ def _monomial_fractions_per_term(coef) -> list[Fraction]:
     st.floats(-1e6, 1e6).map(lambda v: math.ldexp(v, -40) if abs(v) < 1 else v),
     min_size=d + 1, max_size=d + 1)))
 def test_monomial_conversion_equals_the_per_term_sum(coef):
-    # one Fraction per output over a power-of-two denominator, values from
+    # integer numerators over one power-of-two denominator, values from
     # tiny (scaled by 2^-40) to large, zeros of either sign included
-    got = ChebPoly(np.array(coef), 0.0).monomial_fractions()
-    assert got == _monomial_fractions_per_term(coef)
-    assert all(type(c) is Fraction for c in got)
+    nums, den = ChebPoly(np.array(coef), 0.0).monomial_numerators()
+    assert [Fraction(n, den) for n in nums] == _monomial_fractions_per_term(coef)
+    assert all(type(n) is int for n in nums) and den & (den - 1) == 0
 
 
 def test_monomial_conversion_matches_numpy_on_generic_coefficients():
     coef = np.array([0.3, -1.1, 0.25, 0.7, -0.02])
     poly = ChebPoly(coef, 0.0)
-    ours = [float(c) for c in poly.monomial_fractions()]
+    nums, den = poly.monomial_numerators()
     ref = np.polynomial.chebyshev.cheb2poly(coef)
-    assert np.allclose(ours, ref, rtol=1e-14, atol=1e-16)
-    assert all(isinstance(c, Fraction) for c in poly.monomial_fractions())
+    assert np.allclose([n / den for n in nums], ref, rtol=1e-14, atol=1e-16)
+    assert all(isinstance(n, int) for n in nums + [den])
+
+
+_CHEB_COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-1e6, 1e6),
+    st.floats(-2.0**-1022, 2.0**-1022),  # subnormals
+    st.floats(1e-305, 1e-295).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(1e295, 1e300).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-1.0, 1.0).map(lambda v: math.ldexp(v, -40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 30).flatmap(lambda d: st.lists(_CHEB_COEFFICIENTS, min_size=d + 1,
+                                                     max_size=d + 1)),
+       st.floats(0.02, 0.98), st.sampled_from([1.0, 0.125, 0.0123, 3.5e-40, 2.0**-1000]))
+def test_integer_conversion_equals_the_fraction_path(coef, s, r):
+    # the rationals, kept degrees and dropped weight of build_sharmonic's
+    # conversion, the right-hand sides and the merge at a scale, against
+    # the Fraction path of tests/conftest.py
+    poly = ChebPoly(np.array(coef), 0.0)
+    try:
+        mono, kept, dropped = conversion_reference(poly)
+    except OverflowError:
+        # a monomial past float64: the Fraction path fails in float()
+        with pytest.raises(DomainError, match="exceeds float64"):
+            _matching_values(poly)
+        return
+    values, den, got_kept, got_dropped = _matching_values(poly)
+    assert got_kept == kept and got_dropped == dropped
+    want = [mono[j] * math.factorial(j) if j in kept else 0 for j in range(len(mono))]
+    assert [Fraction(v, den) for v in values] == want
+    if not kept:
+        return
+    nodes = sh.default_nodes(poly.degree)
+    t, rhs, v = sh.blocks._exact_match(values, nodes, s, den)
+    _, want_rhs, columns = exact_match_reference(want, nodes, s)
+    assert [Fraction(u, v) for u in rhs] == want_rhs
+    nums, den = sh.blocks._merge(t, rhs, v, r)
+    want_nums, want_den = merge_reference(columns, r, len(t))
+    assert all(n * want_den == w * den for n, w in zip(nums, want_nums))
 
 
 def test_cheb_poly_validation():
@@ -305,7 +345,7 @@ def test_dropped_monomial_is_charged_to_the_certificate():
     # left unmatched, so only the certificate can account for it
     coef = np.polynomial.chebyshev.poly2cheb([1.0, 0.0, 0.5, 1e-14])
     poly = ChebPoly(coef, 0.0)
-    mono = poly.monomial_fractions()
+    mono = monomial_fractions_reference(poly)
     combo, info = sh.build_sharmonic(poly, 0.5, 1e-3)
     assert [j for j, _ in info.scales] == [0, 2]
     assert info.defect_error <= 1e-3
@@ -353,7 +393,7 @@ def _merged_weights(mono: list[Fraction], kept: list[int], nodes, s: float, r: f
     weights = [Fraction(0)] * len(nodes)
     for j in kept:
         values = [mono[j] * math.factorial(j) if i == j else 0 for i in range(len(nodes))]
-        _, _, columns = sh.blocks._exact_match(values, nodes, s)
+        _, _, columns = exact_match_reference(values, nodes, s)
         nums, den = columns[j]
         weights = [w + Fraction(n, den) / Fraction(r) ** j for w, n in zip(weights, nums)]
     return weights
@@ -387,17 +427,18 @@ def test_pipeline_matches_every_monomial_at_one_scale(s, seed, eps):
     assert all(b.r == r for b in combo.blocks)
     # the stored coefficients round the exact merged weights: the sum of
     # the per-monomial solves equals one solve of the values scaled by r^-j
-    mono, kept = poly.monomial_fractions(), [j for j, _ in report.scales]
+    mono, kept = monomial_fractions_reference(poly), [j for j, _ in report.scales]
     nodes = sh.default_nodes(report.matching_order)
     weights = _merged_weights(mono, kept, nodes, s, r)
     scaled = [mono[i] * math.factorial(i) / Fraction(r) ** i if i in kept else 0
               for i in range(len(nodes))]
-    _, _, columns = sh.blocks._exact_match(scaled, nodes, s)
+    _, _, columns = exact_match_reference(scaled, nodes, s)
     assert weights == [sum((Fraction(nums[k], den) for nums, den in columns.values()), Fraction(0))
                        for k in range(len(nodes))]
-    # and so is the merge over one denominator of the unscaled columns
-    values = [mono[i] * math.factorial(i) if i in kept else 0 for i in range(len(nodes))]
-    merged, den = sh.blocks._merge(sh.blocks._exact_match(values, nodes, s)[2], r, len(nodes))
+    # and so is the merge over one denominator of the unscaled right-hand
+    # sides, from the pipeline's own integer values
+    values, den, _, _ = _matching_values(poly)
+    merged, den = sh.blocks._merge(*sh.blocks._exact_match(values, nodes, s, den), r)
     assert [Fraction(n, den) for n in merged] == weights
     dps = _storage_digits(weights, 0.5 * eps)
     assert [b.c for b in combo.blocks] == sh.blocks._block_coefficients(
@@ -421,7 +462,7 @@ def test_merged_coefficients_keep_the_storage_allowance(spec, eps, s):
     combo, report = _approx(spec, eps, s)
     poly = sh.cheb_fit(sh.target_from_spec(spec), 0.5 * eps)
     nodes = sh.default_nodes(report.matching_order)
-    weights = _merged_weights(poly.monomial_fractions(), [j for j, _ in report.scales],
+    weights = _merged_weights(monomial_fractions_reference(poly), [j for j, _ in report.scales],
                               nodes, s, combo.blocks[0].r)
     dps = _storage_digits(weights, 0.5 * eps)
     with workdps(2 * dps):

@@ -22,8 +22,8 @@ from sharmonic._dyadic import Dyadic
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
-from conftest import (block_derivative_at_zero, combo_derivative_reference, falling_factorial,
-                      richardson_derivative)
+from conftest import (block_derivative_at_zero, combo_derivative_reference,
+                      defect_model_reference, falling_factorial, richardson_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +216,16 @@ def test_exact_match_equals_the_reference(big_n, data, s, zero):
     values = [data.draw(_nonzero_values) if i in positions else zero
               for i in range(big_n + 1)]
     nodes = sh.default_nodes(big_n)
-    _, rhs, columns = sh.blocks._exact_match(values, nodes, s)
+    t, rhs, den = sh.blocks._exact_match(values, nodes, s)
     want_rhs, want_y = _exact_match_reference(values, nodes, s)
-    # one column per nonzero value, integer numerators over one positive
-    # denominator, summing to the solution
-    assert sorted(columns) == sorted(positions)
-    assert all(len(nums) == big_n + 1 and all(type(v) is int for v in nums + [den]) and den > 0
-               for nums, den in columns.values())
-    y = [sum((Fraction(nums[k], den) for nums, den in columns.values()), Fraction(0))
-         for k in range(big_n + 1)]
-    assert rhs == want_rhs and y == want_y
-    assert all(type(v) is Fraction for v in rhs + y)
-    # the merge at r = 1 is the same sum over one denominator
-    nums, den = sh.blocks._merge(columns, 1.0, big_n + 1)
+    # integer numerators over one positive denominator, nonzero exactly at
+    # the nonzero values: one column each
+    assert [j for j, u in enumerate(rhs) if u] == sorted(positions)
+    assert len(rhs) == big_n + 1 and all(type(v) is int for v in rhs + [den]) and den > 0
+    assert [Fraction(u, den) for u in rhs] == want_rhs
+    # the merge at r = 1 sums the columns over one denominator
+    nums, den = sh.blocks._merge(t, rhs, den, 1.0)
+    assert all(type(v) is int for v in nums + [den]) and den > 0
     assert [Fraction(v, den) for v in nums] == want_y
 
 
@@ -249,6 +246,71 @@ def test_solve_validation():
         sh.match_polynomial((1.0, float("nan")), [2.0, 2.5], 0.5, 0.1)
     with pytest.raises(DomainError):
         sh.match_polynomial((1.0, float("inf")), (2.0, 2.5), 0.5, 0.1)
+
+
+_HUGE_AND_TINY_VALUES = [([10**400, 1.0], 1e-3), ([10**400, 1.0], 1e300),
+              ([Fraction(10**400), 1.0], 1e-3), ([Fraction(10**400), 1.0], 1e300),
+              ([Fraction(1, 10**400), 1.0], 1e-3), ([Fraction(1, 10**400), 1.0], 1e300),
+              ([Fraction(1, 10**400), 0.0], 1e-3), ([1.0, Fraction(1, 10**330)], 1e-3),
+              ([0.0, 10**400], 1e-3), ([1e308, 1e308, 1e308], 1e-3),
+              ([-(10**400), 10**400, 3], 1e-8)]
+
+
+@pytest.mark.parametrize("values, eps", _HUGE_AND_TINY_VALUES, ids=[
+    "int1e400", "int1e400-eps1e300", "frac1e400", "frac1e400-eps1e300", "frac1e-400",
+    "frac1e-400-eps1e300", "frac1e-400-zero", "frac1e-330-second", "int1e400-second",
+    "floats1e308", "int1e400-signs"])
+def test_exact_values_of_any_size_give_a_group_or_a_named_refusal(values, eps):
+    # ints and Fractions far outside float64, and floats whose right-hand
+    # sides leave it: a group at the largest passing scale, or the refusal
+    nodes = sh.default_nodes(len(values) - 1)
+    try:
+        group, bound = sh.match_polynomial(values, nodes, 0.5, eps)
+    except sh.ApproximationError as exc:
+        assert "no float64 scale meets the defect budget" in str(exc)
+        return
+    r, cap = group.blocks[0].r, float(min(nodes)) / 16.0
+    model = _defect_model(values, nodes, 0.5, eps)[2]
+    assert np.array_equal(bound, model(r)) and np.max(bound) <= eps
+    assert 0.0 < r <= cap and (r == cap or np.max(model(min(1.05 * r, cap))) > eps)
+
+
+@pytest.mark.parametrize("denominator", [0, -4, 2.0, True, Fraction(1, 2), None])
+def test_match_polynomial_refuses_a_denominator_that_is_not_a_positive_int(denominator):
+    with pytest.raises(DomainError, match="denominator must be a positive int"):
+        sh.match_polynomial((1.0, 2.0), (2.0, 2.5), 0.5, 0.1, 0.0, denominator)
+
+
+def test_a_denominator_divides_the_values_exactly():
+    # the pipeline's integers over one power of two, and the same values
+    # as Fractions: one group, bit for bit, and one bound
+    nums, den = [3, -7, 0, 5 * 2**60], 2**70
+    nodes = sh.default_nodes(3)
+    group, bound = sh.match_polynomial(nums, nodes, 0.3, 1e-6, 0.0, den)
+    want, want_bound = sh.match_polynomial([Fraction(n, den) for n in nums], nodes, 0.3, 1e-6)
+    assert sh.combo_to_json(group) == sh.combo_to_json(want)
+    assert np.array_equal(bound, want_bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.data(), st.floats(0.02, 0.98), st.floats(-12.0, -1.0),
+       st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25]))
+def test_grouped_bound_is_the_ungrouped_bound(big_n, data, s, log_eps, where, dropped):
+    # grouped once per model by power of r, against every (degree, row)
+    # term summed per call (tests/conftest.py), at r log-uniform on
+    # [sys.float_info.min, cap]
+    values = data.draw(st.lists(st.one_of(st.just(0.0), _nonzero_values), min_size=big_n + 1,
+                                max_size=big_n + 1).filter(any))
+    nodes, eps = sh.default_nodes(big_n), 10.0**log_eps
+    t, _, bound = _defect_model(values, nodes, s, eps, dropped * eps)
+    reference = defect_model_reference(values, nodes, s, eps, dropped * eps)[2]
+    cap = float(min(t)) / 16.0
+    r = cap * (sys.float_info.min / cap) ** where
+    got, want = bound(r), reference(r)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    # each is its computed sum times 1 + 1e-9, and the sums are within 2.1e-10
+    # (grouped) and 1.1e-10 (the reference) of the exact one
+    assert np.all(got >= want * (1.0 - 3.2e-10))
 
 
 def test_series_matches_function_derivatives():

@@ -3,7 +3,8 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 from compare_artifacts import summarize  # noqa: E402
 
 
@@ -43,3 +44,19 @@ def test_the_benchmark_scripts_import():
     for tool in (bench_eval, bench_sweep):
         assert tool.run_child is compare_artifacts.run_child
         assert tool.RUNS == compare_artifacts.RUNS
+
+
+def test_the_sweep_split_finds_and_times_every_stage_in_this_tree():
+    # the split wraps its stages by name: a renamed or deleted stage must
+    # fail here, not read 0 in the next BENCH_sweep.json
+    import bench_sweep
+
+    raw = bench_sweep.run_sweep_child(ROOT, 3)
+    assert raw["missing"] == []
+    assert set(raw["wrapped"]) == set(bench_sweep.STAGE_NAMES)
+    assert all(names == list(bench_sweep.STAGE_NAMES[stage][0])
+               for stage, names in raw["wrapped"].items())
+    stages = (*bench_sweep.STAGES, "bound", "cheb_certificates")
+    for stage in stages:
+        assert sum(level["counts"].get(stage, 0) for level in raw["levels"].values()) > 0, stage
+        assert sum(level["raw"].get(stage, 0.0) for level in raw["levels"].values()) > 0.0, stage

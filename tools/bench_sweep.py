@@ -13,9 +13,13 @@ on the first TARGETS seed-1 library-sweep targets, with timers wrapped
 around these stages:
 
 * ``cheb_fit``: the Chebyshev stage;
-* ``exact_match``: ``blocks._exact_match``, the exact solve;
+* ``conversion``: the Chebyshev interpolant's monomials as the values to
+  match: the monomial numerators, the kept degrees and the dropped C^2
+  weight (``approximate._matching_values``; in a tree without it,
+  ``ChebPoly.monomial_fractions`` and ``approximate._c2_weight``);
+* ``exact_match``: ``blocks._exact_match``, the exact right-hand sides;
 * ``model``: the rest of the deviation model, ``blocks._defect_model``:
-  remainder rows and the bound's set-up;
+  the bound's tables and their grouping by power of r;
 * ``bound``: every call of the deviation bound the model returns, from the
   scale search's bracket, its replay of the bisection on log r, and the
   bound at the chosen scale; one call bounds every kept monomial at once
@@ -24,7 +28,14 @@ around these stages:
   Y_k = sum_j y_k^(j) r^-j over one denominator;
 * ``block_coefficients``: ``blocks._block_coefficients``;
 * ``combo_residual``: ``exact.combo_residual``, Phi included;
-* ``other``: the rest of ``approximate``.
+* ``other``: the rest of ``approximate``, the scale search's own steps
+  among them.
+
+``block_stage`` is the sum of conversion, exact_match, model, bound, merge
+and block_coefficients.  The stages are found by name (STAGE_NAMES, this
+tree's names first); the child lists under ``missing`` every stage of
+which no name exists in the tree it runs in, and ``tests/test_tools.py``
+runs it on this tree for a few targets, so a renamed stage fails there.
 
 Each figure is ms per call, per eps level, from the run with the smallest
 total; the timers add about a microsecond per wrapped call.  Like pipebench,
@@ -63,6 +74,20 @@ from workloads import REFERENCE_NOMINAL_MS  # noqa: E402
 
 TARGETS = 60
 
+# stage -> alternatives, each a tuple of names that are all wrapped; the
+# first alternative whose names all exist is used
+STAGE_NAMES = {
+    "cheb_fit": (("approximate.cheb_fit",),),
+    "cheb_certificates": (("approximate._certified",),),
+    "conversion": (("approximate._matching_values",),
+                   ("approximate.ChebPoly.monomial_fractions", "approximate._c2_weight")),
+    "exact_match": (("blocks._exact_match",),),
+    "model": (("blocks._defect_model",),),
+    "merge": (("blocks._merge",),),
+    "block_coefficients": (("blocks._block_coefficients",),),
+    "combo_residual": (("exact.combo_residual",),),
+}
+
 SWEEP_CHILD = """
 import hashlib, importlib, json, sys, time
 sys.path.insert(0, "pipebench")
@@ -71,6 +96,7 @@ from mpmath import mpf
 from workloads import REFERENCE_NOMINAL_MS, SWEEP_EPS, SWEEP_S, LibrarySweep, Record, reference_ms
 from sharmonic import blocks, exact
 approximate = importlib.import_module("sharmonic.approximate")
+modules = {"approximate": approximate, "blocks": blocks, "exact": exact}
 
 spent, counts = {}, {}
 
@@ -83,6 +109,14 @@ def timed(name, fn):
             spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
             counts[name] = counts.get(name, 0) + 1
     return wrapper
+
+def owner(dotted):
+    # (object holding the attribute, attribute name), or None if any part is missing
+    first, *rest = dotted.split(".")
+    obj = modules[first]
+    for part in rest[:-1]:
+        obj = getattr(obj, part, None)
+    return (obj, rest[-1]) if obj is not None and hasattr(obj, rest[-1]) else None
 
 def model_with_timed_bound(*args, **kwargs):
     t, y, bound = model(*args, **kwargs)
@@ -107,19 +141,26 @@ def residual_excess(combo, value):
                            * (mpf(b.r) * x + mpf(b.t)) ** -sm for b in combo.blocks)
         return float(mpf(value) / ((abs(value_phi) + abs(err)) * mass) - 1)
 
-model = timed("model", blocks._defect_model)
-blocks._defect_model = model_with_timed_bound
-blocks._exact_match = timed("exact_match", blocks._exact_match)
-blocks._block_coefficients = timed("block_coefficients", blocks._block_coefficients)
-blocks._merge = timed("merge", blocks._merge)
-approximate.cheb_fit = timed("cheb_fit", approximate.cheb_fit)
-approximate._certified = timed("cheb_certificates", approximate._certified)
 phi, residual = exact.canonical_constant, exact.combo_residual
-exact.combo_residual = timed("combo_residual", residual)
+wrapped, missing = {}, []
+for stage, alternatives in json.loads(sys.argv[2]).items():
+    found = next((names for names in alternatives if all(owner(n) for n in names)), None)
+    if found is None:
+        missing.append(stage)
+        continue
+    wrapped[stage] = found
+    for name in found:
+        obj, attr = owner(name)
+        fn = getattr(obj, attr)
+        if stage == "model":
+            model = timed("model", fn)
+            setattr(obj, attr, model_with_timed_bound)
+        else:
+            setattr(obj, attr, timed(stage, fn))
 
 sweep = LibrarySweep(1)
 sweep.setup(Record())
-levels = {eps: {"calls": 0, "raw": {}, "scaled": {}} for eps in SWEEP_EPS}
+levels = {eps: {"calls": 0, "counts": {}, "raw": {}, "scaled": {}} for eps in SWEEP_EPS}
 digest = hashlib.sha256()
 excess, phi_dps = [], {}
 ops = sweep.operations()
@@ -138,53 +179,63 @@ for _ in range(int(sys.argv[1])):
     excess.append(residual_excess(combo, report.max_residual))
     level = levels[eps]
     level["calls"] += 1
-    for key, name in (("bound_calls", "bound"), ("cheb_certificates", "cheb_certificates")):
-        level[key] = level.get(key, 0) + counts.get(name, 0)
+    for name, count in counts.items():
+        level["counts"][name] = level["counts"].get(name, 0) + count
     for name, seconds in spent.items():
         level["raw"][name] = level["raw"].get(name, 0.0) + seconds
         level["scaled"][name] = level["scaled"].get(name, 0.0) + seconds * factor
     before = reference_ms()
 print(json.dumps({"levels": {f"{eps:g}": level for eps, level in levels.items()},
+                  "wrapped": wrapped, "missing": missing,
                   "residual_excess": [min(excess), max(excess)], "phi_dps": phi_dps,
                   "sha256": digest.hexdigest()}))
 """
 
-COUNTS = ("bound_calls", "cheb_certificates")
-STAGES = ("cheb_fit", "exact_match", "model", "bound", "merge", "block_coefficients",
-          "combo_residual")
+COUNTS = {"bound_calls": "bound", "cheb_certificates": "cheb_certificates"}
+STAGES = ("cheb_fit", "conversion", "exact_match", "model", "bound", "merge",
+          "block_coefficients", "combo_residual")
+BLOCK_STAGE = ("conversion", "exact_match", "model", "bound", "merge", "block_coefficients")
+
+
+def run_sweep_child(tree: Path, targets: int) -> dict:
+    """The child's JSON from one fresh interpreter in tree: per eps level the
+    calls and each stage's call counts, raw and scaled seconds; the names
+    wrapped per stage and the stages of which no name was found."""
+    return json.loads(run_child(tree, ["-c", SWEEP_CHILD, str(targets),
+                                       json.dumps(STAGE_NAMES)]))
 
 
 def _per_call(level: dict, spent: dict) -> dict:
-    """ms per call of each stage, other included."""
+    """ms per call of each stage, other and the block stage included."""
     per_call = {name: spent.get(name, 0.0) * 1e3 / level["calls"]
                 for name in ("total", *STAGES)}
     # _exact_match runs inside the model
     per_call["model"] -= per_call["exact_match"]
     per_call["other"] = per_call["total"] - sum(per_call[k] for k in STAGES)
+    per_call["block_stage"] = sum(per_call[k] for k in BLOCK_STAGE)
     return {k: round(v, 3) for k, v in per_call.items()}
 
 
-def sweep_split(tree: Path) -> dict:
+def sweep_split(tree: Path, targets: int = TARGETS) -> dict:
     """Scaled and raw ms per call of each stage per eps level, bound calls
     and full Chebyshev certificates per call, the mean scaled and raw
     totals, both counts over all calls, the residual's excess over its
-    80-digit product and the output hash, from one fresh interpreter."""
-    out = run_child(tree, ["-c", SWEEP_CHILD, str(TARGETS)])
-    raw = json.loads(out)
+    80-digit product, the stages not found and the output hash, from one
+    fresh interpreter."""
+    raw = run_sweep_child(tree, targets)
     split = {"levels": {}, "raw_levels": {}}
     for eps, level in raw["levels"].items():
         split["levels"][eps] = _per_call(level, level["scaled"])
-        for key in COUNTS:
-            split["levels"][eps][key] = level.get(key, 0) / level["calls"]
+        for key, name in COUNTS.items():
+            split["levels"][eps][key] = level["counts"].get(name, 0) / level["calls"]
         split["raw_levels"][eps] = _per_call(level, level["raw"])
     for key, name in (("mean_total", "scaled"), ("raw_mean_total", "raw")):
         total = sum(level[name]["total"] for level in raw["levels"].values())
-        split[key] = round(total * 1e3 / TARGETS, 3)
-    for key in COUNTS:
-        split[key] = sum(level.get(key, 0) for level in raw["levels"].values())
-    split["residual_excess"] = raw["residual_excess"]
-    split["phi_dps"] = raw["phi_dps"]
-    split["sha256"] = raw["sha256"]
+        split[key] = round(total * 1e3 / targets, 3)
+    for key, name in COUNTS.items():
+        split[key] = sum(level["counts"].get(name, 0) for level in raw["levels"].values())
+    for key in ("residual_excess", "phi_dps", "missing", "sha256"):
+        split[key] = raw[key]
     return split
 
 
