@@ -253,10 +253,12 @@ class ChebPoly:
 
 @functools.cache
 def _chebyshev_monomials() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(j, coefficient of x^j) of T_k's nonzero monomials for k <= the cap;
-    cheb2poly's float sums are exact, every one an integer below 2^40."""
-    return tuple(tuple((j, int(v)) for j, v in enumerate(np.polynomial.chebyshev.cheb2poly(row))
-                       if v) for row in np.eye(_DEGREE_CAP + 1))
+    """(j, coefficient of x^j) of T_k's nonzero monomials for k <= the cap,
+    from T_(k+1) = 2 x T_k - T_(k-1)."""
+    rows = [[1], [0, 1]]
+    while len(rows) <= _DEGREE_CAP:
+        rows.append([2 * a - b for a, b in zip([0] + rows[-1], rows[-2] + [0, 0])])
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
 
 
 @functools.cache
@@ -438,11 +440,10 @@ def default_nodes(order: int) -> np.ndarray:
 
 
 def _matching_values(poly: ChebPoly) -> tuple[list[int], int, list[int], float]:
-    """The monomials c_j = n_j / D as values to match over D: n_j j! at the
-    kept degrees and 0 elsewhere, then D, the kept degrees and the C^2
-    weight of the others, max_(m<=2) sum_j |c_j| j!/(j-m)!, exact and
-    rounded up (see build_sharmonic).  Each n_j / D is an int true
-    division, correctly rounded: the float of the exact rational."""
+    """The monomials c_j = n_j / D as values to match over D (n_j j! at the
+    kept degrees, else 0), D, the kept degrees and the others' C^2 weight
+    max_(m<=2) sum_j |c_j| j!/(j-m)!, exact and rounded up.  Each float of
+    n_j / D is an int true division, so it is the exact rational's float."""
     nums, den = poly.monomial_numerators()
     try:
         sizes = [abs(n) / den for n in nums]

@@ -408,12 +408,11 @@ def _vandermonde_inverse(nodes: tuple[float, ...]) -> tuple[tuple[tuple[int, ...
 
 
 def _exact_match(values: Sequence, nodes: Sequence[float], s: float, denominator: int = 1):
-    """Checked nodes t, a tuple, and the right-hand sides b_i = d_i / fall(s,
-    i) of d_i = values[i] / denominator (floats, ints or Fractions over a
-    positive int) as integers over one denominator, (t, [u_0 .. u_J], v)
-    for b_i = u_i / v, with no gcd: for s = p / q, fall(s, i) = F_i / q^i,
-    F_i = prod_(l<i) (p - l q), and each F_i divides F_J.  The column
-    y^(j) = V^-1 e_j b_j, V[i][k] = (1/t_k)^i, matches degree j alone."""
+    """Checked nodes t, a tuple, and b_i = d_i / fall(s, i) for d_i = values[i]
+    / denominator (floats, ints or Fractions over a positive int) as (t,
+    [u_0 .. u_J], v), b_i = u_i / v, with no gcd: for s = p / q, fall(s, i)
+    = F_i / q^i, F_i = prod_(l<i) (p - l q), and each F_i divides F_J.  The
+    column y^(j) = V^-1 e_j b_j, V[i][k] = (1/t_k)^i, matches degree j alone."""
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
     try:  # Fraction(d) of a float or an int takes no gcd
