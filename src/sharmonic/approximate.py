@@ -43,6 +43,11 @@ _INFLATION = 1.05
 _DEGREE_FLOOR = 3
 _DEGREE_CAP = 30
 _NODE_STEPS = 64  # default_nodes are multiples of 1 / _NODE_STEPS
+_grid_table = np.empty((0, _CERT_GRID))  # _grid_values' rows T_k on the grid
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -233,6 +238,9 @@ class ChebPoly:
         return self.coefficients.size - 1
 
     def eval(self, x: np.ndarray, order: int = 0) -> np.ndarray:
+        """The derivative of the given order at any x, by numpy.polynomial."""
+        if not _is_int(order) or order < 0:
+            raise DomainError(f"derivative order must be an int >= 0, got {order!r}")
         c = self.coefficients
         for _ in range(order):
             c = np.polynomial.chebyshev.chebder(c)
@@ -261,10 +269,20 @@ def _chebyshev_monomials() -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
 
 
+def _chebyshev_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """T_k(x) for k < n (n >= 2), one row each, by chebvander's recurrence
+    and so with its bits: x * 0 + 1, x, then T_k = T_(k-1) * 2x - T_(k-2)."""
+    rows = np.empty((n, x.size))
+    rows[0], rows[1], x2 = x * 0 + 1, x, 2 * x
+    for k in range(2, n):
+        rows[k] = rows[k - 1] * x2 - rows[k - 2]
+    return rows
+
+
 @functools.cache
 def _screen_tables() -> tuple:
     """The Chebyshev stage's fixed arrays, built once for every degree up to
-    the cap (about 0.14 MB) and sliced for a lower one.
+    the cap (about 0.16 MB) and sliced for a lower one.
 
     nodes: chebpts1(d + 1) of d = 3..30 concatenated, 490 points; layout:
     per degree, its first index in nodes and chebvander(x_d, d).T, C
@@ -272,25 +290,27 @@ def _screen_tables() -> tuple:
     each degree's divisors n, n/2, ..., n/2 of chebinterpolate, padded with
     ones; at: every _SCREEN_STRIDE-th grid point and the last; evals: (31,
     3 len(at)), T_k^(m) at those points for m = 0, 1, 2 side by side;
-    peaks: (3, 31), T_k^(m)(1) = prod_{l<m} (k^2 - l^2) / (2 l + 1).
+    peaks: (3, 31), T_k^(m)(1) = prod_{l<m} (k^2 - l^2) / (2 l + 1), the column
+    sums of derivs: (3, 31, 31), D_m of T_k^(m)'s exact Chebyshev coefficients
+    by column k.  nodes and vander have chebpts1's and chebvander's bits.
     """
-    cheb = np.polynomial.chebyshev
     size = _DEGREE_CAP + 1
     sizes = range(_DEGREE_FLOOR + 1, size + 1)
-    nodes = np.concatenate([cheb.chebpts1(n) for n in sizes])
-    # the recurrence is elementwise, so the leading columns are chebvander(x_d, d)
-    vander = cheb.chebvander(nodes, _DEGREE_CAP)
-    layout = tuple((i, np.ascontiguousarray(vander[i:i + n, :n].T))
+    nodes = np.concatenate([np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
+                            for n in sizes])
+    # the recurrence is elementwise, so the leading rows are chebvander(x_d, d).T
+    vander = _chebyshev_rows(nodes, size)
+    layout = tuple((i, np.ascontiguousarray(vander[:n, i:i + n]))
                    for i, n in zip(np.cumsum([0, *sizes]), sizes))
     n, k = np.array(sizes, dtype=float)[:, None], np.arange(size)
     scale = np.where(k == 0, n, np.where(k < n, 0.5 * n, 1.0))
     at = np.append(np.arange(0, _CERT_GRID, _SCREEN_STRIDE), _CERT_GRID - 1)
-    vander = cheb.chebvander(np.linspace(-1.0, 1.0, _CERT_GRID)[at], _DEGREE_CAP)
-    evals = np.hstack([(vander[:, :size - m] @ cheb.chebder(np.eye(size), m)).T
-                       for m in range(3)])
-    k2 = np.arange(size, dtype=float) ** 2
-    peaks = np.array([np.ones(size), k2, k2 * (k2 - 1.0) / 3.0])
-    return nodes, layout, scale, at, evals, peaks
+    # T_k' = 2 k (T_(k-1) + T_(k-3) + ...), its T_0 term halved; D_2 = D_1^2
+    d1 = np.triu((k + k[:, None]) % 2 * (2.0 - (k[:, None] == 0)) * k, 1)
+    derivs = np.array([np.eye(size), d1, d1 @ d1])
+    points = _chebyshev_rows(np.linspace(-1.0, 1.0, _CERT_GRID)[at], size)
+    evals = np.hstack([d.T @ points for d in derivs])
+    return nodes, layout, scale, at, evals, derivs.sum(axis=1), derivs
 
 
 def _sampled(target: Target, order: int, x: np.ndarray) -> np.ndarray:
@@ -326,40 +346,40 @@ def _interpolants(target: Target, degree_cap: int) -> np.ndarray:
     return coef / scale[:rows]
 
 
-def _screen(coef: np.ndarray, samples: list, eps_half: float) -> np.ndarray:
+def _screen(coef: np.ndarray, samples: np.ndarray, eps_half: float) -> np.ndarray:
     """Mask over the rows of coef (_interpolants), False where the degree's
     full certificate provably exceeds eps_half.
 
     Every degree is evaluated at once, by one product with the tables, and
     compared with the samples at every _SCREEN_STRIDE-th grid point and x =
     1.  These points lie on the certification grid and the certificate
-    takes the same coefficients, so the screen's deviation D_m at order m
+    takes the same coefficients, so the screen's deviation S_m at order m
     is at most the full certificate's maximum M_m, up to rounding.  A
-    degree is ruled out only when 1.05 max_m (D_m - margin_m) > eps_half,
-    where margin_m bounds D_m - M_m.  With u = 2^-53, n = d + 1, c the
+    degree is ruled out only when 1.05 max_m (S_m - margin_m) > eps_half,
+    where margin_m bounds S_m - M_m.  With u = 2^-53, n = d + 1, c the
     degree's coefficients and W_m = sum_k |c_k| T_k^(m)(1):
 
-    * Evaluation.  The Chebyshev coefficients of each T_k^(m) are
-      nonnegative and sum to T_k^(m)(1), so chebder's coefficients d have
-      sum |d_j| <= W_m, up to a relative 3 n u of its own rounding.
-      chebval's Clenshaw sums b_j = sum_{i>=j} d_i U_{i-j}, with |U_k| <= k
-      + 1 on [-1, 1], so |b_j| <= n W_m.  Each of its n steps rounds by at
-      most 3 u (|d_j| + 3 n W_m) <= 12 n u W_m, and that error reaches the
-      value through a U_j, at most n.  So the certificate's value is within
-      12 n^3 u W_m.  The screen's tables carry the recurrence's 2 k^2 u and
-      chebder's rounding, and its product adds gamma_n: within 4 n^2 u W_m.
-      Together: 16 n^3 u W_m.
-    * Comparison.  Each |sample - value| rounds by u relative, and D_m -
+    * Evaluation.  Both sides sum (D_m c)_j T_j(x) with the exact integer
+      D_m (_screen_tables), nonnegative with column sums T_k^(m)(1), and
+      the recurrence's rows t_j.  Each recurrence step rounds by at most 3 u
+      and reaches T_j through U_(j-i), |U_l| <= l + 1 on [-1, 1], so |t_j -
+      T_j| <= 1.5 j^2 u.  Each product of n terms adds gamma_n = n u / (1 -
+      n u) of its absolute sum: the certificate's D_m c and its product with
+      the table, the screen's D_m^T t and c times it.  So each side is
+      within (1.5 n^2 + 2 n) u W_m <= 2 n^2 u W_m of the exact value, to
+      first order in u; the margin keeps 16 n^3 u W_m, 4 n times their sum,
+      which covers the second-order terms.
+    * Comparison.  Each |sample - value| rounds by u relative, and S_m -
       margin_m rounds once more; each deviation is at most max|samples_m|
       + W_m, so 8 u times that covers all three.
 
-    Rounding is monotone, so D_m - margin_m <= M_m survives 1.05 max,
+    Rounding is monotone, so S_m - margin_m <= M_m survives 1.05 max,
     whatever the coefficients and the target.  A generous margin costs only
     speed: a degree it keeps gets the full certificate.  A non-finite
     coefficient makes the degree's lower bound NaN, which rules nothing out.
     """
-    at, evals, peaks = _screen_tables()[3:]
-    screened = np.concatenate([s[at] for s in samples])
+    at, evals, peaks = _screen_tables()[3:6]
+    screened = samples[:, at].ravel()
     dev = np.abs(screened - coef @ evals).reshape(len(coef), 3, at.size).max(axis=2)
     n = np.arange(_DEGREE_FLOOR + 1, _DEGREE_FLOOR + 1 + len(coef), dtype=float)[:, None]
     mass = np.abs(coef) @ peaks.T
@@ -368,13 +388,21 @@ def _screen(coef: np.ndarray, samples: list, eps_half: float) -> np.ndarray:
     return ~(_INFLATION * np.max(dev - margin, axis=1) > eps_half)
 
 
-def _certified(coef: np.ndarray, grid: np.ndarray, samples: list) -> ChebPoly:
-    """The interpolant with these coefficients and its full certificate on
-    the grid."""
-    poly = ChebPoly(coef, 0.0)
-    cert = _INFLATION * max(
-        float(np.max(np.abs(samples[m] - poly.eval(grid, m)))) for m in range(3))
-    return ChebPoly(coef, cert)
+def _grid_values(coef: np.ndarray) -> np.ndarray:
+    """Orders 0-2 on the certification grid: [D_0 c; D_1 c; D_2 c] times one
+    T_k table's first n rows, grown to the largest n so far (rounding: _screen)."""
+    global _grid_table
+    n = coef.size
+    if len(_grid_table) < n:
+        _grid_table = _chebyshev_rows(np.linspace(-1.0, 1.0, _CERT_GRID), n)
+    return (_screen_tables()[6][:, :n, :n] @ coef) @ _grid_table[:n]
+
+
+def _certified(coef: np.ndarray, samples: np.ndarray) -> ChebPoly:
+    """The interpolant and its full certificate against the (3, _CERT_GRID) samples."""
+    dev = _grid_values(coef)
+    dev -= samples
+    return ChebPoly(coef, _INFLATION * float(np.abs(dev, out=dev).max()))
 
 
 def cheb_fit(target: Target, eps_half: float, degree_cap: int = _DEGREE_CAP) -> ChebPoly:
@@ -389,24 +417,27 @@ def cheb_fit(target: Target, eps_half: float, degree_cap: int = _DEGREE_CAP) -> 
     rounding margin (_screen), which rules out only degrees whose full
     certificate would fail; the others are tried in order with the full
     4096-point certificate, so normally only the degree returned gets it.
-    The result is the lowest degree that passes; for a pointwise target.f,
-    as Target asks, it is the plain loop's over every degree with
-    chebinterpolate, bit for bit.  When no degree passes, every degree is
-    certified in full for the smallest certificate in the message."""
+    The certificate is one product with a cached T_k table (_grid_values),
+    within _screen's derived term of the exact values.  The result is the
+    lowest degree that passes; for a pointwise target.f, as Target asks,
+    its interpolant is chebinterpolate's bit for bit.  When no degree passes,
+    every degree is certified in full, for the message's smallest certificate."""
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
+    if not _is_int(degree_cap):
+        raise ConfigError(f"degree cap must be an int, got {degree_cap!r}")
     if not (_DEGREE_FLOOR <= degree_cap <= _DEGREE_CAP):
         raise ConfigError(f"degree cap {degree_cap} lies outside the supported range "
                           f"{_DEGREE_FLOOR}..{_DEGREE_CAP}")
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
-    samples = [_sampled(target, m, grid) for m in range(3)]
+    samples = np.array([_sampled(target, m, grid) for m in range(3)])
     coef = _interpolants(target, degree_cap)
     rows = [row[:d + 1] for d, row in enumerate(coef, _DEGREE_FLOOR)]
     for i in np.flatnonzero(_screen(coef, samples, eps_half)):
-        poly = _certified(rows[i], grid, samples)
+        poly = _certified(rows[i], samples)
         if poly.fit_error <= eps_half:
             return poly
-    best = min(_certified(row, grid, samples).fit_error for row in rows)
+    best = min(_certified(row, samples).fit_error for row in rows)
     raise ApproximationError(
         f"no polynomial of degree <= {degree_cap} reaches certified C^2 error "
         f"{eps_half:.3e} for target {target.name!r} (best {best:.3e})")
@@ -431,8 +462,7 @@ def default_nodes(order: int) -> np.ndarray:
     when J is a power of two.  64 k / J never lands on a half.  Short
     dyadics keep every exact integer of the matching build small (the node
     polynomial of J = 30 has 207 bits, against 1458 for 2 + k/J)."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) \
-            or not 0 <= order <= _NODE_STEPS:
+    if not _is_int(order) or not 0 <= order <= _NODE_STEPS:
         raise DomainError(f"matching order must be an int in 0..{_NODE_STEPS}, got {order!r}")
     if order == 0:
         return np.array([2.0])

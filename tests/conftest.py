@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 from mpmath import mpf, workdps
 
-from sharmonic.approximate import _CERT_GRID, _DEGREE_CAP, _DEGREE_FLOOR, _INFLATION, ChebPoly
+from sharmonic.approximate import _CERT_GRID, _DEGREE_CAP, _DEGREE_FLOOR, ChebPoly, _certified
 from sharmonic.blocks import (_EPS64, _combo_eval_mp, _node_polynomial, _omitted_bound,
                               _vandermonde_inverse)
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
@@ -114,7 +114,9 @@ def write_grid_csv(path, a: float, b: float, *columns) -> None:
 
 def cheb_fit_reference(target, eps_half: float, degree_cap: int = _DEGREE_CAP) -> ChebPoly:
     """The Chebyshev degree search without the screen: every degree from 3
-    up is interpolated and certified on the full grid until one passes."""
+    up is interpolated and certified on the full grid until one passes, by
+    the same product as cheb_fit's certificate (test_approximate checks that
+    product against ChebPoly.eval)."""
     if eps_half <= 0 or not np.isfinite(eps_half):
         raise ConfigError(f"tolerance must be positive and finite, got {eps_half}")
     if not (_DEGREE_FLOOR <= degree_cap <= _DEGREE_CAP):
@@ -131,12 +133,10 @@ def cheb_fit_reference(target, eps_half: float, degree_cap: int = _DEGREE_CAP) -
     for degree in range(_DEGREE_FLOOR, degree_cap + 1):
         coef = np.polynomial.chebyshev.chebinterpolate(
             lambda z: np.asarray(target.f(np.asarray(z, dtype=float)), dtype=float), degree)
-        poly = ChebPoly(coef, 0.0)
-        cert = _INFLATION * max(
-            float(np.max(np.abs(samples[m] - poly.eval(grid, m)))) for m in range(3))
-        best = min(best, cert)
-        if cert <= eps_half:
-            return ChebPoly(coef, cert)
+        poly = _certified(coef, np.array(samples))
+        best = min(best, poly.fit_error)
+        if poly.fit_error <= eps_half:
+            return poly
     raise ApproximationError(
         f"no polynomial of degree <= {degree_cap} reaches certified C^2 error "
         f"{eps_half:.3e} for target {target.name!r} (best {best:.3e})")

@@ -18,7 +18,8 @@ from mpmath import mpf, workdps
 import sharmonic as sh
 from conftest import (cheb_fit_reference, conversion_reference, exact_match_reference,
                       merge_reference, monomial_fractions_reference, write_grid_csv)
-from sharmonic.approximate import _CERT_GRID, ChebPoly, Target, _matching_values
+from sharmonic.approximate import (_CERT_GRID, ChebPoly, Target, _grid_values,
+                                   _matching_values, _screen_tables)
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import ApproximationError, ConfigError, DomainError
 
@@ -75,6 +76,107 @@ def test_cheb_fit_validation():
     for cap in (2, 0, -1):
         with pytest.raises(ConfigError, match="supported range 3..30"):
             sh.cheb_fit(target, 0.01, degree_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [10.5, 12.0, np.float64(12.0), True, "12", None])
+def test_cheb_fit_refuses_a_degree_cap_that_is_not_an_int(cap):
+    target = sh.target_from_spec("sin")
+    with pytest.raises(ConfigError, match=re.escape(f"degree cap must be an int, got {cap!r}")):
+        sh.cheb_fit(target, 1e-4, cap)
+    with pytest.raises(ConfigError, match="degree cap must be an int"):
+        sh.approximate(target, 1e-4, 0.5, degree_cap=cap)
+
+
+def test_cheb_fit_takes_a_numpy_integer_degree_cap():
+    target = sh.target_from_spec("sin")
+    want = sh.cheb_fit(target, 1e-4, 12)
+    got = sh.cheb_fit(target, 1e-4, np.int64(12))
+    assert np.array_equal(got.coefficients, want.coefficients)
+    assert got.fit_error == want.fit_error
+
+
+@pytest.mark.parametrize("order", [-1, 1.0, True])
+def test_cheb_poly_eval_refuses_an_order_that_is_not_a_count(order):
+    poly = ChebPoly(np.array([0.0, 1.0, 0.0, 0.5]), 0.0)
+    with pytest.raises(DomainError, match=re.escape(f"got {order!r}")):
+        poly.eval(np.array([0.25]), order)
+
+
+def _integer_chebyshev_monomials(size: int) -> list[list[int]]:
+    """x^j coefficients of T_0 .. T_(size-1), by T_(k+1) = 2 x T_k - T_(k-1)."""
+    rows = [[1], [0, 1]]
+    while len(rows) < size:
+        rows.append([2 * a - b for a, b in zip([0] + rows[-1], rows[-2] + [0, 0])])
+    return [row + [0] * (size - len(row)) for row in rows]
+
+
+def _differentiated(row: list[int], m: int) -> list[int]:
+    return [v * math.perm(j, m) for j, v in enumerate(row)][m:] + [0] * m
+
+
+def test_derivative_matrices_are_the_exact_chebyshev_coefficients():
+    # column k of D_m holds T_k^(m) in the Chebyshev basis: summing the
+    # columns' T_j in monomials gives T_k^(m)'s monomials exactly
+    peaks, derivs = _screen_tables()[5:]
+    size = derivs.shape[1]
+    mono = _integer_chebyshev_monomials(size)
+    for m, d in enumerate(derivs):
+        assert np.array_equal(d, np.round(d)) and np.all(d >= 0)
+        for k in range(size):
+            column = [int(v) for v in d[:, k]]
+            got = [sum(c * mono[j][i] for j, c in enumerate(column)) for i in range(size)]
+            assert got == _differentiated(mono[k], m), (m, k)
+    # T_j(1) = 1, so a column sum is T_k^(m)(1) = prod_{l<m} (k^2 - l^2) /
+    # (2 l + 1), the screen's peak
+    k2 = np.arange(size, dtype=float) ** 2
+    assert np.array_equal(derivs.sum(axis=1), peaks)
+    assert np.array_equal(peaks, [np.ones(size), k2, k2 * (k2 - 1.0) / 3.0])
+
+
+def _exact_chebyshev_derivatives(x: Fraction, size: int) -> list[list[Fraction]]:
+    """T_k^(m)(x) for m = 0, 1, 2 and k < size, from T_k = 2 x T_(k-1) -
+    T_(k-2) differentiated: T_k^(m) = 2 m T_(k-1)^(m-1) + 2 x T_(k-1)^(m) -
+    T_(k-2)^(m)."""
+    out = [[Fraction(1), x], [Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+    for k in range(2, size):
+        for m in (2, 1, 0):
+            lower = 2 * m * out[m - 1][k - 1] if m else 0
+            out[m].append(lower + 2 * x * out[m][k - 1] - out[m][k - 2])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 30).flatmap(lambda d: st.lists(
+    st.floats(-1e6, 1e6).map(lambda v: math.ldexp(v, -40) if abs(v) < 1 else v),
+    min_size=d + 1, max_size=d + 1)),
+    st.lists(st.integers(0, _CERT_GRID - 1), min_size=1, max_size=6))
+def test_certificate_product_within_its_derived_term(coef, picked):
+    # _screen derives the product's value within 2 n^2 u W_m of the exact
+    # one.  chebder + chebval (ChebPoly.eval) are within 12 n^3 u W_m: the
+    # Clenshaw sums are at most n W_m, each of its n steps rounds by 3 u
+    # (|d_j| + 3 n W_m) and reaches the value through a U_j, at most n.  So
+    # per order the two values, and the deviations from any samples, agree
+    # within 14 n^3 u W_m, below the screen's margin 2^-49 n^3 W_m.
+    coef = np.array(coef)
+    n, u = coef.size, 2.0**-53
+    peaks = _screen_tables()[5][:, :n]
+    weights = np.abs(coef) @ peaks.T
+    grid = np.linspace(-1.0, 1.0, _CERT_GRID)
+    values = _grid_values(coef)
+    samples = np.sin(grid)
+    poly = ChebPoly(coef, 0.0)
+    for m in range(3):
+        plain = poly.eval(grid, m)
+        term = 14 * n**3 * u * weights[m]
+        assert float(np.max(np.abs(values[m] - plain))) <= term
+        deviation = float(np.max(np.abs(samples - values[m])))
+        assert abs(deviation - float(np.max(np.abs(samples - plain)))) <= term
+    exact_weights = [sum(abs(Fraction(c)) * int(w) for c, w in zip(coef, row)) for row in peaks]
+    for i in sorted(set(picked)) + [0, _CERT_GRID - 1]:
+        exact = _exact_chebyshev_derivatives(Fraction(grid[i]), n)
+        for m in range(3):
+            want = sum(Fraction(c) * t for c, t in zip(coef, exact[m]))
+            assert abs(Fraction(values[m, i]) - want) <= 2 * n**2 * Fraction(u) * exact_weights[m]
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -475,21 +475,38 @@ def test_module_entry_point_smoke():
     assert "elapsed:" in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
+_COMMANDS = [
     ["approximate", "--target", "sin", "--epsilon", "1e-6", "--out-json", "{out}",
      "--out-csv", "{out}.csv"],
     ["demo", "harnack", "--out-json", "{out}"],
     ["demo", "logistic", "--sigma", "sin", "--mu", "exp", "--out-json", "{out}"],
-    ["fraclap", "--target", "sin", "--out-json", "{out}"]], ids=lambda argv: argv[0])
-def test_commands_never_import_mpmath(tmp_path, argv):
-    # mpmath costs about 40 ms to import; the exact arithmetic is in integers
+    ["fraclap", "--target", "sin", "--out-json", "{out}"]]
+
+
+def _exit_code_and_whether_loaded(tmp_path, argv, module) -> list[str]:
+    """main(argv) in a fresh interpreter: its exit code and whether module
+    was loaded afterwards."""
     argv = [a.replace("{out}", str(tmp_path / "out.json")) for a in argv]
     code = (f"import sys\nfrom sharmonic.cli import main\nrc = main({argv!r})\n"
-            "print(rc, 'mpmath' in sys.modules)\n")
+            f"print(rc, {module!r} in sys.modules)\n")
     src = str(Path(sh.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+    return proc.stdout.split()[-2:] or [proc.stderr]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
+def test_commands_never_import_mpmath(tmp_path, argv):
+    # mpmath costs about 40 ms to import; the exact arithmetic is in integers
+    assert _exit_code_and_whether_loaded(tmp_path, argv, "mpmath") == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS[:3], ids=lambda argv: argv[0])
+def test_approximate_and_demos_never_import_numpy_polynomial(tmp_path, argv):
+    # numpy.polynomial costs 3-4 ms to import: the Chebyshev stage builds
+    # its own nodes, Vandermonde rows and derivative matrices; only
+    # ChebPoly.eval and fraclap's Gauss rules load it
+    assert _exit_code_and_whether_loaded(tmp_path, argv, "numpy.polynomial") == ["0", "False"]
 
 
 def test_approximate_never_imports_numpy_ma(tmp_path):

@@ -56,7 +56,7 @@ def test_the_sweep_split_finds_and_times_every_stage_in_this_tree():
     assert set(raw["wrapped"]) == set(bench_sweep.STAGE_NAMES)
     assert all(names == list(bench_sweep.STAGE_NAMES[stage][0])
                for stage, names in raw["wrapped"].items())
-    stages = (*bench_sweep.STAGES, "bound", "cheb_certificates")
+    stages = (*bench_sweep.STAGES, "bound")
     for stage in stages:
         assert sum(level["counts"].get(stage, 0) for level in raw["levels"].values()) > 0, stage
         assert sum(level["raw"].get(stage, 0.0) for level in raw["levels"].values()) > 0.0, stage
