@@ -46,9 +46,10 @@ after it, and its stage times are scaled to a host on which that reference
 computation takes ``REFERENCE_NOMINAL_MS``: ``levels`` holds the scaled
 figures and ``raw_levels`` the measured ones.  Beside them, ``bound_calls``
 counts the bound's calls per ``approximate`` call and ``cheb_certificates``
-the Chebyshev degrees certified on the full grid per call (the calls timed
-as ``certificate``); the top-level ``bound_calls`` and ``cheb_certificates``
-of each tree are their totals over the TARGETS calls.  Every run also hashes ``combo_to_json``
+the Chebyshev degrees certified on the full grid per call (the calls of
+``approximate._certified``, timed as ``certificate``); the
+top-level ``bound_calls`` and ``cheb_certificates`` of each tree are their
+totals over the TARGETS calls.  Every run also hashes ``combo_to_json``
 and ``report.to_dict()`` of every call, so the file records whether both
 trees produce the same output, and, untimed, compares each
 ``max_residual`` with (|Phi| + err) times the cancellation mass at x = -1
