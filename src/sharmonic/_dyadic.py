@@ -2,9 +2,9 @@
 
 Three things the package needs past float64:
 
-* Dyadic, an exact binary fraction stored as the normalised raw tuple of
-  mpmath (sign, odd mantissa, exponent, bit count), which mpmath reads as
-  the exact value of any object carrying it;
+* exact binary fractions: integer pairs (m, e) for m 2^e, added by exact_sum,
+  and Dyadic, mpmath's normalised raw tuple (sign, odd mantissa, exponent,
+  bit count), which mpmath reads as the exact value of any object with it;
 * fixed-point logarithms, exponentials and powers of dyadic numbers, each
   an integer X with an error bound E: the true value lies within E units
   of X, as in exact._zone;
@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 _LOG2_10 = math.log(10, 2)  # the float mpmath's decimal conversion uses
 
@@ -105,26 +104,33 @@ def to_float(man: int, exp: int) -> float:
         return math.copysign(math.inf, man)
 
 
-def _fraction(value) -> Fraction | None:
-    """The exact value of a finite Dyadic, mpf, int or float, else None."""
+def exact_sum(terms) -> tuple[int, int]:
+    """The exact sum of the numbers m 2^f over the integer pairs (m, f) in
+    terms, as (M, e) aligned at their lowest f: M 2^e, or (0, 0) for none."""
+    terms = iter(terms)
+    total, low = next(terms, (0, 0))
+    for m, f in terms:  # one pass: the sum so far is shifted only when f is lower
+        total, low = ((total << low - f) + m, f) if f < low else (total + (m << f - low), low)
+    return total, low
+
+
+def _exact_parts(value) -> tuple[int, int] | None:
+    """(m, e) with m 2^e exactly a finite Dyadic, mpf, int or float, else None."""
     raw = getattr(value, "_mpf_", None)
-    if raw is not None:
-        sign, man, exp, _ = raw
-        if not man and exp:
-            return None  # mpmath's inf or nan
-        exact = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-        return -exact if sign else exact
-    if isinstance(value, int) or isinstance(value, float) and math.isfinite(value):
-        return Fraction(value)
-    return None
+    if raw is not None:  # mpmath's inf and nan have mantissa 0 and exponent not 0
+        return None if not raw[1] and raw[2] else parts(Dyadic(raw))
+    if isinstance(value, int):
+        return int(value), 0
+    return parts(value) if isinstance(value, float) and math.isfinite(value) else None
 
 
 class Dyadic:
     """An exact binary fraction (-1)^sign man 2^exp, kept as mpmath's raw
     tuple _mpf_ = (sign, man, exp, bc): man odd, or 0 with exp 0 for zero,
     and bc its bit length.  Equal values have equal tuples, so equality and
-    hashing go by the tuple; ordering is exact against ints, floats and
-    anything with _mpf_, and float() rounds to nearest."""
+    hashing go by the tuple; ordering against finite ints, floats and
+    anything with _mpf_ is the sign of the exact difference (exact_sum),
+    and float() rounds to nearest."""
 
     __slots__ = ("_mpf_",)
 
@@ -152,14 +158,7 @@ class Dyadic:
         """The exact sum of two Dyadics."""
         if not isinstance(other, Dyadic):
             return NotImplemented
-        if not other._mpf_[1]:
-            return self
-        if not self._mpf_[1]:
-            return other
-        (s1, m1, e1, _), (s2, m2, e2, _) = self._mpf_, other._mpf_
-        e = min(e1, e2)
-        return Dyadic.exact(((-m1 if s1 else m1) << (e1 - e))
-                            + ((-m2 if s2 else m2) << (e2 - e)), e)
+        return Dyadic.exact(*exact_sum(parts(v) for v in (self, other) if v))
 
     def __bool__(self) -> bool:
         return bool(self._mpf_[1])
@@ -171,8 +170,9 @@ class Dyadic:
         return self._mpf_ == other._mpf_ if isinstance(other, Dyadic) else NotImplemented
 
     def _compare(self, other, op):
-        theirs = _fraction(other)
-        return NotImplemented if theirs is None else op(_fraction(self), theirs)
+        theirs = _exact_parts(other)
+        return NotImplemented if theirs is None else op(
+            exact_sum((parts(self), (-theirs[0], theirs[1])))[0], 0)
 
     def __lt__(self, other):
         return self._compare(other, operator.lt)

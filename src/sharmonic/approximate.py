@@ -238,13 +238,16 @@ class ChebPoly:
         return self.coefficients.size - 1
 
     def eval(self, x: np.ndarray, order: int = 0) -> np.ndarray:
-        """The derivative of the given order at any x, by numpy.polynomial."""
+        """The derivative of the given order at any x, with the certificate's
+        tables: D_1 (_screen_tables) applied order times to the coefficients,
+        then their sum against the rows T_k(x) (_chebyshev_rows)."""
         if not _is_int(order) or order < 0:
             raise DomainError(f"derivative order must be an int >= 0, got {order!r}")
-        c = self.coefficients
+        x, c = np.asarray(x, dtype=float), self.coefficients
+        d1 = _screen_tables()[6][1, :c.size, :c.size]
         for _ in range(order):
-            c = np.polynomial.chebyshev.chebder(c)
-        return np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), c)
+            c = d1 @ c
+        return (c @ _chebyshev_rows(x.ravel(), c.size)).reshape(x.shape)[()]
 
     def monomial_numerators(self) -> tuple[list[int], int]:
         """Exact monomial coefficients of the same real polynomial as integer

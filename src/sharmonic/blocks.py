@@ -35,14 +35,13 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from ._dyadic import (Dyadic, dps_to_prec, fixed_pow, from_str, log10, parts, round_bits,
-                      rounded_pow, rounded_ratios, to_float, to_str)
+from ._dyadic import (Dyadic, dps_to_prec, exact_sum, fixed_pow, from_str, log10, parts,
+                      round_bits, rounded_pow, rounded_ratios, to_float, to_str)
 from .errors import ApproximationError, DomainError
 
 _EPS64 = 2.0**-52
@@ -252,14 +251,13 @@ def _group_taylor(s: float, blocks: tuple[SHBlock, ...]) -> tuple[np.ndarray, fl
         x, _, f = fixed_pow(tm, te, sn, sd, w)
         terms.append((cm * x, ce + f))
         steps.append((tm, tm.bit_length(), tm.bit_length() + te))
-    low = min(f for _, f in terms)
-    mass = sum(abs(d) << (f - low) for d, f in terms)
+    mass, low = exact_sum((abs(d), f) for d, f in terms)
     log_lead = log10(mass, low) if mass else -math.inf  # at m = 0
     bm, be = 1 << (w + 64), -w - 64  # binom(s, i) r^i = bm 2^be
     coefs, abs_series = [], [0.0] * 5
     for i in range(_SERIES_CAP):
-        low = min(f for _, f in terms)
-        coefs.append(to_float(bm * sum(d << (f - low) for d, f in terms), be + low))
+        total, low = exact_sum(terms)
+        coefs.append(to_float(bm * total, be + low))
         for order in range(5):
             abs_series[order] += abs(coefs[i]) * math.perm(i, order)
         terms = [((d << bits) // tm, f - shift)
@@ -306,13 +304,11 @@ def _combo_eval_mp(combo: SHCombo, xs: np.ndarray, order: int) -> np.ndarray:
         xm, xe = parts(float(x))
         acc = []
         for c, ce, rm, re, tm, te in blocks:
-            low = min(re + xe, te)
-            arg = (rm * xm << (re + xe - low)) + (tm << (te - low))
+            arg, low = exact_sum(((rm * xm, re + xe), (tm, te)))
             if arg > 0 and c:
                 v, _, f = fixed_pow(arg, low, sn - order * sd, sd, w)
                 acc.append((c * v, ce + f))
-        low = min((f for _, f in acc), default=0)
-        out[i] = to_float(sum(m << (f - low) for m, f in acc), low)
+        out[i] = to_float(*exact_sum(acc))
     return out
 
 
@@ -409,14 +405,18 @@ def _vandermonde_inverse(nodes: tuple[float, ...]) -> tuple[tuple[tuple[int, ...
 
 def _exact_match(values: Sequence, nodes: Sequence[float], s: float, denominator: int = 1):
     """Checked nodes t, a tuple, and b_i = d_i / fall(s, i) for d_i = values[i]
-    / denominator (floats, ints or Fractions over a positive int) as (t,
-    [u_0 .. u_J], v), b_i = u_i / v, with no gcd: for s = p / q, fall(s, i)
-    = F_i / q^i, F_i = prod_(l<i) (p - l q), and each F_i divides F_J.  The
-    column y^(j) = V^-1 e_j b_j, V[i][k] = (1/t_k)^i, matches degree j alone."""
+    / denominator (ints, or floats and Fractions by as_integer_ratio, over a
+    positive int) as (t, [u_0 .. u_J], v), b_i = u_i / v, with no gcd: s = p /
+    q, fall(s, i) = F_i / q^i, F_i = prod_(l<i) (p - l q), each F_i divides F_J.
+    The column y^(j) = V^-1 e_j b_j, V[i][k] = (1/t_k)^i, matches degree j alone."""
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
-    try:  # Fraction(d) of a float or an int takes no gcd
-        ratios = [(d, 1) if type(d) is int else Fraction(d).as_integer_ratio() for d in values]
+    for d in values:  # numpy integers have no as_integer_ratio
+        if not hasattr(d, "as_integer_ratio") and not isinstance(d, np.integer):
+            raise DomainError(f"derivative values must be int, float or Fraction, got {type(d)}")
+    try:  # an int's, a float's or a Fraction's ratio takes no gcd
+        ratios = [(int(d), 1) if isinstance(d, np.integer) else d.as_integer_ratio()
+                  for d in values]
     except (OverflowError, ValueError):
         ratios = []
     if not ratios:

@@ -220,6 +220,9 @@ def mean_value_table(target: Target, x: float,
     """Ball and sphere mean value deficits against -u''(x) with observed orders."""
     if len(rhos) < 2:
         raise ConfigError("need at least two radii for a convergence table")
+    repeated = next((rho for i, rho in enumerate(rhos) if rho in rhos[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"radius {repeated} is given twice; the radii must be distinct")
     ref = -float(np.asarray(target.f2(np.array([x])))[0])
     rows = []
     for rho in rhos:

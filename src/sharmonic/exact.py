@@ -34,11 +34,10 @@ product, and keeps the mass's order in x.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from ._dyadic import Dyadic, fixed_exp, fixed_ln, parts, pow_box, round_bits, to_float
+from ._dyadic import Dyadic, exact_sum, fixed_exp, fixed_ln, parts, pow_box, round_bits, to_float
 from .blocks import SHCombo, _nonfinite_points
 from .errors import DomainError
 
@@ -135,9 +134,9 @@ def canonical_constant(p: float, s: float, dps: int) -> tuple[Dyadic, Dyadic]:
 
     w = math.ceil((dps + _GUARD_DIGITS) * math.log2(10))
     one = 1 << w
-    fp, fs = Fraction(p), Fraction(s)
-    L = max(fp.denominator, fs.denominator)  # both are powers of two
-    P, S = int(fp * L), int(fs * L)
+    (pn, pd), (sn, sd) = p.as_integer_ratio(), s.as_integer_ratio()
+    L = max(pd, sd)  # both are powers of two
+    P, S = pn * (L // pd), sn * (L // sd)
     tol = one // 10 ** (dps + 10)  # 10^-(dps+10) in units, rounded down
     exponents = (-L - 2 * S, 2 * S - L - P)  # a = A/L of zones 4-5 below
     fine = w + 64 + max(0, 1 - math.frexp(s)[1])  # 1/s < 2^(1-e)
@@ -230,16 +229,14 @@ def _mass(combo: SHCombo, xs: np.ndarray) -> list[tuple[int, int]]:
         xm, xe = parts(float(x))
         terms = []
         for c, ce, lr, er, rm, re, tm, te, kink in blocks:
-            low = min(re + xe, te)
-            arg = (rm * xm << (re + xe - low)) + (tm << (te - low))
+            arg, low = exact_sum(((rm * xm, re + xe), (tm, te)))
             if arg <= 0:
                 raise DomainError(f"point {x} is outside the smooth region (kink at {kink})")
             if c:
                 la, ea = fixed_ln(*round_bits(arg, low, 53, "d"), w)
                 v, e, f = fixed_exp((lr - sn * la) // sd, (er + sn * ea) // sd + 2, w)
                 terms.append((c * (v + e), ce + f))
-        low = min((f for _, f in terms), default=0)
-        out.append((sum(m << (f - low) for m, f in terms), low))
+        out.append(exact_sum(terms))
     return out
 
 
@@ -298,8 +295,8 @@ def combo_residual(combo: SHCombo, xs) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise _nonfinite_points(xs)
     masses = _mass(combo, xs)
-    low = min((e for _, e in masses), default=0)
-    top = max(masses, key=lambda me: me[0] << (me[1] - low), default=(0, 0))
+    low = min((e for _, e in masses), default=0)  # each mass aligned at the lowest exponent
+    top = max(masses, key=lambda me: exact_sum((me, (0, low)))[0], default=(0, 0))
     amp = max(0, _ceil_log10(*top)) if top[0] else 0
     dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)

@@ -26,8 +26,10 @@ and cached: the near field's abscissae, the excision rings and, for an
 operand without kinks, the mid field's nodes, weights, kernel and offsets;
 a kinked operand's mid field is built per call, since its split points
 depend on x.  A call then does only per-point work.  Each route calls the
-operand twice per point, at x and then at all other nodes, after
-_as_function's probe of a callable at 0 and 0.5.
+operand twice per point, at x and then at all other nodes.  A callable is
+called on the whole array until one call raises or gives a value of
+another shape; from then on, for the rest of that evaluation, it is called
+point by point, so a scalar-only callable costs one refused call more.
 """
 
 from __future__ import annotations
@@ -137,16 +139,22 @@ def _as_function(u, operator: bool = False
         return (lambda z: combo_derivative(u, np.asarray(z, dtype=float), 0),
                 u.kinks, u)
     if callable(u):
-        probe = np.array([0.0, 0.5])
-        try:
-            out = np.asarray(u(probe), dtype=float)
-            if out.shape == probe.shape:
-                return (lambda z: np.asarray(u(np.asarray(z, dtype=float)), dtype=float),
-                        (), None)
-        except Exception:
-            pass
-        vec = np.vectorize(lambda z: float(u(z)), otypes=[float])
-        return (lambda z: vec(np.asarray(z, dtype=float)), (), None)
+        vec = None  # u point by point, from the first call that fails on the array
+
+        def f(z):
+            nonlocal vec
+            z = np.asarray(z, dtype=float)
+            if vec is None:
+                try:
+                    out = np.asarray(u(z), dtype=float)
+                    if out.shape == z.shape:
+                        return out
+                except Exception:
+                    pass
+                vec = np.vectorize(lambda v: float(u(v)), otypes=[float])
+            return vec(z)
+
+        return f, (), None
     raise DomainError(f"cannot evaluate operand of type {type(u)}")
 
 
@@ -379,14 +387,20 @@ def frac_laplacian_pv(u, x: float, params: FracParams,
     return _operator(u, x, params, config, pv=True).value
 
 
+def _check_radius(rho: float) -> None:
+    if not (rho > 0) or not np.isfinite(rho):
+        raise DomainError(f"radius must be positive and finite, got {rho}")
+    if rho**2 == 0.0:
+        raise DomainError(f"radius {rho} is too small: its square underflows to 0 in float64")
+
+
 def mean_value_ball(u, x: float, rho: float) -> float:
     """Normalized solid-ball mean value deficit 6 (u(x) - avg) / rho^2.
 
     Converges to -u''(x) as rho -> 0 at rate O(rho^2); the factor 6 is
     2(n+2) in dimension n=1.
     """
-    if not (rho > 0) or not np.isfinite(rho):
-        raise DomainError(f"radius must be positive and finite, got {rho}")
+    _check_radius(rho)
     f, _, _ = _as_function(u)
     x = float(x)
     ux = float(_checked(f, x, np.array([0.0]))[0])
@@ -402,8 +416,7 @@ def mean_value_sphere(u, x: float, rho: float) -> float:
     Converges to -u''(x) as rho -> 0 at rate O(rho^2); exact for quadratics.
     The factor is 2n in dimension n=1.
     """
-    if not (rho > 0) or not np.isfinite(rho):
-        raise DomainError(f"radius must be positive and finite, got {rho}")
+    _check_radius(rho)
     f, _, _ = _as_function(u)
     x = float(x)
     vals = _checked(f, x, np.array([0.0, rho, -rho]))

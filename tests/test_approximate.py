@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
+from numpy.polynomial.chebyshev import chebder, chebval
 
 import sharmonic as sh
 from conftest import (cheb_fit_reference, conversion_reference, exact_match_reference,
@@ -102,6 +103,24 @@ def test_cheb_poly_eval_refuses_an_order_that_is_not_a_count(order):
         poly.eval(np.array([0.25]), order)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 30).flatmap(lambda d: st.lists(st.floats(-1e3, 1e3), min_size=d + 1,
+                                                     max_size=d + 1)), st.integers(0, 6))
+def test_cheb_poly_eval_agrees_with_numpy_at_any_order_and_shape(coef, order):
+    # the package's own tables against numpy's chebder + chebval; both lie
+    # within a few n^3 u W of the exact value, W = sum_k |c_k| T_k^(order)(1)
+    coef, n = np.array(coef), len(coef)
+    poly = ChebPoly(coef, 0.0)
+    peaks = [math.prod((k * k - l * l) / (2 * l + 1) for l in range(order)) for k in range(n)]
+    term = 64 * n**3 * 2.0**-53 * float(np.abs(coef) @ np.array(peaks))
+    x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    got = poly.eval(x, order)
+    assert got.shape == x.shape
+    assert float(np.max(np.abs(got - chebval(x, chebder(coef, order))))) <= term
+    assert poly.eval(0.25, order) == poly.eval(np.array([0.25]), order)[0]
+    assert np.ndim(poly.eval(0.25, order)) == 0
+
+
 def _integer_chebyshev_monomials(size: int) -> list[list[int]]:
     """x^j coefficients of T_0 .. T_(size-1), by T_(k+1) = 2 x T_k - T_(k-1)."""
     rows = [[1], [0, 1]]
@@ -152,11 +171,12 @@ def _exact_chebyshev_derivatives(x: Fraction, size: int) -> list[list[Fraction]]
     st.lists(st.integers(0, _CERT_GRID - 1), min_size=1, max_size=6))
 def test_certificate_product_within_its_derived_term(coef, picked):
     # _screen derives the product's value within 2 n^2 u W_m of the exact
-    # one.  chebder + chebval (ChebPoly.eval) are within 12 n^3 u W_m: the
-    # Clenshaw sums are at most n W_m, each of its n steps rounds by 3 u
-    # (|d_j| + 3 n W_m) and reaches the value through a U_j, at most n.  So
-    # per order the two values, and the deviations from any samples, agree
-    # within 14 n^3 u W_m, below the screen's margin 2^-49 n^3 W_m.
+    # one.  numpy's chebder + chebval, the independent oracle here, are within
+    # 12 n^3 u W_m: the Clenshaw sums are at most n W_m, each of its n steps
+    # rounds by 3 u (|d_j| + 3 n W_m) and reaches the value through a U_j, at
+    # most n.  So per order the two values, and the deviations from any
+    # samples, agree within 14 n^3 u W_m, below the screen's margin 2^-49 n^3
+    # W_m.
     coef = np.array(coef)
     n, u = coef.size, 2.0**-53
     peaks = _screen_tables()[5][:, :n]
@@ -164,9 +184,8 @@ def test_certificate_product_within_its_derived_term(coef, picked):
     grid = np.linspace(-1.0, 1.0, _CERT_GRID)
     values = _grid_values(coef)
     samples = np.sin(grid)
-    poly = ChebPoly(coef, 0.0)
     for m in range(3):
-        plain = poly.eval(grid, m)
+        plain = chebval(grid, chebder(coef, m))
         term = 14 * n**3 * u * weights[m]
         assert float(np.max(np.abs(values[m] - plain))) <= term
         deviation = float(np.max(np.abs(samples - values[m])))

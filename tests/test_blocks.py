@@ -23,7 +23,8 @@ from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
 from conftest import (block_derivative_at_zero, combo_derivative_reference,
-                      defect_model_reference, falling_factorial, richardson_derivative)
+                      defect_model_reference, exact_match_reference, falling_factorial,
+                      richardson_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,32 @@ def test_exact_match_equals_the_reference(big_n, data, s, zero):
     nums, den = sh.blocks._merge(t, rhs, den, 1.0)
     assert all(type(v) is int for v in nums + [den]) and den > 0
     assert [Fraction(v, den) for v in nums] == want_y
+
+
+_TYPED_VALUES = st.one_of(
+    st.integers(-10**40, 10**40), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(-1e300, 1e300), st.floats(-1e300, 1e300).map(np.float64), st.booleans(),
+    st.fractions(max_denominator=10**12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TYPED_VALUES, min_size=1, max_size=10), st.floats(0.05, 0.95))
+def test_exact_match_reads_each_value_type_exactly(values, s):
+    # int, np.int64, float, np.float64, bool and Fraction values against the
+    # Fraction reference, which is given numpy integers as ints
+    nodes = sh.default_nodes(len(values) - 1) if len(values) > 1 else [0.5]
+    t, rhs, den = sh.blocks._exact_match(values, nodes, s)
+    want_t, want_rhs, _ = exact_match_reference(
+        [int(d) if isinstance(d, np.integer) else d for d in values], nodes, s)
+    assert t == tuple(want_t.tolist())
+    assert all(type(v) is int for v in rhs + [den]) and den > 0
+    assert [Fraction(u, den) for u in rhs] == want_rhs
+
+
+@pytest.mark.parametrize("value", ["1.5", None, [1.0], mpf(1)])
+def test_exact_match_names_the_type_it_cannot_read(value):
+    with pytest.raises(DomainError, match=f"got {type(value)}"):
+        sh.blocks._exact_match([1.0, value], [1.0, 2.0], 0.5)
 
 
 def test_solve_validation():

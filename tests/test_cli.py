@@ -324,6 +324,10 @@ def test_demo_meanvalue_rejects_bad_radii(capsys):
     assert main(["demo", "meanvalue", "--rhos", "0.1,abc"]) == 2
     assert main(["demo", "meanvalue", "--rhos=-0.1,0.01"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a repeated radius gives no order, and one whose square underflows no deficit
+    for rhos, radius in [("0.1,0.1", "0.1"), ("1e-200,1e-201", "1e-200")]:
+        assert main(["demo", "meanvalue", "--rhos", rhos]) == 2
+        assert f"radius {radius} " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +487,27 @@ _COMMANDS = [
     ["fraclap", "--target", "sin", "--out-json", "{out}"]]
 
 
+# the modules the guards below watch, and each command's run in a fresh
+# interpreter: (exit code, the watched modules it loaded), run once per command
+_WATCHED = ("mpmath", "fractions", "decimal", "numpy.polynomial", "numpy.ma")
+_RUNS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
 def _exit_code_and_whether_loaded(tmp_path, argv, module) -> list[str]:
     """main(argv) in a fresh interpreter: its exit code and whether module
     was loaded afterwards."""
-    argv = [a.replace("{out}", str(tmp_path / "out.json")) for a in argv]
-    code = (f"import sys\nfrom sharmonic.cli import main\nrc = main({argv!r})\n"
-            f"print(rc, {module!r} in sys.modules)\n")
-    src = str(Path(sh.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    return proc.stdout.split()[-2:] or [proc.stderr]
+    assert module in _WATCHED
+    if tuple(argv) not in _RUNS:
+        args = [a.replace("{out}", str(tmp_path / "out.json")) for a in argv]
+        code = (f"import sys\nfrom sharmonic.cli import main\nrc = main({args!r})\n"
+                f"print(rc, *[m for m in {_WATCHED!r} if m in sys.modules])\n")
+        src = str(Path(sh.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        lines = proc.stdout.splitlines()
+        _RUNS[tuple(argv)] = tuple(lines[-1].split()) if lines else (proc.stderr,)
+    rc, *loaded = _RUNS[tuple(argv)]
+    return [rc, str(module in loaded)]
 
 
 @pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
@@ -501,21 +516,23 @@ def test_commands_never_import_mpmath(tmp_path, argv):
     assert _exit_code_and_whether_loaded(tmp_path, argv, "mpmath") == ["0", "False"]
 
 
+@pytest.mark.parametrize("module", ["fractions", "decimal"])
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
+def test_commands_never_import_fractions_or_decimal(tmp_path, argv, module):
+    # fractions, with the decimal it imports, costs 2-3.5 ms: exact values
+    # are integer pairs and ratios (_dyadic.exact_sum, as_integer_ratio)
+    assert _exit_code_and_whether_loaded(tmp_path, argv, module) == ["0", "False"]
+
+
 @pytest.mark.parametrize("argv", _COMMANDS[:3], ids=lambda argv: argv[0])
 def test_approximate_and_demos_never_import_numpy_polynomial(tmp_path, argv):
     # numpy.polynomial costs 3-4 ms to import: the Chebyshev stage builds
-    # its own nodes, Vandermonde rows and derivative matrices; only
-    # ChebPoly.eval and fraclap's Gauss rules load it
+    # its own nodes, Vandermonde rows and derivative matrices, which
+    # ChebPoly.eval uses too; only fraclap's Gauss rules load it
     assert _exit_code_and_whether_loaded(tmp_path, argv, "numpy.polynomial") == ["0", "False"]
 
 
 def test_approximate_never_imports_numpy_ma(tmp_path):
     # numpy.ma costs 10-30 ms to import, and np.unique would load it
-    code = ("import sys\nfrom sharmonic.cli import main\n"
-            f"rc = main(['approximate', '--target', 'x2', '--epsilon', '0.0625', "
-            f"'--out-json', {str(tmp_path / 'x2.json')!r}])\n"
-            "print(rc, 'numpy.ma' in sys.modules)\n")
-    src = str(Path(sh.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+    argv = ["approximate", "--target", "x2", "--epsilon", "0.0625", "--out-json", "{out}"]
+    assert _exit_code_and_whether_loaded(tmp_path, argv, "numpy.ma") == ["0", "False"]

@@ -131,3 +131,51 @@ def test_dyadic_is_its_exact_value(man, exp):
 def test_parse_refuses_what_float_refuses(text):
     with pytest.raises(ValueError):
         _dyadic.from_str(text, 100)
+
+
+_PAIRS = st.tuples(st.integers(-2**200, 2**200), st.integers(-5000, 5000))  # m 2^f
+
+
+def _exact(value) -> Fraction:
+    """The exact value of an int, a float, or anything with a finite _mpf_."""
+    raw = getattr(value, "_mpf_", None)
+    if raw is None:
+        return Fraction(value)
+    sign, man, exp, _ = raw
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PAIRS, max_size=8))
+def test_exact_sum_is_the_fraction_sum(terms):
+    total, low = _dyadic.exact_sum(iter(terms))
+    assert low == min((f for _, f in terms), default=0)
+    assert total * Fraction(2) ** low == sum((m * Fraction(2) ** f for m, f in terms),
+                                             Fraction(0))
+
+
+_DYADICS = st.builds(Dyadic.exact, st.integers(-2**200, 2**200), st.integers(-5000, 5000))
+_ORDERED = st.one_of(
+    st.integers(-2**1100, 2**1100), st.floats(allow_nan=False, allow_infinity=False),
+    _DYADICS, _DYADICS.map(lambda c: mpmath.mp.make_mpf(c._mpf_)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DYADICS, _ORDERED)
+@example(Dyadic.exact(0, 0), 0.0)
+@example(Dyadic.exact(0, 0), -0.0)
+@example(Dyadic.exact(-1, -1074), -5e-324)
+@example(Dyadic.exact(3, 4), 48)
+@example(Dyadic.exact(3, 4), mpf(48))
+@example(Dyadic.exact(1, 5000), 1e308)
+def test_dyadic_order_is_the_exact_order(c, other):
+    a, b = _exact(c), _exact(other)
+    assert [c < other, c <= other, c > other, c >= other] == [a < b, a <= b, a > b, a >= b]
+    assert [other > c, other >= c, other < c, other <= c] == [a < b, a <= b, a > b, a >= b]
+
+
+@pytest.mark.parametrize("other", [math.inf, -math.inf, math.nan, "1", None])
+def test_dyadic_refuses_to_order_against_a_nonfinite_float_or_a_non_number(other):
+    for compare in (lambda c: c < other, lambda c: c >= other, lambda c: other > c):
+        with pytest.raises(TypeError):
+            compare(Dyadic.exact(3, -1))

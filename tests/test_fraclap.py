@@ -187,6 +187,51 @@ def test_mean_value_rejects_bad_radius():
         sh.mean_value_ball(np.sin, 0.0, 0.0)
     with pytest.raises(DomainError):
         sh.mean_value_sphere(np.sin, 0.0, -1.0)
+    # a positive radius whose square underflows would divide by zero
+    for rule in (sh.mean_value_ball, sh.mean_value_sphere):
+        with pytest.raises(DomainError, match="radius 1e-200 is too small"):
+            rule(np.sin, 0.0, 1e-200)
+
+
+# ---------------------------------------------------------------------------
+# how an operand is called
+
+
+def test_a_vectorized_operand_is_called_once_at_x_and_once_more():
+    # no probe call: the value at x, then every other node in one call
+    shapes = []
+
+    def counting(z):
+        shapes.append(np.shape(z))
+        return gaussian(z)
+
+    for rule, calls in [(sh.frac_laplacian, 2), (sh.frac_laplacian_pv, 2),
+                        (lambda u, x, _: sh.mean_value_ball(u, x, 0.1), 2),
+                        (lambda u, x, _: sh.mean_value_sphere(u, x, 0.1), 1)]:
+        shapes.clear()
+        value = rule(counting, 0.3, FracParams(0.5))
+        assert len(shapes) == calls and value == rule(gaussian, 0.3, FracParams(0.5))
+        assert shapes[0] == (1,) if calls == 2 else (3,)
+
+
+def _scalar_gaussian(z):
+    if np.ndim(z):
+        raise TypeError("scalars only")
+    return math.exp(-float(z) ** 2)
+
+
+def _branching_gaussian(z):
+    # works on one point as an array of one, fails on more
+    return gaussian(z) if z > -math.inf else 0.0
+
+
+@pytest.mark.parametrize("u", [_scalar_gaussian, _branching_gaussian])
+def test_an_operand_that_refuses_arrays_is_called_point_by_point(u):
+    for x in (0.0, 0.7):
+        want = sh.frac_laplacian(gaussian, x, FracParams(0.5))
+        assert sh.frac_laplacian(u, x, FracParams(0.5)) == pytest.approx(want, rel=1e-12)
+        want = sh.mean_value_ball(gaussian, x, 0.1)
+        assert sh.mean_value_ball(u, x, 0.1) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ around these stages:
   degree (the calls of ``approximate._certified``);
 * ``conversion``: the Chebyshev interpolant's monomials as the values to
   match: the monomial numerators, the kept degrees and the dropped C^2
-  weight (``approximate._matching_values``; in a tree without it,
-  ``ChebPoly.monomial_fractions`` and ``approximate._c2_weight``);
+  weight (``approximate._matching_values``);
 * ``exact_match``: ``blocks._exact_match``, the exact right-hand sides;
 * ``model``: the rest of the deviation model, ``blocks._defect_model``:
   the bound's tables and their grouping by power of r;
@@ -81,8 +80,7 @@ TARGETS = 60
 STAGE_NAMES = {
     "cheb_fit": (("approximate.cheb_fit",),),
     "certificate": (("approximate._certified",),),
-    "conversion": (("approximate._matching_values",),
-                   ("approximate.ChebPoly.monomial_fractions", "approximate._c2_weight")),
+    "conversion": (("approximate._matching_values",),),
     "exact_match": (("blocks._exact_match",),),
     "model": (("blocks._defect_model",),),
     "merge": (("blocks._merge",),),
