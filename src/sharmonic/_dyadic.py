@@ -8,9 +8,9 @@ Three things the package needs past float64:
 * fixed-point logarithms, exponentials and powers of dyadic numbers, each
   an integer X with an error bound E: the true value lies within E units
   of X, as in exact._zone;
-* decimal output and input with the digits and the rounding of mpmath's
-  libmp.to_str and libmp.from_str (ported from mpmath 1.3.0), so that
-  artifacts keep their bytes and long decimals read back to the same bits.
+* exactly rounded decimal output and input within MAGNITUDE_BITS: the
+  digits and bits of mpmath's libmp.to_str and libmp.from_str wherever
+  those are exact, as for every artifact the command line writes.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import functools
 import itertools
 import math
 import operator
-
-_LOG2_10 = math.log(10, 2)  # the float mpmath's decimal conversion uses
 
 
 def round_bits(man: int, exp: int, prec: int, mode: str = "n") -> tuple[int, int]:
@@ -43,57 +41,14 @@ def round_bits(man: int, exp: int, prec: int, mode: str = "n") -> tuple[int, int
     return man >> zeros, exp + zeros
 
 
-def _div(sm: int, se: int, tm: int, te: int, prec: int, mode: str) -> tuple[int, int]:
-    """mpmath's mpf_div of sm 2^se by tm 2^te, both positive and
-    normalised: the quotient with a sticky bit, rounded once."""
-    if tm == 1:
-        return round_bits(sm, se - te, prec, mode)
-    extra = max(prec - sm.bit_length() + tm.bit_length() + 5, 5)
-    quot, rem = divmod(sm << extra, tm)
-    if rem:
-        quot, extra = (quot << 1) + 1, extra + 1
-    return round_bits(quot, se - te - extra, prec, mode)
-
-
-def _pow_ten(n: int, prec: int, mode: str) -> tuple[int, int]:
-    """mpmath's mpf_pow_int of ten (5 2^1) to the integer n: exact up to
-    1000 bits, else binary powering with the mantissas cut to prec +
-    4 bitcount(n) + 4 bits, toward zero unless mode is "u"; for n < 0 one
-    over the power at prec + 5 bits, rounded the other way."""
-    if n < 0:
-        return _div(1, 0, *_pow_ten(-n, prec + 5, {"d": "u", "u": "d"}.get(mode, mode)),
-                    prec, mode)
-    if 3 * n < 1000:
-        return round_bits(5**n, n, prec, mode)
-    work = prec + 4 * n.bit_length() + 4
-    man, exp, pm, pe = 5, 1, 1, 0
-    while True:
-        if n & 1:
-            pm, pe = pm * man, pe + exp
-            cut = pm.bit_length() - work
-            if cut > 0:
-                pm, pe = (pm >> cut if mode != "u" else -(-pm >> cut)), pe + cut
-            n -= 1
-            if not n:
-                break
-        man, exp = man * man, exp + exp
-        cut = man.bit_length() - work
-        if cut > 0:
-            man, exp = (man >> cut if mode != "u" else -(-man >> cut)), exp + cut
-        n //= 2
-    return round_bits(pm, pe, prec, mode)
-
-
-def rounded_ratios(nums: list[int], den: int, prec: int) -> list[tuple[int, int, int, int]]:
-    """The raw tuples of num / den for integers num in nums and den > 0,
-    rounded to nearest at prec bits: mpmath's libmp.from_rational, den
-    normalised once."""
-    dm, de = round_bits(den, 0, 0)
-    out = []
-    for num in nums:
-        m, e = _div(*round_bits(abs(num), 0, 0), dm, de, prec, "n")
-        out.append((int(num < 0) if m else 0, m, e, m.bit_length()))
-    return out
+def rounded_ratio(num: int, den: int, prec: int) -> tuple[int, int, int, int]:
+    """The raw tuple of num / den for integers num and den > 0, rounded to
+    nearest at prec bits, as mpmath's libmp.from_rational: the quotient of
+    at least prec + 5 bits with a sticky bit, rounded once."""
+    extra = max(prec - abs(num).bit_length() + den.bit_length() + 5, 5)
+    quot, rem = divmod(abs(num) << extra, den)
+    m, e = round_bits(2 * quot + bool(rem), -extra - 1, prec)
+    return int(num < 0) if m else 0, m, e, m.bit_length()
 
 
 def to_float(man: int, exp: int) -> float:
@@ -129,8 +84,9 @@ class Dyadic:
     tuple _mpf_ = (sign, man, exp, bc): man odd, or 0 with exp 0 for zero,
     and bc its bit length.  Equal values have equal tuples, so equality and
     hashing go by the tuple; ordering against finite ints, floats and
-    anything with _mpf_ is the sign of the exact difference (exact_sum),
-    and float() rounds to nearest."""
+    anything with _mpf_ goes by sign and binary magnitude (_rank), and where
+    both tie by the sign of the exact difference (exact_sum); float() rounds
+    to nearest."""
 
     __slots__ = ("_mpf_",)
 
@@ -171,8 +127,12 @@ class Dyadic:
 
     def _compare(self, other, op):
         theirs = _exact_parts(other)
-        return NotImplemented if theirs is None else op(
-            exact_sum((parts(self), (-theirs[0], theirs[1])))[0], 0)
+        if theirs is None:
+            return NotImplemented
+        mine = parts(self)
+        if _rank(*mine) != _rank(*theirs):  # decided without aligning the two
+            return op(_rank(*mine), _rank(*theirs))
+        return op(exact_sum((mine, (-theirs[0], theirs[1])))[0], 0)
 
     def __lt__(self, other):
         return self._compare(other, operator.lt)
@@ -188,6 +148,13 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic('{to_str(self._mpf_, 20)}')"
+
+
+def _rank(m: int, e: int) -> tuple[int, int]:
+    """(sign, sign times binary magnitude e + bit length of m) of m 2^e:
+    where two ranks differ, the values are in their order."""
+    sign = (m > 0) - (m < 0)
+    return sign, sign * (e + m.bit_length())
 
 
 def parts(value) -> tuple[int, int]:
@@ -371,7 +338,11 @@ def log10(man: int, exp: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# decimal conversion, as mpmath's libmp
+# decimal conversion, exactly rounded
+
+# the largest binary magnitude |exp + bit length| that exact decimal
+# conversion takes on, derived in blocks.SHBlock
+MAGNITUDE_BITS = 1 << 17
 
 
 def dps_to_prec(dps: int) -> int:
@@ -379,68 +350,46 @@ def dps_to_prec(dps: int) -> int:
     return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
 
 
-def _digits_exp(man: int, exp: int, dps: int) -> tuple[str, int]:
-    """mpmath's to_digits_exp of man 2^exp > 0, man odd: its digits at dps
-    digits and some more, rounded toward zero, and the decimal exponent of
-    the first.  Past 2^3500 either way the number is first divided by the
-    power of ten that 20-bit logarithms put nearest, as mpmath does."""
-    bitprec = int(dps * _LOG2_10) + 10
-    exponent = 0
-    if abs(exp + man.bit_length()) > 3500:
-        expprec = abs(exp).bit_length() + 5
-        # mpmath's ln 2 and ln 10 at expprec bits, each rounded down
-        l2, _ = fixed_ln(1, 1, expprec + 40)
-        l10, _ = fixed_ln(5, 1, expprec + 40)
-        l2m, l2e = round_bits(l2, -expprec - 40, expprec, "d")
-        l10m, l10e = round_bits(l10, -expprec - 40, expprec, "d")
-        qm, qe = _div(*round_bits(abs(exp) * l2m, l2e, 0), l10m, l10e, expprec, "d")
-        b = qm << qe if qe >= 0 else qm >> -qe
-        exponent = -b if exp < 0 else b
-        man, exp = _div(man, exp, *_pow_ten(exponent, bitprec, "d"), bitprec, "d")
-    fixprec = max(bitprec - exp - man.bit_length(), 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    shift = exp + fixprec
-    digits = str((man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec)
-    return digits, exponent + len(digits) - fixdps - 1
-
-
 def to_str(raw: tuple[int, int, int, int], dps: int) -> str:
-    """mpmath's libmp.to_str(raw, dps, strip_zeros=True, min_fixed=1,
-    max_fixed=0) for a finite raw tuple, so mpmath.nstr's text with those
-    options: dps significant digits, trailing zeros stripped, always one
-    digit before the point, and an exponent unless it is 0."""
+    """The exact value of a finite raw tuple rounded half up to dps
+    significant digits, in mpmath.nstr's form with strip_zeros=True,
+    min_fixed=1 and max_fixed=0 (one digit before the point, an exponent
+    unless it is 0): libmp.to_str's text wherever its digits are exact, for
+    dps >= int(0.30103 bc) + 5 below 2^3500 in magnitude either way."""
     sign, man, exp, _ = raw
     if not man:
         return "0.0"
-    digits, exponent = _digits_exp(man, exp, dps + 3)
-    if len(digits) > dps and digits[dps] in "56789":
-        digits = str(int(digits[:dps]) + 1)
-        if len(digits) > dps:
-            exponent += 1
-    digits = (digits[0] + "." + digits[1:dps]).rstrip("0")
-    text = ("-" if sign else "") + digits + ("0" if digits.endswith(".") else "")
-    return text + (f"e{exponent:+d}" if exponent else "")
+    point = math.floor(math.log10(man) + exp * math.log10(2))  # the exponent, or one off
+    while True:  # n: the value times 10^(dps - 1 - point) as a / b, rounded half up
+        shift = dps - 1 - point
+        a, b = (man << max(exp, 0)) * 10 ** max(shift, 0), 10 ** max(-shift, 0) << max(-exp, 0)
+        n = (2 * a + b) // (2 * b)
+        if 10 ** (dps - 1) <= n < 10**dps:
+            break
+        point += 1 if n >= 10**dps else -1
+    text = f"{'-' if sign else ''}{str(n)[0]}.{str(n)[1:].rstrip('0') or '0'}"
+    return text + (f"e{point:+d}" if point else "")
 
 
 def from_str(text: str, prec: int) -> tuple[int, int, int, int]:
-    """mpmath's libmp.from_str(text, prec, round_nearest) for a finite
-    decimal literal: the integer mantissa m and decimal exponent k of the
-    text, m 10^k rounded once to nearest where |k| <= 400; past that m
-    rounded toward zero at prec + 10 bits times 10^k from _pow_ten, rounded
-    to nearest.  Raises ValueError where float() would."""
+    """The raw tuple of a finite decimal literal rounded once to nearest at
+    prec bits: mpmath's libmp.from_str(text, prec, round_nearest) where
+    libmp's decimal exponent (str_to_man_exp) is at most 400 in magnitude.
+    Raises ValueError where float() would, and, before any power of ten is
+    built, where the value lies past MAGNITUDE_BITS in binary magnitude."""
     x = text.lower().strip()
     float(x)
     mantissa, _, power = x.partition("e")
     whole, _, frac = mantissa.partition(".")
-    frac = frac.rstrip("0")
     k = (int(power) if power else 0) - len(frac)
     num = int(whole + frac)
-    if abs(k) > 400:
-        m, e = round_bits(abs(num), 0, prec + 10, "d")
-        pm, pe = _pow_ten(k, prec + 10, "d")
-        m, e = round_bits(m * pm, e + pe, prec)
-    elif k >= 0:
-        m, e = round_bits(abs(num) * 10**k, 0, prec)
-    else:
-        return rounded_ratios([num], 10**-k, prec)[0]
-    return (int(num < 0) if m else 0, m, e, m.bit_length())
+    if not num:
+        return 0, 0, 0, 0
+    # 10^(d-1) <= |m 10^k| < 10^d for d = k + the digits of m, and 3 < log2 10
+    # < 3.33: past this d the binary magnitude is past the bound
+    if abs(k + len(str(abs(num)))) <= MAGNITUDE_BITS // 3 + 2:
+        raw = rounded_ratio(num * 10 ** max(k, 0), 10 ** max(-k, 0), prec)
+        if abs(raw[2] + raw[3]) <= MAGNITUDE_BITS:
+            return raw
+    raise ValueError(f"decimal literal {text.strip()[:40]!r} lies past 2^+-{MAGNITUDE_BITS} "
+                     f"(_dyadic.MAGNITUDE_BITS), beyond any coefficient a build stores")

@@ -496,7 +496,7 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo,
     norm on [-1, 1].
 
     The kept monomials c_j x^j are matched together: one group of N + 1
-    blocks at default_nodes(N), N = max(3, degree), whose derivatives at the
+    blocks at default_nodes(N), N = poly.degree, whose derivatives at the
     origin are those of sum_j c_j x^j up to order N, under the largest
     scale x -> r x at which the proved deviation bound, summed over the kept
     degrees, plus the C^2 weight of the monomials left out fits the budget
@@ -510,8 +510,7 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo,
     if not (0.0 < s < 1.0):
         raise DomainError(f"exponent must lie in (0, 1), got s={s}")
     values, den, kept, dropped = _matching_values(poly)
-    big_n = max(poly.degree, _DEGREE_FLOOR)
-    nodes = default_nodes(big_n)
+    nodes = default_nodes(poly.degree)
     if dropped >= eps_half:
         raise ApproximationError(
             f"unmatched monomials weigh {dropped:.3e} in C^2, above the block "
@@ -526,7 +525,7 @@ def build_sharmonic(poly: ChebPoly, s: float, eps_half: float) -> tuple[SHCombo,
             f"proved defect certificate {cert:.3e} of the degree {poly.degree} "
             f"polynomial exceeds its budget {eps_half:.3e}; raise epsilon or "
             f"lower --degree-cap")
-    info = BuildInfo(matching_order=big_n, nodes=tuple(float(t) for t in nodes),
+    info = BuildInfo(matching_order=poly.degree, nodes=tuple(float(t) for t in nodes),
                      scales=tuple((j, combo.blocks[0].r) for j in kept), defect_error=cert)
     return combo, info
 

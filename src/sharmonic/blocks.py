@@ -40,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from ._dyadic import (Dyadic, dps_to_prec, exact_sum, fixed_pow, from_str, log10, parts,
-                      round_bits, rounded_pow, rounded_ratios, to_float, to_str)
+from ._dyadic import (MAGNITUDE_BITS, Dyadic, dps_to_prec, exact_sum, fixed_pow, from_str,
+                      log10, parts, round_bits, rounded_pow, rounded_ratio, to_float, to_str)
 from .errors import ApproximationError, DomainError
 
 _EPS64 = 2.0**-52
@@ -61,7 +61,16 @@ class SHBlock:
     c is a python float or, where float64 cannot carry the coefficient
     without destroying the combination's interior cancellation, an exact
     binary fraction (_dyadic.Dyadic).  Any value with mpmath's raw tuple
-    _mpf_, an mpmath.mpf among them, is stored as the Dyadic of that tuple.
+    _mpf_, an mpmath.mpf among them, is stored as the Dyadic of that tuple,
+    refused past _dyadic.MAGNITUDE_BITS = 2^17 in binary magnitude |exponent
+    + bit length|, as exact decimal I/O needs.  No build comes near: a built
+    coefficient is Y_k t_k^-s, t_k in [2, 3], Y_k = sum_j y_k^(j) r^-j, j <=
+    N <= 64, r >= 2^-1022 (match_polynomial).  Above, |Y_k| < 2^68218: r^-j
+    <= 2^65408 times an inverse Vandermonde entry (< 2^349), j! c_j (<
+    2^1321) and 1 / |fall(s, j)| <= 1 / (s (1 - s)) <= 2^1127, in 65^2 terms.
+    Below, |Y_k| > 2^-74191, one over _merge's denominator for s = p / q and
+    r = u / 2^a: 2^605 2^1074 prod_(l<N) |p - l q| u^N < 2^(605 + 1074 +
+    64 1080 + 64 53).
     """
 
     t: float
@@ -87,6 +96,9 @@ class SHBlock:
             sign, man, exp, bc = self.c._mpf_
             if not man and exp:  # mpmath's inf and nan
                 raise DomainError("block coefficient must be finite")
+            if man and abs(exp + bc) > MAGNITUDE_BITS:
+                raise DomainError(f"block coefficient of binary magnitude {exp + bc} lies past "
+                                  f"2^+-{MAGNITUDE_BITS} (_dyadic.MAGNITUDE_BITS); rescale it")
             object.__setattr__(self, "c", Dyadic((sign, int(man), exp, bc)))
 
     @property
@@ -473,7 +485,8 @@ def _block_coefficients(nums: list[int], den: int, t: np.ndarray, s: float,
     (_inverse_power) is rounded once more, to nearest."""
     prec = dps_to_prec(dps)
     out = []
-    for (sign, ym, ye, _), tk in zip(rounded_ratios(nums, den, prec), t):
+    for num, tk in zip(nums, t):
+        sign, ym, ye, _ = rounded_ratio(num, den, prec)
         _, pm, pe, _ = _inverse_power(float(tk), s, dps)._mpf_
         man, exp = round_bits(ym * pm, ye + pe, prec)
         out.append(Dyadic((sign, man, exp, man.bit_length())))
@@ -718,8 +731,7 @@ def combo_from_json(text: str) -> SHCombo:
     Accepts either a bare combination object or a report artifact that
     stores the combination under a "combo" key.  A coefficient of more
     than 17 significant digits is read as a Dyadic at 10 digits past its
-    own, rounded to nearest, the bits of mpmath.libmp.from_str
-    (_dyadic.from_str).
+    own, its exact value rounded once to nearest (_dyadic.from_str).
     """
     try:
         raw = json.loads(text, parse_float=str, parse_int=str)

@@ -295,8 +295,7 @@ def combo_residual(combo: SHCombo, xs) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise _nonfinite_points(xs)
     masses = _mass(combo, xs)
-    low = min((e for _, e in masses), default=0)  # each mass aligned at the lowest exponent
-    top = max(masses, key=lambda me: exact_sum((me, (0, low)))[0], default=(0, 0))
+    top = max(masses, key=lambda me: Dyadic.exact(*me), default=(0, 0))
     amp = max(0, _ceil_log10(*top)) if top[0] else 0
     dps = ((25 + amp + 19) // 20) * 20  # quantize for cache reuse
     phi, phi_err = canonical_constant(combo.s, combo.s, dps)

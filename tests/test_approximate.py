@@ -490,6 +490,15 @@ def test_dropped_monomial_is_charged_to_the_certificate():
     assert info.defect_error >= 4.8e-13
 
 
+def test_build_refuses_unmatched_monomials_heavier_than_the_budget():
+    # x lies below 1e-13 of the constant 1e10, so it is left unmatched, and
+    # its C^2 weight 1e-4 exceeds the block budget
+    poly = ChebPoly(np.array([1e10, 1e-4, 0.0, 0.0]), 0.0)
+    with pytest.raises(ApproximationError,
+                       match=r"unmatched monomials weigh 1\.000e-04 .* budget 1\.000e-05"):
+        sh.build_sharmonic(poly, 0.5, 1e-5)
+
+
 def _sweep_target(seed: int) -> Target:
     """A sum of three sines and an exponential, drawn like the library-sweep
     targets of the benchmark, with analytic derivatives."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
+from mpmath.libmp.libmpf import str_to_man_exp
 
 import sharmonic as sh
 from sharmonic import _kernels, blocks
-from sharmonic._dyadic import Dyadic
+from sharmonic._dyadic import MAGNITUDE_BITS, Dyadic
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
@@ -710,11 +712,16 @@ def test_json_malformed():
             sh.combo_from_json(text)
 
 
+def _significant(cstr: str) -> int:
+    """The significant digits of a decimal literal."""
+    mantissa = cstr.split("e")[0].split("E")[0].replace("-", "").replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
 def _workdps_parse(cstr: str) -> mpf:
     """The parse of a long coefficient before it called libmp directly: mpf
     in a context of 10 digits past the significant digits of the string."""
-    mantissa = cstr.split("e")[0].split("E")[0].replace("-", "").replace(".", "")
-    with workdps(len(mantissa.lstrip("0")) + 10):
+    with workdps(_significant(cstr) + 10):
         return mpf(cstr)
 
 
@@ -742,7 +749,45 @@ def test_long_coefficients_parse_as_in_a_workdps_context(cstr, outer_dps):
     with workdps(outer_dps):  # the caller's precision plays no part
         got = sh.combo_from_json(text).blocks[0].c
     assert isinstance(got, Dyadic)
-    assert got._mpf_ == _workdps_parse(cstr)._mpf_
+    value = Fraction(cstr)  # the exact value, rounded once to nearest
+    assert got._mpf_ == from_rational(value.numerator, value.denominator,
+                                      dps_to_prec(_significant(cstr) + 10), round_nearest)
+    if abs(str_to_man_exp(cstr)[1]) <= 400:  # libmp rounds once only there
+        assert got._mpf_ == _workdps_parse(cstr)._mpf_
+
+
+def test_a_long_coefficient_reads_as_the_nearest_value_far_past_float_range():
+    # 18 digits, so read at 96 bits; libmp's from_str rounds m and 10^-582
+    # apart first and lands one unit off the nearest
+    text = ('{"s": 0.5, "interval": [-1, 1], "blocks": '
+            '[{"t": 2, "c": 6.86395437967802538e-565, "r": 1}]}')
+    got = sh.combo_from_json(text).blocks[0].c._mpf_
+    nearest = from_rational(686395437967802538, 10**582, 96, round_nearest)
+    assert got == nearest != _workdps_parse("6.86395437967802538e-565")._mpf_
+
+
+def _refused_promptly(build) -> None:
+    """build raises DomainError naming the magnitude bound, with a traced
+    peak far below a power of ten of 10^9 digits."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"2\\^\\+-{MAGNITUDE_BITS}.*MAGNITUDE_BITS"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_coefficient_past_the_magnitude_bound_is_refused_promptly():
+    text = ('{"s": 0.5, "interval": [-1, 1], "blocks": '
+            '[{"t": 2, "c": 1.2345678901234567890e1000000000, "r": 1}]}')
+    _refused_promptly(lambda: sh.combo_from_json(text))
+    _refused_promptly(lambda: sh.SHBlock(2.0, mpf("1e1000000000")))
+    _refused_promptly(lambda: sh.SHBlock(2.0, mpf("-1e-1000000000")))
+    _refused_promptly(lambda: sh.SHBlock(2.0, Dyadic.exact(1, MAGNITUDE_BITS)))
+    for c in (Dyadic.exact(-1, MAGNITUDE_BITS - 1), Dyadic.exact(3, -MAGNITUDE_BITS - 2)):
+        assert sh.SHBlock(2.0, c).c == c  # binary magnitude +-MAGNITUDE_BITS
 
 
 @pytest.mark.parametrize("t", [mpf(2), Fraction(3, 2)])

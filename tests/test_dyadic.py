@@ -1,6 +1,7 @@
 """Extended precision in integers against mpmath as the independent oracle."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
-from mpmath.libmp import from_str, round_nearest, to_str
+from mpmath.libmp import from_rational, from_str, round_nearest, to_str
+from mpmath.libmp.libmpf import str_to_man_exp
 
 from sharmonic import _dyadic
 from sharmonic._dyadic import Dyadic
@@ -88,23 +90,85 @@ def _decimals(draw) -> str:
     return f"{sign}{digits[0]}.{digits[1:]}e{draw(st.integers(-2000, 2000))}"
 
 
+def _nearest(text: str, prec: int) -> tuple:
+    """The exact value of a decimal literal rounded to nearest at prec bits,
+    by libmp.from_rational."""
+    value = Fraction(text)
+    return from_rational(value.numerator, value.denominator, prec, round_nearest)
+
+
+def _half_up(raw: tuple, dps: int) -> str:
+    """nstr's text (strip_zeros, min_fixed=1, max_fixed=0) of the exact
+    value of a raw tuple rounded half up to dps digits, from Fractions."""
+    sign, man, exp, _ = raw
+    if not man:
+        return "0.0"
+    value = man * Fraction(2) ** exp
+    point = math.floor(math.log10(man) + exp * math.log10(2))  # within one of the exponent
+    point += (value >= Fraction(10) ** (point + 1)) - (value < Fraction(10) ** point)
+    n = math.floor(value / Fraction(10) ** (point - dps + 1) + Fraction(1, 2))
+    if n == 10**dps:
+        n, point = n // 10, point + 1
+    head, tail = str(n)[0], str(n)[1:].rstrip("0") or "0"
+    return ("-" if sign else "") + f"{head}.{tail}" + (f"e{point:+d}" if point else "")
+
+
+def _libmp_formats_exactly(raw: tuple, dps: int) -> bool:
+    """libmp.to_str's digits are the exact ones: the mantissa fits in its
+    working bits and no power of ten scales the value first."""
+    _, man, exp, bc = raw
+    return dps >= int(0.30103 * bc) + 5 and abs(exp + bc) <= 3500
+
+
 @settings(max_examples=300, deadline=None)
 @given(_decimals(), st.integers(0, 30))
+@example("6.86395437967802538e-565", 10)  # libmp rounds twice, away from the nearest
 def test_parse_and_format_match_mpmath(text, extra):
     prec = _dyadic.dps_to_prec(len(text.split("e")[0].lstrip("-")) - 1 + extra)
     raw = _dyadic.from_str(text, prec)
-    assert raw == from_str(text, prec, round_nearest)
+    assert raw == _nearest(text, prec)
+    if abs(str_to_man_exp(text)[1]) <= 400:  # libmp rounds once only there
+        assert raw == from_str(text, prec, round_nearest)
     digits = max(20, int(raw[3] * 0.30103) + 5)
-    assert _dyadic.to_str(raw, digits) == mpmath.nstr(
-        mpmath.mp.make_mpf(raw), digits, strip_zeros=True, min_fixed=1, max_fixed=0)
+    assert _dyadic.to_str(raw, digits) == _half_up(raw, digits)
+    if _libmp_formats_exactly(raw, digits):
+        assert _dyadic.to_str(raw, digits) == mpmath.nstr(
+            mpmath.mp.make_mpf(raw), digits, strip_zeros=True, min_fixed=1, max_fixed=0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-2**400, 2**400), st.integers(-5000, 5000), st.integers(1, 120))
+@example(2**53 - 1, 3600, 30)  # past 2^3500 libmp divides by an approximate power of ten
+@example(5, -1, 1)  # 2.5 to one digit: a tie, rounded up to 3.0
+@example(-19, -1, 1)  # -9.5 to one digit carries into the exponent: -1.0e+1
 def test_format_matches_mpmath_far_past_float_range(man, exp, digits):
     raw = Dyadic.exact(man, exp)._mpf_
-    assert _dyadic.to_str(raw, digits) == to_str(raw, digits, strip_zeros=True, min_fixed=1,
-                                                  max_fixed=0)
+    assert _dyadic.to_str(raw, digits) == _half_up(raw, digits)
+    if _libmp_formats_exactly(raw, digits):
+        assert _dyadic.to_str(raw, digits) == to_str(raw, digits, strip_zeros=True, min_fixed=1,
+                                                      max_fixed=0)
+
+
+@pytest.mark.parametrize("text", ["1.2345678901234567890e1000000000",
+                                  "-1.2345678901234567890e-1000000000"])
+def test_parse_refuses_a_literal_past_the_magnitude_bound_before_any_power(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"past 2\\^\\+-{_dyadic.MAGNITUDE_BITS}"):
+            _dyadic.from_str(text, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # 10^(10^9) alone would take 415 MB
+
+
+def test_parse_reads_zero_at_any_exponent_and_the_bound_itself():
+    assert _dyadic.from_str("0.000e1000000000", 100) == (0, 0, 0, 0)
+    top = Dyadic.exact(1, _dyadic.MAGNITUDE_BITS - 1)  # binary magnitude MAGNITUDE_BITS
+    _, _, exp, bc = _dyadic.from_str(_dyadic.to_str(top._mpf_, 40), 140)
+    assert exp + bc in (_dyadic.MAGNITUDE_BITS - 1, _dyadic.MAGNITUDE_BITS)
+    with pytest.raises(ValueError, match="MAGNITUDE_BITS"):
+        _dyadic.from_str(_dyadic.to_str(Dyadic.exact(1, _dyadic.MAGNITUDE_BITS)._mpf_, 40), 100)
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,3 +243,20 @@ def test_dyadic_refuses_to_order_against_a_nonfinite_float_or_a_non_number(other
     for compare in (lambda c: c < other, lambda c: c >= other, lambda c: other > c):
         with pytest.raises(TypeError):
             compare(Dyadic.exact(3, -1))
+
+
+@pytest.mark.parametrize("c, other, sign", [  # sign: of c - other
+    (Dyadic.exact(3, -1), mpmath.mp.make_mpf((0, 1, 2**27, 1)), -1),
+    (Dyadic.exact(-3, 2**27), -1.0, -1),
+    (Dyadic.exact(3, -2**27), 5e-324, -1),
+    (Dyadic.exact(1, 2**27), 1e308, 1),
+    (Dyadic.exact(-1, -2**27), -5e-324, 1)])
+def test_dyadic_orders_values_far_apart_without_aligning_them(c, other, sign):
+    tracemalloc.start()
+    try:
+        got = [c < other, c <= other, c > other, c >= other, other > c]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [sign < 0, sign <= 0, sign > 0, sign >= 0, sign < 0]
+    assert peak < 2**16  # aligned at one exponent they would take 16 MB

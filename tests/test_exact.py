@@ -354,6 +354,26 @@ def test_combo_residual_rejects_points_at_or_past_kinks():
         sh.combo_residual(combo, np.array([-3.0]))
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+def test_combo_residual_refuses_a_nonfinite_point(x):
+    combo = sh.SHCombo(0.5, (sh.SHBlock(1.0, 1.0, 0.5),))
+    with pytest.raises(DomainError, match="points must be finite"):
+        sh.combo_residual(combo, x)
+
+
+def test_ceil_log10_is_exact_next_to_powers_of_ten():
+    # the float estimate is low for 285 of 10^k - 1, 10^k and 10^k + 1, and
+    # for v 2^53 2^-53 also high for some, so both correction loops run
+    misses = set()
+    for k in range(1, 300):
+        for v in (10**k - 1, 10**k, 10**k + 1):
+            want = len(str(v - 1))  # 10^(want - 1) < v <= 10^want
+            for m, n in ((v, 0), (v << 53, -53)):
+                assert exact._ceil_log10(m, n) == want
+                misses.add(math.ceil(math.log10(m) + n * math.log10(2.0)) - want)
+    assert misses == {-1, 0, 1}
+
+
 def test_combo_residual_empty_combo_is_zero():
     combo = sh.SHCombo(0.5, ())
     res = sh.combo_residual(combo, np.array([-5.0, 0.0, 5.0]))

@@ -315,6 +315,14 @@ def test_unbounded_growth_is_rejected():
         sh.frac_laplacian(np.exp, 0.0, FracParams(0.5), QuadConfig(outer_radius=50.0))
 
 
+def test_growth_fitted_at_the_power_2s_is_refused():
+    # |z| at s = 0.5 grows like |z|^(2s): the samples at R..8R fit that
+    # power, and the tail integral diverges logarithmically
+    with pytest.raises(ConfigError,
+                       match=r"fitted growth 1\.0000 at radius 10000\.0 reaches 2s=1\.0"):
+        sh.frac_laplacian(np.abs, 0.3, FracParams(0.5))
+
+
 @pytest.mark.parametrize("s", [0.1, 0.5])
 def test_bounded_oscillation_is_never_refused_on_a_dense_grid(s):
     # three samples of sin at R, 2R, 4R can happen to fit a power law

@@ -53,10 +53,28 @@ def test_the_sweep_split_finds_and_times_every_stage_in_this_tree():
 
     raw = bench_sweep.run_sweep_child(ROOT, 3)
     assert raw["missing"] == []
-    assert set(raw["wrapped"]) == set(bench_sweep.STAGE_NAMES)
-    assert all(names == list(bench_sweep.STAGE_NAMES[stage][0])
-               for stage, names in raw["wrapped"].items())
+    assert raw["wrapped"] == bench_sweep.STAGE_NAMES
     stages = (*bench_sweep.STAGES, "bound")
     for stage in stages:
         assert sum(level["counts"].get(stage, 0) for level in raw["levels"].values()) > 0, stage
         assert sum(level["raw"].get(stage, 0.0) for level in raw["levels"].values()) > 0.0, stage
+
+
+def test_every_coefficient_built_on_the_compare_grid_lies_within_the_magnitude_bound(tmp_path):
+    # the bound of exact decimal I/O is far past what the builds store, and
+    # their artifact text reads back
+    import sharmonic as sh
+    from compare_artifacts import CASES, GRID_CSV
+    from sharmonic._dyadic import MAGNITUDE_BITS
+
+    grid = tmp_path / "grid.csv"
+    grid.write_text(GRID_CSV, encoding="ascii")
+    builds = [dict(zip(args[1::2], args[2::2])) for args in CASES if args[0] == "approximate"]
+    assert len(builds) == 14
+    for opts in builds:
+        target = sh.target_from_spec(opts["--target"].replace("{grid}", str(grid)))
+        combo, _ = sh.approximate(target, float(opts["--epsilon"]), float(opts["--s"]))
+        for block in combo.blocks:
+            _, man, exp, bc = block.c._mpf_
+            assert man and abs(exp + bc) <= MAGNITUDE_BITS
+        assert len(sh.combo_from_json(sh.combo_to_json(combo)).blocks) == len(combo.blocks)

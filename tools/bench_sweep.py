@@ -33,10 +33,10 @@ around these stages:
   among them.
 
 ``block_stage`` is the sum of conversion, exact_match, model, bound, merge
-and block_coefficients.  The stages are found by name (STAGE_NAMES, this
-tree's names first); the child lists under ``missing`` every stage of
-which no name exists in the tree it runs in, and ``tests/test_tools.py``
-runs it on this tree for a few targets, so a renamed stage fails there.
+and block_coefficients.  Each stage is found by its dotted name
+(STAGE_NAMES); the child lists under ``missing`` every stage whose name does
+not exist in the tree it runs in, and ``tests/test_tools.py`` runs it on
+this tree for a few targets, so a renamed stage fails there.
 
 Each figure is ms per call, per eps level, from the run with the smallest
 total; the timers add about a microsecond per wrapped call.  Like pipebench,
@@ -75,17 +75,16 @@ from workloads import REFERENCE_NOMINAL_MS  # noqa: E402
 
 TARGETS = 60
 
-# stage -> alternatives, each a tuple of names that are all wrapped; the
-# first alternative whose names all exist is used
+# stage -> the dotted name of the function wrapped for it
 STAGE_NAMES = {
-    "cheb_fit": (("approximate.cheb_fit",),),
-    "certificate": (("approximate._certified",),),
-    "conversion": (("approximate._matching_values",),),
-    "exact_match": (("blocks._exact_match",),),
-    "model": (("blocks._defect_model",),),
-    "merge": (("blocks._merge",),),
-    "block_coefficients": (("blocks._block_coefficients",),),
-    "combo_residual": (("exact.combo_residual",),),
+    "cheb_fit": "approximate.cheb_fit",
+    "certificate": "approximate._certified",
+    "conversion": "approximate._matching_values",
+    "exact_match": "blocks._exact_match",
+    "model": "blocks._defect_model",
+    "merge": "blocks._merge",
+    "block_coefficients": "blocks._block_coefficients",
+    "combo_residual": "exact.combo_residual",
 }
 
 SWEEP_CHILD = """
@@ -143,20 +142,18 @@ def residual_excess(combo, value):
 
 phi, residual = exact.canonical_constant, exact.combo_residual
 wrapped, missing = {}, []
-for stage, alternatives in json.loads(sys.argv[2]).items():
-    found = next((names for names in alternatives if all(owner(n) for n in names)), None)
-    if found is None:
+for stage, name in json.loads(sys.argv[2]).items():
+    if owner(name) is None:
         missing.append(stage)
         continue
-    wrapped[stage] = found
-    for name in found:
-        obj, attr = owner(name)
-        fn = getattr(obj, attr)
-        if stage == "model":
-            model = timed("model", fn)
-            setattr(obj, attr, model_with_timed_bound)
-        else:
-            setattr(obj, attr, timed(stage, fn))
+    wrapped[stage] = name
+    obj, attr = owner(name)
+    fn = getattr(obj, attr)
+    if stage == "model":
+        model = timed("model", fn)
+        setattr(obj, attr, model_with_timed_bound)
+    else:
+        setattr(obj, attr, timed(stage, fn))
 
 sweep = LibrarySweep(1)
 sweep.setup(Record())
@@ -199,8 +196,8 @@ BLOCK_STAGE = ("conversion", "exact_match", "model", "bound", "merge", "block_co
 
 def run_sweep_child(tree: Path, targets: int) -> dict:
     """The child's JSON from one fresh interpreter in tree: per eps level the
-    calls and each stage's call counts, raw and scaled seconds; the names
-    wrapped per stage and the stages of which no name was found."""
+    calls and each stage's call counts, raw and scaled seconds; the name
+    wrapped per stage and the stages whose name was not found."""
     return json.loads(run_child(tree, ["-c", SWEEP_CHILD, str(targets),
                                        json.dumps(STAGE_NAMES)]))
 
