@@ -473,8 +473,16 @@ def _merge(t: tuple[float, ...], rhs: list[int], den: int, r: float) -> tuple[li
 
 @functools.lru_cache(maxsize=4096)
 def _inverse_power(t: float, s: float, dps: int) -> Dyadic:
-    """t^-s rounded to nearest at dps digits (_dyadic.rounded_pow)."""
-    return rounded_pow(t, -s, dps_to_prec(dps))
+    """t^-s rounded to nearest at dps digits (_dyadic.rounded_pow).  A
+    budget past about 1e18 asks for fewer than the 53 bits below which
+    rounded_pow could meet a tie; there the 53-bit value is rounded again,
+    which moves the result only where that value is a tie itself."""
+    prec = dps_to_prec(dps)
+    if prec >= 53:
+        return rounded_pow(t, -s, prec)
+    _, man, exp, _ = rounded_pow(t, -s, 53)._mpf_
+    man, exp = round_bits(man, exp, prec)
+    return Dyadic((0, man, exp, man.bit_length()))
 
 
 def _block_coefficients(nums: list[int], den: int, t: np.ndarray, s: float,
@@ -731,7 +739,10 @@ def combo_from_json(text: str) -> SHCombo:
     Accepts either a bare combination object or a report artifact that
     stores the combination under a "combo" key.  A coefficient of more
     than 17 significant digits is read as a Dyadic at 10 digits past its
-    own, its exact value rounded once to nearest (_dyadic.from_str).
+    own, its exact value rounded once to nearest (_dyadic.from_str).  That
+    is the written decimal, not the built bits, which the text does not
+    record: x2 built at 1/16 with s = 0.9 comes back with all 4
+    coefficients moved, by up to 1.5e-46 relative.
     """
     try:
         raw = json.loads(text, parse_float=str, parse_int=str)

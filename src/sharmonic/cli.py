@@ -119,21 +119,14 @@ def _coerce(key: str, value: str):
         raise ConfigError(f"option {key}={value!r} is not {noun}") from exc
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:
-    """Merge precedence: explicit flags, then config file, then defaults."""
-    file_values = {}
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    """Merge precedence: explicit flags, then config file, then RunConfig's defaults."""
+    values = {}
     if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-    merged = dict(defaults)
-    for key, raw in file_values.items():
-        merged[key] = _coerce(key, raw)
-    for key in list(merged) + ["command", "which"]:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    merged["command"] = args.command
-    merged["which"] = getattr(args, "which", None)
-    return RunConfig(**merged)
+        values = {key: _coerce(key, raw) for key, raw in _load_config_file(args.config).items()}
+    values.update({key: flag for key, flag in vars(args).items()
+                   if key in _OPTION_TYPES and flag is not None})
+    return RunConfig(command=args.command, which=getattr(args, "which", None), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +145,18 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}; check that its directory exists") from exc
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+def _csv_text(header: list[str], rows) -> str:
+    """The header, then one line per row of numbers, each at 17 digits."""
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _write_csv(path: str, header: list[str], rows) -> None:
+    _write_text(path, _csv_text(header, rows))
 
 
 def _write_json(path: str, obj) -> None:
-    _write_text(path, _json_text(obj))
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_report_with_combo(path: str, report_obj: dict, combo: SHCombo) -> None:
@@ -173,13 +165,9 @@ def _write_report_with_combo(path: str, report_obj: dict, combo: SHCombo) -> Non
     The combo JSON is spliced in as text so extended-precision coefficient
     digits survive; rounding them through float would break read-back.
     """
-    combo_text = combo_to_json(combo).strip()
-    combo_indented = "\n".join("  " + ln for ln in combo_text.splitlines())
-    report_text = json.dumps(report_obj, sort_keys=True, indent=2,
-                             allow_nan=False)
-    report_indented = "\n".join("  " + ln for ln in report_text.splitlines())
-    text = ('{\n  "combo": ' + combo_indented.lstrip() + ',\n'
-            '  "report": ' + report_indented.lstrip() + "\n}\n")
+    report_text = json.dumps(report_obj, sort_keys=True, indent=2, allow_nan=False)
+    body = '{\n"combo": ' + combo_to_json(combo).strip() + ',\n"report": ' + report_text
+    text = body.replace("\n", "\n  ") + "\n}\n"  # JSON breaks lines only between tokens
     json.loads(text)  # fail fast if the splice ever breaks
     _write_text(path, text)
 
@@ -221,12 +209,12 @@ def cmd_fraclap(cfg: RunConfig) -> int:
         uvals = np.asarray(operand(xs), dtype=float)
 
     rows = []
-    for x, ux in zip(xs, uvals):
+    for x, ux in zip(xs.tolist(), uvals.tolist()):
         if cfg.method == "pv":
-            rows.append([float(x), float(ux), frac_laplacian_pv(operand, float(x), params, qc)])
+            rows.append([x, ux, frac_laplacian_pv(operand, x, params, qc)])
         else:
-            detail = frac_laplacian_detailed(operand, float(x), params, qc)
-            rows.append([float(x), float(ux), detail.value, detail.tail_halfwidth])
+            detail = frac_laplacian_detailed(operand, x, params, qc)
+            rows.append([x, ux, detail.value, detail.tail_halfwidth])
 
     header = ["x", "value", "fraclap_value"]
     if cfg.method == "direct":
@@ -267,9 +255,8 @@ def cmd_approximate(cfg: RunConfig) -> int:
         tvals = np.asarray(target.f(xs), dtype=float)
         vvals = combo_eval(combo, xs)
         res = exact.combo_residual(combo, xs)  # zeros for the empty combination
-        rows = [[float(a), float(b), float(c), float(b - c), float(d)]
-                for a, b, c, d in zip(xs, tvals, vvals, res)]
-        _write_csv(cfg.out_csv, ["x", "target", "v_eps", "diff", "residual"], rows)
+        _write_csv(cfg.out_csv, ["x", "target", "v_eps", "diff", "residual"],
+                   zip(xs, tvals, vvals, tvals - vvals, res))
     if cfg.out_json:
         _write_report_with_combo(cfg.out_json, report.to_dict(), combo)
     print(f"approximate target={target.name} s={_fmt(cfg.s)} "
@@ -292,7 +279,7 @@ def _demo_harnack(cfg: RunConfig) -> int:
     if cfg.out_csv:
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
         uvals = combo_eval(w.u, xs) - w.iota
-        _write_csv(cfg.out_csv, ["x", "u"], [[float(a), float(b)] for a, b in zip(xs, uvals)])
+        _write_csv(cfg.out_csv, ["x", "u"], zip(xs, uvals))
     payload = _witness_payload(
         w, "demo harnack", max_residual=w.report.max_residual,
         harnack_ratio=w.sup_inner / w.inf_inner if w.inf_inner > 0 else None)
@@ -315,10 +302,8 @@ def _demo_logistic(cfg: RunConfig) -> int:
         uvals = combo_eval(w.u, xs)
         svals = np.asarray(sigma.f(xs), dtype=float)
         sevals = np.asarray(w.sigma_eps(xs), dtype=float)
-        res = exact.combo_residual(w.u, xs)
-        rows = [[float(a), float(b), float(c), float(d), float(e)]
-                for a, b, c, d, e in zip(xs, uvals, svals, sevals, res)]
-        _write_csv(cfg.out_csv, ["x", "u", "sigma", "sigma_eps", "residual"], rows)
+        _write_csv(cfg.out_csv, ["x", "u", "sigma", "sigma_eps", "residual"],
+                   zip(xs, uvals, svals, sevals, exact.combo_residual(w.u, xs)))
     payload = _witness_payload(w, "demo logistic", sigma=sigma.name, mu=mu.name)
     if cfg.out_json:
         _write_report_with_combo(cfg.out_json, payload, w.u)
@@ -340,18 +325,14 @@ def _demo_meanvalue(cfg: RunConfig) -> int:
     table = mean_value_table(target, cfg.x, rhos)
     print(f"demo meanvalue target={target.name} x={_fmt(cfg.x)} "
           f"reference={_fmt(table['reference'])}")
-    print("rho,ball,sphere,ball_error,sphere_error")
-    rows = []
-    for row in table["rows"]:
-        rows.append([row["rho"], row["ball"], row["sphere"],
-                     row["ball_error"], row["sphere_error"]])
-        print(",".join(_fmt(v) for v in rows[-1]))
+    header = ["rho", "ball", "sphere", "ball_error", "sphere_error"]
+    csv_text = _csv_text(header, ([row[k] for k in header] for row in table["rows"]))
+    print(csv_text, end="")
     orders = {k: [_fmt(v) if np.isfinite(v) else "exact" for v in vs]
               for k, vs in table["orders"].items()}
     print(f"observed orders ball={orders['ball']} sphere={orders['sphere']}")
     if cfg.out_csv:
-        _write_csv(cfg.out_csv,
-                   ["rho", "ball", "sphere", "ball_error", "sphere_error"], rows)
+        _write_text(cfg.out_csv, csv_text)
     if cfg.out_json:
         payload = {
             "command": "demo meanvalue", "target": target.name, "x": cfg.x,
@@ -361,16 +342,6 @@ def _demo_meanvalue(cfg: RunConfig) -> int:
         }
         _write_json(cfg.out_json, payload)
     return EXIT_OK
-
-
-def cmd_demo(cfg: RunConfig) -> int:
-    if cfg.which == "harnack":
-        return _demo_harnack(cfg)
-    if cfg.which == "logistic":
-        return _demo_logistic(cfg)
-    if cfg.which == "meanvalue":
-        return _demo_meanvalue(cfg)
-    raise ConfigError(f"unknown demo {cfg.which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {"fraclap": cmd_fraclap, "approximate": cmd_approximate,
-             "demo": cmd_demo}
+_DISPATCH = {("fraclap", None): cmd_fraclap, ("approximate", None): cmd_approximate,
+             ("demo", "harnack"): _demo_harnack, ("demo", "logistic"): _demo_logistic,
+             ("demo", "meanvalue"): _demo_meanvalue}
+# the first matching class gives the exit code of a refused run
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, DomainError: EXIT_CONFIG,
+               EvaluationError: EXIT_EVALUATION, ApproximationError: EXIT_APPROXIMATION}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -447,18 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        defaults = {f.name: f.default for f in fields(RunConfig) if f.name in _OPTION_TYPES}
-        cfg = _resolve(args, defaults)
-        code = _DISPATCH[cfg.command](cfg)
-    except (ConfigError, DomainError) as exc:
+        cfg = _resolve(args)
+        code = _DISPATCH[cfg.command, cfg.which](cfg)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
-    except ApproximationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_APPROXIMATION
+        return next(status for kind, status in _EXIT_CODES.items() if isinstance(exc, kind))
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

@@ -401,6 +401,38 @@ def test_readback_past_the_series_length():
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("past_m, xs", [(0, [0.0, 0.3, -0.9, 0.9]), (-1, [2.5, 3.0, -3.0])],
+                         ids=["order-at-the-series-length", "terms-need-not-shrink"])
+def test_an_unbounded_series_tail_sends_a_pipeline_combination_to_the_per_point_sum(past_m, xs):
+    # _omitted_bound is inf for an order at or past the derived series'
+    # length m, and for rho q >= 1, where consecutive terms need not shrink;
+    # every point lies inside the radius, so only that bound turns the
+    # series route away
+    combo, _ = sh.approximate(sh.target_from_spec("x2"), 1 / 16, 0.5)
+    (coefs, _, p), = combo._group_series
+    m, s, xmax = coefs.size, combo.s, max(abs(x) for x in xs)
+    order = m + past_m
+    assert xmax < combo.radius
+    assert order >= m or max(1.0, (m - s) / (m + 1 - order)) * p * xmax >= 1.0
+    assert combo.series_error(xmax, order) == math.inf
+    with mock.patch.object(sh.blocks, "_combo_eval_mp", wraps=_combo_eval_mp) as per_point:
+        got = sh.combo_derivative(combo, np.array(xs), order)
+    assert per_point.call_count == 1
+    with workdps(60):
+        for x, value in zip(xs, got):
+            want = sum(mpf(b.c) * mpf(b.r) ** order * mpmath.ff(s, order)
+                       * (mpf(b.r) * x + b.t) ** (s - order) for b in combo.blocks)
+            assert abs(value - want) <= 2**-52 * abs(want)
+
+
+@pytest.mark.parametrize("combo", [sh.SHCombo(0.5, (sh.SHBlock(2.0, 1.0),)),
+                                   sh.SHCombo(0.5, (sh.SHBlock(2.0, mpf(1)),))],
+                         ids=["float", "extended"])
+def test_a_negative_derivative_order_is_refused(combo):
+    with pytest.raises(DomainError, match="derivative order must be nonnegative, got -1"):
+        sh.combo_derivative(combo, 0.0, -1)
+
+
 # ---------------------------------------------------------------------------
 # rescaling
 
@@ -477,6 +509,19 @@ def test_block_coefficients_equal_the_uncached_expression(s, dps):
     with workdps(500):
         assert blocks._block_coefficients(nums, den, t, s, dps) == want
     assert blocks._inverse_power.cache_info().hits == len(t)
+
+
+@pytest.mark.parametrize("dps", [-39, 1, 14])
+def test_inverse_power_below_53_bits_rounds_to_nearest(dps):
+    # a budget past about 1e18 asks for fewer bits than rounded_pow takes;
+    # the 53-bit power rounded again is the power rounded once where, as
+    # here, the 53-bit power is no tie at the lower precision
+    prec = dps_to_prec(dps)
+    for t in (1.0 + 2**-20, 0.75, 3.0, 4.0, 1234.5):
+        with mpmath.workprec(400):
+            power = mpf(t) ** -mpf(0.5)
+        got = blocks._inverse_power(t, 0.5, dps)
+        assert got._mpf_ == mpf(power, prec=prec, rounding="n")._mpf_
 
 
 @settings(max_examples=100, deadline=None)
@@ -806,6 +851,12 @@ def test_block_rejects_an_offset_past_float64():
 def test_block_rejects_a_coefficient_past_float64(c):
     with pytest.raises(DomainError, match=r"block coefficient must be finite, got c=-?1000"):
         sh.SHBlock(2.0, c)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.5, 1.5, math.nan])
+def test_block_rejects_a_scale_outside_the_unit_interval(r):
+    with pytest.raises(DomainError, match=r"block scale must lie in \(0, 1\], got r="):
+        sh.SHBlock(2.0, 1.0, r)
 
 
 @pytest.mark.parametrize("t", [2, 2.0, np.float64(2.0), np.float32(2.0)])

@@ -419,6 +419,34 @@ def test_nonfinite_or_out_of_range_option_exits_2(tmp_path, capsys, argv, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["fraclap", "--target", "sin", "--grid", "1"], None,
+     "error: grid resolution must be >= 2, got 1"),
+    (["fraclap", "--target", "sin", "--xmin", "1", "--xmax", "0"], None,
+     "error: need xmin < xmax, got [1.0, 0.0]"),
+    # argparse's choices refuse --method simpson before RunConfig sees it
+    (["fraclap", "--target", "sin"], "method=simpson\n",
+     "error: method must be direct or pv, got 'simpson'"),
+    (["fraclap", "--target", "block:x=1"], None,
+     "error: block operand must look like block:t=<t>, got 'block:x=1'"),
+    (["fraclap", "--target", "block:t=abc"], None,
+     "error: malformed block operand 'block:t=abc'"),
+    (["fraclap", "--target", "block:t=-1"], None,
+     "error: block offset must be positive and finite, got -1.0"),
+    (["fraclap"], None, "error: fraclap requires --target"),
+    (["approximate"], None, "error: approximate requires --target")])
+def test_refused_configuration_exits_2_with_its_message(tmp_path, capsys, argv,
+                                                        config, message):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out-csv", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message + "\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

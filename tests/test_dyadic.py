@@ -1,6 +1,7 @@
 """Extended precision in integers against mpmath as the independent oracle."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -78,6 +79,26 @@ def test_rounded_power_where_mpmath_is_one_ulp_off():
         theirs = mpf(t) ** -mpf(s)
     got = _dyadic.rounded_pow(t, -s, prec)
     assert got._mpf_ == mpf(exact, prec=prec, rounding="n")._mpf_ != theirs._mpf_
+
+
+@pytest.mark.parametrize("base, x, prec", [
+    (8191.0**4, 0.75, 38),  # 8191^3, 39 bits: a tie at 38
+    (3.0**32, 31 / 32, 49),  # 3^31, 50 bits: a tie at 49
+    (1 + 2**-52, 1.0, 52)])  # the base itself, 53 bits: a tie at 52
+def test_rounded_power_refuses_arguments_where_it_could_meet_a_tie(base, x, prec):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"\|x\| < 1 and prec >= 53"):
+        _dyadic.rounded_pow(base, x, prec)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("base, x, power", [
+    (8191.0**4, 0.75, 8191**3), (3.0**32, 31 / 32, 3**31),
+    (2.0**-1074, 0.5, Fraction(1, 2**537)), (4.0, -0.5, Fraction(1, 2))])
+def test_an_exactly_dyadic_power_comes_back_exactly_at_53_bits(base, x, power):
+    # a dyadic power of a float has at most 53 bits, so 53 bits hold it
+    _, man, exp, _ = _dyadic.rounded_pow(base, x, 53)._mpf_
+    assert man * Fraction(2) ** exp == power
 
 
 @st.composite

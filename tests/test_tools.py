@@ -78,3 +78,36 @@ def test_every_coefficient_built_on_the_compare_grid_lies_within_the_magnitude_b
             _, man, exp, bc = block.c._mpf_
             assert man and abs(exp + bc) <= MAGNITUDE_BITS
         assert len(sh.combo_from_json(sh.combo_to_json(combo)).blocks) == len(combo.blocks)
+
+
+def test_src_lines_counts_each_kind_and_a_blank_docstring_line_twice(tmp_path):
+    from src_lines import count_lines, count_tree, table
+
+    text = ('"""Module docstring.\n'
+            '\n'
+            'Its second paragraph."""\n'
+            '\n'
+            '# a comment on its own\n'
+            'X = """not a docstring,\n'
+            '\n'
+            'a string spanning three lines"""  # code with a comment\n'
+            '\n'
+            '\n'
+            'def f(a,\n'
+            '      b):\n'
+            '    """One line."""\n'
+            '    return a + b\n')
+    assert count_lines(text) == {"code": 6, "docstring": 4, "comment": 1, "blank": 5}
+    package = tmp_path / "src" / "sharmonic"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(text)
+    (package / "b.py").write_text("x = 1\n")
+    counts = count_tree(tmp_path)
+    assert counts == {"a.py": count_lines(text), "b.py": {"code": 1, "docstring": 0,
+                                                          "comment": 0, "blank": 0}}
+    rows = table(counts, {"a.py": count_lines(text)}).splitlines()
+    assert rows[0].split() == ["file", "code", "docstring", "comment", "blank"]
+    assert rows[2].split() == ["b.py", "0", "->", "1", "0", "->", "0", "0", "->", "0",
+                               "0", "->", "0"]
+    assert rows[3].split() == ["total", "6", "->", "7", "4", "->", "4", "1", "->", "1",
+                               "5", "->", "5"]
