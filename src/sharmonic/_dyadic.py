@@ -315,21 +315,23 @@ def pow_box(man: int, exp: int, xn: int, xd: int, w: int) -> tuple[int, int]:
 
 
 def rounded_pow(base: float, x: float, prec: int) -> Dyadic:
-    """base^x for floats base > 0 and |x| < 1, as for t^-s, rounded to
-    nearest at prec >= 53 bits: from fixed_pow's enclosure at prec + 32
-    bits, redone with twice the guard bits while its ends round apart.
+    """base^x for floats base > 0 and -1 < x < 1, rounded to nearest at
+    prec bits, where prec >= 53 for x > 0: from fixed_pow's enclosure at
+    prec + 32 bits, redone with twice the guard bits while its ends round
+    apart.
 
     That ends unless base^x is a tie at prec bits, which needs a dyadic
     base^x of prec + 1 bits.  Write x = p / 2^k with p odd (x = 0 gives 1),
-    base = m 2^e and base^x = n 2^f with m and n odd.  For p > 0, n^(2^k) =
-    m^p with p and 2^k coprime, so m = a^(2^k) and n = a^p for an integer a,
-    and n <= m as p < 2^k; for p < 0, n^(2^k) m^-p = 1 gives n = 1.  So n
-    has at most m's 53 bits and prec >= 53 leaves no tie.  Past |x| < 1 a
-    power of a float has more bits (base^1 is base), so the loop could run
-    forever: other arguments raise ValueError."""
-    if not (abs(x) < 1 and prec >= 53):
-        raise ValueError(f"rounded_pow needs |x| < 1 and prec >= 53, where base^x is "
-                         f"never a tie at prec bits; got x={x!r}, prec={prec}")
+    base = m 2^e and base^x = n 2^f with m and n odd.  For p < 0, as for
+    t^-s, n^(2^k) m^-p = 1 gives n = 1: a dyadic base^x is a power of two,
+    never a tie at any prec.  For p > 0, n^(2^k) = m^p with p and 2^k
+    coprime, so m = a^(2^k) and n = a^p for an integer a, and n <= m as
+    p < 2^k: n has at most m's 53 bits and prec >= 53 leaves no tie.  Past
+    |x| < 1 a power of a float has more bits (base^1 is base), so the loop
+    could run forever: other arguments raise ValueError."""
+    if not (-1 < x <= 0 or (0 < x < 1 and prec >= 53)):
+        raise ValueError(f"rounded_pow needs -1 < x <= 0, or 0 < x < 1 and prec >= 53, where "
+                         f"base^x is never a tie at prec bits; got x={x!r}, prec={prec}")
     bm, be = parts(base)
     xn, xd = float(x).as_integer_ratio()
     guard = 32

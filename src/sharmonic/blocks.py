@@ -473,16 +473,8 @@ def _merge(t: tuple[float, ...], rhs: list[int], den: int, r: float) -> tuple[li
 
 @functools.lru_cache(maxsize=4096)
 def _inverse_power(t: float, s: float, dps: int) -> Dyadic:
-    """t^-s rounded to nearest at dps digits (_dyadic.rounded_pow).  A
-    budget past about 1e18 asks for fewer than the 53 bits below which
-    rounded_pow could meet a tie; there the 53-bit value is rounded again,
-    which moves the result only where that value is a tie itself."""
-    prec = dps_to_prec(dps)
-    if prec >= 53:
-        return rounded_pow(t, -s, prec)
-    _, man, exp, _ = rounded_pow(t, -s, 53)._mpf_
-    man, exp = round_bits(man, exp, prec)
-    return Dyadic((0, man, exp, man.bit_length()))
+    """t^-s rounded to nearest at dps digits (_dyadic.rounded_pow)."""
+    return rounded_pow(t, -s, dps_to_prec(dps))
 
 
 def _block_coefficients(nums: list[int], den: int, t: np.ndarray, s: float,

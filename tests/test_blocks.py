@@ -20,7 +20,7 @@ from mpmath.libmp.libmpf import str_to_man_exp
 
 import sharmonic as sh
 from sharmonic import _kernels, blocks
-from sharmonic._dyadic import MAGNITUDE_BITS, Dyadic
+from sharmonic._dyadic import MAGNITUDE_BITS, Dyadic, rounded_pow
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
@@ -513,11 +513,14 @@ def test_block_coefficients_equal_the_uncached_expression(s, dps):
 
 @pytest.mark.parametrize("dps", [-39, 1, 14])
 def test_inverse_power_below_53_bits_rounds_to_nearest(dps):
-    # a budget past about 1e18 asks for fewer bits than rounded_pow takes;
-    # the 53-bit power rounded again is the power rounded once where, as
-    # here, the 53-bit power is no tie at the lower precision
+    # a budget past about 1e18 asks for fewer than 53 bits; t^-s is rounded
+    # once at that precision.  At dps 14 (50 bits) the 53-bit powers of
+    # 1.046875 and 1.59375 are 50-bit ties, which a second rounding of the
+    # 53-bit value would send to the wrong side
     prec = dps_to_prec(dps)
-    for t in (1.0 + 2**-20, 0.75, 3.0, 4.0, 1234.5):
+    for t in (1.046875, 1.59375):
+        assert rounded_pow(t, -0.5, 53)._mpf_[3] == 51
+    for t in (1.0 + 2**-20, 0.75, 3.0, 4.0, 1234.5, 1.046875, 1.59375):
         with mpmath.workprec(400):
             power = mpf(t) ** -mpf(0.5)
         got = blocks._inverse_power(t, 0.5, dps)

@@ -84,10 +84,11 @@ def test_rounded_power_where_mpmath_is_one_ulp_off():
 @pytest.mark.parametrize("base, x, prec", [
     (8191.0**4, 0.75, 38),  # 8191^3, 39 bits: a tie at 38
     (3.0**32, 31 / 32, 49),  # 3^31, 50 bits: a tie at 49
-    (1 + 2**-52, 1.0, 52)])  # the base itself, 53 bits: a tie at 52
+    (1 + 2**-52, 1.0, 52),  # the base itself, 53 bits: a tie at 52
+    (3.0, -1.0, 53), (3.0, math.nan, 53)])
 def test_rounded_power_refuses_arguments_where_it_could_meet_a_tie(base, x, prec):
     started = time.perf_counter()
-    with pytest.raises(ValueError, match=r"\|x\| < 1 and prec >= 53"):
+    with pytest.raises(ValueError, match=r"-1 < x <= 0, or 0 < x < 1 and prec >= 53"):
         _dyadic.rounded_pow(base, x, prec)
     assert time.perf_counter() - started < 1.0
 
@@ -99,6 +100,17 @@ def test_an_exactly_dyadic_power_comes_back_exactly_at_53_bits(base, x, power):
     # a dyadic power of a float has at most 53 bits, so 53 bits hold it
     _, man, exp, _ = _dyadic.rounded_pow(base, x, 53)._mpf_
     assert man * Fraction(2) ** exp == power
+
+
+@pytest.mark.parametrize("prec", [1, 2, 10, 50, 52])
+def test_a_nonpositive_power_rounds_to_nearest_at_any_precision(prec):
+    # a dyadic base^x for x <= 0 is a power of two, never a tie
+    for base in (4.0, 2.0**-1074, 1.046875, 1.59375, 3.0, 0.1, 1e300):
+        for x in (0.0, -0.5, -0.25, -1 / 3, -0.9):
+            with workprec(400):
+                exact = mpf(base) ** mpf(x)
+            got = _dyadic.rounded_pow(base, x, prec)
+            assert got._mpf_ == mpf(exact, prec=prec, rounding="n")._mpf_
 
 
 @st.composite
