@@ -170,15 +170,22 @@ def parts(value) -> tuple[int, int]:
 # fixed-point logarithms, exponentials and powers
 
 
-def _atanh_inv(q: int, w: int) -> tuple[int, int]:
-    """atanh(1/q), q >= 3, as (X, E) at w bits.  The powers 2^w / q^(2k+1)
-    are floored in turn, each within 1 + 1/8 units, and each term once
-    more: under k + 1 units in all with the tail, k the last odd index."""
-    q2 = q * q
-    power = (1 << w) // q
+def _atanh(p: int, q: int, w: int) -> tuple[int, int]:
+    """atanh(p / q) for integers 0 <= 3p <= q as (X, E) at w bits, from its
+    series with every step floored.  The first power 2^w p / q lies within
+    1 unit, and each next power is p^2 / q^2 <= 1/9 times the one before,
+    floored, so within 1/9 of the error before plus 1: within 1 + 1/8
+    units.  Each term past the first is its power floored by the odd index,
+    within 11/8 units, and the first power to floor to 0 was below 9/8
+    units, so the rest of the series from its term on is under 1/2.  With n
+    terms past the first that is under 1 + 11 (n - 1) / 8 + 1/2 units in
+    all, below E = k + 1 = 2n + 2, k the last odd index.  Each step
+    multiplies and divides by small integers only."""
+    p2, q2 = p * p, q * q
+    power = (p << w) // q
     total, k = power, 1
     while power:
-        power //= q2
+        power = power * p2 // q2
         k += 2
         total += power // k
     return total, k + 1
@@ -188,34 +195,20 @@ def _atanh_inv(q: int, w: int) -> tuple[int, int]:
 # in multiples of 64 bits
 _LN_PRECISIONS = tuple(itertools.accumulate(
     range(100), lambda p, _: (p * 5 // 4 + 63) // 64 * 64, initial=128))
-# ln p = sum_i c_i atanh(1/q_i) for q = 251, 449, 4801, 8749
-_LN_SMALL_PRIMES = {2: (144, 54, -38, 62), 3: (228, 86, -60, 98),
-                    5: (334, 126, -88, 144), 7: (404, 152, -106, 174)}
-
-
-@functools.lru_cache(maxsize=64)
-def _atanh_basis(w: int) -> tuple[tuple[int, int], ...]:
-    return tuple(_atanh_inv(q, w) for q in (251, 449, 4801, 8749))
 
 
 @functools.lru_cache(maxsize=4096)
 def _ln_int(man: int, w: int) -> tuple[int, int]:
-    """ln man for an integer man >= 1 as (X, E) at w bits, from series in
-    1/q for integers q, which need no product of two long integers: ln 2,
-    3, 5 and 7 from four shared series (_LN_SMALL_PRIMES), a larger prime p
-    as ln(p - 1) + 2 atanh(1/(2p - 1)), and any other integer as the sum
-    over its prime factors."""
-    if man == 1:
-        return 0, 0
-    if man in _LN_SMALL_PRIMES:
-        terms = list(zip(_LN_SMALL_PRIMES[man], _atanh_basis(w)))
-        return sum(c * a for c, (a, _) in terms), sum(abs(c) * e for c, (_, e) in terms)
-    p = next((p for p in range(2, math.isqrt(man) + 1) if man % p == 0), man)
-    if p < man:
-        (a, ea), (b, eb) = _ln_int(p, w), _ln_int(man // p, w)
-        return a + b, ea + eb
-    (a, ea), (b, eb) = _ln_int(man - 1, w), _atanh_inv(2 * man - 1, w)
-    return a + 2 * b, ea + 2 * eb
+    """ln man for an integer man >= 1 as (X, E) at w bits: ln man = b ln 2 +
+    2 atanh((man - 2^b) / (man + 2^b)) with 2^b <= man < 2^(b+1), a ratio
+    below 1/3, and ln 2 = 2 atanh(1/3), the same form with b = 0.  E is
+    twice _atanh's plus b times the cached ln 2's: at most 2n + 2 units for
+    n <= w / 3.17 + 1 terms past the first, so for b <= 11 below 16 w + 144
+    units."""
+    b = 0 if man == 2 else man.bit_length() - 1
+    x, e = _atanh(man - (1 << b), man + (1 << b), w)
+    l2, e2 = _ln_int(2, w) if b else (0, 0)
+    return 2 * x + b * l2, 2 * e + b * e2
 
 
 def _ln_cut(man: int, w: int) -> tuple[int, int]:
@@ -357,6 +350,30 @@ def log10(man: int, exp: int) -> float:
 MAGNITUDE_BITS = 1 << 17
 
 
+# digits per conversion between int and str, below the 4300 that CPython
+# allows by default (sys.int_info.default_max_str_digits); longer numbers
+# are converted in pieces, and the process-wide limit is left as it is
+_CHUNK = 4000
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of an integer n >= 0, _CHUNK at a time."""
+    pieces = []
+    while n.bit_length() > 3 * _CHUNK:  # else n < 2^12000 < 10^_CHUNK
+        n, low = divmod(n, 10**_CHUNK)
+        pieces.append(f"{low:0{_CHUNK}d}")
+    return str(n) + "".join(reversed(pieces))
+
+
+def _integer(digits: str) -> int:
+    """The integer of a string of decimal digits, _CHUNK at a time."""
+    head = len(digits) % _CHUNK or _CHUNK
+    n = int(digits[:head])
+    for i in range(head, len(digits), _CHUNK):
+        n = n * 10**_CHUNK + int(digits[i:i + _CHUNK])
+    return n
+
+
 def dps_to_prec(dps: int) -> int:
     """Bits for dps decimal digits, as mpmath's libmp.dps_to_prec."""
     return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
@@ -379,7 +396,8 @@ def to_str(raw: tuple[int, int, int, int], dps: int) -> str:
         if 10 ** (dps - 1) <= n < 10**dps:
             break
         point += 1 if n >= 10**dps else -1
-    text = f"{'-' if sign else ''}{str(n)[0]}.{str(n)[1:].rstrip('0') or '0'}"
+    digits = _decimal(n)
+    text = f"{'-' if sign else ''}{digits[0]}.{digits[1:].rstrip('0') or '0'}"
     return text + (f"e{point:+d}" if point else "")
 
 
@@ -387,19 +405,20 @@ def from_str(text: str, prec: int) -> tuple[int, int, int, int]:
     """The raw tuple of a finite decimal literal rounded once to nearest at
     prec bits: mpmath's libmp.from_str(text, prec, round_nearest) where
     libmp's decimal exponent (str_to_man_exp) is at most 400 in magnitude.
-    Raises ValueError where float() would, and, before any power of ten is
-    built, where the value lies past MAGNITUDE_BITS in binary magnitude."""
+    Raises ValueError where float() would, and, before any digit is
+    converted, where the value lies past MAGNITUDE_BITS in binary magnitude."""
     x = text.lower().strip()
     float(x)
-    mantissa, _, power = x.partition("e")
+    mantissa, _, power = x.replace("_", "").partition("e")
     whole, _, frac = mantissa.partition(".")
     k = (int(power) if power else 0) - len(frac)
-    num = int(whole + frac)
-    if not num:
+    digits = (whole.lstrip("+-") + frac).lstrip("0")
+    if not digits:
         return 0, 0, 0, 0
     # 10^(d-1) <= |m 10^k| < 10^d for d = k + the digits of m, and 3 < log2 10
     # < 3.33: past this d the binary magnitude is past the bound
-    if abs(k + len(str(abs(num)))) <= MAGNITUDE_BITS // 3 + 2:
+    if abs(k + len(digits)) <= MAGNITUDE_BITS // 3 + 2:
+        num = -_integer(digits) if whole.startswith("-") else _integer(digits)
         raw = rounded_ratio(num * 10 ** max(k, 0), 10 ** max(-k, 0), prec)
         if abs(raw[2] + raw[3]) <= MAGNITUDE_BITS:
             return raw

@@ -217,7 +217,27 @@ def logistic_resource_plan(sigma: Target, mu: Target, eps: float,
 
 def mean_value_table(target: Target, x: float,
                      rhos: tuple[float, ...] = (1e-1, 1e-2, 1e-3)) -> dict:
-    """Ball and sphere mean value deficits against -u''(x) with observed orders."""
+    """Ball and sphere mean value deficits against -u''(x) with observed orders.
+
+    A radius whose deficits float64 rounding may swamp is refused with a
+    ConfigError.  With e = 2^-53, each sampled value v is taken within 2e |v|
+    of u at its float point, and that point within e (|x| + 2 rho) of the
+    exact one, which moves u by about e (|x| + 2 rho) D / rho, D = max(|u(x +
+    rho) - u(x)|, |u(x) - u(x - rho)|) the steeper secant of the sphere's
+    samples (an estimate: u is not sampled between them).  By the same
+    estimate the ball's values lie within m = max |u(x), u(x +- rho)| + D in
+    magnitude, so every value is off by at most e M, M = 2m + (2 + |x| /
+    rho) D.  The sphere's 2 u(x) - u(x + rho) - u(x - rho) then carries 4 e M
+    from its values and 7 e m from its two subtractions, and the square and
+    the division 8 e m more: under 12 e M / rho^2.  The ball's mean, half
+    the sum of 64 products of positive weights summing to 2 (each within e)
+    with the values, carries e M from its values and 66 e m from the
+    weights, the products and the sum; with u(x), the subtraction and 6 /
+    rho^2 (three more roundings of at most 12 m / rho^2) that is under 234
+    e M / rho^2.  The bound 2^-45 M / rho^2 covers both; a radius is refused
+    where it reaches 1 + |reference|, the size of the deficit it would
+    swamp.
+    """
     if len(rhos) < 2:
         raise ConfigError("need at least two radii for a convergence table")
     repeated = next((rho for i, rho in enumerate(rhos) if rho in rhos[:i]), None)
@@ -228,6 +248,13 @@ def mean_value_table(target: Target, x: float,
     for rho in rhos:
         ball = mean_value_ball(target.f, x, rho)
         sphere = mean_value_sphere(target.f, x, rho)
+        v0, vp, vm = (float(v) for v in target.f(x + np.array([0.0, rho, -rho])))
+        d = max(abs(vp - v0), abs(v0 - vm))
+        m = max(abs(v0), abs(vp), abs(vm)) + d
+        bound = 2.0**-45 * (2 * m + (2 + abs(x) / rho) * d) / rho**2
+        if not bound < 1 + abs(ref):
+            raise ConfigError(f"radius {rho} is too small for float64: the deficits' rounding "
+                              f"bound {bound:.3g} reaches 1 + |reference| = {1 + abs(ref):.3g}")
         rows.append({"rho": rho, "ball": ball, "sphere": sphere,
                      "ball_error": abs(ball - ref), "sphere_error": abs(sphere - ref)})
     orders = {"ball": [], "sphere": []}

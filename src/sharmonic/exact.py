@@ -275,9 +275,10 @@ def combo_residual(combo: SHCombo, xs) -> np.ndarray:
     it, delta = 2^-51 + 2^-103 < 4.45e-16.  With s = m 2^e, m in [1/2, 1),
     _mass works at w = 129 - e bits.  Its bases b have 53 bits, |log2 b| <=
     1074 for r_k and < 2149 for a', and fixed_ln's E is below 2 |log2 b| +
-    w/6 + 40 units: _ln_cut's entries within 2 units (their own errors, far
-    below 2^32 units, fall off with the 32 guard bits), |log2 b| + 12
-    multiples of ln 2 within 2 each, the series in u^2.  So z = 2 s ln r_k
+    w/6 + 40 units: _ln_cut's entries within 2 units (their own errors,
+    under 16 w' + 144 units at the cached precision w' < 5w/4 + 127
+    (_ln_int), far below 2^32, fall off with the 32 guard bits), |log2 b| +
+    12 multiples of ln 2 within 2 each, the series in u^2.  So z = 2 s ln r_k
     - s ln a' is within 8716 + w/2 units, the |n| <= 4298 multiples of ln 2
     fixed_exp takes from it add 2 |n|, and its E, at most 3 (8716 + w/2 +
     2 |n|) + 4, is below 2^16 units of an X above 2^(w-1): each upper is

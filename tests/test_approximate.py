@@ -490,6 +490,22 @@ def test_dropped_monomial_is_charged_to_the_certificate():
     assert info.defect_error >= 4.8e-13
 
 
+@pytest.mark.parametrize("eps_half", [0.0, -1e-3, math.inf, math.nan])
+def test_build_refuses_a_tolerance_that_is_not_positive_and_finite(eps_half):
+    poly = ChebPoly(np.array([0.0, 0.0, 1.0, 0.0]), 0.0)
+    with pytest.raises(ConfigError, match="tolerance must be positive and finite"):
+        sh.build_sharmonic(poly, 0.5, eps_half)
+
+
+def test_three_samples_check_a_second_derivative_against_their_central_difference():
+    # three samples have no one-sided end formula: each end takes the middle one
+    values = [1.0, 0.0, 1.0]  # x^2 at -1, 0, 1
+    target = Target.from_samples(-1.0, 1.0, values, deriv2=[2.0, 2.0, 2.0])
+    assert target.f2(np.array([-1.0, 0.0, 1.0])).tolist() == [2.0, 2.0, 2.0]
+    with pytest.raises(ConfigError, match="deriv2 column disagrees"):
+        Target.from_samples(-1.0, 1.0, values, deriv2=[2.0, 2.0, 2.1])
+
+
 def test_build_refuses_unmatched_monomials_heavier_than_the_budget():
     # x lies below 1e-13 of the constant 1e10, so it is left unmatched, and
     # its C^2 weight 1e-4 exceeds the block budget

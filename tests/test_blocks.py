@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from mpmath.libmp.libmpf import str_to_man_exp
 
 import sharmonic as sh
 from sharmonic import _kernels, blocks
-from sharmonic._dyadic import MAGNITUDE_BITS, Dyadic, rounded_pow
+from sharmonic._dyadic import MAGNITUDE_BITS, Dyadic, rounded_pow, rounded_ratio, to_str
 from sharmonic.blocks import _combo_eval_mp, _defect_model
 from sharmonic.errors import DomainError
 
@@ -661,6 +662,23 @@ def test_json_roundtrip_extended_precision():
     assert np.max(np.abs(direct - revived)) <= 1e-10
 
 
+def test_json_carries_coefficients_past_the_int_str_digit_limit():
+    # 4520 digits, and a 5001-digit literal: each past CPython's default
+    # 4300 digits for one int/str conversion, which stays as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    c = Dyadic.exact((1 << 15000) + 1, -15000)
+    text = sh.combo_to_json(sh.SHCombo(0.5, (sh.SHBlock(2.0, c),)))
+    written = json.loads(text, parse_float=str)["blocks"][0]["c"]
+    assert len(written) == len("1.") + 4519
+    back = sh.combo_from_json(text).blocks[0].c
+    assert to_str(back._mpf_, 4520) == written
+    literal = "3." + "1" * 5000
+    loaded = sh.combo_from_json(text.replace(written, literal)).blocks[0].c
+    num = 3 * 10**5000 + (10**5000 - 1) // 9
+    assert loaded._mpf_ == rounded_ratio(num, 10**5000, dps_to_prec(5011))
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.05, 0.95), st.integers(1, 8), st.data(), st.floats(1e-8, 0.1),
        st.floats(0.1, 10.0))
@@ -893,6 +911,12 @@ def test_block_accepts_finite_coefficients(c, stored):
 def test_block_rejects_nonfinite_or_foreign_coefficients(c, match):
     with pytest.raises(DomainError, match=match):
         sh.SHBlock(2.0, c)
+
+
+def test_float_arrays_refuse_an_extended_coefficient_past_float64():
+    combo = sh.SHCombo(0.5, (sh.SHBlock(2.0, Dyadic.exact(3, 2000)),))
+    with pytest.raises(DomainError, match="overflow float64"):
+        combo.float_arrays
 
 
 def test_float_arrays_are_built_once_and_read_only():

@@ -330,6 +330,29 @@ def test_demo_meanvalue_rejects_bad_radii(capsys):
         assert f"radius {radius} " in capsys.readouterr().err
 
 
+def test_demo_meanvalue_refuses_radii_below_the_rounding_of_u(capsys):
+    # sin at 0: the ball's deficits at these radii were rounding noise of
+    # order 1e142 against the reference 0
+    assert main(["demo", "meanvalue", "--target", "sin", "--rhos", "1e-160,1e-161"]) == 2
+    assert "radius 1e-160 is too small for float64" in capsys.readouterr().err
+    # x2 at 0: u(+-rho) = rho^2 is exact, so the same scale is no noise
+    assert main(["demo", "meanvalue", "--target", "x2", "--x", "0",
+                 "--rhos", "1e-150,1e-151"]) == 0
+    assert "1e-150,-1.99" in capsys.readouterr().out
+
+
+def test_demo_meanvalue_default_radii_print_the_same_table(capsys):
+    assert main(["demo", "meanvalue"]) == 0
+    assert capsys.readouterr().out == (
+        "demo meanvalue target=x2 x=0 reference=-2\n"
+        "rho,ball,sphere,ball_error,sphere_error\n"
+        "0.10000000000000001,-1.9999999999999944,-2,5.5511151231257827e-15,0\n"
+        "0.01,-1.9999999999999942,-2,5.773159728050814e-15,0\n"
+        "0.001,-1.9999999999999944,-2,5.5511151231257827e-15,0\n"
+        "observed orders ball=['-0.017033339298780339', '0.017033339298780367'] "
+        "sphere=['exact', 'exact']\n")
+
+
 # ---------------------------------------------------------------------------
 # configuration files
 

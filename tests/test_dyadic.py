@@ -1,6 +1,7 @@
 """Extended precision in integers against mpmath as the independent oracle."""
 
 import math
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -59,6 +60,31 @@ def test_ln_encloses_the_logarithm(man, exp):
     x, e = _dyadic.fixed_ln(man, exp, 160)
     with workprec(400):
         assert abs(mpf(x) / mpf(2) ** 160 - mpmath.log(_value(man, exp))) <= mpf(e) / mpf(2) ** 160
+
+
+@pytest.mark.parametrize("w", [128, 192, 704, 2048])
+def test_the_log_table_encloses_ln_of_every_leading_integer(w):
+    # fixed_ln reads ln j for the leading 12 bits j of its argument; the
+    # uncached entries, so the test leaves the table as it was
+    with workprec(w + 64):
+        scale = mpf(2) ** w
+        for man in range(1, 4096):
+            x, e = _dyadic._ln_int.__wrapped__(man, w)
+            assert abs(x - mpmath.log(man) * scale) <= e, man
+            assert e < 16 * w + 144  # the bound exact.combo_residual relies on
+
+
+def test_rounded_power_widens_its_guard_next_to_a_tie(monkeypatch):
+    # base^-1/2 lies within about 2^-54 of 1025/1024, a tie at 10 bits: the
+    # enclosure at 10 + 32 bits straddles it, the one at 10 + 64 bits does not
+    base, precs = 2.0**20 / 1025**2, []
+    fixed_pow = _dyadic.fixed_pow
+    monkeypatch.setattr(_dyadic, "fixed_pow", lambda *a: precs.append(a[-1]) or fixed_pow(*a))
+    got = _dyadic.rounded_pow(base, -0.5, 10)
+    assert precs == [42, 74]
+    with workprec(400):
+        exact = mpf(base) ** -0.5
+    assert got._mpf_ == mpf(exact, prec=10, rounding="n")._mpf_
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,6 +228,21 @@ def test_parse_reads_zero_at_any_exponent_and_the_bound_itself():
     assert exp + bc in (_dyadic.MAGNITUDE_BITS - 1, _dyadic.MAGNITUDE_BITS)
     with pytest.raises(ValueError, match="MAGNITUDE_BITS"):
         _dyadic.from_str(_dyadic.to_str(Dyadic.exact(1, _dyadic.MAGNITUDE_BITS)._mpf_, 40), 100)
+
+
+def test_decimal_io_converts_past_the_int_str_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    # 5001 digits: past CPython's default 4300 for one int/str conversion,
+    # which mpmath's own parser meets as well
+    literal = "-3." + "1" * 5000 + "e5"
+    num = -(3 * 10**5000 + (10**5000 - 1) // 9)
+    for prec in (60, 16700):
+        assert _dyadic.from_str(literal, prec) == _dyadic.rounded_ratio(num, 10**4995, prec)
+    raw = Dyadic.exact(10**4400 + 7, -1)._mpf_  # 5 10^4399 + 3.5
+    assert _dyadic.to_str(raw, 4401) == "5." + "0" * 4398 + "35e+4399"
+    assert _dyadic.to_str(raw, 4400) == "5." + "0" * 4398 + "4e+4399"  # half up
+    assert _dyadic.from_str("1.0_0", 60) == _dyadic.from_str("1", 60)  # float() reads 1.0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 @settings(max_examples=200, deadline=None)

@@ -252,6 +252,21 @@ def test_grid_function_operand_matches_callable():
     assert got == pytest.approx(want, rel=1e-2)
 
 
+def test_grid_csv_skips_blank_rows():
+    a, b, values, deriv1, deriv2 = _read_grid_csv("x,value\n-1,1\n\n0,0\n  \n1,1\n")
+    assert (a, b, values.tolist(), deriv1, deriv2) == (-1.0, 1.0, [1.0, 0.0, 1.0], None, None)
+
+
+def test_quadrature_refuses_an_infinite_outer_radius():
+    with pytest.raises(ConfigError, match="quadrature radii must be finite"):
+        QuadConfig(outer_radius=math.inf)
+
+
+def test_an_operand_that_is_neither_callable_nor_a_combination_is_refused():
+    with pytest.raises(DomainError, match="cannot evaluate operand of type"):
+        sh.frac_laplacian("sin", 0.0, FracParams(0.5))
+
+
 def test_grid_csv_rejects_malformed_input():
     with pytest.raises(ConfigError):
         _read_grid_csv("")

@@ -53,6 +53,7 @@ def test_the_sweep_split_finds_and_times_every_stage_in_this_tree():
 
     raw = bench_sweep.run_sweep_child(ROOT, 3)
     assert raw["missing"] == []
+    assert raw["ln_int_entries"] > 0 and raw["ln_int_misses_per_call"] >= 0
     assert raw["wrapped"] == bench_sweep.STAGE_NAMES
     stages = (*bench_sweep.STAGES, "bound")
     for stage in stages:

@@ -54,7 +54,10 @@ trees produce the same output, and, untimed, compares each
 ``max_residual`` with (|Phi| + err) times the cancellation mass at x = -1
 summed at 80 digits: ``residual_excess`` is the smallest and largest
 max_residual / product - 1 over the calls, and ``phi_dps`` counts the
-calls by the precision of the Phi they used.  Last, the script runs
+calls by the precision of the Phi they used.  ``ln_int_entries`` is the
+size of the logarithm table (``_dyadic._ln_int``'s cache) after the run,
+and ``ln_int_misses_per_call`` the entries it computed per call after the
+warm-up.  Last, the script runs
 ``tools/compare_artifacts.py``'s CLI grid against PATH and records its
 result.
 """
@@ -93,7 +96,7 @@ sys.path.insert(0, "pipebench")
 import mpmath
 from mpmath import mpf
 from workloads import REFERENCE_NOMINAL_MS, SWEEP_EPS, SWEEP_S, LibrarySweep, Record, reference_ms
-from sharmonic import blocks, exact
+from sharmonic import _dyadic, blocks, exact
 approximate = importlib.import_module("sharmonic.approximate")
 modules = {"approximate": approximate, "blocks": blocks, "exact": exact}
 
@@ -157,6 +160,7 @@ for stage, name in json.loads(sys.argv[2]).items():
 
 sweep = LibrarySweep(1)
 sweep.setup(Record())
+ln_misses = _dyadic._ln_int.cache_info().misses
 levels = {eps: {"calls": 0, "counts": {}, "raw": {}, "scaled": {}} for eps in SWEEP_EPS}
 digest = hashlib.sha256()
 excess, phi_dps = [], {}
@@ -182,8 +186,11 @@ for _ in range(int(sys.argv[1])):
         level["raw"][name] = level["raw"].get(name, 0.0) + seconds
         level["scaled"][name] = level["scaled"].get(name, 0.0) + seconds * factor
     before = reference_ms()
+ln_info = _dyadic._ln_int.cache_info()
 print(json.dumps({"levels": {f"{eps:g}": level for eps, level in levels.items()},
                   "wrapped": wrapped, "missing": missing,
+                  "ln_int_entries": ln_info.currsize,
+                  "ln_int_misses_per_call": (ln_info.misses - ln_misses) / int(sys.argv[1]),
                   "residual_excess": [min(excess), max(excess)], "phi_dps": phi_dps,
                   "sha256": digest.hexdigest()}))
 """
@@ -218,8 +225,8 @@ def sweep_split(tree: Path, targets: int = TARGETS) -> dict:
     """Scaled and raw ms per call of each stage per eps level, bound calls
     and full Chebyshev certificates per call, the mean scaled and raw
     totals, both counts over all calls, the residual's excess over its
-    80-digit product, the stages not found and the output hash, from one
-    fresh interpreter."""
+    80-digit product, the logarithm table's size and misses per call, the
+    stages not found and the output hash, from one fresh interpreter."""
     raw = run_sweep_child(tree, targets)
     split = {"levels": {}, "raw_levels": {}}
     for eps, level in raw["levels"].items():
@@ -232,7 +239,8 @@ def sweep_split(tree: Path, targets: int = TARGETS) -> dict:
         split[key] = round(total * 1e3 / targets, 3)
     for key, name in COUNTS.items():
         split[key] = sum(level["counts"].get(name, 0) for level in raw["levels"].values())
-    for key in ("residual_excess", "phi_dps", "missing", "sha256"):
+    for key in ("residual_excess", "phi_dps", "ln_int_entries", "ln_int_misses_per_call",
+                "missing", "sha256"):
         split[key] = raw[key]
     return split
 
